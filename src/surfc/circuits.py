@@ -10,7 +10,9 @@ derived structures drive everything downstream:
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import CircuitError
 
@@ -79,9 +81,6 @@ class GateDag:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n_gates) for v in self.children[u]]
 
-    def sources(self) -> list[int]:
-        return [v for v in range(self.n_gates) if not self.parents[v]]
-
     def descendant_counts(self) -> list[int]:
         """Number of transitive descendants of each gate (excluding itself)."""
         counts = [0] * self.n_gates
@@ -143,14 +142,18 @@ class CommGraph:
     def edges(self) -> list[tuple[int, int, int]]:
         return [(a, b, w) for (a, b), w in sorted(self.weights.items())]
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per qubit, its ``(neighbor, weight)`` pairs sorted by neighbor;
+        built once on first use."""
+        rows: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
+        for (a, b), w in self.weights.items():
+            rows[a].append((b, w))
+            rows[b].append((a, w))
+        return tuple(tuple(sorted(row)) for row in rows)
+
     def neighbors(self, q: int) -> list[int]:
-        out = []
-        for a, b in self.weights:
-            if a == q:
-                out.append(b)
-            elif b == q:
-                out.append(a)
-        return sorted(out)
+        return [u for u, _w in self.adjacency[q]]
 
     def total_weight(self) -> int:
         return sum(self.weights.values())
@@ -180,9 +183,9 @@ def two_coloring(n: int, edges: set[tuple[int, int]]) -> dict[int, int] | None:
         if root in color:
             continue
         color[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             for w in sorted(adj[v]):
                 if w not in color:
                     color[w] = 1 - color[v]

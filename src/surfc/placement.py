@@ -9,6 +9,18 @@ cheapest wins.  For lattice surgery the internal distance is route-aware
 heavily penalized, since such a mapping deadlocks the scheduler); the public
 ``mapping_cost`` metric stays plain Manhattan.
 
+Both searches keep tables so that each candidate is judged in O(1):
+
+* bisection keeps the Kernighan-Lin gain of every member (external minus
+  internal weight across the split), computed once per split; a swap of
+  ``x`` and ``y`` pays off when ``gain[x] + gain[y] - 2*w_xy > 0``, and a
+  move flips the mover's gain and shifts each member neighbour's by ``2*w``;
+* swap descent indexes the cells, holds one dense distance matrix, and keeps
+  per qubit a row ``cost[q][k]``: q's share of ``f`` were it on cell ``k``
+  with every other qubit fixed.  A move into a free cell compares two
+  entries of one row, a swap four entries plus the pair's own term, and a
+  relocation updates only the rows of the mover's neighbours.
+
 Cut types: two-color the communication graph when bipartite (every CNOT then
 braids in one cycle); otherwise grow a sub-graph from precursor-free gates,
 layer by layer, while it stays bipartite, and color that prefix — early gates
@@ -17,6 +29,7 @@ matter most because cut types can be modified later.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -66,9 +79,6 @@ class TileMapping:
 
     def tile_of(self, q: int) -> Tile:
         return self.positions[q]
-
-    def qubit_at(self) -> dict[Tile, int]:
-        return {cell: q for q, cell in self.positions.items()}
 
     def with_cuts(self, cuts: dict[int, CutType]) -> "TileMapping":
         return replace(self, cuts=dict(cuts))
@@ -129,13 +139,13 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
         src = cell_tiles[cell]
         # BFS through fabric tiles from src's free neighbors
         hops: dict[Tile, int] = {}
-        queue: list[Tile] = []
+        queue: deque[Tile] = deque()
         for nb in neighbors(src):
             if nb not in blocked:
                 hops[nb] = 1
                 queue.append(nb)
         while queue:
-            t = queue.pop(0)
+            t = queue.popleft()
             for nb in neighbors(t):
                 if nb in blocked or nb in hops:
                     continue
@@ -159,15 +169,23 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
 
 
 class _CostModel:
-    def __init__(self, layout: ChipLayout | None):
-        self._table = None
+    """Dense distance matrix over the cells of ``shape`` (row-major index):
+    Manhattan for double defect, route-aware for lattice surgery.  Both are
+    symmetric with a zero diagonal."""
+
+    def __init__(self, shape: ArrayShape, layout: ChipLayout | None):
+        self.cells = shape.cells
+        self.index = {cell: k for k, cell in enumerate(self.cells)}
         if layout is not None and layout.model is ChipModel.LATTICE_SURGERY:
-            self._table = _ls_cell_distances(layout)
+            table = _ls_cell_distances(layout)
+            self.matrix = [[table[(a, b)] if a != b else 0 for b in self.cells]
+                           for a in self.cells]
+        else:
+            self.matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in self.cells]
+                           for a in self.cells]
 
     def dist(self, a: Tile, b: Tile) -> int:
-        if self._table is not None:
-            return self._table[(a, b)] if a != b else 0
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
+        return self.matrix[self.index[a]][self.index[b]]
 
 
 def _cost(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> int:
@@ -197,20 +215,21 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
     part_a, part_b = pool[: len(cells_a)], pool[len(cells_a):]
     side = {q: 0 for q in part_a if q >= 0}
     side.update({q: 1 for q in part_b if q >= 0})
-    members = set(side)
+    adj = comm.adjacency
+    # gain[v]: external minus internal weight over members (holes stay 0);
+    # positive means v wants to move
+    gain = dict.fromkeys(pool, 0)
+    for v, s in side.items():
+        gain[v] = sum(w if side[u] != s else -w for u, w in adj[v] if u in side)
 
-    def diff(v: int) -> int:
-        # external minus internal weight; positive means v wants to move
+    def move(v: int) -> None:
         if v < 0:
-            return 0
-        ext = int_ = 0
-        for u in comm.neighbors(v):
-            if u in members:
-                if side[u] == side[v]:
-                    int_ += comm.weight(v, u)
-                else:
-                    ext += comm.weight(v, u)
-        return ext - int_
+            return
+        s = side[v] = 1 - side[v]
+        gain[v] = -gain[v]
+        for u, w in adj[v]:
+            if u in side:
+                gain[u] += -2 * w if side[u] == s else 2 * w
 
     improved = True
     while improved:
@@ -218,80 +237,87 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
         for i in range(len(part_a)):
             for j in range(len(part_b)):
                 x, y = part_a[i], part_b[j]
-                w_xy = comm.weight(x, y) if x >= 0 and y >= 0 else 0
-                if diff(x) + diff(y) - 2 * w_xy > 0:
+                # holes have no weight to anyone
+                if gain[x] + gain[y] - 2 * comm.weight(x, y) > 0:
                     part_a[i], part_b[j] = y, x
-                    if x >= 0:
-                        side[x] = 1
-                    if y >= 0:
-                        side[y] = 0
+                    move(x)
+                    move(y)
                     improved = True
     _bisect(part_a, cells_a, comm, rng, out)
     _bisect(part_b, cells_b, comm, rng, out)
 
 
-def _swap_descent(assign: dict[int, Tile], free_cells: set[Tile], comm: CommGraph,
-                  cm: _CostModel) -> None:
-    """First-improvement pairwise swaps (including moves into empty cells)
-    until a local minimum of the communication cost."""
-    incident: dict[int, list[tuple[int, int]]] = {q: [] for q in assign}
-    for a, b, w in comm.edges():
-        if a in incident:
-            incident[a].append((b, w))
-        if b in incident:
-            incident[b].append((a, w))
+def _swap_descent(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> None:
+    """First-improvement pairwise swaps (including moves into the free cells
+    of ``cm``) until a local minimum of the communication cost."""
+    dist = cm.matrix
+    adj = comm.adjacency
+    pos = {q: cm.index[cell] for q, cell in assign.items()}
+    free = set(range(len(cm.cells))) - set(pos.values())
+    # cost[q][k]: q's share of the cost were it on cell k, all others fixed
+    cost: dict[int, list[int]] = {}
+    for q in assign:
+        row = [0] * len(cm.cells)
+        for u, w in adj[q]:
+            row = [c + w * d for c, d in zip(row, dist[pos[u]])]
+        cost[q] = row
 
-    def local(q: int, cell: Tile, moved: int | None = None, moved_cell: Tile | None = None) -> int:
-        total = 0
-        for other, w in incident[q]:
-            oc = moved_cell if other == moved else assign[other]
-            total += w * cm.dist(cell, oc)
-        return total
+    def relocate(q: int, k: int) -> None:
+        delta = [a - b for a, b in zip(dist[k], dist[pos[q]])]
+        pos[q] = k
+        for u, w in adj[q]:
+            row = cost[u]
+            row[:] = [c + w * d for c, d in zip(row, delta)]
 
     qubits = sorted(assign)
     improved = True
     while improved:
         improved = False
         for q in qubits:
-            qc = assign[q]
+            row_q = cost[q]
             # move into an empty cell
-            for cell in sorted(free_cells):
-                if local(q, cell) < local(q, qc):
-                    free_cells.remove(cell)
-                    free_cells.add(qc)
-                    assign[q] = cell
-                    qc = cell
+            for k in sorted(free):
+                kq = pos[q]
+                if row_q[k] < row_q[kq]:
+                    free.remove(k)
+                    free.add(kq)
+                    relocate(q, k)
                     improved = True
             # swap with another qubit
+            kq = pos[q]
+            w_q = dict(adj[q])
             for p in qubits:
                 if p <= q:
                     continue
-                pc = assign[p]
-                before = local(q, qc) + local(p, pc)
-                after = local(q, pc, moved=p, moved_cell=qc) + local(p, qc, moved=q, moved_cell=pc)
-                if after < before:
-                    assign[q], assign[p] = pc, qc
-                    qc = pc
+                kp = pos[p]
+                row_p = cost[p]
+                if (row_q[kp] + row_p[kq] + 2 * w_q.get(p, 0) * dist[kq][kp]
+                        < row_q[kq] + row_p[kp]):
+                    relocate(q, kp)
+                    relocate(p, kq)
+                    kq = kp
                     improved = True
+    for q, k in pos.items():
+        assign[q] = cm.cells[k]
 
 
 def _bfs_linearization(comm: CommGraph) -> list[int]:
     """Weighted BFS qubit order: start at the lowest-degree vertex, expand
     heaviest edges first.  Laying this order along the snake recovers optimal
     embeddings for chain-like communication graphs."""
-    degree = {q: len(comm.neighbors(q)) for q in range(comm.n)}
+    adj = comm.adjacency
+    degree = {q: len(adj[q]) for q in range(comm.n)}
     order: list[int] = []
     seen: set[int] = set()
     for root in sorted(range(comm.n), key=lambda q: (degree[q] == 0, degree[q], q)):
         if root in seen:
             continue
-        queue = [root]
+        queue = deque([root])
         seen.add(root)
         while queue:
-            v = queue.pop(0)
+            v = queue.popleft()
             order.append(v)
-            nbrs = sorted(comm.neighbors(v), key=lambda u: (-comm.weight(v, u), u))
-            for u in nbrs:
+            for u, _w in sorted(adj[v], key=lambda uw: (-uw[1], uw[0])):
                 if u not in seen:
                     seen.add(u)
                     queue.append(u)
@@ -324,7 +350,7 @@ def establish_mapping(
     n = comm.n
     if shape.rows * shape.cols < n:
         raise InfeasibleError(f"shape {shape} cannot hold {n} qubits")
-    cm = _CostModel(layout)
+    cm = _CostModel(shape, layout)
     cells = shape.cells
     best: dict[int, Tile] | None = None
     best_cost = None
@@ -338,8 +364,7 @@ def establish_mapping(
             rng = random.Random((seed << 16) + t)
             pool = list(range(n)) + [-(k + 1) for k in range(len(cells) - n)]
             _bisect(pool, cells, comm, rng, assign)
-        free_cells = set(cells) - set(assign.values())
-        _swap_descent(assign, free_cells, comm, cm)
+        _swap_descent(assign, comm, cm)
         cost = _cost(assign, comm, cm)
         if best_cost is None or cost < best_cost:
             best, best_cost = dict(assign), cost
@@ -356,7 +381,8 @@ def repair_mapping(mapping: TileMapping, comm: CommGraph, layout: ChipLayout) ->
     if layout.model is not ChipModel.LATTICE_SURGERY or not mapping.positions:
         return mapping
     assign = dict(mapping.positions)
-    _repair_ls_routability(assign, mapping.shape, comm, layout, _CostModel(layout))
+    _repair_ls_routability(assign, mapping.shape, comm, layout,
+                          _CostModel(mapping.shape, layout))
     if assign == mapping.positions:
         return mapping
     return TileMapping(mapping.shape, assign, mapping.cuts)
@@ -394,10 +420,10 @@ def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
             t = (r, c)
             if t in data or t in comp:
                 continue
-            queue = [t]
+            queue = deque([t])
             comp[t] = cid
             while queue:
-                u = queue.pop(0)
+                u = queue.popleft()
                 for v in neighbors(u):
                     if v not in data and v not in comp:
                         comp[v] = cid
@@ -471,10 +497,7 @@ def baseline_mapping(kind: str, n: int, shape: ArrayShape, seed: int = 0) -> Til
     if shape.rows * shape.cols < n:
         raise InfeasibleError(f"shape {shape} cannot hold {n} qubits")
     if kind == "snake":
-        order = []
-        for i in range(shape.rows):
-            row = [(i, j) for j in range(shape.cols)]
-            order.extend(row if i % 2 == 0 else row[::-1])
+        order = _snake_cells(shape)
         return TileMapping(shape, {q: order[q] for q in range(n)})
     if kind == "random":
         rng = random.Random(seed)
@@ -596,9 +619,9 @@ def _free_route(graph, src: Tile, dst: Tile) -> tuple[Tile, ...] | None:
     starts = sorted(graph.terminals(src))
     parent: dict[Tile, Tile | None] = {n: None for n in starts}
     root: dict[Tile, Tile] = {n: n for n in starts}
-    queue = list(starts)
+    queue = deque(starts)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nxt, _seg in graph.neighbors(node):
             if nxt in goals and root[node] != nxt:
                 path = [nxt]

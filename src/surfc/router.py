@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import deque
 from dataclasses import dataclass
 
 from .chip import ChipLayout, ChipModel
@@ -198,9 +199,9 @@ def _bfs_route(graph, cap, usage: dict[Resource, int], src: Tile, dst: Tile,
                 return RoutePath(layout.model, (n,))
     parent: dict[Tile, Tile | None] = {n: None for n in starts}
     root: dict[Tile, Tile] = {n: n for n in starts}
-    queue = list(starts)
+    queue = deque(starts)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nxt, seg in graph.neighbors(node):
             if seg is not None and usage.get(seg, 0) >= cap(seg):
                 continue
@@ -239,9 +240,9 @@ def _saturated_frontier(graph, cap, usage, src: Tile) -> set[Resource]:
         else:
             starts.append(n)
     visited = set(starts)
-    queue = list(starts)
+    queue = deque(starts)
     while queue:
-        node = queue.pop(0)
+        node = queue.popleft()
         for nxt, seg in graph.neighbors(node):
             if seg is not None and usage.get(seg, 0) >= cap(seg):
                 ring.add(seg)

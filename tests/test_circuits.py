@@ -161,6 +161,27 @@ class TestCommGraph:
             c = circuit(n, pairs)
             assert build_comm_graph(c).total_weight() == c.g
 
+    def test_adjacency_matches_weights(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            n = rng.randint(2, 9)
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 15))]
+            comm = build_comm_graph(circuit(n, pairs))
+            adj = comm.adjacency
+            assert len(adj) == n
+            for q, row in enumerate(adj):
+                assert [u for u, _ in row] == sorted({u for u, _ in row})
+                assert comm.neighbors(q) == [u for u, _ in row]
+                for u, w in row:
+                    assert w == comm.weight(q, u) > 0
+                    assert (q, w) in adj[u]
+            assert sum(w for row in adj for _, w in row) == 2 * comm.total_weight()
+
+    def test_adjacency_isolated_and_empty(self):
+        comm = build_comm_graph(circuit(4, [(2, 0), (0, 2)]))
+        assert comm.adjacency == (((2, 2),), (), ((0, 2),), ())
+        assert build_comm_graph(circuit(0, [])).adjacency == ()
+
 
 def _random_circuits():
     return st.integers(min_value=2, max_value=7).flatmap(

@@ -1,10 +1,14 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from conftest import uniform_ls_layout
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from surfc.bench import ghz
-from surfc.chip import ChipModel, ChipSpec, derive_layout
+from surfc.chip import ChipModel, ChipSpec, config_dims, derive_layout
 from surfc.circuits import build_comm_graph, circuit
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_random_circuit
@@ -12,6 +16,9 @@ from surfc.placement import (
     ArrayShape,
     CutType,
     TileMapping,
+    _cost,
+    _CostModel,
+    _swap_descent,
     adjust_bandwidth,
     baseline_cuts,
     baseline_mapping,
@@ -94,6 +101,77 @@ class TestEstablishMapping:
             if ours <= snake:
                 wins += 1
         assert wins >= 90
+
+
+# sha256 over repr(sorted(positions.items())) of every mapping in one grid of
+# TestGoldenMapping, recorded with a reference search that recomputed each
+# candidate's cost from scratch; the incremental tables must reproduce them.
+# Square sizes fill their arrays; the other sizes leave free cells to move into.
+GOLDEN_MAPPING_DIGESTS = {
+    (9, 16, 25, 49): "0e73fa56f09c4c3b188bdbddb7b6a22d1f8e93c8bb83523553c2384f5f612421",
+    (7, 12, 20, 30): "4f34cb9b5e8ed082f85bcc0c0dd65ce54710062f13997303842887de515d5c54",
+}
+
+
+class TestGoldenMapping:
+    @pytest.mark.parametrize("sizes", sorted(GOLDEN_MAPPING_DIGESTS),
+                             ids=lambda sizes: "n" + "-".join(map(str, sizes)))
+    def test_digest(self, sizes):
+        digest = hashlib.sha256()
+        count = 0
+        for n in sizes:
+            for seed in range(3):
+                comm = build_comm_graph(gen_random_circuit(n, 10, n // 3, seed=seed))
+                for model in (DD, LS):
+                    for chip in ("min", "4x"):
+                        m1, m2 = config_dims(chip, n, 3, model)
+                        layout = derive_layout(ChipSpec(model, m1, m2, 3), n, distribute=False)
+                        shape = ArrayShape(layout.array_r, layout.array_c)
+                        for lay in (None, layout):
+                            m = establish_mapping(comm, shape, trials=4, seed=seed, layout=lay)
+                            digest.update(repr(sorted(m.positions.items())).encode())
+                            count += 1
+        assert count == 96
+        assert digest.hexdigest() == GOLDEN_MAPPING_DIGESTS[sizes]
+
+
+@st.composite
+def _descent_instances(draw):
+    n = draw(st.integers(2, 9))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(-(-n // rows), -(-n // rows) + 2))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: ab[0] != ab[1]),
+        max_size=20,
+    ))
+    cells = draw(st.permutations(ArrayShape(rows, cols).cells))
+    return circuit(n, pairs), ArrayShape(rows, cols), dict(enumerate(cells[:n]))
+
+
+class TestSwapDescent:
+    @pytest.mark.parametrize("model", [DD, LS])
+    @given(inst=_descent_instances(), gap=st.integers(0, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_no_single_move_or_swap_improves(self, model, inst, gap):
+        circ, shape, assign = inst
+        comm = build_comm_graph(circ)
+        layout = uniform_ls_layout(shape.rows, shape.cols, gap=gap) if model is LS else None
+        cm = _CostModel(shape, layout)
+        _swap_descent(assign, comm, cm)
+        assert sorted(assign) == list(range(circ.n))
+        assert len(set(assign.values())) == circ.n
+        best = _cost(assign, comm, cm)
+        for q in sorted(assign):
+            origin = assign[q]
+            for cell in shape.cells:
+                if cell == origin:
+                    continue
+                other = next((p for p, c in assign.items() if c == cell), None)
+                trial = dict(assign)
+                trial[q] = cell
+                if other is not None:
+                    trial[other] = origin
+                assert _cost(trial, comm, cm) >= best, (q, cell, other)
 
 
 class TestMappingCost:
