@@ -9,15 +9,16 @@ import argparse
 import json
 import sys
 
-from .bench import BENCHMARKS, benchmark
+from .bench import BENCHMARKS
 from .chip import ChipModel, ChipSpec, config_dims, derive_layout
 from .circuits import build_comm_graph, build_dag
 from .errors import BudgetExceededError, CircuitError, InfeasibleError, QasmError, SurfcError
-from .generate import gen_random_circuit
 from .harness import (
     RunConfig,
+    chip_dims,
     config_from_mapping,
     compare,
+    load_circuit,
     parse_config_file,
     report_json,
     run,
@@ -27,16 +28,30 @@ from .harness import (
 from .oracle import OracleBudget, optimal_cycles, optimal_pm, routing_feasible
 from .placement import ArrayShape, establish_mapping, init_cut_types
 from .profiler import para_finding
-from .qasm import parse_qasm
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INFEASIBLE = 0, 1, 2, 3
+
+
+def _random_params(text: str) -> tuple[int, int, int]:
+    try:
+        n, depth, par = (int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,DEPTH,PAR, got {text!r}") from None
+    return (n, depth, par)
+
+
+def _chip_kind(text: str) -> str:
+    m1, _, m2 = text.partition("x")
+    if text in ("min", "4x", "sufficient") or (m1.isdigit() and m2.isdigit()):
+        return text
+    raise argparse.ArgumentTypeError(f"expected min, 4x, sufficient or <m1>x<m2>, got {text!r}")
 
 
 def _add_circuit_args(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--qasm", help="OpenQASM 2 file")
     src.add_argument("--bench", choices=sorted(BENCHMARKS), help="regenerated benchmark")
-    src.add_argument("--random", metavar="N,DEPTH,PAR",
+    src.add_argument("--random", metavar="N,DEPTH,PAR", type=_random_params,
                      help="seeded random circuit with exact depth/parallelism")
     p.add_argument("--seed", type=int, default=0)
 
@@ -44,7 +59,7 @@ def _add_circuit_args(p: argparse.ArgumentParser) -> None:
 def _add_run_args(p: argparse.ArgumentParser) -> None:
     _add_circuit_args(p)
     p.add_argument("--model", choices=["dd", "ls"], default="dd")
-    p.add_argument("--chip", default="min",
+    p.add_argument("--chip", default="min", type=_chip_kind,
                    help="min | 4x | sufficient | <m1>x<m2>")
     p.add_argument("-d", "--distance", type=int, default=3)
     p.add_argument("--scheduler", default="ecmas",
@@ -56,35 +71,26 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
-def _load_circuit(args):
+def _circuit_source(args) -> dict:
+    """The ``RunConfig`` fields that name the circuit given on the command line."""
     if args.qasm:
-        with open(args.qasm, "r", encoding="utf-8") as fh:
-            return parse_qasm(fh.read())
+        return {"qasm_path": args.qasm, "seed": args.seed}
     if args.bench:
-        return benchmark(args.bench)
-    n, depth, par = (int(x) for x in args.random.split(","))
-    return gen_random_circuit(n, depth, par, args.seed)
+        return {"benchmark": args.bench, "seed": args.seed}
+    return {"random_params": args.random, "seed": args.seed}
 
 
 def _config_from_args(args) -> RunConfig:
-    kwargs = dict(
+    return RunConfig(
         model=ChipModel(args.model),
         chip=args.chip,
         d=args.distance,
         scheduler=args.scheduler,
         mapping=args.mapping,
         cuts=args.cuts if args.model == "dd" else "ecmas",
-        seed=args.seed,
         trials=args.trials,
+        **_circuit_source(args),
     )
-    if args.qasm:
-        kwargs["qasm_path"] = args.qasm
-    elif args.bench:
-        kwargs["benchmark"] = args.bench
-    else:
-        n, depth, par = (int(x) for x in args.random.split(","))
-        kwargs["random_params"] = (n, depth, par)
-    return RunConfig(**kwargs)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -96,7 +102,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_profile(args) -> int:
-    circuit = _load_circuit(args)
+    circuit = load_circuit(RunConfig(**_circuit_source(args)))
     layers = para_finding(build_dag(circuit))
     _emit(json.dumps({
         "alpha": layers.alpha, "g": circuit.g, "pm_estimate": layers.pm,
@@ -117,13 +123,9 @@ def cmd_chip(args) -> int:
 
 
 def cmd_map(args) -> int:
-    circuit = _load_circuit(args)
     config = _config_from_args(args)
-    dims = config_dims(args.chip, circuit.n, args.distance, config.model, pm=None) \
-        if args.chip in ("min", "4x") else None
-    if dims is None:
-        m1, m2 = (int(x) for x in args.chip.split("x", 1))
-        dims = (m1, m2)
+    circuit = load_circuit(config)
+    dims = chip_dims(config, circuit.n, pm=None)
     layout = derive_layout(ChipSpec(config.model, dims[0], dims[1], args.distance), circuit.n)
     comm = build_comm_graph(circuit)
     shape = ArrayShape(layout.array_r, layout.array_c)
@@ -144,7 +146,7 @@ def cmd_schedule(args) -> int:
 
 def cmd_oracle(args) -> int:
     budget = OracleBudget(max_gates=args.max_gates, max_qubits=args.max_qubits)
-    circuit = _load_circuit(args)
+    circuit = load_circuit(RunConfig(**_circuit_source(args)))
     if args.query == "pm":
         value = optimal_pm(build_dag(circuit), budget)
         _emit(json.dumps({"pm_optimal": value}), getattr(args, "out", None))
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chip", help="describe a chip layout")
     p.add_argument("action", choices=["describe"])
     p.add_argument("--model", choices=["dd", "ls"], default="dd")
-    p.add_argument("--chip", default="min")
+    p.add_argument("--chip", default="min", type=_chip_kind)
     p.add_argument("-d", "--distance", type=int, default=3)
     p.add_argument("-n", "--qubits", type=int, required=True)
     p.add_argument("--pm", type=int, default=None)
@@ -239,6 +241,9 @@ def main(argv: list[str] | None = None) -> int:
     except SurfcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

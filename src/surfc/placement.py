@@ -28,17 +28,16 @@ matter most because cut types can be modified later.
 """
 from __future__ import annotations
 
+import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import networkx as nx
-from networkx.algorithms.approximation.maxcut import one_exchange
-
 from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
 from .circuits import CommGraph, LogicalCircuit, build_comm_graph, build_dag, two_coloring
 from .errors import InfeasibleError
+from .router import RoutePath, _AncillaGraph, _CorridorGraph, bfs, trace_back
 
 Tile = tuple[int, int]
 
@@ -119,38 +118,19 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
     """Route-aware distance between array cells for lattice surgery: 1 for
     tile-adjacent cells, else 1 + shortest hop count through the gap fabric
     (array cells all count as obstacles), else a deadlock penalty."""
-    r, c = layout.array_r, layout.array_c
     rt, ct = layout.row_tracks, layout.col_tracks
-    cell_tiles = {(i, j): (rt[i], ct[j]) for i in range(r) for j in range(c)}
-    blocked = set(cell_tiles.values())
-    rows, cols = layout.grid_rows, layout.grid_cols
-    penalty = 8 * (rows + cols)
-
-    def neighbors(t: Tile):
-        tr, tc = t
-        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
-            nr, nc = tr + dr, tc + dc
-            if 0 <= nr < rows and 0 <= nc < cols:
-                yield (nr, nc)
-
+    cell_tiles = {(i, j): (rt[i], ct[j])
+                  for i in range(layout.array_r) for j in range(layout.array_c)}
+    graph = _AncillaGraph(layout, frozenset(cell_tiles.values()))
+    penalty = 8 * (layout.grid_rows + layout.grid_cols)
     dist: dict[tuple[Tile, Tile], int] = {}
     cells = sorted(cell_tiles)
     for idx, cell in enumerate(cells):
         src = cell_tiles[cell]
-        # BFS through fabric tiles from src's free neighbors
+        # hop counts through fabric tiles from src's free neighbors
         hops: dict[Tile, int] = {}
-        queue: deque[Tile] = deque()
-        for nb in neighbors(src):
-            if nb not in blocked:
-                hops[nb] = 1
-                queue.append(nb)
-        while queue:
-            t = queue.popleft()
-            for nb in neighbors(t):
-                if nb in blocked or nb in hops:
-                    continue
-                hops[nb] = hops[t] + 1
-                queue.append(nb)
+        for t, back in bfs(graph, graph.terminals(src))[0].items():
+            hops[t] = 1 if back is None else hops[back] + 1
         for other in cells[idx + 1:]:
             dst = cell_tiles[other]
             manhattan = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
@@ -158,7 +138,7 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
                 d = 1
             else:
                 best = min(
-                    (hops[nb] for nb in neighbors(dst) if nb in hops),
+                    (hops[nb] for nb in graph.terminals(dst) if nb in hops),
                     default=None,
                 )
                 # unreachable pairs keep a Manhattan gradient under the penalty
@@ -381,8 +361,7 @@ def repair_mapping(mapping: TileMapping, comm: CommGraph, layout: ChipLayout) ->
     if layout.model is not ChipModel.LATTICE_SURGERY or not mapping.positions:
         return mapping
     assign = dict(mapping.positions)
-    _repair_ls_routability(assign, mapping.shape, comm, layout,
-                          _CostModel(mapping.shape, layout))
+    _repair_ls_routability(assign, mapping.shape, comm, layout, None)
     if assign == mapping.positions:
         return mapping
     return TileMapping(mapping.shape, assign, mapping.cuts)
@@ -403,35 +382,15 @@ def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
     """Comm pairs that are neither tile-adjacent nor connected through the
     actual free fabric (gap tiles and unoccupied cells) of this assignment."""
     rt, ct = layout.row_tracks, layout.col_tracks
-    data = {(rt[i], ct[j]) for i, j in assign.values()}
-    rows, cols = layout.grid_rows, layout.grid_cols
+    graph = _AncillaGraph(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
+    # free-fabric components, each labelled by its first tile
+    comp: dict[Tile, Tile] = {}
+    for t in itertools.product(range(layout.grid_rows), range(layout.grid_cols)):
+        if t not in graph.data and t not in comp:
+            comp.update(dict.fromkeys(bfs(graph, [t])[0], t))
 
-    def neighbors(t: Tile):
-        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
-            nr, nc = t[0] + dr, t[1] + dc
-            if 0 <= nr < rows and 0 <= nc < cols:
-                yield (nr, nc)
-
-    # free-fabric components
-    comp: dict[Tile, int] = {}
-    cid = 0
-    for r in range(rows):
-        for c in range(cols):
-            t = (r, c)
-            if t in data or t in comp:
-                continue
-            queue = deque([t])
-            comp[t] = cid
-            while queue:
-                u = queue.popleft()
-                for v in neighbors(u):
-                    if v not in data and v not in comp:
-                        comp[v] = cid
-                        queue.append(v)
-            cid += 1
-
-    def touch(tile: Tile) -> set[int]:
-        return {comp[v] for v in neighbors(tile) if v in comp}
+    def touch(tile: Tile) -> set[Tile]:
+        return {comp[v] for v in graph.terminals(tile)}
 
     bad = []
     for a, b, _w in comm.edges():
@@ -445,22 +404,25 @@ def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
     return bad
 
 
-def _repair_ls_routability(assign: dict[int, Tile], shape: ArrayShape,
-                           comm: CommGraph, layout: ChipLayout, cm: _CostModel) -> None:
+def _repair_ls_routability(assign: dict[int, Tile], shape: ArrayShape, comm: CommGraph,
+                           layout: ChipLayout, cm: _CostModel | None) -> None:
     """Greedy repair: while some pair cannot meet through the fabric, try the
     single move or swap that most reduces the unroutable count (ties: lower
     cost).  Stops when clean or stuck; a stuck mapping surfaces later as a
     scheduler error naming the gate.  Hopeless geometries (undistributed
-    fabric, or more broken pairs than moves could mend) are left alone."""
+    fabric, or more broken pairs than moves could mend) are left alone.
+    Without ``cm``, the cost model is built once a pair is found stranded."""
     if layout.spare_rows or layout.spare_cols:
         return  # fabric not placed yet; repair re-runs after adjusting
     cells = shape.cells
-    if len(_ls_unroutable_pairs(assign, comm, layout)) > max(8, comm.n // 2):
+    bad = _ls_unroutable_pairs(assign, comm, layout)
+    if len(bad) > max(8, comm.n // 2):
         return
     for _round in range(16):
-        bad = _ls_unroutable_pairs(assign, comm, layout)
         if not bad:
             return
+        if cm is None:
+            cm = _CostModel(shape, layout)
         involved = sorted({q for pair in bad for q in pair})
         best_move = None
         best_key = (len(bad), _cost(assign, comm, cm))
@@ -488,6 +450,7 @@ def _repair_ls_routability(assign: dict[int, Tile], shape: ArrayShape,
         if other is not None:
             assign[other] = assign[q]
         assign[q] = cell
+        bad = _ls_unroutable_pairs(assign, comm, layout)
 
 
 def baseline_mapping(kind: str, n: int, shape: ArrayShape, seed: int = 0) -> TileMapping:
@@ -548,13 +511,30 @@ def baseline_cuts(kind: str, comm: CommGraph, seed: int = 0) -> dict[int, CutTyp
         rng = random.Random(seed)
         return {q: (CutType.X if rng.random() < 0.5 else CutType.Z) for q in range(comm.n)}
     if kind == "maxcut":
-        graph = nx.Graph()
-        graph.add_nodes_from(range(comm.n))
-        for a, b, w in comm.edges():
-            graph.add_edge(a, b, weight=w)
-        _, (side_x, _) = one_exchange(graph, weight="weight", seed=seed)
-        return {q: (CutType.X if q in side_x else CutType.Z) for q in range(comm.n)}
+        side = _one_exchange(comm, seed)
+        return {q: (CutType.X if side[q] else CutType.Z) for q in range(comm.n)}
     raise InfeasibleError(f"unknown baseline cut kind {kind!r}")
+
+
+def _one_exchange(comm: CommGraph, seed: int) -> list[int]:
+    """One-exchange local search for max-cut, starting from all qubits on
+    side 0.  Each round scans the qubits in a seeded shuffle and flips the
+    first one of maximal gain (same-side minus cross weight) while that gain
+    is positive.  Returns the side (0 or 1) of every qubit."""
+    rng = random.Random(seed)
+    side = [0] * comm.n
+
+    def gain(v: int) -> int:
+        return sum(w if side[u] == side[v] else -w for u, w in comm.adjacency[v])
+
+    while comm.n:
+        order = list(range(comm.n))
+        rng.shuffle(order)
+        best = max(order, key=gain)
+        if gain(best) <= 0:
+            break
+        side[best] = 1 - side[best]
+    return side
 
 
 def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalCircuit) -> ChipLayout:
@@ -573,16 +553,14 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
     v_routes = [0] * (layout.array_c + 1)
-    from .router import RoutePath, _CorridorGraph  # corridor abstraction fits both models
-
-    graph = _CorridorGraph(layout)
+    graph = _CorridorGraph(layout)  # the corridor abstraction fits both models
     for gate in circuit.gates:
         ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
-        path = _free_route(graph, ta, tb)
-        if path is None:
+        parent, end = bfs(graph, sorted(graph.terminals(ta)), goals=set(graph.terminals(tb)))
+        if end is None:
             continue
         lines: set[tuple[str, int]] = set()
-        for res in RoutePath(ChipModel.DOUBLE_DEFECT, path).resources():
+        for res in RoutePath(ChipModel.DOUBLE_DEFECT, trace_back(parent, end)).resources():
             if res[0] == "h":
                 lines.add(("h", res[1]))
             elif res[0] == "v":
@@ -611,28 +589,3 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     assert all(a >= b for a, b in zip(adjusted.bw_h, layout.bw_h))
     assert all(a >= b for a, b in zip(adjusted.bw_v, layout.bw_v))
     return adjusted
-
-
-def _free_route(graph, src: Tile, dst: Tile) -> tuple[Tile, ...] | None:
-    """Uncapacitated BFS shortest junction path between two array tiles."""
-    goals = set(graph.terminals(dst))
-    starts = sorted(graph.terminals(src))
-    parent: dict[Tile, Tile | None] = {n: None for n in starts}
-    root: dict[Tile, Tile] = {n: n for n in starts}
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
-        for nxt, _seg in graph.neighbors(node):
-            if nxt in goals and root[node] != nxt:
-                path = [nxt]
-                back: Tile | None = node
-                while back is not None:
-                    path.append(back)
-                    back = parent[back]
-                return tuple(reversed(path))
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            root[nxt] = root[node]
-            queue.append(nxt)
-    return None

@@ -22,8 +22,6 @@ from .errors import CircuitError
 class LayerSchedule:
     layers: tuple[tuple[int, ...], ...]  # gate ids, per layer, sorted
     layer_of: tuple[int, ...]            # gate id -> 0-based layer index
-    initial_low: tuple[int, ...]         # 1-based window bounds before assignment
-    initial_high: tuple[int, ...]
 
     @property
     def alpha(self) -> int:
@@ -55,11 +53,9 @@ def para_finding(dag: GateDag) -> LayerSchedule:
     g = dag.n_gates
     alpha = dag.alpha
     if g == 0:
-        return LayerSchedule((), (), (), ())
+        return LayerSchedule((), ())
     low = {v: dag.depth_from_source[v] for v in range(g)}
     high = {v: alpha - dag.depth_to_sink[v] + 1 for v in range(g)}
-    init_low = tuple(low[v] for v in range(g))
-    init_high = tuple(high[v] for v in range(g))
     loads = [0] * (alpha + 1)
     assigned: dict[int, int] = {}
     unscheduled = set(range(g))
@@ -101,6 +97,4 @@ def para_finding(dag: GateDag) -> LayerSchedule:
     return LayerSchedule(
         layers=tuple(tuple(sorted(layer)) for layer in layers),
         layer_of=tuple(assigned[v] - 1 for v in range(g)),
-        initial_low=init_low,
-        initial_high=init_high,
     )

@@ -7,6 +7,12 @@ bandwidth; a junction admits as many paths as the widest channel through it.
 Lattice-surgery routes are chains of free ancilla tiles, vertex-disjoint per
 cycle; adjacent operand tiles merge directly with an empty route.
 
+``bfs`` is the one breadth-first search over either graph.  Route search,
+the saturated ring behind a failed search, the uncapacitated routes of
+bandwidth adjusting, and the lattice-surgery hop distances and fabric
+components of mapping all call it; ``trace_back`` turns its result into a
+path.
+
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  It tries
 greedy shortest paths, then breaks "rings" (saturated separators detected by a
@@ -122,6 +128,8 @@ def tile_corners(tile: Tile) -> tuple[Tile, ...]:
 class _CorridorGraph:
     """Junction grid of (r+1) x (c+1) nodes over the data array."""
 
+    model = ChipModel.DOUBLE_DEFECT
+
     def __init__(self, layout: ChipLayout):
         self.rows = layout.array_r + 1
         self.cols = layout.array_c + 1
@@ -149,6 +157,8 @@ class _CorridorGraph:
 class _AncillaGraph:
     """Free-tile adjacency for lattice surgery; data tiles are obstacles."""
 
+    model = ChipModel.LATTICE_SURGERY
+
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile]):
         self.rows = layout.grid_rows
         self.cols = layout.grid_cols
@@ -166,13 +176,7 @@ class _AncillaGraph:
         return ("t", node[0], node[1])
 
     def terminals(self, tile: Tile) -> tuple[Tile, ...]:
-        out = []
-        r, c = tile
-        for dr, dc in _STEPS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < self.rows and 0 <= nc < self.cols and (nr, nc) not in self.data:
-                out.append((nr, nc))
-        return tuple(out)
+        return tuple(n for n, _ in self.neighbors(tile))
 
 
 def _graph_for(layout: ChipLayout, data_tiles: frozenset[Tile] | None):
@@ -181,46 +185,64 @@ def _graph_for(layout: ChipLayout, data_tiles: frozenset[Tile] | None):
     return _AncillaGraph(layout, data_tiles or frozenset())
 
 
-def _bfs_route(graph, cap, usage: dict[Resource, int], src: Tile, dst: Tile,
-               layout: ChipLayout) -> RoutePath | None:
-    """Deterministic shortest route with free lanes everywhere.  Sources are the
-    terminals of ``src`` in fixed order; neighbors expand N, E, S, W.  A goal
-    that happens to be a source is still only accepted after >= 1 hop, so a
-    route always occupies fabric."""
-    if layout.model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
-        return RoutePath(layout.model, ())
-    goals = set(graph.terminals(dst))
-    starts = [n for n in sorted(graph.terminals(src))
-              if usage.get(graph.node_res(n), 0) < cap(graph.node_res(n))]
-    if layout.model is ChipModel.LATTICE_SURGERY:
-        # a single free tile adjacent to both operands is a complete chain
-        for n in starts:
-            if n in goals:
-                return RoutePath(layout.model, (n,))
-    parent: dict[Tile, Tile | None] = {n: None for n in starts}
+def bfs(graph, starts, cap=None, usage=None, goals=()):
+    """Breadth-first search from ``starts``, expanding neighbors N, E, S, W.
+
+    Returns ``(parent, end)``: ``parent`` maps each reached node to its
+    predecessor (None for a start), in visit order; ``end`` is
+    ``(goal, predecessor)`` for the first node of ``goals`` reached by at
+    least one hop from a start other than itself, else None.  With ``cap``,
+    a segment or node whose ``usage`` has reached its capacity is a wall."""
+    parent: dict[Tile, Tile | None] = dict.fromkeys(starts)
     root: dict[Tile, Tile] = {n: n for n in starts}
     queue = deque(starts)
     while queue:
         node = queue.popleft()
         for nxt, seg in graph.neighbors(node):
-            if seg is not None and usage.get(seg, 0) >= cap(seg):
-                continue
-            nres = graph.node_res(nxt)
-            if usage.get(nres, 0) >= cap(nres):
-                continue
+            if cap is not None:
+                if seg is not None and usage.get(seg, 0) >= cap(seg):
+                    continue
+                nres = graph.node_res(nxt)
+                if usage.get(nres, 0) >= cap(nres):
+                    continue
             if nxt in goals and root[node] != nxt:
-                path = [nxt]
-                back: Tile | None = node
-                while back is not None:
-                    path.append(back)
-                    back = parent[back]
-                return RoutePath(layout.model, tuple(reversed(path)))
+                return parent, (nxt, node)
             if nxt in parent:
                 continue
             parent[nxt] = node
             root[nxt] = root[node]
             queue.append(nxt)
-    return None
+    return parent, None
+
+
+def trace_back(parent: dict[Tile, Tile | None], end: tuple[Tile, Tile]) -> tuple[Tile, ...]:
+    """The node path from a start to ``end``'s goal."""
+    goal, back = end
+    path = [goal]
+    while back is not None:
+        path.append(back)
+        back = parent[back]
+    return tuple(reversed(path))
+
+
+def _bfs_route(graph, cap, usage: dict[Resource, int], src: Tile, dst: Tile) -> RoutePath | None:
+    """Deterministic shortest route with free lanes everywhere.  Sources are the
+    free terminals of ``src`` in fixed order.  A goal that happens to be a
+    source is still only accepted after >= 1 hop, so a route always occupies
+    fabric."""
+    model = graph.model
+    if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
+        return RoutePath(model, ())
+    goals = set(graph.terminals(dst))
+    starts = [n for n in sorted(graph.terminals(src))
+              if usage.get(graph.node_res(n), 0) < cap(graph.node_res(n))]
+    if model is ChipModel.LATTICE_SURGERY:
+        # a single free tile adjacent to both operands is a complete chain
+        for n in starts:
+            if n in goals:
+                return RoutePath(model, (n,))
+    parent, end = bfs(graph, starts, cap, usage, goals)
+    return None if end is None else RoutePath(model, trace_back(parent, end))
 
 
 def _adjacent(a: Tile, b: Tile) -> bool:
@@ -231,29 +253,19 @@ def _saturated_frontier(graph, cap, usage, src: Tile) -> set[Resource]:
     """Resources at capacity along the boundary of the region reachable from
     ``src``.  When a route search fails, these form the blocking ring of
     saturated channels separating the pair."""
-    ring: set[Resource] = set()
-    starts = []
-    for n in sorted(graph.terminals(src)):
-        nres = graph.node_res(n)
-        if usage.get(nres, 0) >= cap(nres):
-            ring.add(nres)
-        else:
-            starts.append(n)
-    visited = set(starts)
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
+
+    def full(res: Resource) -> bool:
+        return usage.get(res, 0) >= cap(res)
+
+    terminals = sorted(graph.terminals(src))
+    ring = {graph.node_res(n) for n in terminals if full(graph.node_res(n))}
+    parent, _ = bfs(graph, [n for n in terminals if not full(graph.node_res(n))], cap, usage)
+    for node in parent:
         for nxt, seg in graph.neighbors(node):
-            if seg is not None and usage.get(seg, 0) >= cap(seg):
+            if seg is not None and full(seg):
                 ring.add(seg)
-                continue
-            nres = graph.node_res(nxt)
-            if usage.get(nres, 0) >= cap(nres):
-                ring.add(nres)
-                continue
-            if nxt not in visited:
-                visited.add(nxt)
-                queue.append(nxt)
+            elif full(graph.node_res(nxt)):
+                ring.add(graph.node_res(nxt))
     return ring
 
 
@@ -264,16 +276,21 @@ def find_path(
     tile_a: Tile,
     tile_b: Tile,
     data_tiles: frozenset[Tile] | None = None,
+    duration: int = 1,
 ) -> RoutePath | None:
-    """Shortest free route between two tiles at ``cycle``; None when saturated.
-    Reserves nothing — callers commit explicitly."""
-    graph = _graph_for(layout, data_tiles)
-    cap = resource_capacities(layout)
+    """Shortest route between two tiles that stays free for ``duration``
+    cycles from ``cycle``; None when saturated.  Reserves nothing — callers
+    commit explicitly."""
     usage = dict(occupancy.usage_map(cycle))
+    for t in range(cycle + 1, cycle + duration):
+        for res, u in occupancy.usage_map(t).items():
+            usage[res] = max(usage.get(res, 0), u)
     if layout.model is ChipModel.LATTICE_SURGERY:
-        for tile in occupancy.busy_tiles(cycle):
-            usage[("t", tile[0], tile[1])] = 1
-    return _bfs_route(graph, cap, usage, tile_a, tile_b, layout)
+        for t in range(cycle, cycle + duration):
+            for tile in occupancy.busy_tiles(t):
+                usage[("t", tile[0], tile[1])] = 1
+    return _bfs_route(_graph_for(layout, data_tiles), resource_capacities(layout), usage,
+                      tile_a, tile_b)
 
 
 def reachable(layout: ChipLayout, usage: dict[Resource, int], tile_a: Tile, tile_b: Tile,
@@ -282,16 +299,17 @@ def reachable(layout: ChipLayout, usage: dict[Resource, int], tile_a: Tile, tile
     (the capacity proof's "ring") currently isolates the pair."""
     graph = _graph_for(layout, data_tiles)
     cap = resource_capacities(layout)
-    return _bfs_route(graph, cap, usage, tile_a, tile_b, layout) is not None
+    return _bfs_route(graph, cap, usage, tile_a, tile_b) is not None
 
 
-def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst, layout,
+def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst,
                     jitter=None) -> RoutePath | None:
     """Congestion-priced shortest route; overuse is allowed but expensive.
     Goal hits are recorded while relaxing edges so that routes between abutting
     tiles (whose corner sets overlap) are not missed."""
-    if layout.model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
-        return RoutePath(layout.model, ())
+    model = graph.model
+    if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
+        return RoutePath(model, ())
 
     def price(res: Resource) -> float:
         over = max(0, usage.get(res, 0) + 1 - cap(res))
@@ -301,11 +319,11 @@ def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst, layout,
         return p
 
     goals = set(graph.terminals(dst))
-    if layout.model is ChipModel.LATTICE_SURGERY:
+    if model is ChipModel.LATTICE_SURGERY:
         shared = sorted(set(graph.terminals(src)) & goals)
         if shared:
             best_tile = min(shared, key=lambda n: price(graph.node_res(n)))
-            return RoutePath(layout.model, (best_tile,))
+            return RoutePath(model, (best_tile,))
     dist: dict[Tile, float] = {}
     parent: dict[Tile, Tile | None] = {}
     root: dict[Tile, Tile] = {}
@@ -337,13 +355,7 @@ def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst, layout,
             counter += 1
     if best_end is None:
         return None
-    goal, pred = best_end
-    path = [goal]
-    back: Tile | None = pred
-    while back is not None:
-        path.append(back)
-        back = parent[back]
-    return RoutePath(layout.model, tuple(reversed(path)))
+    return RoutePath(model, trace_back(parent, best_end))
 
 
 def route_batch_guaranteed(
@@ -372,19 +384,12 @@ def route_batch_guaranteed(
     graph = _graph_for(layout, data_tiles)
     cap = resource_capacities(layout)
 
-    def usage_of(paths: dict[int, RoutePath]) -> dict[Resource, int]:
-        usage: dict[Resource, int] = {}
-        for p in paths.values():
-            for res in p.resources():
-                usage[res] = usage.get(res, 0) + 1
-        return usage
-
     def greedy(order: list[int]) -> dict[int, RoutePath] | None:
         paths: dict[int, RoutePath] = {}
         usage: dict[Resource, int] = {}
         for idx in order:
             a, b = tile_pairs[idx]
-            p = _bfs_route(graph, cap, usage, a, b, layout)
+            p = _bfs_route(graph, cap, usage, a, b)
             if p is None:
                 return None
             paths[idx] = p
@@ -407,7 +412,7 @@ def route_batch_guaranteed(
         while pending:
             idx = pending.pop(0)
             a, b = tile_pairs[idx]
-            p = _bfs_route(graph, cap, usage, a, b, layout)
+            p = _bfs_route(graph, cap, usage, a, b)
             if p is None:
                 repairs += 1
                 if repairs > 4 * len(tile_pairs):
@@ -441,7 +446,7 @@ def route_batch_guaranteed(
             paths = {}
             for idx in order:
                 a, b = tile_pairs[idx]
-                p = _dijkstra_route(graph, cap, usage, hist, pressure, a, b, layout, jitter)
+                p = _dijkstra_route(graph, cap, usage, hist, pressure, a, b, jitter)
                 if p is None:
                     return None
                 paths[idx] = p

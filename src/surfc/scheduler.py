@@ -35,8 +35,6 @@ from .profiler import LayerSchedule
 from .router import (
     CycleOccupancy,
     RoutePath,
-    _bfs_route,
-    _graph_for,
     find_path,
     resource_capacities,
     route_batch_guaranteed,
@@ -277,24 +275,6 @@ def schedule_limited(
     return EncodedSchedule(model, st.cycles, layout, mapping, st.cuts_initial, strategy)
 
 
-def _merged_usage(st: _State, start: int, duration: int) -> dict:
-    usage: dict = {}
-    for t in range(start, start + duration):
-        for res, u in st.occ.usage_map(t).items():
-            usage[res] = max(usage.get(res, 0), u)
-        if st.layout.model is ChipModel.LATTICE_SURGERY:
-            for tile in st.occ.busy_tiles(t):
-                usage[("t", tile[0], tile[1])] = 1
-    return usage
-
-
-def _route_over(st: _State, start: int, duration: int, ta: Tile, tb: Tile) -> RoutePath | None:
-    graph = _graph_for(st.layout, st.data_tiles)
-    cap = resource_capacities(st.layout)
-    usage = _merged_usage(st, start, duration)
-    return _bfs_route(graph, cap, usage, ta, tb, st.layout)
-
-
 def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
     gate = st.circuit.gates[v]
     ta, tb = st.op_tile(gate.control), st.op_tile(gate.target)
@@ -349,7 +329,7 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
             pick_a = idle_a >= idle_b
         tile, qubit, idle = (ca, gate.control, idle_a) if pick_a else (cb, gate.target, idle_b)
         return _commit_modify(st, t, tile, idle)
-    path = _route_over(st, t, 3, ca, cb)
+    path = find_path(st.layout, st.occ, t, ca, cb, duration=3)
     if path is None:
         return False
     st.occ.commit_route(path, t, 3)

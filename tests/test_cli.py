@@ -94,3 +94,23 @@ class TestSweepCompare:
         rep_b.write_text(json.dumps({**base, "delta": 48}))
         assert main(["compare", str(rep_a), str(rep_b)]) == EXIT_OK
         assert _capture(capsys)["reduction_percent"] == 67.3
+
+
+class TestBadInput:
+    """Malformed flags and unreadable files exit 1, infeasible input exits 3;
+    each prints a one-line error message and no traceback."""
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["profile", "--random", "5"], EXIT_USAGE, "expected N,DEPTH,PAR"),
+        (["schedule", "--bench", "bv_10", "--chip", "12x"], EXIT_USAGE, "<m1>x<m2>"),
+        (["map", "--bench", "bv_10", "--chip", "sufficient"], EXIT_INFEASIBLE,
+         "requires the parallelism estimate"),
+        (["schedule", "--qasm", "{missing}"], EXIT_USAGE, "No such file"),
+        (["sweep", "{missing}"], EXIT_USAGE, "No such file"),
+    ], ids=["random-arity", "chip-format", "map-sufficient", "missing-qasm", "missing-config"])
+    def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
+        missing = str(tmp_path / "missing.txt")
+        assert main([arg.replace("{missing}", missing) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert message in err.strip().splitlines()[-1]

@@ -1,0 +1,45 @@
+"""Golden schedule digest: every scheduler, both models and three chip sizes
+on small random circuits, hashed over the serialized schedules (or the error
+a compile raises).  A refactor of routing, mapping or scheduling must leave
+this digest unchanged."""
+import hashlib
+import json
+
+from surfc import router
+from surfc.chip import ChipModel
+from surfc.errors import SurfcError
+from surfc.harness import SCHEDULERS, RunConfig, run_full
+
+GOLDEN_SCHEDULE_DIGEST = "6ede1365107e63ce03fd33f29464f83782c399e979551e9dd45b7e2516103a38"
+
+
+def test_schedule_digest(monkeypatch):
+    rings = []
+    frontier = router._saturated_frontier
+
+    def counted(*args, **kwargs):
+        rings.append(1)
+        return frontier(*args, **kwargs)
+
+    monkeypatch.setattr(router, "_saturated_frontier", counted)
+    digest = hashlib.sha256()
+    compiled = direct = 0
+    for params in ((9, 6, 3), (12, 6, 5)):
+        for seed in range(3):
+            for model in (ChipModel.DOUBLE_DEFECT, ChipModel.LATTICE_SURGERY):
+                for chip in ("min", "4x", "sufficient"):
+                    for scheduler in SCHEDULERS:
+                        config = RunConfig(random_params=params, model=model, chip=chip, d=2,
+                                           scheduler=scheduler, seed=seed, trials=2)
+                        try:
+                            _report, schedule = run_full(config)
+                        except SurfcError as exc:
+                            text = f"{type(exc).__name__}: {exc}"
+                        else:
+                            text = json.dumps(schedule.to_json_dict())
+                            compiled += 1
+                            direct += text.count('"kind": "direct"')
+                        digest.update(text.encode())
+    # the grid covers the 3-cycle direct route and the batch router's ring repair
+    assert compiled == 149 and direct > 0 and rings
+    assert digest.hexdigest() == GOLDEN_SCHEDULE_DIGEST

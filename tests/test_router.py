@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import uniform_dd_layout, uniform_ls_layout
+from surfc import router
 from surfc.chip import ChipModel, chip_capacity
 from surfc.errors import SchedulingError
 from surfc.oracle import OracleBudget, routing_feasible
@@ -176,6 +177,29 @@ class TestRouteBatchGuaranteed:
                 assert node not in data
                 assert node not in seen
                 seen.add(node)
+
+    def test_random_restart_tier(self, monkeypatch):
+        # greedy, ring repair and the 48-round negotiation all fail on this
+        # batch; only the seeded random restarts route it within capacity
+        layout = uniform_dd_layout(3, 3, 1)
+        pairs = [((2, 1), (0, 2)), ((0, 1), (2, 2)), ((1, 2), (1, 1))]
+        calls = []
+        priced = router._dijkstra_route
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return priced(*args, **kwargs)
+
+        monkeypatch.setattr(router, "_dijkstra_route", counted)
+        paths = route_batch_guaranteed(layout, pairs)
+        assert len(calls) > 48 * len(pairs)
+        cap = router.resource_capacities(layout)
+        usage = {}
+        for (a, b), p in zip(pairs, paths):
+            assert p.nodes[0] in tile_corners(a) and p.nodes[-1] in tile_corners(b)
+            for res in p.resources():
+                usage[res] = usage.get(res, 0) + 1
+        assert all(u <= cap(res) for res, u in usage.items())
 
 
 class TestReachable:
