@@ -40,14 +40,11 @@ from .placement import (
 )
 from .profiler import LayerSchedule, para_finding, slack_tiebreak
 from .qasm import parse_qasm
-from .router import CycleOccupancy, RoutePath, commit, find_path, route_batch_guaranteed
+from .router import CycleOccupancy, RoutePath, find_path, route_batch_guaranteed
 from .scheduler import (
     EncodedSchedule,
-    GatePriority,
     MValueInputs,
-    baseline_schedule,
     bipartite_prefix,
-    gate_priority,
     m_value,
     schedule_limited,
     schedule_sufficient,

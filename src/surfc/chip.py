@@ -280,6 +280,18 @@ def derive_layout(spec: ChipSpec, mapped_tiles: int, distribute: bool = True) ->
     )
 
 
+def _explicit_dims(kind: str) -> tuple[int, int] | None:
+    m1, _, m2 = kind.partition("x")
+    return (int(m1), int(m2)) if m1.isdigit() and m2.isdigit() else None
+
+
+def check_chip_kind(kind: str) -> str:
+    """Return ``kind`` if it names a chip size, else raise InfeasibleError."""
+    if kind in ("min", "4x", "sufficient") or _explicit_dims(kind):
+        return kind
+    raise InfeasibleError(f"chip {kind!r}: expected min, 4x, sufficient or <m1>x<m2>")
+
+
 def config_dims(
     kind: str,
     n: int,
@@ -287,7 +299,8 @@ def config_dims(
     model: ChipModel,
     pm: int | None = None,
 ) -> tuple[int, int]:
-    """Square chip dimensions for the standard configurations.
+    """Chip dimensions for a configuration kind: ``<m1>x<m2>`` as given, or
+    a square for the standard configurations.
 
     ``min``: smallest square slot grid holding n qubits.  For lattice surgery
     the side grows by one slot when the data array would fill that whole grid
@@ -300,6 +313,9 @@ def config_dims(
     budget); for double defect, twice the minimum side.  ``sufficient``:
     smallest square whose uniformly-distributed bandwidth gives capacity >= pm.
     """
+    explicit = _explicit_dims(check_chip_kind(kind))
+    if explicit:
+        return explicit
     s = math.isqrt(n - 1) + 1 if n > 1 else 1  # ceil(sqrt(n))
     side = tile_side(model, d)
     if kind == "min":
@@ -308,7 +324,7 @@ def config_dims(
         l = s * side
     elif kind == "4x":
         l = s * 5 * d if model is ChipModel.LATTICE_SURGERY else 2 * s * 5 * d
-    elif kind == "sufficient":
+    else:  # sufficient
         if pm is None:
             raise InfeasibleError("sufficient configuration requires the parallelism estimate")
         if model is ChipModel.DOUBLE_DEFECT:
@@ -317,8 +333,6 @@ def config_dims(
         else:
             b = 1 if pm <= 3 else 2 * (pm - 3) + 1
             l = (s + (s + 1) * b) * side
-    else:
-        raise InfeasibleError(f"unknown chip configuration kind {kind!r}")
     return (l, l)
 
 

@@ -10,41 +10,41 @@ import json
 import sys
 
 from .bench import BENCHMARKS
-from .chip import ChipModel, ChipSpec, config_dims, derive_layout
+from .chip import ChipModel, ChipSpec, check_chip_kind, config_dims, derive_layout
 from .circuits import build_comm_graph, build_dag
 from .errors import BudgetExceededError, CircuitError, InfeasibleError, QasmError, SurfcError
 from .harness import (
+    CUTS,
+    MAPPINGS,
+    SCHEDULERS,
     RunConfig,
-    chip_dims,
     config_from_mapping,
     compare,
     load_circuit,
     parse_config_file,
-    report_json,
-    run,
+    parse_random_params,
     run_full,
     sweep,
 )
-from .oracle import OracleBudget, optimal_cycles, optimal_pm, routing_feasible
+from .oracle import OracleBudget, optimal_pm
 from .placement import ArrayShape, establish_mapping, init_cut_types
 from .profiler import para_finding
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INFEASIBLE = 0, 1, 2, 3
 
 
-def _random_params(text: str) -> tuple[int, int, int]:
-    try:
-        n, depth, par = (int(x) for x in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected N,DEPTH,PAR, got {text!r}") from None
-    return (n, depth, par)
+def _argument_type(parse):
+    """An argparse ``type`` that reports ``parse``'s InfeasibleError as a usage error."""
+    def checked(text: str):
+        try:
+            return parse(text)
+        except InfeasibleError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return checked
 
 
-def _chip_kind(text: str) -> str:
-    m1, _, m2 = text.partition("x")
-    if text in ("min", "4x", "sufficient") or (m1.isdigit() and m2.isdigit()):
-        return text
-    raise argparse.ArgumentTypeError(f"expected min, 4x, sufficient or <m1>x<m2>, got {text!r}")
+_random_params = _argument_type(parse_random_params)
+_chip_kind = _argument_type(check_chip_kind)
 
 
 def _add_circuit_args(p: argparse.ArgumentParser) -> None:
@@ -62,10 +62,9 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--chip", default="min", type=_chip_kind,
                    help="min | 4x | sufficient | <m1>x<m2>")
     p.add_argument("-d", "--distance", type=int, default=3)
-    p.add_argument("--scheduler", default="ecmas",
-                   choices=["ecmas", "resu", "circuit-order", "time-first", "channel-first"])
-    p.add_argument("--mapping", default="ecmas", choices=["ecmas", "snake", "random"])
-    p.add_argument("--cuts", default="ecmas", choices=["ecmas", "random", "maxcut"])
+    p.add_argument("--scheduler", default="ecmas", choices=SCHEDULERS)
+    p.add_argument("--mapping", default="ecmas", choices=MAPPINGS)
+    p.add_argument("--cuts", default="ecmas", choices=CUTS)
     p.add_argument("--trials", type=int, default=16)
     p.add_argument("--out", help="write the primary artifact here instead of stdout")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -112,11 +111,7 @@ def cmd_profile(args) -> int:
 
 def cmd_chip(args) -> int:
     model = ChipModel(args.model)
-    if args.chip in ("min", "4x", "sufficient"):
-        dims = config_dims(args.chip, args.qubits, args.distance, model, pm=args.pm)
-    else:
-        m1, m2 = (int(x) for x in args.chip.split("x", 1))
-        dims = (m1, m2)
+    dims = config_dims(args.chip, args.qubits, args.distance, model, pm=args.pm)
     layout = derive_layout(ChipSpec(model, dims[0], dims[1], args.distance), args.qubits)
     _emit(json.dumps(layout.describe(), indent=2), args.out)
     return EXIT_OK
@@ -125,7 +120,7 @@ def cmd_chip(args) -> int:
 def cmd_map(args) -> int:
     config = _config_from_args(args)
     circuit = load_circuit(config)
-    dims = chip_dims(config, circuit.n, pm=None)
+    dims = config_dims(config.chip, circuit.n, config.d, config.model)
     layout = derive_layout(ChipSpec(config.model, dims[0], dims[1], args.distance), circuit.n)
     comm = build_comm_graph(circuit)
     shape = ArrayShape(layout.array_r, layout.array_c)

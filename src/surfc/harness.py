@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-import statistics
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bench
-from .chip import ChipLayout, ChipModel, ChipSpec, config_dims, derive_layout
+from .chip import ChipModel, ChipSpec, check_chip_kind, config_dims, derive_layout
 from .circuits import LogicalCircuit, build_comm_graph, build_dag
 from .errors import InfeasibleError, SurfcError
 from .generate import gen_random_circuit
@@ -38,7 +36,6 @@ from .profiler import para_finding
 from .qasm import parse_qasm
 from .scheduler import (
     EncodedSchedule,
-    baseline_schedule,
     schedule_limited,
     schedule_sufficient,
     validate,
@@ -62,7 +59,6 @@ class RunConfig:
     cuts: str = "ecmas"
     seed: int = 0
     trials: int = 16
-    timing_runs: int = 1
     label: str = ""
 
     def __post_init__(self):
@@ -72,6 +68,7 @@ class RunConfig:
             raise InfeasibleError(f"unknown mapping kind {self.mapping!r}")
         if self.cuts not in CUTS:
             raise InfeasibleError(f"unknown cut kind {self.cuts!r}")
+        check_chip_kind(self.chip)
         if self.model is ChipModel.LATTICE_SURGERY and self.cuts != "ecmas":
             raise InfeasibleError("cut-type options only apply to the double-defect model")
         sources = [self.qasm_path, self.benchmark, self.random_params]
@@ -120,13 +117,6 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
     return gen_random_circuit(n, depth, parallelism, config.seed)
 
 
-def chip_dims(config: RunConfig, n: int, pm: int) -> tuple[int, int]:
-    if "x" in config.chip and config.chip not in ("4x",):
-        m1, m2 = config.chip.split("x", 1)
-        return (int(m1), int(m2))
-    return config_dims(config.chip, n, config.d, config.model, pm=pm)
-
-
 def compile_once(config: RunConfig, circuit: LogicalCircuit):
     """One full pipeline pass; returns (schedule, layout, mapping, layers).
 
@@ -140,56 +130,49 @@ def compile_once(config: RunConfig, circuit: LogicalCircuit):
     comm = build_comm_graph(circuit)
     dag = build_dag(circuit)
     layers = para_finding(dag)
-    dims = chip_dims(config, circuit.n, layers.pm)
+    dims = config_dims(config.chip, circuit.n, config.d, config.model, pm=layers.pm)
     spec = ChipSpec(config.model, dims[0], dims[1], config.d)
     if circuit.n == 0:
         layout = derive_layout(spec, 0)
         mapping = TileMapping(ArrayShape(0, 0), {})
-        return schedule_limited(circuit, layout, mapping, {}, strategy=config.scheduler), layout, mapping, layers
-    if config.scheduler == "resu":
-        layout = derive_layout(spec, circuit.n, distribute=True)
-    else:
-        layout = derive_layout(spec, circuit.n, distribute=False)
+        return schedule_limited(circuit, layout, mapping, {}), layout, mapping, layers
+    sufficient = config.scheduler == "resu"
+    layout = derive_layout(spec, circuit.n, distribute=sufficient)
     shape = ArrayShape(layout.array_r, layout.array_c)
     if config.mapping == "ecmas":
         mapping = establish_mapping(comm, shape, trials=config.trials,
                                     seed=config.seed, layout=layout)
     else:
         mapping = baseline_mapping(config.mapping, circuit.n, shape, seed=config.seed)
-    if config.scheduler != "resu":
-        layout = adjust_bandwidth(layout, mapping, circuit)
-        if config.mapping == "ecmas":
-            mapping = repair_mapping(mapping, comm, layout)
-            if stranded_pairs(mapping, comm, layout):
-                mapping = establish_mapping(comm, shape, trials=config.trials,
-                                            seed=config.seed, layout=layout)
+    if sufficient:
+        schedule, initial = schedule_sufficient(layers, layout, mapping, circuit)
+        if initial is not None:
+            mapping = mapping.with_cuts(initial)
+            schedule.mapping = mapping
+        return schedule, layout, mapping, layers
+    layout = adjust_bandwidth(layout, mapping, circuit)
+    if config.mapping == "ecmas":
+        mapping = repair_mapping(mapping, comm, layout)
+        if stranded_pairs(mapping, comm, layout):
+            mapping = establish_mapping(comm, shape, trials=config.trials,
+                                        seed=config.seed, layout=layout)
     cuts: dict[int, CutType] | None = None
-    if config.model is ChipModel.DOUBLE_DEFECT and config.scheduler != "resu":
+    if config.model is ChipModel.DOUBLE_DEFECT:
         if config.cuts == "ecmas":
             cuts = init_cut_types(circuit, mapping)
         else:
             cuts = baseline_cuts(config.cuts, comm, seed=config.seed)
         mapping = mapping.with_cuts(cuts)
-    if config.scheduler == "resu":
-        schedule, initial = schedule_sufficient(layers, layout, mapping, circuit)
-        if initial is not None:
-            mapping = mapping.with_cuts(initial)
-            schedule.mapping = mapping
-    elif config.scheduler == "ecmas":
-        schedule = schedule_limited(circuit, layout, mapping, cuts, strategy="ecmas")
-    else:
-        schedule = baseline_schedule(config.scheduler, circuit, layout, mapping, cuts)
+    schedule = schedule_limited(circuit, layout, mapping, cuts, strategy=config.scheduler)
     return schedule, layout, mapping, layers
 
 
-def _execute(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
+def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
+    """Compile once, validate, and return the report with the schedule."""
     circuit = load_circuit(config)
-    times = []
-    schedule = layout = mapping = layers = None
-    for _ in range(max(1, config.timing_runs)):
-        t0 = time.monotonic()
-        schedule, layout, mapping, layers = compile_once(config, circuit)
-        times.append(time.monotonic() - t0)
+    t0 = time.monotonic()
+    schedule, layout, mapping, layers = compile_once(config, circuit)
+    seconds = time.monotonic() - t0
     violations = validate(schedule, circuit, layout, mapping)
     if violations:
         raise SurfcError(
@@ -212,7 +195,7 @@ def _execute(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
         bandwidth=layout.bandwidth,
         capacity=layout.capacity,
         delta=schedule.delta,
-        compile_seconds=statistics.median(times),
+        compile_seconds=seconds,
         valid=True,
         scheduler=config.scheduler,
         mapping=config.mapping,
@@ -223,12 +206,7 @@ def _execute(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
 
 
 def run(config: RunConfig) -> RunReport:
-    return _execute(config)[0]
-
-
-def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
-    """Like ``run`` but also returns the schedule for serialization."""
-    return _execute(config)
+    return run_full(config)[0]
 
 
 def _run_one(config: RunConfig) -> tuple[RunConfig, RunReport | None, str]:
@@ -311,10 +289,18 @@ def parse_config_file(text: str) -> dict:
     return out
 
 
+def parse_random_params(text: str) -> tuple[int, int, int]:
+    """``N,DEPTH,PAR`` as three integers, for ``gen_random_circuit``."""
+    try:
+        n, depth, par = (int(x) for x in text.split(","))
+    except ValueError:
+        raise InfeasibleError(f"random {text!r}: expected N,DEPTH,PAR") from None
+    return (n, depth, par)
+
+
 def config_from_mapping(data: dict) -> RunConfig:
     kwargs: dict = {}
-    plain = {"chip", "scheduler", "mapping", "cuts", "d", "seed", "trials",
-             "timing_runs", "label"}
+    plain = {"chip", "scheduler", "mapping", "cuts", "d", "seed", "trials", "label"}
     for key, value in data.items():
         if key == "model":
             kwargs["model"] = ChipModel(value)
@@ -323,14 +309,9 @@ def config_from_mapping(data: dict) -> RunConfig:
         elif key == "benchmark":
             kwargs["benchmark"] = value
         elif key == "random":
-            n, depth, par = (int(x) for x in str(value).split(","))
-            kwargs["random_params"] = (n, depth, par)
+            kwargs["random_params"] = parse_random_params(str(value))
         elif key in plain:
             kwargs[key] = value
         else:
             raise InfeasibleError(f"unknown config key {key!r}")
     return RunConfig(**kwargs)
-
-
-def report_json(report: RunReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True)

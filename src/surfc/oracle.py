@@ -87,11 +87,18 @@ def _all_minimal_routes(
 ) -> list[frozenset]:
     """Resource sets of every inclusion-minimal simple route between two tiles.
     A route whose resources contain another route's resources can never help a
-    packing, so dropping it keeps the search exact."""
+    packing, so dropping it keeps the search exact.
+
+    A lattice-surgery route is a set of free tiles, so only an induced path
+    whose first tile alone touches ``ta`` and whose last tile alone touches
+    ``tb`` can be minimal (it may be a single tile touching both); any other
+    path holds the tiles of a shorter route.  Only those paths are walked."""
     graph = _graph_for(layout, data_tiles)
     model = layout.model
-    if model is ChipModel.LATTICE_SURGERY and abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) == 1:
+    ls = model is ChipModel.LATTICE_SURGERY
+    if ls and abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) == 1:
         return [frozenset()]
+    starts = set(graph.terminals(ta))
     goals = set(graph.terminals(tb))
     found: list[tuple[tuple[Tile, ...], frozenset]] = []
     count = 0
@@ -104,10 +111,16 @@ def _all_minimal_routes(
         count += 1
         if count > budget.max_routes_per_pair:
             raise BudgetExceededError("route enumeration exceeded oracle budget")
+        if ls and node in goals:
+            found.append((tuple(path), resources_of(tuple(path))))
+            return
         for nxt, _seg in graph.neighbors(node):
             if nxt in visited:
                 continue
-            if nxt in goals and len(path) >= 1:
+            if ls and (nxt in starts or any(m in visited and m != node
+                                            for m, _ in graph.neighbors(nxt))):
+                continue
+            if not ls and nxt in goals:
                 found.append((tuple(path + [nxt]), resources_of(tuple(path + [nxt]))))
             visited.add(nxt)
             path.append(nxt)
@@ -115,7 +128,7 @@ def _all_minimal_routes(
             path.pop()
             visited.remove(nxt)
 
-    for start in sorted(graph.terminals(ta)):
+    for start in sorted(starts):
         dfs(start, {start}, [start])
     minimal: list[frozenset] = []
     for _, res in sorted(found, key=lambda fr: len(fr[1])):
@@ -224,7 +237,7 @@ def optimal_cycles(
     tiles_sorted = sorted(mapping.positions.values())
     tile_index = {tile: i for i, tile in enumerate(tiles_sorted)}
     tile_qubit = {tile: q for q, tile in mapping.positions.items()}
-    init_cuts: tuple[CutType, ...] | None = None
+    init_cuts: tuple[CutType, ...] = ()  # lattice surgery has no cuts
     if model is ChipModel.DOUBLE_DEFECT:
         assert cuts is not None, "double-defect oracle needs initial cuts"
         init_cuts = tuple(cuts[tile_qubit[t]] for t in tiles_sorted)

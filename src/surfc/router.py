@@ -14,11 +14,12 @@ components of mapping all call it; ``trace_back`` turns its result into a
 path.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
-``chip_capacity(b)`` independent gates are simultaneously routable.  It tries
-greedy shortest paths, then breaks "rings" (saturated separators detected by a
-residual reachability check) with negotiated-congestion rerouting, then
-seeded randomized restarts.  Failure with the precondition satisfied is a bug,
-not an expected outcome, and raises.
+``chip_capacity(b)`` independent gates are simultaneously routable.  It routes
+greedy shortest paths in batch order, ripping up the paths on any "ring" (a
+saturated separator found by a residual reachability check) that walls a
+gate off, then falls back to negotiated-congestion rerouting, then to seeded
+randomized restarts.  Failure with the precondition satisfied is a bug, not
+an expected outcome, and raises.
 """
 from __future__ import annotations
 
@@ -97,11 +98,6 @@ class CycleOccupancy:
             busy = self._busy.setdefault(t, set())
             assert tile not in busy, f"tile {tile} double-booked at cycle {t}"
             busy.add(tile)
-
-
-def commit(occupancy: CycleOccupancy, path: RoutePath, cycle: int, duration: int = 1) -> None:
-    """Reserve a route's lanes for ``duration`` cycles starting at ``cycle``."""
-    occupancy.commit_route(path, cycle, duration)
 
 
 def resource_capacities(layout: ChipLayout):
@@ -293,15 +289,6 @@ def find_path(
                       tile_a, tile_b)
 
 
-def reachable(layout: ChipLayout, usage: dict[Resource, int], tile_a: Tile, tile_b: Tile,
-              data_tiles: frozenset[Tile] | None = None) -> bool:
-    """Residual connectivity between two tiles: False means a saturated separator
-    (the capacity proof's "ring") currently isolates the pair."""
-    graph = _graph_for(layout, data_tiles)
-    cap = resource_capacities(layout)
-    return _bfs_route(graph, cap, usage, tile_a, tile_b) is not None
-
-
 def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst,
                     jitter=None) -> RoutePath | None:
     """Congestion-priced shortest route; overuse is allowed but expensive.
@@ -384,27 +371,11 @@ def route_batch_guaranteed(
     graph = _graph_for(layout, data_tiles)
     cap = resource_capacities(layout)
 
-    def greedy(order: list[int]) -> dict[int, RoutePath] | None:
-        paths: dict[int, RoutePath] = {}
-        usage: dict[Resource, int] = {}
-        for idx in order:
-            a, b = tile_pairs[idx]
-            p = _bfs_route(graph, cap, usage, a, b)
-            if p is None:
-                return None
-            paths[idx] = p
-            for res in p.resources():
-                usage[res] = usage.get(res, 0) + 1
-        return paths
-
-    result = greedy(list(range(len(tile_pairs))))
-    if result is not None:
-        return [result[i] for i in range(len(tile_pairs))]
-
     def ring_repair() -> dict[int, RoutePath] | None:
-        """Greedy routing with targeted rip-up: when a gate is walled off by a
-        ring of saturated channels, evict the committed paths sitting on that
-        ring and let the blocked gate route first."""
+        """Greedy routing in batch order with targeted rip-up: when a gate is
+        walled off by a ring of saturated channels, evict the committed paths
+        sitting on that ring and let the blocked gate route first.  With no
+        rip-up this is plain greedy routing."""
         paths: dict[int, RoutePath] = {}
         usage: dict[Resource, int] = {}
         pending = list(range(len(tile_pairs)))

@@ -4,13 +4,15 @@ Two producers:
 
 * ``schedule_limited`` — greedy per-cycle list scheduling for scarce fabric.
   Ready gates are served in priority order (longest dependent chain first,
-  then most dependents, then gate id).  Lattice-surgery gates and
-  opposite-cut braids take one cycle if a route is free.  A same-cut pair is
-  either executed directly (three cycles, route held throughout) or one tile's
-  cut is modified first (three cycles tile-local, then a one-cycle braid);
-  the choice is scored by the M-value, which weighs cycles against lane
-  pressure.  A tile that has sat idle lets the modification be backdated into
-  those idle cycles, which is exactly the idle credit the M-value assumes.
+  then most dependents, then gate id) or in program order.  Lattice-surgery
+  gates and opposite-cut braids take one cycle if a route is free.  A same-cut
+  pair is either executed directly (three cycles, route held throughout) or
+  one tile's cut is modified first (three cycles tile-local, then a one-cycle
+  braid).  ``ecmas`` scores that choice by the M-value, which weighs cycles
+  against lane pressure; a tile that has sat idle lets the modification be
+  backdated into those idle cycles, which is exactly the idle credit the
+  M-value assumes.  The ``LIMITED`` table names the strategies: ``ecmas`` and
+  the three baselines differ only in the serving order and the same-cut rule.
 
 * ``schedule_sufficient`` — when the chip capacity covers the layering width,
   each layer becomes one cycle of batch-routed gates.  For double defect the
@@ -78,7 +80,6 @@ class EncodedSchedule:
     layout: ChipLayout
     mapping: TileMapping
     initial_cuts: dict[int, CutType] | None
-    strategy: str = ""
 
     @property
     def delta(self) -> int:
@@ -92,22 +93,6 @@ class EncodedSchedule:
                 for i, acts in enumerate(self.cycles)
             ],
         }
-
-
-@dataclass(frozen=True)
-class GatePriority:
-    criticality: int  # longest chain of dependents, counting the gate itself
-    remaining: int    # transitive dependents, counting the gate itself
-
-    def sort_key(self, gid: int) -> tuple:
-        return (-self.criticality, -self.remaining, gid)
-
-
-def gate_priority(dag: GateDag, gate: int) -> GatePriority:
-    return GatePriority(
-        criticality=dag.depth_to_sink[gate],
-        remaining=dag.descendant_counts()[gate] + 1,
-    )
 
 
 @dataclass(frozen=True)
@@ -183,21 +168,15 @@ class _State:
         else:
             self.data_tiles = frozenset()
 
-    def ensure_cycle(self, t: int) -> None:
+    def add_action(self, t: int, action: Action) -> None:
         while len(self.cycles) <= t:
             self.cycles.append([])
-
-    def add_action(self, t: int, action: Action) -> None:
-        self.ensure_cycle(t)
         self.cycles[t].append(action)
 
     def op_tile(self, q: int) -> Tile:
         if self.layout.model is ChipModel.LATTICE_SURGERY:
             return self.mapping.abs_tile(self.layout, q)
         return self.mapping.tile_of(q)
-
-    def busy(self, t: int, tile: Tile) -> bool:
-        return self.occ.tile_busy(t, tile)
 
     def hold_tile(self, tile: Tile, start: int, duration: int) -> None:
         self.occ.commit_tile(tile, start, duration)
@@ -220,33 +199,42 @@ class _State:
             self.earliest[c] = max(self.earliest[c], tc + 1)
 
 
+# strategy -> (serve ready gates in program order, same-cut rule): "mvalue"
+# scores modify against direct, "time" takes the earlier completion and
+# "channel" always modifies, which holds the fewest lane-cycles
+LIMITED = {
+    "ecmas": (False, "mvalue"),
+    "circuit-order": (True, "mvalue"),
+    "time-first": (False, "time"),
+    "channel-first": (False, "channel"),
+}
+
+
 def schedule_limited(
     circuit: LogicalCircuit,
     layout: ChipLayout,
     mapping: TileMapping,
     cuts: dict[int, CutType] | None,
-    order: str = "priority",
-    samecut: str = "mvalue",
     strategy: str = "ecmas",
 ) -> EncodedSchedule:
     """Greedy per-cycle scheduling under scarce communication resources.
 
-    ``order``: "priority" (criticality, dependents, id) or "program".
-    ``samecut``: "mvalue" | "time" (min completion cycle) | "channel"
-    (min lane occupation, i.e. always modify).
+    ``strategy`` is a key of ``LIMITED``, which fixes the serving order of
+    ready gates (priority: criticality, dependents, id; or program order) and
+    the same-cut rule.
     """
+    if strategy not in LIMITED:
+        raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
+    program_order, samecut = LIMITED[strategy]
     model = layout.model
     if model is ChipModel.DOUBLE_DEFECT and cuts is None:
         raise InfeasibleError("double-defect scheduling needs an initial cut assignment")
     st = _State(circuit, layout, mapping, cuts)
     g = circuit.g
     if g == 0:
-        return EncodedSchedule(model, [], layout, mapping, st.cuts_initial, strategy)
+        return EncodedSchedule(model, [], layout, mapping, st.cuts_initial)
     desc = st.dag.descendant_counts()
-    prio = {
-        v: GatePriority(st.dag.depth_to_sink[v], desc[v] + 1).sort_key(v)
-        for v in range(g)
-    }
+    prio = [(-st.dag.depth_to_sink[v], -desc[v], v) for v in range(g)]
     t = 0
     guard = 0
     while st.done < g:
@@ -255,7 +243,8 @@ def schedule_limited(
             v for v in range(g)
             if v not in st.started and st.indeg[v] == 0 and st.earliest[v] <= t
         ]
-        ready.sort(key=(lambda v: prio[v]) if order == "priority" else (lambda v: v))
+        if not program_order:  # ``ready`` is built in program order
+            ready.sort(key=prio.__getitem__)
         committed = False
         for v in ready:
             if _try_gate(st, t, v, ready_count=len(ready), samecut=samecut):
@@ -272,37 +261,28 @@ def schedule_limited(
         t += 1
     while st.cycles and not st.cycles[-1]:
         st.cycles.pop()
-    return EncodedSchedule(model, st.cycles, layout, mapping, st.cuts_initial, strategy)
+    return EncodedSchedule(model, st.cycles, layout, mapping, st.cuts_initial)
 
 
 def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
     gate = st.circuit.gates[v]
     ta, tb = st.op_tile(gate.control), st.op_tile(gate.target)
-    if st.busy(t, ta) or st.busy(t, tb):
+    if st.occ.tile_busy(t, ta) or st.occ.tile_busy(t, tb):
         return False
-    model = st.layout.model
-    if model is ChipModel.LATTICE_SURGERY:
-        path = find_path(st.layout, st.occ, t, ta, tb, st.data_tiles)
-        if path is None:
-            return False
-        st.occ.commit_route(path, t, 1)
-        st.hold_tile(ta, t, 1)
-        st.hold_tile(tb, t, 1)
-        st.add_action(t, Action(ActionKind.BELL, gate=v, route=path))
-        st.complete(v, t)
-        return True
-    ca, cb = st.mapping.tile_of(gate.control), st.mapping.tile_of(gate.target)
-    if st.tile_cut[ca] is not st.tile_cut[cb]:
-        path = find_path(st.layout, st.occ, t, ca, cb)
-        if path is None:
-            return False
-        st.occ.commit_route(path, t, 1)
-        st.hold_tile(ca, t, 1)
-        st.hold_tile(cb, t, 1)
-        st.add_action(t, Action(ActionKind.BRAID, gate=v, route=path))
-        st.complete(v, t)
-        return True
-    return _try_same_cut(st, t, v, ca, cb, ready_count, samecut)
+    if st.layout.model is ChipModel.LATTICE_SURGERY:
+        kind, path = ActionKind.BELL, find_path(st.layout, st.occ, t, ta, tb, st.data_tiles)
+    elif st.tile_cut[ta] is not st.tile_cut[tb]:
+        kind, path = ActionKind.BRAID, find_path(st.layout, st.occ, t, ta, tb)
+    else:
+        return _try_same_cut(st, t, v, ta, tb, ready_count, samecut)
+    if path is None:
+        return False
+    st.occ.commit_route(path, t, 1)
+    st.hold_tile(ta, t, 1)
+    st.hold_tile(tb, t, 1)
+    st.add_action(t, Action(kind, gate=v, route=path))
+    st.complete(v, t)
+    return True
 
 
 def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
@@ -327,7 +307,7 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
             pick_a = mv_a.value <= mv_b.value
         else:
             pick_a = idle_a >= idle_b
-        tile, qubit, idle = (ca, gate.control, idle_a) if pick_a else (cb, gate.target, idle_b)
+        tile, idle = (ca, idle_a) if pick_a else (cb, idle_b)
         return _commit_modify(st, t, tile, idle)
     path = find_path(st.layout, st.occ, t, ca, cb, duration=3)
     if path is None:
@@ -357,25 +337,6 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
 
 def _qubit_cuts(st: _State) -> dict[int, CutType]:
     return {q: st.tile_cut[cell] for q, cell in st.mapping.positions.items()}
-
-
-def baseline_schedule(
-    kind: str,
-    circuit: LogicalCircuit,
-    layout: ChipLayout,
-    mapping: TileMapping,
-    cuts: dict[int, CutType] | None,
-) -> EncodedSchedule:
-    if kind == "circuit-order":
-        return schedule_limited(circuit, layout, mapping, cuts,
-                                order="program", strategy=kind)
-    if kind == "time-first":
-        return schedule_limited(circuit, layout, mapping, cuts,
-                                samecut="time", strategy=kind)
-    if kind == "channel-first":
-        return schedule_limited(circuit, layout, mapping, cuts,
-                                samecut="channel", strategy=kind)
-    raise InfeasibleError(f"unknown baseline scheduler {kind!r}")
 
 
 def bipartite_prefix(
@@ -423,7 +384,7 @@ def schedule_sufficient(
     occ = CycleOccupancy(layout)
     cycles: list[list[Action]] = []
     if circuit.g == 0:
-        return EncodedSchedule(model, [], layout, mapping, None, "resu"), None
+        return EncodedSchedule(model, [], layout, mapping, None), None
 
     def batch(layer_gates, t: int, kind: ActionKind, data=frozenset()):
         if model is ChipModel.LATTICE_SURGERY:
@@ -451,7 +412,7 @@ def schedule_sufficient(
         data = mapping.data_tiles(layout)
         for i, layer in enumerate(layers.layers):
             cycles.append(batch(layer, i, ActionKind.BELL, data))
-        return EncodedSchedule(model, cycles, layout, mapping, None, "resu"), None
+        return EncodedSchedule(model, cycles, layout, mapping, None), None
 
     initial_cuts: dict[int, CutType] | None = None
     tile_cut: dict[Tile, CutType] = {}
@@ -488,8 +449,7 @@ def schedule_sufficient(
             t += 1
         start = end
     return (
-        EncodedSchedule(ChipModel.DOUBLE_DEFECT, cycles, layout, mapping,
-                        initial_cuts, "resu"),
+        EncodedSchedule(ChipModel.DOUBLE_DEFECT, cycles, layout, mapping, initial_cuts),
         initial_cuts,
     )
 

@@ -114,3 +114,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("benchmark = bv_10\nrandom = 5\n", "random '5': expected N,DEPTH,PAR"),
+        ("benchmark = bv_10\nchip = 12x\n", "chip '12x': expected"),
+    ], ids=["sweep-random-arity", "sweep-chip-format"])
+    def test_bad_sweep_config(self, capsys, tmp_path, text, message):
+        config = tmp_path / "row.cfg"
+        config.write_text(text)
+        assert main(["sweep", str(config)]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1 and message in err

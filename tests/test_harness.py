@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from surfc import harness, scheduler
 from surfc.chip import ChipModel
 from surfc.errors import InfeasibleError, SurfcError
 from surfc.harness import (
@@ -65,6 +66,50 @@ class TestRun:
         payload = json.loads(json.dumps(rep.to_json_dict()))
         assert payload["delta"] == rep.delta
         assert payload["scheduler"] == "ecmas"
+
+
+class TestTracedStages:
+    """perfbench traces a compile by replacing these names in the globals of
+    ``harness`` and ``scheduler``; each must still be looked up there at run
+    time, or its span silently disappears."""
+
+    HARNESS = ("parse_qasm", "build_dag", "build_comm_graph", "para_finding", "config_dims",
+               "derive_layout", "establish_mapping", "baseline_mapping", "adjust_bandwidth",
+               "repair_mapping", "init_cut_types", "schedule_limited", "schedule_sufficient",
+               "validate")
+    SCHEDULER = ("find_path", "route_batch_guaranteed", "build_dag")
+
+    def test_every_stage_is_called_through_module_globals(self, monkeypatch, tmp_path):
+        calls: list[str] = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for prefix, module, names in (("", harness, self.HARNESS),
+                                      ("scheduler.", scheduler, self.SCHEDULER)):
+            for attr in names:
+                monkeypatch.setattr(module, attr, counted(prefix + attr, getattr(module, attr)))
+        qasm = tmp_path / "c.qasm"
+        qasm.write_text("qreg q[4];\ncx q[0],q[1];\ncx q[2],q[3];\ncx q[1],q[2];\n")
+        compiles = [
+            (RunConfig(qasm_path=str(qasm), model=DD, chip="40x40", d=2),
+             {"parse_qasm", "build_dag", "build_comm_graph", "para_finding", "config_dims",
+              "derive_layout", "establish_mapping", "adjust_bandwidth", "repair_mapping",
+              "init_cut_types", "schedule_limited", "validate", "scheduler.find_path",
+              "scheduler.build_dag"}),
+            (RunConfig(random_params=(9, 4, 3), model=LS, chip="sufficient", d=2,
+                       scheduler="resu", trials=2),
+             {"schedule_sufficient", "establish_mapping", "scheduler.route_batch_guaranteed"}),
+            (RunConfig(random_params=(9, 4, 3), model=DD, chip="min", d=2, mapping="snake"),
+             {"baseline_mapping", "adjust_bandwidth", "schedule_limited"}),
+        ]
+        for config, expected in compiles:
+            calls.clear()
+            run_full(config)
+            assert expected <= set(calls), expected - set(calls)
 
 
 class TestSchedulePayload:

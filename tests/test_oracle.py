@@ -10,7 +10,7 @@ from surfc.errors import BudgetExceededError
 from surfc.oracle import OracleBudget, optimal_cycles, optimal_pm, routing_feasible
 from surfc.placement import ArrayShape, CutType, TileMapping, baseline_mapping, init_cut_types
 from surfc.profiler import para_finding
-from surfc.scheduler import schedule_limited, schedule_sufficient
+from surfc.scheduler import LIMITED, schedule_limited, schedule_sufficient
 
 DD = ChipModel.DOUBLE_DEFECT
 
@@ -102,6 +102,12 @@ class TestRoutingFeasible:
     def test_empty(self):
         assert routing_feasible(uniform_dd_layout(2, 2), [])
 
+    def test_lattice_surgery_one_tile_route(self):
+        # every tile but the one between the operands is blocked
+        layout = uniform_ls_layout(1, 2)
+        grid = {(r, c) for r in range(layout.grid_rows) for c in range(layout.grid_cols)}
+        assert routing_feasible(layout, [((1, 1), (1, 3))], frozenset(grid - {(1, 2)}))
+
     def test_any_three_pairs_on_three_by_three(self):
         # exhaustive form of the chip-capacity base case: every placement of
         # three independent pairs on a bandwidth-1 3x3 grid is routable
@@ -150,3 +156,42 @@ class TestReSuAgainstOracle:
             check_schedule(sched, c, layout, mapping2)
             opt = optimal_cycles(c, layout, mapping2, cuts)
             assert sched.delta <= -(-5 * opt // 2)
+
+
+class TestLimitedAgainstOracle:
+    """Every limited-resource strategy against the exact optimum, on both
+    models.  The worst ratios seen on these 30 circuits are recorded below; a
+    strategy that gets worse against the optimum fails here."""
+
+    WORST_RATIO = {
+        ("dd", "ecmas"): 11 / 7,
+        ("dd", "circuit-order"): 11 / 7,
+        ("dd", "time-first"): 11 / 7,
+        ("dd", "channel-first"): 9 / 8,
+        ("ls", "ecmas"): 1.0,
+        ("ls", "circuit-order"): 1.0,
+        ("ls", "time-first"): 1.0,
+        ("ls", "channel-first"): 1.0,
+    }
+
+    @pytest.mark.parametrize("model", ["dd", "ls"])
+    def test_every_strategy_validates_and_respects_optimum(self, model):
+        worst = dict.fromkeys(LIMITED, 0.0)
+        for trial in range(30):
+            c = random_tiny_circuit(random.Random(6100 + trial))
+            mapping = baseline_mapping("snake", c.n, ArrayShape(2, 3))
+            if model == "dd":
+                layout = uniform_dd_layout(2, 3)
+                cuts = init_cut_types(c, mapping)
+                mapping = mapping.with_cuts(cuts)
+            else:
+                layout, cuts = uniform_ls_layout(2, 3), None
+            opt = optimal_cycles(c, layout, mapping, cuts)
+            assert opt >= build_dag(c).alpha
+            for strategy in LIMITED:
+                sched = schedule_limited(c, layout, mapping, cuts, strategy=strategy)
+                check_schedule(sched, c, layout, mapping)
+                assert opt <= sched.delta, (trial, strategy)
+                worst[strategy] = max(worst[strategy], sched.delta / opt)
+        for strategy, ratio in worst.items():
+            assert ratio <= self.WORST_RATIO[(model, strategy)] + 1e-9, (strategy, ratio)

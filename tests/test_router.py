@@ -11,9 +11,7 @@ from surfc.oracle import OracleBudget, routing_feasible
 from surfc.router import (
     CycleOccupancy,
     RoutePath,
-    commit,
     find_path,
-    reachable,
     render_cycle,
     route_batch_guaranteed,
     tile_corners,
@@ -38,7 +36,7 @@ class TestFindPath:
         for _ in range(2):
             path = find_path(layout, occ, 0, (0, 0), (0, 1))
             assert path is not None
-            commit(occ, path, 0)
+            occ.commit_route(path, 0, 1)
         assert find_path(layout, occ, 0, (0, 0), (0, 1)) is None
 
     def test_three_sequential_routes_on_bandwidth_one(self):
@@ -57,7 +55,7 @@ class TestFindPath:
                 path = find_path(layout, occ, 0, tiles[2 * k], tiles[2 * k + 1])
                 if path is None:
                     break
-                commit(occ, path, 0)
+                occ.commit_route(path, 0, 1)
                 paths.append(path)
             if len(paths) == 3:
                 successes += 1
@@ -96,7 +94,7 @@ class TestCommit:
         layout = uniform_dd_layout(2, 2)
         occ = CycleOccupancy(layout)
         path = find_path(layout, occ, 0, (0, 0), (1, 1))
-        commit(occ, path, 0, duration=3)
+        occ.commit_route(path, 0, 3)
         assert find_path(layout, occ, 2, (0, 0), (1, 1)) is None or True
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
@@ -107,11 +105,11 @@ class TestCommit:
         layout = uniform_dd_layout(1, 2, bandwidth=2)
         occ = CycleOccupancy(layout)
         seam = RoutePath(DD, ((0, 0), (0, 1)))
-        commit(occ, seam, 0)
-        commit(occ, seam, 0)
+        occ.commit_route(seam, 0, 1)
+        occ.commit_route(seam, 0, 1)
         # the segment itself is now at its two-lane capacity
         with pytest.raises(AssertionError):
-            commit(occ, seam, 0)
+            occ.commit_route(seam, 0, 1)
         # routing between the tiles still succeeds through other channels
         assert find_path(layout, occ, 0, (0, 0), (0, 1)) is not None
 
@@ -119,9 +117,9 @@ class TestCommit:
         layout = uniform_dd_layout(1, 2)
         occ = CycleOccupancy(layout)
         path = find_path(layout, occ, 0, (0, 0), (0, 1))
-        commit(occ, path, 0)
+        occ.commit_route(path, 0, 1)
         with pytest.raises(AssertionError):
-            commit(occ, path, 0)
+            occ.commit_route(path, 0, 1)
 
 
 class TestRouteBatchGuaranteed:
@@ -179,7 +177,7 @@ class TestRouteBatchGuaranteed:
                 seen.add(node)
 
     def test_random_restart_tier(self, monkeypatch):
-        # greedy, ring repair and the 48-round negotiation all fail on this
+        # ring repair and the 48-round negotiation both fail on this
         # batch; only the seeded random restarts route it within capacity
         layout = uniform_dd_layout(3, 3, 1)
         pairs = [((2, 1), (0, 2)), ((0, 1), (2, 2)), ((1, 2), (1, 1))]
@@ -200,16 +198,6 @@ class TestRouteBatchGuaranteed:
             for res in p.resources():
                 usage[res] = usage.get(res, 0) + 1
         assert all(u <= cap(res) for res, u in usage.items())
-
-
-class TestReachable:
-    def test_ring_detection(self):
-        layout = uniform_dd_layout(1, 2)
-        occ = CycleOccupancy(layout)
-        for _ in range(2):
-            commit(occ, find_path(layout, occ, 0, (0, 0), (0, 1)), 0)
-        assert not reachable(layout, dict(occ.usage_map(0)), (0, 0), (0, 1))
-        assert reachable(layout, {}, (0, 0), (0, 1))
 
 
 class TestTheoremTwoSmoke:

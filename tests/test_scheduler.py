@@ -22,9 +22,7 @@ from surfc.scheduler import (
     Action,
     ActionKind,
     EncodedSchedule,
-    baseline_schedule,
     bipartite_prefix,
-    gate_priority,
     m_value,
     schedule_limited,
     schedule_sufficient,
@@ -100,20 +98,22 @@ class TestScheduleLimited:
 
 
 class TestGatePriority:
+    """The priority terms: longest chain of dependents and transitive
+    dependents, each counting the gate itself."""
+
+    @staticmethod
+    def _terms(c):
+        dag = build_dag(c)
+        return (dag.depth_to_sink[0], dag.descendant_counts()[0] + 1)
+
     def test_sink_gate(self):
-        c = circuit(2, [(0, 1)])
-        pr = gate_priority(build_dag(c), 0)
-        assert (pr.criticality, pr.remaining) == (1, 1)
+        assert self._terms(circuit(2, [(0, 1)])) == (1, 1)
 
     def test_head_of_chain(self):
-        c = circuit(2, [(0, 1)] * 5)
-        pr = gate_priority(build_dag(c), 0)
-        assert (pr.criticality, pr.remaining) == (5, 5)
+        assert self._terms(circuit(2, [(0, 1)] * 5)) == (5, 5)
 
     def test_diamond_head(self):
-        c = circuit(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        pr = gate_priority(build_dag(c), 0)
-        assert (pr.criticality, pr.remaining) == (3, 4)
+        assert self._terms(circuit(4, [(0, 1), (0, 2), (1, 3), (2, 3)])) == (3, 4)
 
 
 class TestMValue:
@@ -154,7 +154,7 @@ class TestBaselineSchedulers:
         c = circuit(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         layout, mapping, cuts = _dd_setup(c, 2, 4)
         a = schedule_limited(c, layout, mapping, cuts)
-        b = baseline_schedule("circuit-order", c, layout, mapping, cuts)
+        b = schedule_limited(c, layout, mapping, cuts, strategy="circuit-order")
         check_schedule(b, c, layout, mapping)
         assert a.delta == b.delta
 
@@ -162,7 +162,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = baseline_schedule("time-first", c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping, cuts, strategy="time-first")
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 3
         assert sched.cycles[0][0].kind is ActionKind.DIRECT
@@ -171,7 +171,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = baseline_schedule("channel-first", c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping, cuts, strategy="channel-first")
         check_schedule(sched, c, layout, mapping)
         kinds = {a.kind for acts in sched.cycles for a in acts}
         assert ActionKind.MODIFY in kinds
@@ -181,7 +181,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _dd_setup(c, 1, 2)
         with pytest.raises(InfeasibleError):
-            baseline_schedule("nope", c, layout, mapping, cuts)
+            schedule_limited(c, layout, mapping, cuts, strategy="nope")
 
 
 class TestBipartitePrefix:
@@ -333,9 +333,9 @@ class TestDeltaLowerBound:
             layout, mapping, cuts = _dd_setup(c, 2, 3)
             for maker in (
                 lambda: schedule_limited(c, layout, mapping, cuts),
-                lambda: baseline_schedule("circuit-order", c, layout, mapping, cuts),
-                lambda: baseline_schedule("time-first", c, layout, mapping, cuts),
-                lambda: baseline_schedule("channel-first", c, layout, mapping, cuts),
+                lambda: schedule_limited(c, layout, mapping, cuts, strategy="circuit-order"),
+                lambda: schedule_limited(c, layout, mapping, cuts, strategy="time-first"),
+                lambda: schedule_limited(c, layout, mapping, cuts, strategy="channel-first"),
             ):
                 sched = maker()
                 check_schedule(sched, c, layout, mapping)
