@@ -1,6 +1,8 @@
 """Command-line interface.
 
 Subcommands: profile | chip | map | schedule | oracle | sweep | compare.
+``map`` prints the mapping of ``harness.place``, the stages that
+``schedule`` runs in ``harness.compile_once`` before its scheduler call.
 Exit codes: 0 ok, 1 usage error, 2 validation failure, 3 infeasible input.
 """
 from __future__ import annotations
@@ -11,7 +13,7 @@ import sys
 
 from .bench import BENCHMARKS
 from .chip import ChipModel, ChipSpec, check_chip_kind, config_dims, derive_layout
-from .circuits import build_comm_graph, build_dag
+from .circuits import build_dag
 from .errors import BudgetExceededError, CircuitError, InfeasibleError, QasmError, SurfcError
 from .harness import (
     CUTS,
@@ -23,11 +25,11 @@ from .harness import (
     load_circuit,
     parse_config_file,
     parse_random_params,
+    place,
     run_full,
     sweep,
 )
 from .oracle import OracleBudget, optimal_pm
-from .placement import ArrayShape, establish_mapping, init_cut_types
 from .profiler import para_finding
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INFEASIBLE = 0, 1, 2, 3
@@ -67,7 +69,6 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cuts", default="ecmas", choices=CUTS)
     p.add_argument("--trials", type=int, default=16)
     p.add_argument("--out", help="write the primary artifact here instead of stdout")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _circuit_source(args) -> dict:
@@ -119,14 +120,7 @@ def cmd_chip(args) -> int:
 
 def cmd_map(args) -> int:
     config = _config_from_args(args)
-    circuit = load_circuit(config)
-    dims = config_dims(config.chip, circuit.n, config.d, config.model)
-    layout = derive_layout(ChipSpec(config.model, dims[0], dims[1], args.distance), circuit.n)
-    comm = build_comm_graph(circuit)
-    shape = ArrayShape(layout.array_r, layout.array_c)
-    mapping = establish_mapping(comm, shape, trials=args.trials, seed=args.seed, layout=layout)
-    if config.model is ChipModel.DOUBLE_DEFECT:
-        mapping = mapping.with_cuts(init_cut_types(circuit, mapping))
+    _layers, _layout, mapping = place(config, load_circuit(config))
     _emit(json.dumps(mapping.to_json_dict(), indent=2), args.out)
     return EXIT_OK
 
@@ -189,7 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_chip)
 
-    p = sub.add_parser("map", help="emit the initial tile mapping")
+    p = sub.add_parser("map", help="emit the mapping that schedule starts from",
+                       description="Print each qubit's array cell and initial cut: the "
+                       "mapping that schedule starts from. With --scheduler resu the cut is "
+                       "null, since resu picks the cuts of each bipartite layer prefix while "
+                       "it schedules.")
     _add_run_args(p)
     p.set_defaults(func=cmd_map)
 

@@ -1,11 +1,12 @@
 """End-to-end pipeline: configuration, runs, sweeps, comparisons.
 
 A run is parse/generate -> profile -> layout -> map -> (adjust) -> (cuts) ->
-schedule -> validate, wrapped in a ``RunReport``.  Reports from invalid
-schedules are never tabulated: the harness raises instead.  Sweeps fan runs
-out over a worker pool (rows are independent) and emit one CSV row per run,
-including the compile-time ratio against the minimum-viable chip row of the
-same group.
+schedule -> validate: ``place`` runs the stages before scheduling (``surfc
+map`` prints its mapping), ``compile_once`` adds the scheduler call and
+``run_full`` validates and wraps the result in a ``RunReport``, raising on an
+invalid schedule.  Sweeps fan runs out over a worker pool (rows are
+independent) and emit one CSV row per run, including the compile-time ratio
+against the minimum-viable chip row of the same group.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from .errors import InfeasibleError, SurfcError
 from .generate import gen_random_circuit
 from .placement import (
     ArrayShape,
-    CutType,
     TileMapping,
     adjust_bandwidth,
     baseline_cuts,
@@ -117,8 +117,11 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
     return gen_random_circuit(n, depth, parallelism, config.seed)
 
 
-def compile_once(config: RunConfig, circuit: LogicalCircuit):
-    """One full pipeline pass; returns (schedule, layout, mapping, layers).
+def place(config: RunConfig, circuit: LogicalCircuit):
+    """Every stage before scheduling; returns (layers, layout, mapping).
+    The limited-resource schedulers also get bandwidth adjusting, repair and
+    cut types, which the mapping carries; ``resu`` keeps the uniform layout
+    and picks its cuts while it schedules.
 
     The ``ecmas`` mapping is optimised before bandwidth adjusting places the
     lattice-surgery fabric, and ``repair_mapping`` afterwards tries only one
@@ -132,10 +135,8 @@ def compile_once(config: RunConfig, circuit: LogicalCircuit):
     layers = para_finding(dag)
     dims = config_dims(config.chip, circuit.n, config.d, config.model, pm=layers.pm)
     spec = ChipSpec(config.model, dims[0], dims[1], config.d)
-    if circuit.n == 0:
-        layout = derive_layout(spec, 0)
-        mapping = TileMapping(ArrayShape(0, 0), {})
-        return schedule_limited(circuit, layout, mapping, {}), layout, mapping, layers
+    if circuit.n == 0:  # empty cuts: the double-defect scheduler needs an assignment
+        return layers, derive_layout(spec, 0), TileMapping(ArrayShape(0, 0), {}, {})
     sufficient = config.scheduler == "resu"
     layout = derive_layout(spec, circuit.n, distribute=sufficient)
     shape = ArrayShape(layout.array_r, layout.array_c)
@@ -145,48 +146,51 @@ def compile_once(config: RunConfig, circuit: LogicalCircuit):
     else:
         mapping = baseline_mapping(config.mapping, circuit.n, shape, seed=config.seed)
     if sufficient:
-        schedule, initial = schedule_sufficient(layers, layout, mapping, circuit)
-        if initial is not None:
-            mapping = mapping.with_cuts(initial)
-            schedule.mapping = mapping
-        return schedule, layout, mapping, layers
+        return layers, layout, mapping
     layout = adjust_bandwidth(layout, mapping, circuit)
     if config.mapping == "ecmas":
         mapping = repair_mapping(mapping, comm, layout)
         if stranded_pairs(mapping, comm, layout):
             mapping = establish_mapping(comm, shape, trials=config.trials,
                                         seed=config.seed, layout=layout)
-    cuts: dict[int, CutType] | None = None
     if config.model is ChipModel.DOUBLE_DEFECT:
         if config.cuts == "ecmas":
-            cuts = init_cut_types(circuit, mapping)
+            mapping = mapping.with_cuts(init_cut_types(circuit))
         else:
-            cuts = baseline_cuts(config.cuts, comm, seed=config.seed)
-        mapping = mapping.with_cuts(cuts)
-    schedule = schedule_limited(circuit, layout, mapping, cuts, strategy=config.scheduler)
-    return schedule, layout, mapping, layers
+            mapping = mapping.with_cuts(baseline_cuts(config.cuts, comm, seed=config.seed))
+    return layers, layout, mapping
+
+
+def compile_once(config: RunConfig, circuit: LogicalCircuit):
+    """``place`` plus one scheduler call; returns (schedule, layers).  The
+    schedule holds the layout and mapping it was built on."""
+    layers, layout, mapping = place(config, circuit)
+    if config.scheduler == "resu":
+        return schedule_sufficient(layers, layout, mapping, circuit), layers
+    schedule = schedule_limited(circuit, layout, mapping, mapping.cuts, strategy=config.scheduler)
+    return schedule, layers
 
 
 def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
     """Compile once, validate, and return the report with the schedule."""
     circuit = load_circuit(config)
     t0 = time.monotonic()
-    schedule, layout, mapping, layers = compile_once(config, circuit)
+    schedule, layers = compile_once(config, circuit)
     seconds = time.monotonic() - t0
-    violations = validate(schedule, circuit, layout, mapping)
+    layout = schedule.layout
+    violations = validate(schedule, circuit, layout, schedule.mapping)
     if violations:
         raise SurfcError(
             f"schedule failed validation ({len(violations)} violations): "
             + "; ".join(violations[:5])
         )
-    dag = build_dag(circuit)
-    if schedule.delta < dag.alpha:
-        raise SurfcError(f"delta {schedule.delta} below critical path {dag.alpha}")
+    if schedule.delta < layers.alpha:
+        raise SurfcError(f"delta {schedule.delta} below critical path {layers.alpha}")
     report = RunReport(
         label=config.label or (config.benchmark or config.qasm_path or
                                f"random{config.random_params}"),
         n=circuit.n,
-        alpha=dag.alpha,
+        alpha=layers.alpha,
         g=circuit.g,
         pm_estimate=layers.pm,
         model=config.model.value,
@@ -300,10 +304,17 @@ def parse_random_params(text: str) -> tuple[int, int, int]:
 
 def config_from_mapping(data: dict) -> RunConfig:
     kwargs: dict = {}
-    plain = {"chip", "scheduler", "mapping", "cuts", "d", "seed", "trials", "label"}
+    plain = {"chip", "scheduler", "mapping", "cuts", "label"}
     for key, value in data.items():
         if key == "model":
-            kwargs["model"] = ChipModel(value)
+            try:
+                kwargs["model"] = ChipModel(value)
+            except ValueError:
+                raise InfeasibleError(f"model {value!r}: expected dd or ls") from None
+        elif key in ("d", "seed", "trials"):
+            if type(value) is not int:
+                raise InfeasibleError(f"{key} {value!r}: expected an integer")
+            kwargs[key] = value
         elif key == "qasm":
             kwargs["qasm_path"] = value
         elif key == "benchmark":

@@ -217,15 +217,13 @@ def optimal_cycles(
         return 0
     model = layout.model
     dag = build_dag(circuit)
-    data_tiles = mapping.data_tiles(layout) if model is ChipModel.LATTICE_SURGERY else frozenset()
+    data_tiles = mapping.data_tiles(layout)
     cap = resource_capacities(layout)
     route_cache: dict = {}
 
     def op_tiles(v: int) -> tuple[Tile, Tile]:
         gate = circuit.gates[v]
-        if model is ChipModel.LATTICE_SURGERY:
-            return (mapping.abs_tile(layout, gate.control), mapping.abs_tile(layout, gate.target))
-        return (mapping.tile_of(gate.control), mapping.tile_of(gate.target))
+        return (mapping.abs_tile(layout, gate.control), mapping.abs_tile(layout, gate.target))
 
     def routes(v: int) -> list[frozenset]:
         pair = op_tiles(v)
@@ -310,8 +308,8 @@ def optimal_cycles(
             if model is ChipModel.LATTICE_SURGERY:
                 braidable.append(v)
             else:
-                ca = cuts_t[tile_index[mapping.tile_of(circuit.gates[v].control)]]
-                cb = cuts_t[tile_index[mapping.tile_of(circuit.gates[v].target)]]
+                ta, tb = op_tiles(v)
+                ca, cb = cuts_t[tile_index[ta]], cuts_t[tile_index[tb]]
                 (braidable if ca is not cb else same_cut).append(v)
 
         # cut modifications worth trying: tiles whose qubit still has work

@@ -83,12 +83,20 @@ class TileMapping:
         return replace(self, cuts=dict(cuts))
 
     def data_tiles(self, layout: ChipLayout) -> frozenset[Tile]:
-        """Absolute tile coordinates of mapped qubits (lattice surgery)."""
+        """Tiles that routes must avoid: the absolute tiles of mapped qubits
+        for lattice surgery; none for double defect, whose routes run in the
+        corridors between cells."""
+        if layout.model is ChipModel.DOUBLE_DEFECT:
+            return frozenset()
         rt, ct = layout.row_tracks, layout.col_tracks
         return frozenset((rt[i], ct[j]) for i, j in self.positions.values())
 
     def abs_tile(self, layout: ChipLayout, q: int) -> Tile:
+        """The tile ``q``'s routes attach to: its array cell for double
+        defect, its absolute grid tile for lattice surgery."""
         i, j = self.positions[q]
+        if layout.model is ChipModel.DOUBLE_DEFECT:
+            return (i, j)
         return (layout.row_tracks[i], layout.col_tracks[j])
 
     def to_json_dict(self) -> dict:
@@ -470,7 +478,7 @@ def baseline_mapping(kind: str, n: int, shape: ArrayShape, seed: int = 0) -> Til
     raise InfeasibleError(f"unknown baseline mapping kind {kind!r}")
 
 
-def init_cut_types(circuit: LogicalCircuit, mapping: TileMapping) -> dict[int, CutType]:
+def init_cut_types(circuit: LogicalCircuit) -> dict[int, CutType]:
     """Cut assignment from the bipartite prefix of the gate DAG (whole graph if
     bipartite); qubits outside the colored prefix default to X."""
     comm = build_comm_graph(circuit)

@@ -163,20 +163,12 @@ class _State:
         self.earliest = [0] * circuit.g
         self.started: set[int] = set()
         self.done = 0
-        if layout.model is ChipModel.LATTICE_SURGERY:
-            self.data_tiles = mapping.data_tiles(layout)
-        else:
-            self.data_tiles = frozenset()
+        self.data_tiles = mapping.data_tiles(layout)
 
     def add_action(self, t: int, action: Action) -> None:
         while len(self.cycles) <= t:
             self.cycles.append([])
         self.cycles[t].append(action)
-
-    def op_tile(self, q: int) -> Tile:
-        if self.layout.model is ChipModel.LATTICE_SURGERY:
-            return self.mapping.abs_tile(self.layout, q)
-        return self.mapping.tile_of(q)
 
     def hold_tile(self, tile: Tile, start: int, duration: int) -> None:
         self.occ.commit_tile(tile, start, duration)
@@ -266,7 +258,8 @@ def schedule_limited(
 
 def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
     gate = st.circuit.gates[v]
-    ta, tb = st.op_tile(gate.control), st.op_tile(gate.target)
+    ta = st.mapping.abs_tile(st.layout, gate.control)
+    tb = st.mapping.abs_tile(st.layout, gate.target)
     if st.occ.tile_busy(t, ta) or st.occ.tile_busy(t, tb):
         return False
     if st.layout.model is ChipModel.LATTICE_SURGERY:
@@ -372,9 +365,10 @@ def schedule_sufficient(
     layout: ChipLayout,
     mapping: TileMapping,
     circuit: LogicalCircuit,
-) -> tuple[EncodedSchedule, dict[int, CutType] | None]:
+) -> EncodedSchedule:
     """One batch-routed cycle per layer; double defect additionally remaps cut
-    types between maximal bipartite layer prefixes (three cycles per remap)."""
+    types between maximal bipartite layer prefixes (three cycles per remap).
+    The schedule's mapping carries the cuts of the first prefix."""
     model = layout.model
     if layout.capacity < layers.pm:
         raise InfeasibleError(
@@ -384,21 +378,15 @@ def schedule_sufficient(
     occ = CycleOccupancy(layout)
     cycles: list[list[Action]] = []
     if circuit.g == 0:
-        return EncodedSchedule(model, [], layout, mapping, None), None
+        return EncodedSchedule(model, [], layout, mapping, None)
+    data = mapping.data_tiles(layout)
 
-    def batch(layer_gates, t: int, kind: ActionKind, data=frozenset()):
-        if model is ChipModel.LATTICE_SURGERY:
-            pairs = [
-                (mapping.abs_tile(layout, circuit.gates[gid].control),
-                 mapping.abs_tile(layout, circuit.gates[gid].target))
-                for gid in layer_gates
-            ]
-        else:
-            pairs = [
-                (mapping.tile_of(circuit.gates[gid].control),
-                 mapping.tile_of(circuit.gates[gid].target))
-                for gid in layer_gates
-            ]
+    def batch(layer_gates, t: int, kind: ActionKind):
+        pairs = [
+            (mapping.abs_tile(layout, circuit.gates[gid].control),
+             mapping.abs_tile(layout, circuit.gates[gid].target))
+            for gid in layer_gates
+        ]
         paths = route_batch_guaranteed(layout, pairs, data)
         acts = []
         for gid, path, (ta, tb) in zip(layer_gates, paths, pairs):
@@ -409,10 +397,9 @@ def schedule_sufficient(
         return acts
 
     if model is ChipModel.LATTICE_SURGERY:
-        data = mapping.data_tiles(layout)
         for i, layer in enumerate(layers.layers):
-            cycles.append(batch(layer, i, ActionKind.BELL, data))
-        return EncodedSchedule(model, cycles, layout, mapping, None), None
+            cycles.append(batch(layer, i, ActionKind.BELL))
+        return EncodedSchedule(model, cycles, layout, mapping, None)
 
     initial_cuts: dict[int, CutType] | None = None
     tile_cut: dict[Tile, CutType] = {}
@@ -448,10 +435,7 @@ def schedule_sufficient(
             cycles.append(batch(layers.layers[i], t, ActionKind.BRAID))
             t += 1
         start = end
-    return (
-        EncodedSchedule(ChipModel.DOUBLE_DEFECT, cycles, layout, mapping, initial_cuts),
-        initial_cuts,
-    )
+    return EncodedSchedule(model, cycles, layout, mapping.with_cuts(initial_cuts), initial_cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,29 +452,41 @@ def validate(
     model = schedule.model
     dag = build_dag(circuit)
     cap = resource_capacities(layout)
-    data_tiles = mapping.data_tiles(layout) if model is ChipModel.LATTICE_SURGERY else frozenset()
+    data_tiles = mapping.data_tiles(layout)
 
-    # gather per-gate execution spans and per-cycle resource/tile usage
+    def operand_tiles(gid: int) -> tuple[Tile, Tile]:
+        gate = circuit.gates[gid]
+        return mapping.abs_tile(layout, gate.control), mapping.abs_tile(layout, gate.target)
+
+    # gather per-gate execution spans, first action kinds and per-cycle
+    # resource/tile usage
     gate_span: dict[int, tuple[int, int]] = {}
-    modify_runs: dict[tuple[Tile, int], list[tuple[int, CutType]]] = {}
+    gate_kind: dict[int, ActionKind] = {}
+    modify_at: set[tuple[Tile, int, int]] = set()  # (tile, phase, cycle)
+    modify_starts: list[tuple[Tile, int, CutType]] = []  # phase 1: (tile, cycle, cut)
     seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
     for t, actions in enumerate(schedule.cycles):
         tiles_this_cycle: list[Tile] = []
         usage: dict = {}
         for a in actions:
+            if a.gate is not None:
+                gate_kind.setdefault(a.gate, a.kind)
             if a.kind in (ActionKind.BRAID, ActionKind.BELL):
                 if a.gate in gate_span:
                     v.append(f"gate {a.gate} executed more than once")
                 gate_span[a.gate] = (t, t)
                 _count_route(usage, a.route)
-                tiles_this_cycle.extend(_operand_tiles(a.gate, circuit, mapping, layout, model))
-                _check_route(v, a, circuit, mapping, layout, model, data_tiles)
+                ta, tb = operand_tiles(a.gate)
+                tiles_this_cycle.extend((ta, tb))
+                _check_route(v, a, ta, tb, model)
             elif a.kind is ActionKind.DIRECT:
                 seen_direct.setdefault(a.gate, []).append((t, a.phase, a.route))
                 _count_route(usage, a.route)
-                tiles_this_cycle.extend(_operand_tiles(a.gate, circuit, mapping, layout, model))
+                tiles_this_cycle.extend(operand_tiles(a.gate))
             elif a.kind is ActionKind.MODIFY:
-                modify_runs.setdefault((a.tile, a.phase), []).append((t, a.new_cut))
+                modify_at.add((a.tile, a.phase, t))
+                if a.phase == 1:
+                    modify_starts.append((a.tile, t, a.new_cut))
                 tiles_this_cycle.append(a.tile)
         for res, used in usage.items():
             if used > cap(res):
@@ -524,19 +520,13 @@ def validate(
             v.append(f"gate {gid} executed more than once")
         gate_span[gid] = (times[0], times[2])
 
-    # modify actions: group phase-1 starts, demand contiguity
+    # modify actions: each phase-1 start needs phases 2 and 3 right after it
     flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
-    for (tile, phase), entries in sorted(
-        modify_runs.items(), key=lambda kv: (kv[0][1], kv[0][0])
-    ):
-        if phase != 1:
-            continue
-        for t0, cut in entries:
-            for ph in (2, 3):
-                follow = [e for e in modify_runs.get((tile, ph), []) if e[0] == t0 + ph - 1]
-                if not follow:
-                    v.append(f"tile {tile}: cut modification at {t0} missing phase {ph}")
-            flips.append((t0 + 3, tile, cut))
+    for tile, t0, cut in sorted(modify_starts, key=lambda m: m[:2]):
+        for ph in (2, 3):
+            if (tile, ph, t0 + ph - 1) not in modify_at:
+                v.append(f"tile {tile}: cut modification at {t0} missing phase {ph}")
+        flips.append((t0 + 3, tile, cut))
 
     for gid in range(circuit.g):
         if gid not in gate_span:
@@ -556,39 +546,20 @@ def validate(
             mapping.tile_of(q): schedule.initial_cuts[q]
             for q in mapping.positions
         }
-        flips.sort()
+        flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order
         fi = 0
-        timeline = sorted(
-            [(span[0], gid) for gid, span in gate_span.items()], key=lambda x: (x[0], x[1])
-        )
-        for t, gid in timeline:
+        for t, gid in sorted((span[0], gid) for gid, span in gate_span.items()):
             while fi < len(flips) and flips[fi][0] <= t:
                 _, tile, cut = flips[fi]
                 tile_cut[tile] = cut
                 fi += 1
-            ca = mapping.tile_of(circuit.gates[gid].control)
-            cb = mapping.tile_of(circuit.gates[gid].target)
-            kind = _gate_kind(schedule, gid)
+            ca, cb = operand_tiles(gid)
+            kind = gate_kind[gid]
             if kind is ActionKind.BRAID and tile_cut[ca] is tile_cut[cb]:
                 v.append(f"gate {gid}: braid between same-cut tiles at cycle {t}")
             if kind is ActionKind.DIRECT and tile_cut[ca] is not tile_cut[cb]:
                 v.append(f"gate {gid}: 3-cycle direct execution between opposite cuts at {t}")
     return v
-
-
-def _gate_kind(schedule: EncodedSchedule, gid: int) -> ActionKind | None:
-    for actions in schedule.cycles:
-        for a in actions:
-            if a.gate == gid:
-                return a.kind
-    return None
-
-
-def _operand_tiles(gid, circuit, mapping, layout, model) -> list[Tile]:
-    gate = circuit.gates[gid]
-    if model is ChipModel.LATTICE_SURGERY:
-        return [mapping.abs_tile(layout, gate.control), mapping.abs_tile(layout, gate.target)]
-    return [mapping.tile_of(gate.control), mapping.tile_of(gate.target)]
 
 
 def _count_route(usage: dict, route: RoutePath | None) -> None:
@@ -598,13 +569,9 @@ def _count_route(usage: dict, route: RoutePath | None) -> None:
         usage[res] = usage.get(res, 0) + 1
 
 
-def _check_route(v, action, circuit, mapping, layout, model, data_tiles) -> None:
-    gate = circuit.gates[action.gate]
-    route = action.route
+def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:
+    nodes = action.route.nodes
     if model is ChipModel.LATTICE_SURGERY:
-        ta = mapping.abs_tile(layout, gate.control)
-        tb = mapping.abs_tile(layout, gate.target)
-        nodes = route.nodes
         if not nodes:
             if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) != 1:
                 v.append(f"gate {action.gate}: empty route between non-adjacent tiles")
@@ -614,8 +581,6 @@ def _check_route(v, action, circuit, mapping, layout, model, data_tiles) -> None
             if abs(x[0] - y[0]) + abs(x[1] - y[1]) != 1:
                 v.append(f"gate {action.gate}: route chain broken between {x} and {y}")
         return
-    ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
-    nodes = route.nodes
     if len(nodes) < 2:
         v.append(f"gate {action.gate}: corridor route must hold at least one segment")
         return

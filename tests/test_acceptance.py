@@ -142,7 +142,8 @@ class TestCriterion5Approximation:
             layout = uniform_dd_layout(2, 3)
             mapping = baseline_mapping("snake", n, ArrayShape(2, 3))
             layers = para_finding(build_dag(c))
-            sched, cuts = schedule_sufficient(layers, layout, mapping, c)
+            sched = schedule_sufficient(layers, layout, mapping, c)
+            cuts = sched.initial_cuts
             mapping2 = mapping.with_cuts(cuts)
             assert validate(sched, c, layout, mapping2) == []
             opt = optimal_cycles(c, layout, mapping2, cuts, budget)

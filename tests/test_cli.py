@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from surfc.chip import ChipModel
 from surfc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from surfc.harness import RunConfig, run_full
 
 
 def _capture(capsys):
@@ -44,6 +46,26 @@ class TestMapAndSchedule:
         assert len(payload) == 10
         row, col, cut = payload["0"]
         assert cut in ("X", "Z")
+
+    @pytest.mark.parametrize("model", ["dd", "ls"])
+    @pytest.mark.parametrize("mapping", ["ecmas", "snake"])
+    @pytest.mark.parametrize("scheduler, chip", [
+        ("ecmas", "min"), ("ecmas", "4x"), ("resu", "sufficient"),
+    ])
+    def test_map_prints_the_mapping_schedule_starts_from(self, capsys, model, mapping,
+                                                          scheduler, chip):
+        argv = ["--random", "9,5,2", "--model", model, "--mapping", mapping,
+                "--scheduler", scheduler, "--chip", chip, "-d", "2", "--trials", "4"]
+        assert main(["map", *argv]) == EXIT_OK
+        printed = {int(q): row for q, row in _capture(capsys).items()}
+        _report, schedule = run_full(RunConfig(
+            random_params=(9, 5, 2), model=ChipModel(model), mapping=mapping,
+            scheduler=scheduler, chip=chip, d=2, trials=4))
+        assert {q: (r, c) for q, (r, c, _) in printed.items()} == schedule.mapping.positions
+        if scheduler != "resu":
+            cuts = schedule.initial_cuts
+            assert {q: cut for q, (_, _, cut) in printed.items()} == \
+                {q: cuts[q].value if cuts else None for q in printed}
 
     def test_schedule_end_to_end(self, capsys, tmp_path):
         out = tmp_path / "schedule.json"
@@ -103,11 +125,10 @@ class TestBadInput:
     @pytest.mark.parametrize("argv, code, message", [
         (["profile", "--random", "5"], EXIT_USAGE, "expected N,DEPTH,PAR"),
         (["schedule", "--bench", "bv_10", "--chip", "12x"], EXIT_USAGE, "<m1>x<m2>"),
-        (["map", "--bench", "bv_10", "--chip", "sufficient"], EXIT_INFEASIBLE,
-         "requires the parallelism estimate"),
+        (["map", "--bench", "bv_10", "--chip", "1x1"], EXIT_INFEASIBLE, "too small for one"),
         (["schedule", "--qasm", "{missing}"], EXIT_USAGE, "No such file"),
         (["sweep", "{missing}"], EXIT_USAGE, "No such file"),
-    ], ids=["random-arity", "chip-format", "map-sufficient", "missing-qasm", "missing-config"])
+    ], ids=["random-arity", "chip-format", "map-chip-too-small", "missing-qasm", "missing-config"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code
@@ -118,7 +139,11 @@ class TestBadInput:
     @pytest.mark.parametrize("text, message", [
         ("benchmark = bv_10\nrandom = 5\n", "random '5': expected N,DEPTH,PAR"),
         ("benchmark = bv_10\nchip = 12x\n", "chip '12x': expected"),
-    ], ids=["sweep-random-arity", "sweep-chip-format"])
+        ("benchmark = bv_10\nmodel = foo\n", "model 'foo': expected dd or ls"),
+        ("benchmark = bv_10\nd = two\n", "d 'two': expected an integer"),
+        ("benchmark = bv_10\nseed = x\n", "seed 'x': expected an integer"),
+    ], ids=["sweep-random-arity", "sweep-chip-format", "sweep-model", "sweep-distance",
+            "sweep-seed"])
     def test_bad_sweep_config(self, capsys, tmp_path, text, message):
         config = tmp_path / "row.cfg"
         config.write_text(text)

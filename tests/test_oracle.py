@@ -43,7 +43,7 @@ class TestOptimalPm:
 def _snake_setup(c, rows=2, cols=3):
     layout = uniform_dd_layout(rows, cols)
     mapping = baseline_mapping("snake", c.n, ArrayShape(rows, cols))
-    cuts = init_cut_types(c, mapping)
+    cuts = init_cut_types(c)
     return layout, mapping.with_cuts(cuts), cuts
 
 
@@ -66,7 +66,7 @@ class TestOptimalCycles:
         c = circuit(10, [(2 * i, 2 * i + 1) for i in range(5)])
         layout = uniform_dd_layout(3, 4, bandwidth=5)
         mapping = baseline_mapping("snake", 10, ArrayShape(3, 4))
-        cuts = init_cut_types(c, mapping)
+        cuts = init_cut_types(c)
         mapping = mapping.with_cuts(cuts)
         sched = schedule_limited(c, layout, mapping, cuts)
         assert sched.delta == 1
@@ -80,7 +80,7 @@ class TestOptimalCycles:
             c = random_tiny_circuit(rng)
             layout, mapping, cuts = _snake_setup(c)
             sched = schedule_limited(c, layout, mapping, cuts)
-            opt = optimal_cycles(c, layout, mapping, cuts, budget, upper_bound=sched.delta)
+            opt = optimal_cycles(c, layout, mapping, cuts, budget)
             assert opt <= sched.delta
             assert opt >= build_dag(c).alpha
 
@@ -151,7 +151,8 @@ class TestReSuAgainstOracle:
             layout = uniform_dd_layout(2, 3)
             mapping = baseline_mapping("snake", c.n, ArrayShape(2, 3))
             layers = para_finding(build_dag(c))
-            sched, cuts = schedule_sufficient(layers, layout, mapping, c)
+            sched = schedule_sufficient(layers, layout, mapping, c)
+            cuts = sched.initial_cuts
             mapping2 = mapping.with_cuts(cuts)
             check_schedule(sched, c, layout, mapping2)
             opt = optimal_cycles(c, layout, mapping2, cuts)
@@ -182,7 +183,7 @@ class TestLimitedAgainstOracle:
             mapping = baseline_mapping("snake", c.n, ArrayShape(2, 3))
             if model == "dd":
                 layout = uniform_dd_layout(2, 3)
-                cuts = init_cut_types(c, mapping)
+                cuts = init_cut_types(c)
                 mapping = mapping.with_cuts(cuts)
             else:
                 layout, cuts = uniform_ls_layout(2, 3), None

@@ -227,8 +227,7 @@ class TestBaselineMapping:
 class TestInitCutTypes:
     def test_ghz_alternates(self):
         c = ghz(23)
-        m = baseline_mapping("snake", 23, ArrayShape(5, 5))
-        cuts = init_cut_types(c, m)
+        cuts = init_cut_types(c)
         for gate in c.gates:
             assert cuts[gate.control] is not cuts[gate.target]
 
@@ -236,7 +235,7 @@ class TestInitCutTypes:
         c = gen_random_circuit(8, 3, 2, seed=2)
         comm = build_comm_graph(c)
         if comm.is_bipartite():
-            cuts = init_cut_types(c, baseline_mapping("snake", 8, ArrayShape(3, 3)))
+            cuts = init_cut_types(c)
             same = sum(1 for g in c.gates if cuts[g.control] is cuts[g.target])
             assert same == 0
 
@@ -244,7 +243,7 @@ class TestInitCutTypes:
         # pairwise gates over three qubits: the first two color fine, the
         # third edge would close an odd cycle and is rolled back
         c = circuit(3, [(0, 1), (1, 2), (2, 0)])
-        cuts = init_cut_types(c, baseline_mapping("snake", 3, ArrayShape(1, 3)))
+        cuts = init_cut_types(c)
         assert cuts[0] is not cuts[1]
         assert cuts[1] is not cuts[2]
         # qubit 2's color comes from the prefix; the closing edge stays uncolored
@@ -252,7 +251,7 @@ class TestInitCutTypes:
 
     def test_defaults_to_x_for_untouched(self):
         c = circuit(4, [(0, 1)])
-        cuts = init_cut_types(c, baseline_mapping("snake", 4, ArrayShape(2, 2)))
+        cuts = init_cut_types(c)
         assert cuts[2] is CutType.X and cuts[3] is CutType.X
 
 

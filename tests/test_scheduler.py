@@ -36,7 +36,7 @@ LS = ChipModel.LATTICE_SURGERY
 def _dd_setup(circ, rows, cols, cuts_map=None, bandwidth=1):
     layout = uniform_dd_layout(rows, cols, bandwidth=bandwidth)
     mapping = baseline_mapping("snake", circ.n, ArrayShape(rows, cols))
-    cuts = cuts_map if cuts_map is not None else init_cut_types(circ, mapping)
+    cuts = cuts_map if cuts_map is not None else init_cut_types(circ)
     return layout, mapping.with_cuts(cuts), cuts
 
 
@@ -225,8 +225,8 @@ class TestScheduleSufficient:
         assert layers.alpha == 2
         layout = uniform_dd_layout(2, 3)
         mapping = baseline_mapping("snake", 6, ArrayShape(2, 3))
-        sched, cuts = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(cuts))
+        sched = schedule_sufficient(layers, layout, mapping, c)
+        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
         assert sched.delta == 2
         assert not any(a.kind is ActionKind.MODIFY for acts in sched.cycles for a in acts)
 
@@ -235,8 +235,8 @@ class TestScheduleSufficient:
         layers = para_finding(build_dag(c))
         layout = uniform_dd_layout(3, 3)
         mapping = baseline_mapping("snake", 9, ArrayShape(3, 3))
-        sched, cuts = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(cuts))
+        sched = schedule_sufficient(layers, layout, mapping, c)
+        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
         assert sched.delta == layers.alpha
 
     def test_remap_blocks_cost_three_cycles(self):
@@ -245,8 +245,8 @@ class TestScheduleSufficient:
         layers = para_finding(build_dag(c))
         layout = uniform_dd_layout(1, 3)
         mapping = baseline_mapping("snake", 3, ArrayShape(1, 3))
-        sched, cuts = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(cuts))
+        sched = schedule_sufficient(layers, layout, mapping, c)
+        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
         assert sched.delta == layers.alpha + 3
 
     def test_lattice_surgery_alpha_exact(self):
@@ -254,7 +254,7 @@ class TestScheduleSufficient:
         layers = para_finding(build_dag(c))
         layout = uniform_ls_layout(3, 3, gap=1)
         mapping = baseline_mapping("snake", 8, ArrayShape(3, 3))
-        sched, _ = schedule_sufficient(layers, layout, mapping, c)
+        sched = schedule_sufficient(layers, layout, mapping, c)
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == layers.alpha
 
@@ -317,6 +317,30 @@ class TestValidate:
         )
         violations = validate(bad, c, layout, mapping)
         assert any("same-cut" in v for v in violations)
+
+    def test_opposite_cut_direct_detected(self):
+        c = circuit(2, [(0, 1)])
+        opposite = {0: CutType.X, 1: CutType.Z}
+        layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=opposite)
+        route = RoutePath(DD, ((0, 0), (0, 1)))
+        bad = EncodedSchedule(
+            DD, [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p)] for p in (1, 2, 3)],
+            layout, mapping, cuts,
+        )
+        assert validate(bad, c, layout, mapping) == [
+            "gate 0: 3-cycle direct execution between opposite cuts at 0"
+        ]
+
+    def test_two_modifications_of_one_tile_reported(self):
+        c = circuit(2, [(0, 1)])
+        layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map={0: CutType.X, 1: CutType.Z})
+        modify = [[Action(ActionKind.MODIFY, tile=(0, 0), new_cut=cut, phase=p)
+                   for cut in (CutType.Z, CutType.X)] for p in (1, 2, 3)]
+        braid = [Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 0), (0, 1))))]
+        bad = EncodedSchedule(DD, [*modify, braid], layout, mapping, cuts)
+        assert validate(bad, c, layout, mapping) == [
+            f"cycle {t}: tile (0, 0) used by two actions" for t in range(3)
+        ]
 
     def test_missing_gate_detected(self):
         c = circuit(2, [(0, 1)])
