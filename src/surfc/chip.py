@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 
 from .errors import InfeasibleError
 
@@ -122,6 +123,8 @@ class ChipLayout:
     ``h_widths[i]`` is the width of the horizontal channel above data row ``i``
     (index r = below the last row); ``v_widths`` likewise for columns.  Widths
     are physical qubits for double defect and whole tiles for lattice surgery.
+    The per-line bandwidths and the tile tracks are computed on first use and
+    then kept, as the layout never changes.
     """
 
     model: ChipModel
@@ -159,11 +162,11 @@ class ChipLayout:
             return 1 + channel_bandwidth(width, self.d, self.model)
         return width
 
-    @property
+    @cached_property
     def bw_h(self) -> tuple[int, ...]:
         return tuple(self._line_bandwidth(w) for w in self.h_widths)
 
-    @property
+    @cached_property
     def bw_v(self) -> tuple[int, ...]:
         return tuple(self._line_bandwidth(w) for w in self.v_widths)
 
@@ -190,7 +193,7 @@ class ChipLayout:
     def grid_cols(self) -> int:
         return self.array_c + sum(self.v_widths)
 
-    @property
+    @cached_property
     def row_tracks(self) -> tuple[int, ...]:
         """Array row -> absolute tile row (lattice surgery)."""
         tracks = []
@@ -201,7 +204,7 @@ class ChipLayout:
             pos += 1
         return tuple(tracks)
 
-    @property
+    @cached_property
     def col_tracks(self) -> tuple[int, ...]:
         tracks = []
         pos = 0

@@ -36,6 +36,7 @@ from .profiler import para_finding
 from .qasm import parse_qasm
 from .scheduler import (
     EncodedSchedule,
+    require_capacity,
     schedule_limited,
     schedule_sufficient,
     validate,
@@ -120,7 +121,8 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
 def place(config: RunConfig, circuit: LogicalCircuit):
     """Every stage before scheduling; returns (layers, layout, mapping).
     The limited-resource schedulers also get bandwidth adjusting, repair and
-    cut types, which the mapping carries; ``resu`` keeps the uniform layout
+    cut types, which the mapping carries; ``resu`` keeps the uniform layout,
+    whose capacity must cover the layering width before anything is mapped,
     and picks its cuts while it schedules.
 
     The ``ecmas`` mapping is optimised before bandwidth adjusting places the
@@ -139,6 +141,8 @@ def place(config: RunConfig, circuit: LogicalCircuit):
         return layers, derive_layout(spec, 0), TileMapping(ArrayShape(0, 0), {}, {})
     sufficient = config.scheduler == "resu"
     layout = derive_layout(spec, circuit.n, distribute=sufficient)
+    if sufficient:
+        require_capacity(layout, layers.pm)
     shape = ArrayShape(layout.array_r, layout.array_c)
     if config.mapping == "ecmas":
         mapping = establish_mapping(comm, shape, trials=config.trials,

@@ -15,7 +15,7 @@ from .chip import ChipLayout, ChipModel
 from .circuits import GateDag, LogicalCircuit, build_dag
 from .errors import BudgetExceededError
 from .placement import CutType, TileMapping
-from .router import RoutePath, _graph_for, resource_capacities
+from .router import Fabric, resource_capacities
 
 Tile = tuple[int, int]
 
@@ -93,20 +93,20 @@ def _all_minimal_routes(
     whose first tile alone touches ``ta`` and whose last tile alone touches
     ``tb`` can be minimal (it may be a single tile touching both); any other
     path holds the tiles of a shorter route.  Only those paths are walked."""
-    graph = _graph_for(layout, data_tiles)
-    model = layout.model
-    ls = model is ChipModel.LATTICE_SURGERY
+    fabric = Fabric(layout, data_tiles)
+    adj = fabric.adj
+    ls = layout.model is ChipModel.LATTICE_SURGERY
     if ls and abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) == 1:
         return [frozenset()]
-    starts = set(graph.terminals(ta))
-    goals = set(graph.terminals(tb))
-    found: list[tuple[tuple[Tile, ...], frozenset]] = []
+    starts = set(fabric.terminals(ta))
+    goals = set(fabric.terminals(tb))
+    found: list[tuple[tuple[int, ...], frozenset]] = []
     count = 0
 
-    def resources_of(nodes: tuple[Tile, ...]) -> frozenset:
-        return frozenset(RoutePath(model, nodes).resources())
+    def resources_of(nodes: tuple[int, ...]) -> frozenset:
+        return frozenset(fabric.route(nodes).resources())
 
-    def dfs(node: Tile, visited: set[Tile], path: list[Tile]) -> None:
+    def dfs(node: int, visited: set[int], path: list[int]) -> None:
         nonlocal count
         count += 1
         if count > budget.max_routes_per_pair:
@@ -114,11 +114,11 @@ def _all_minimal_routes(
         if ls and node in goals:
             found.append((tuple(path), resources_of(tuple(path))))
             return
-        for nxt, _seg in graph.neighbors(node):
+        for nxt, _seg in adj[node]:
             if nxt in visited:
                 continue
             if ls and (nxt in starts or any(m in visited and m != node
-                                            for m, _ in graph.neighbors(nxt))):
+                                            for m, _ in adj[nxt])):
                 continue
             if not ls and nxt in goals:
                 found.append((tuple(path + [nxt]), resources_of(tuple(path + [nxt]))))

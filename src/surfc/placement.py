@@ -28,7 +28,6 @@ matter most because cut types can be modified later.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from collections import deque
 from dataclasses import dataclass, replace
@@ -37,7 +36,7 @@ from enum import Enum
 from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
 from .circuits import CommGraph, LogicalCircuit, build_comm_graph, build_dag, two_coloring
 from .errors import InfeasibleError
-from .router import RoutePath, _AncillaGraph, _CorridorGraph, bfs, trace_back
+from .router import Fabric, bfs, trace_back
 
 Tile = tuple[int, int]
 
@@ -129,15 +128,15 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
     rt, ct = layout.row_tracks, layout.col_tracks
     cell_tiles = {(i, j): (rt[i], ct[j])
                   for i in range(layout.array_r) for j in range(layout.array_c)}
-    graph = _AncillaGraph(layout, frozenset(cell_tiles.values()))
+    fabric = Fabric(layout, frozenset(cell_tiles.values()))
     penalty = 8 * (layout.grid_rows + layout.grid_cols)
     dist: dict[tuple[Tile, Tile], int] = {}
     cells = sorted(cell_tiles)
     for idx, cell in enumerate(cells):
         src = cell_tiles[cell]
         # hop counts through fabric tiles from src's free neighbors
-        hops: dict[Tile, int] = {}
-        for t, back in bfs(graph, graph.terminals(src))[0].items():
+        hops: dict[int, int] = {}
+        for t, back in bfs(fabric, fabric.terminals(src))[0].items():
             hops[t] = 1 if back is None else hops[back] + 1
         for other in cells[idx + 1:]:
             dst = cell_tiles[other]
@@ -146,7 +145,7 @@ def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
                 d = 1
             else:
                 best = min(
-                    (hops[nb] for nb in graph.terminals(dst) if nb in hops),
+                    (hops[nb] for nb in fabric.terminals(dst) if nb in hops),
                     default=None,
                 )
                 # unreachable pairs keep a Manhattan gradient under the penalty
@@ -390,15 +389,15 @@ def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
     """Comm pairs that are neither tile-adjacent nor connected through the
     actual free fabric (gap tiles and unoccupied cells) of this assignment."""
     rt, ct = layout.row_tracks, layout.col_tracks
-    graph = _AncillaGraph(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
-    # free-fabric components, each labelled by its first tile
-    comp: dict[Tile, Tile] = {}
-    for t in itertools.product(range(layout.grid_rows), range(layout.grid_cols)):
-        if t not in graph.data and t not in comp:
-            comp.update(dict.fromkeys(bfs(graph, [t])[0], t))
+    fabric = Fabric(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
+    # free-fabric components, each labelled by its first node
+    comp: dict[int, int] = {}
+    for node, tile in enumerate(fabric.tiles):
+        if tile not in fabric.data and node not in comp:
+            comp.update(dict.fromkeys(bfs(fabric, [node])[0], node))
 
-    def touch(tile: Tile) -> set[Tile]:
-        return {comp[v] for v in graph.terminals(tile)}
+    def touch(tile: Tile) -> set[int]:
+        return {comp[v] for v in fabric.terminals(tile)}
 
     bad = []
     for a, b, _w in comm.edges():
@@ -561,14 +560,15 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
     v_routes = [0] * (layout.array_c + 1)
-    graph = _CorridorGraph(layout)  # the corridor abstraction fits both models
+    # the corridor abstraction fits both models
+    fabric = Fabric(layout, model=ChipModel.DOUBLE_DEFECT)
     for gate in circuit.gates:
         ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
-        parent, end = bfs(graph, sorted(graph.terminals(ta)), goals=set(graph.terminals(tb)))
+        parent, end = bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))
         if end is None:
             continue
         lines: set[tuple[str, int]] = set()
-        for res in RoutePath(ChipModel.DOUBLE_DEFECT, trace_back(parent, end)).resources():
+        for res in fabric.route(trace_back(parent, end)).resources():
             if res[0] == "h":
                 lines.add(("h", res[1]))
             elif res[0] == "v":

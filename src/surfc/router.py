@@ -7,11 +7,23 @@ bandwidth; a junction admits as many paths as the widest channel through it.
 Lattice-surgery routes are chains of free ancilla tiles, vertex-disjoint per
 cycle; adjacent operand tiles merge directly with an empty route.
 
-``bfs`` is the one breadth-first search over either graph.  Route search,
-the saturated ring behind a failed search, the uncapacitated routes of
-bandwidth adjusting, and the lattice-surgery hop distances and fabric
-components of mapping all call it; ``trace_back`` turns its result into a
-path.
+``Fabric`` holds either graph as integers, built once per layout and set of
+lattice-surgery data tiles.  Nodes are numbered row-major and a node's id is
+also its resource id; double-defect segment ids follow the nodes.  Each
+node's adjacency is a tuple of ``(neighbour id, segment id)`` in N, E, S, W
+order, where segment id -1 (lattice surgery) names a last resource that is
+never full.  Capacities and per-cycle usage are lists indexed by resource id,
+so a search touches no tuple keys; tiles appear only where a caller hands
+them in or gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list
+per cycle.  ``resource_capacities`` gives the capacity of a tuple resource
+of ``RoutePath.resources`` instead; the validator replays schedules on
+those, so the referee shares no code with the fabric, and so does the
+oracle's route packing.
+
+``bfs`` is the one breadth-first search over a fabric.  Route search, the
+saturated ring behind a failed search, the uncapacitated routes of bandwidth
+adjusting, and the lattice-surgery hop distances and fabric components of
+mapping all call it; ``trace_back`` turns its result into a path.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  It routes
@@ -35,6 +47,7 @@ Tile = tuple[int, int]
 Resource = tuple  # ('h', i, j) | ('v', i, j) | ('j', i, j) | ('t', r, c)
 
 _STEPS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # N, E, S, W
+_NEVER_FULL = 1 << 30  # capacity of the "no segment" resource
 
 
 @dataclass(frozen=True)
@@ -63,41 +76,132 @@ class RoutePath:
         return max(0, len(self.nodes) - 1)
 
 
-class CycleOccupancy:
-    """Per-cycle reservation ledger: fabric resource use counts plus busy tiles.
-    Tiles are array coordinates for double defect, absolute tile coordinates
-    for lattice surgery."""
+class Fabric:
+    """A layout's routing graph in integer form (see the module docstring).
 
-    def __init__(self, layout: ChipLayout):
-        self.layout = layout
-        self._used: dict[int, dict[Resource, int]] = {}
+    ``model`` defaults to the layout's; bandwidth adjusting asks for the
+    corridor graph of either model.  ``data`` is the set of lattice-surgery
+    tiles that routes avoid (empty for double defect)."""
+
+    def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset(),
+                 model: ChipModel | None = None):
+        self.model = model = model or layout.model
+        dd = model is ChipModel.DOUBLE_DEFECT
+        self.data = frozenset() if dd else data_tiles
+        if dd:
+            rows, cols = layout.array_r + 1, layout.array_c + 1
+        else:
+            rows, cols = layout.grid_rows, layout.grid_cols
+        self.cols = cols
+        self.tiles = [(r, c) for r in range(rows) for c in range(cols)]
+        nodes = rows * cols
+        self._h0, self._v0 = nodes, nodes + rows * (cols - 1)  # first h and v segment
+        bw_h, bw_v = layout.bw_h, layout.bw_v
+        if dd:
+            cap = [max(bw_h[i], bw_v[j]) for i, j in self.tiles]
+            cap += [bw_h[i] for i in range(rows) for _ in range(cols - 1)]
+            cap += [bw_v[j] for _ in range(rows - 1) for j in range(cols)]
+        else:
+            cap = [1] * nodes
+        cap.append(_NEVER_FULL)
+        self.cap = cap
+        self.size = len(cap)
+        self.idle = [0] * self.size  # the usage of a cycle nothing has touched; never written
+        adj = []
+        for r, c in self.tiles:
+            out = []
+            for dr, dc in _STEPS:
+                nr, nc = r + dr, c + dc
+                if not (0 <= nr < rows and 0 <= nc < cols):
+                    continue
+                if dd:
+                    seg = self.res_id(("h", r, min(c, nc)) if dr == 0 else ("v", min(r, nr), c))
+                elif (nr, nc) in self.data:
+                    continue
+                else:
+                    seg = -1
+                out.append((nr * cols + nc, seg))
+            adj.append(tuple(out))
+        self.adj = adj
+        self._terminals: dict[Tile, tuple[int, ...]] = {}
+
+    def res_id(self, res: Resource) -> int:
+        kind, i, j = res
+        if kind == "h":
+            return self._h0 + i * (self.cols - 1) + j
+        if kind == "v":
+            return self._v0 + i * self.cols + j
+        return i * self.cols + j
+
+    def resource_ids(self, path: RoutePath) -> list[int]:
+        return [self.res_id(res) for res in path.resources()]
+
+    def terminals(self, tile: Tile) -> tuple[int, ...]:
+        """Ascending ids of the nodes a route to or from ``tile`` may end
+        on: its four corner junctions (double defect) or its free grid
+        neighbours (lattice surgery)."""
+        ids = self._terminals.get(tile)
+        if ids is None:
+            r, c = tile
+            cols = self.cols
+            if self.model is ChipModel.DOUBLE_DEFECT:
+                ids = (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+            else:
+                ids = tuple(sorted(n for n, _ in self.adj[r * cols + c]))
+            self._terminals[tile] = ids
+        return ids
+
+    def route(self, ids) -> RoutePath:
+        return RoutePath(self.model, tuple(self.tiles[n] for n in ids))
+
+
+class CycleOccupancy:
+    """Per-cycle reservation ledger: one usage list per cycle, indexed by the
+    resource ids of ``fabric``, plus the busy tiles of each cycle.  Tiles are
+    array coordinates for double defect, absolute tile coordinates for
+    lattice surgery."""
+
+    def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
+        self.fabric = Fabric(layout, data_tiles)
+        self._usage: dict[int, list[int]] = {}
         self._busy: dict[int, set[Tile]] = {}
 
-    def used(self, cycle: int, res: Resource) -> int:
-        return self._used.get(cycle, {}).get(res, 0)
+    def usage(self, cycle: int) -> list[int]:
+        """Resource use at ``cycle``, indexed by resource id; read-only."""
+        return self._usage.get(cycle, self.fabric.idle)
 
-    def usage_map(self, cycle: int) -> dict[Resource, int]:
-        return self._used.get(cycle, {})
+    def used(self, cycle: int, res: Resource) -> int:
+        return self.usage(cycle)[self.fabric.res_id(res)]
 
     def tile_busy(self, cycle: int, tile: Tile) -> bool:
-        return tile in self._busy.get(cycle, set())
+        return tile in self._busy.get(cycle, ())
 
     def busy_tiles(self, cycle: int) -> set[Tile]:
         return self._busy.get(cycle, set())
 
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
-        caps = resource_capacities(self.layout)
+        fabric = self.fabric
+        cap = fabric.cap
+        resources = path.resources()
+        ids = [fabric.res_id(res) for res in resources]
         for t in range(cycle, cycle + duration):
-            usage = self._used.setdefault(t, {})
-            for res in path.resources():
-                usage[res] = usage.get(res, 0) + 1
-                assert usage[res] <= caps(res), f"lane over-commit on {res} at cycle {t}"
+            usage = self._usage.get(t)
+            if usage is None:
+                usage = self._usage[t] = [0] * fabric.size
+            for res, i in zip(resources, ids):
+                usage[i] += 1
+                assert usage[i] <= cap[i], f"lane over-commit on {res} at cycle {t}"
 
     def commit_tile(self, tile: Tile, cycle: int, duration: int = 1) -> None:
         for t in range(cycle, cycle + duration):
             busy = self._busy.setdefault(t, set())
             assert tile not in busy, f"tile {tile} double-booked at cycle {t}"
             busy.add(tile)
+
+    def release(self, cycle: int) -> None:
+        """Forget ``cycle``; the caller will neither read nor commit it again."""
+        self._usage.pop(cycle, None)
+        self._busy.pop(cycle, None)
 
 
 def resource_capacities(layout: ChipLayout):
@@ -121,97 +225,38 @@ def tile_corners(tile: Tile) -> tuple[Tile, ...]:
     return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
-class _CorridorGraph:
-    """Junction grid of (r+1) x (c+1) nodes over the data array."""
-
-    model = ChipModel.DOUBLE_DEFECT
-
-    def __init__(self, layout: ChipLayout):
-        self.rows = layout.array_r + 1
-        self.cols = layout.array_c + 1
-
-    def neighbors(self, node: Tile):
-        i, j = node
-        for di, dj in _STEPS:
-            ni, nj = i + di, j + dj
-            if 0 <= ni < self.rows and 0 <= nj < self.cols:
-                if di == 0:
-                    seg: Resource = ("h", i, min(j, nj))
-                else:
-                    seg = ("v", min(i, ni), j)
-                yield (ni, nj), seg
-
-    @staticmethod
-    def node_res(node: Tile) -> Resource:
-        return ("j", node[0], node[1])
-
-    @staticmethod
-    def terminals(tile: Tile) -> tuple[Tile, ...]:
-        return tile_corners(tile)
-
-
-class _AncillaGraph:
-    """Free-tile adjacency for lattice surgery; data tiles are obstacles."""
-
-    model = ChipModel.LATTICE_SURGERY
-
-    def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile]):
-        self.rows = layout.grid_rows
-        self.cols = layout.grid_cols
-        self.data = data_tiles
-
-    def neighbors(self, node: Tile):
-        r, c = node
-        for dr, dc in _STEPS:
-            nr, nc = r + dr, c + dc
-            if 0 <= nr < self.rows and 0 <= nc < self.cols and (nr, nc) not in self.data:
-                yield (nr, nc), None
-
-    @staticmethod
-    def node_res(node: Tile) -> Resource:
-        return ("t", node[0], node[1])
-
-    def terminals(self, tile: Tile) -> tuple[Tile, ...]:
-        return tuple(n for n, _ in self.neighbors(tile))
-
-
-def _graph_for(layout: ChipLayout, data_tiles: frozenset[Tile] | None):
-    if layout.model is ChipModel.DOUBLE_DEFECT:
-        return _CorridorGraph(layout)
-    return _AncillaGraph(layout, data_tiles or frozenset())
-
-
-def bfs(graph, starts, cap=None, usage=None, goals=()):
-    """Breadth-first search from ``starts``, expanding neighbors N, E, S, W.
+def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
+    """Breadth-first search from the node ids ``starts``, expanding neighbours
+    N, E, S, W.
 
     Returns ``(parent, end)``: ``parent`` maps each reached node to its
     predecessor (None for a start), in visit order; ``end`` is
     ``(goal, predecessor)`` for the first node of ``goals`` reached by at
-    least one hop from a start other than itself, else None.  With ``cap``,
-    a segment or node whose ``usage`` has reached its capacity is a wall."""
-    parent: dict[Tile, Tile | None] = dict.fromkeys(starts)
-    root: dict[Tile, Tile] = {n: n for n in starts}
+    least one hop from a start other than itself, else None.  With ``usage``,
+    a segment or node whose use has reached its capacity is a wall."""
+    adj, cap = fabric.adj, fabric.cap
+    if usage is None:
+        usage = [-_NEVER_FULL] * fabric.size  # nothing is ever full, even a 0-lane line
+    parent: dict[int, int | None] = dict.fromkeys(starts)
+    root = {n: n for n in starts}
     queue = deque(starts)
     while queue:
         node = queue.popleft()
-        for nxt, seg in graph.neighbors(node):
-            if cap is not None:
-                if seg is not None and usage.get(seg, 0) >= cap(seg):
-                    continue
-                nres = graph.node_res(nxt)
-                if usage.get(nres, 0) >= cap(nres):
-                    continue
-            if nxt in goals and root[node] != nxt:
+        origin = root[node]
+        for nxt, seg in adj[node]:
+            if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                continue
+            if nxt in goals and origin != nxt:
                 return parent, (nxt, node)
             if nxt in parent:
                 continue
             parent[nxt] = node
-            root[nxt] = root[node]
+            root[nxt] = origin
             queue.append(nxt)
     return parent, None
 
 
-def trace_back(parent: dict[Tile, Tile | None], end: tuple[Tile, Tile]) -> tuple[Tile, ...]:
+def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:
     """The node path from a start to ``end``'s goal."""
     goal, back = end
     path = [goal]
@@ -221,47 +266,44 @@ def trace_back(parent: dict[Tile, Tile | None], end: tuple[Tile, Tile]) -> tuple
     return tuple(reversed(path))
 
 
-def _bfs_route(graph, cap, usage: dict[Resource, int], src: Tile, dst: Tile) -> RoutePath | None:
+def _bfs_route(fabric: Fabric, usage: list[int], src: Tile, dst: Tile) -> RoutePath | None:
     """Deterministic shortest route with free lanes everywhere.  Sources are the
     free terminals of ``src`` in fixed order.  A goal that happens to be a
     source is still only accepted after >= 1 hop, so a route always occupies
     fabric."""
-    model = graph.model
+    model = fabric.model
     if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
         return RoutePath(model, ())
-    goals = set(graph.terminals(dst))
-    starts = [n for n in sorted(graph.terminals(src))
-              if usage.get(graph.node_res(n), 0) < cap(graph.node_res(n))]
+    cap = fabric.cap
+    goals = fabric.terminals(dst)
+    starts = [n for n in fabric.terminals(src) if usage[n] < cap[n]]
     if model is ChipModel.LATTICE_SURGERY:
         # a single free tile adjacent to both operands is a complete chain
         for n in starts:
             if n in goals:
-                return RoutePath(model, (n,))
-    parent, end = bfs(graph, starts, cap, usage, goals)
-    return None if end is None else RoutePath(model, trace_back(parent, end))
+                return fabric.route((n,))
+    parent, end = bfs(fabric, starts, usage, goals)
+    return None if end is None else fabric.route(trace_back(parent, end))
 
 
 def _adjacent(a: Tile, b: Tile) -> bool:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
-def _saturated_frontier(graph, cap, usage, src: Tile) -> set[Resource]:
-    """Resources at capacity along the boundary of the region reachable from
-    ``src``.  When a route search fails, these form the blocking ring of
+def _saturated_frontier(fabric: Fabric, usage: list[int], src: Tile) -> set[int]:
+    """Resource ids at capacity along the boundary of the region reachable
+    from ``src``.  When a route search fails, these form the blocking ring of
     saturated channels separating the pair."""
-
-    def full(res: Resource) -> bool:
-        return usage.get(res, 0) >= cap(res)
-
-    terminals = sorted(graph.terminals(src))
-    ring = {graph.node_res(n) for n in terminals if full(graph.node_res(n))}
-    parent, _ = bfs(graph, [n for n in terminals if not full(graph.node_res(n))], cap, usage)
+    cap = fabric.cap
+    terminals = fabric.terminals(src)
+    ring = {n for n in terminals if usage[n] >= cap[n]}
+    parent, _ = bfs(fabric, [n for n in terminals if usage[n] < cap[n]], usage)
     for node in parent:
-        for nxt, seg in graph.neighbors(node):
-            if seg is not None and full(seg):
+        for nxt, seg in fabric.adj[node]:
+            if usage[seg] >= cap[seg]:
                 ring.add(seg)
-            elif full(graph.node_res(nxt)):
-                ring.add(graph.node_res(nxt))
+            elif usage[nxt] >= cap[nxt]:
+                ring.add(nxt)
     return ring
 
 
@@ -276,50 +318,50 @@ def find_path(
 ) -> RoutePath | None:
     """Shortest route between two tiles that stays free for ``duration``
     cycles from ``cycle``; None when saturated.  Reserves nothing — callers
-    commit explicitly."""
-    usage = dict(occupancy.usage_map(cycle))
-    for t in range(cycle + 1, cycle + duration):
-        for res, u in occupancy.usage_map(t).items():
-            usage[res] = max(usage.get(res, 0), u)
+    commit explicitly.  Lattice-surgery routes avoid ``data_tiles``."""
+    fabric = occupancy.fabric
     if layout.model is ChipModel.LATTICE_SURGERY:
-        for t in range(cycle, cycle + duration):
-            for tile in occupancy.busy_tiles(t):
-                usage[("t", tile[0], tile[1])] = 1
-    return _bfs_route(_graph_for(layout, data_tiles), resource_capacities(layout), usage,
-                      tile_a, tile_b)
+        data_tiles = data_tiles or frozenset()
+        if data_tiles is not fabric.data and data_tiles != fabric.data:
+            fabric = Fabric(layout, data_tiles)
+    usage = occupancy.usage(cycle)
+    if duration > 1:
+        usage = [max(col) for col in
+                 zip(*(occupancy.usage(t) for t in range(cycle, cycle + duration)))]
+    return _bfs_route(fabric, usage, tile_a, tile_b)
 
 
-def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst,
-                    jitter=None) -> RoutePath | None:
+def _dijkstra_route(fabric: Fabric, usage: list[int], hist: list[float], pressure: float,
+                    src: Tile, dst: Tile, jitter=None) -> RoutePath | None:
     """Congestion-priced shortest route; overuse is allowed but expensive.
     Goal hits are recorded while relaxing edges so that routes between abutting
     tiles (whose corner sets overlap) are not missed."""
-    model = graph.model
+    model = fabric.model
     if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
         return RoutePath(model, ())
+    cap = fabric.cap
 
-    def price(res: Resource) -> float:
-        over = max(0, usage.get(res, 0) + 1 - cap(res))
-        p = (1.0 + hist.get(res, 0.0)) * (1.0 + pressure * over)
+    def price(res: int) -> float:
+        over = max(0, usage[res] + 1 - cap[res])
+        p = (1.0 + hist[res]) * (1.0 + pressure * over)
         if jitter is not None:
             p *= 1.0 + jitter(res)
         return p
 
-    goals = set(graph.terminals(dst))
+    goals = fabric.terminals(dst)
     if model is ChipModel.LATTICE_SURGERY:
-        shared = sorted(set(graph.terminals(src)) & goals)
+        shared = [n for n in fabric.terminals(src) if n in goals]
         if shared:
-            best_tile = min(shared, key=lambda n: price(graph.node_res(n)))
-            return RoutePath(model, (best_tile,))
-    dist: dict[Tile, float] = {}
-    parent: dict[Tile, Tile | None] = {}
-    root: dict[Tile, Tile] = {}
+            return fabric.route((min(shared, key=price),))
+    dist: dict[int, float] = {}
+    parent: dict[int, int | None] = {}
+    root: dict[int, int] = {}
     best_cost = float("inf")
-    best_end: tuple[Tile, Tile] | None = None  # (goal, predecessor)
-    heap: list[tuple[float, int, Tile, Tile | None, Tile]] = []
+    best_end: tuple[int, int] | None = None  # (goal, predecessor)
+    heap: list[tuple[float, int, int, int | None, int]] = []
     counter = 0
-    for n in sorted(graph.terminals(src)):
-        heapq.heappush(heap, (price(graph.node_res(n)), counter, n, None, n))
+    for n in fabric.terminals(src):
+        heapq.heappush(heap, (price(n), counter, n, None, n))
         counter += 1
     while heap:
         if heap[0][0] >= best_cost:
@@ -330,8 +372,8 @@ def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst,
         dist[node] = cost
         parent[node] = par
         root[node] = rt
-        for nxt, seg in graph.neighbors(node):
-            step = price(graph.node_res(nxt)) + (price(seg) if seg is not None else 0.0)
+        for nxt, seg in fabric.adj[node]:
+            step = price(nxt) + (price(seg) if seg >= 0 else 0.0)
             total = cost + step
             if nxt in goals and rt != nxt and total < best_cost:
                 best_cost = total
@@ -342,19 +384,22 @@ def _dijkstra_route(graph, cap, usage, hist, pressure, src, dst,
             counter += 1
     if best_end is None:
         return None
-    return RoutePath(model, trace_back(parent, best_end))
+    return fabric.route(trace_back(parent, best_end))
 
 
 def route_batch_guaranteed(
     layout: ChipLayout,
     tile_pairs: list[tuple[Tile, Tile]],
     data_tiles: frozenset[Tile] | None = None,
+    fabric: Fabric | None = None,
 ) -> list[RoutePath]:
     """Simultaneous disjoint routes for pairwise-independent gates.
 
     Precondition: ``len(tile_pairs) <= layout.capacity`` and all tiles distinct.
     Under the precondition this never fails; a SchedulingError here indicates a
     violated precondition (or a routing bug, which the property suite hunts).
+    ``fabric``, when given, is ``Fabric(layout, data_tiles)`` built once by
+    the caller for many batches.
     """
     if len(tile_pairs) > max(layout.capacity, 0):
         raise SchedulingError(
@@ -368,8 +413,9 @@ def route_batch_guaranteed(
             seen.add(t)
     if not tile_pairs:
         return []
-    graph = _graph_for(layout, data_tiles)
-    cap = resource_capacities(layout)
+    if fabric is None:
+        fabric = Fabric(layout, data_tiles or frozenset())
+    cap = fabric.cap
 
     def ring_repair() -> dict[int, RoutePath] | None:
         """Greedy routing in batch order with targeted rip-up: when a gate is
@@ -377,31 +423,30 @@ def route_batch_guaranteed(
         sitting on that ring and let the blocked gate route first.  With no
         rip-up this is plain greedy routing."""
         paths: dict[int, RoutePath] = {}
-        usage: dict[Resource, int] = {}
+        usage = [0] * fabric.size
         pending = list(range(len(tile_pairs)))
         repairs = 0
         while pending:
             idx = pending.pop(0)
             a, b = tile_pairs[idx]
-            p = _bfs_route(graph, cap, usage, a, b)
+            p = _bfs_route(fabric, usage, a, b)
             if p is None:
                 repairs += 1
                 if repairs > 4 * len(tile_pairs):
                     return None
-                ring = _saturated_frontier(graph, cap, usage, a)
-                ripped = sorted(
-                    k for k, q in paths.items() if any(r in ring for r in q.resources())
-                )
+                ring = _saturated_frontier(fabric, usage, a)
+                ripped = sorted(k for k, q in paths.items()
+                                if any(r in ring for r in fabric.resource_ids(q)))
                 if not ripped:
                     return None
                 for k in ripped:
-                    for res in paths.pop(k).resources():
+                    for res in fabric.resource_ids(paths.pop(k)):
                         usage[res] -= 1
                 pending = [idx] + ripped + pending
                 continue
             paths[idx] = p
-            for res in p.resources():
-                usage[res] = usage.get(res, 0) + 1
+            for res in fabric.resource_ids(p):
+                usage[res] += 1
         return paths
 
     result = ring_repair()
@@ -409,25 +454,25 @@ def route_batch_guaranteed(
         return [result[i] for i in range(len(tile_pairs))]
 
     def negotiate(order: list[int], iters: int, jitter=None) -> dict[int, RoutePath] | None:
-        hist: dict[Resource, float] = {}
+        hist = [0.0] * fabric.size
         paths: dict[int, RoutePath] = {}
         pressure = 1.0
         for _ in range(iters):
-            usage: dict[Resource, int] = {}
+            usage = [0] * fabric.size
             paths = {}
             for idx in order:
                 a, b = tile_pairs[idx]
-                p = _dijkstra_route(graph, cap, usage, hist, pressure, a, b, jitter)
+                p = _dijkstra_route(fabric, usage, hist, pressure, a, b, jitter)
                 if p is None:
                     return None
                 paths[idx] = p
-                for res in p.resources():
-                    usage[res] = usage.get(res, 0) + 1
-            overused = {res for res, u in usage.items() if u > cap(res)}
+                for res in fabric.resource_ids(p):
+                    usage[res] += 1
+            overused = [res for res, u in enumerate(usage) if u > cap[res]]
             if not overused:
                 return paths
             for res in overused:
-                hist[res] = hist.get(res, 0.0) + 1.0
+                hist[res] += 1.0
             pressure *= 1.7
         return None
 
@@ -437,7 +482,7 @@ def route_batch_guaranteed(
         order = list(range(len(tile_pairs)))
         for _ in range(160):
             rng.shuffle(order)
-            cache: dict[Resource, float] = {}
+            cache: dict[int, float] = {}
 
             def jitter(res, _rng=rng, _cache=cache):
                 if res not in _cache:

@@ -142,7 +142,13 @@ def m_value(
 
 
 class _State:
-    """Mutable bookkeeping for one limited-resources scheduling job."""
+    """Mutable bookkeeping for one limited-resources scheduling job.
+
+    Gates become ready by event: once every parent of a gate has started, the
+    gate is filed in ``arrivals`` under the cycle after its parents' last
+    completion, and joins the ready list when the scheduler reaches that
+    cycle.  Each qubit's operand tile and current cut are kept per qubit; the
+    cut changes as flips land."""
 
     def __init__(self, circuit: LogicalCircuit, layout: ChipLayout,
                  mapping: TileMapping, cuts: dict[int, CutType] | None):
@@ -150,20 +156,20 @@ class _State:
         self.layout = layout
         self.mapping = mapping
         self.dag = build_dag(circuit)
-        self.occ = CycleOccupancy(layout)
+        self.data_tiles = mapping.data_tiles(layout)
+        self.occ = CycleOccupancy(layout, self.data_tiles)
         self.cycles: list[list[Action]] = []
         self.cuts_initial = dict(cuts) if cuts else None
-        self.tile_cut: dict[Tile, CutType] = {}
-        if cuts:
-            for q, cell in mapping.positions.items():
-                self.tile_cut[cell] = cuts[q]
+        self.op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
+        self.qubit_at = {cell: q for q, cell in mapping.positions.items()}
+        self.cut: dict[int, CutType] = {q: cuts[q] for q in mapping.positions} if cuts else {}
         self.pending_flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
         self.last_busy: dict[Tile, int] = {}
         self.indeg = [len(self.dag.parents[v]) for v in range(circuit.g)]
         self.earliest = [0] * circuit.g
-        self.started: set[int] = set()
+        self.arrivals: dict[int, list[int]] = {0: [v for v in range(circuit.g) if not self.indeg[v]]}
+        self.started = [False] * circuit.g
         self.done = 0
-        self.data_tiles = mapping.data_tiles(layout)
 
     def add_action(self, t: int, action: Action) -> None:
         while len(self.cycles) <= t:
@@ -180,15 +186,17 @@ class _State:
     def apply_flips(self, t: int) -> None:
         for eff, tile, cut in list(self.pending_flips):
             if eff <= t:
-                self.tile_cut[tile] = cut
+                self.cut[self.qubit_at[tile]] = cut
                 self.pending_flips.remove((eff, tile, cut))
 
     def complete(self, gate: int, tc: int) -> None:
-        self.started.add(gate)
+        self.started[gate] = True
         self.done += 1
         for c in self.dag.children[gate]:
             self.indeg[c] -= 1
             self.earliest[c] = max(self.earliest[c], tc + 1)
+            if not self.indeg[c]:
+                self.arrivals.setdefault(self.earliest[c], []).append(c)
 
 
 # strategy -> (serve ready gates in program order, same-cut rule): "mvalue"
@@ -227,16 +235,16 @@ def schedule_limited(
         return EncodedSchedule(model, [], layout, mapping, st.cuts_initial)
     desc = st.dag.descendant_counts()
     prio = [(-st.dag.depth_to_sink[v], -desc[v], v) for v in range(g)]
+    order = None if program_order else prio.__getitem__
+    ready: list[int] = []
     t = 0
     guard = 0
     while st.done < g:
         st.apply_flips(t)
-        ready = [
-            v for v in range(g)
-            if v not in st.started and st.indeg[v] == 0 and st.earliest[v] <= t
-        ]
-        if not program_order:  # ``ready`` is built in program order
-            ready.sort(key=prio.__getitem__)
+        arrivals = st.arrivals.pop(t, None)
+        if arrivals:
+            ready += arrivals
+            ready.sort(key=order)
         committed = False
         for v in ready:
             if _try_gate(st, t, v, ready_count=len(ready), samecut=samecut):
@@ -247,9 +255,11 @@ def schedule_limited(
                 f"gate {stuck} cannot be routed on this chip "
                 f"(cycle {t}, model {model.value}); mapping leaves it unreachable"
             )
+        ready = [v for v in ready if not st.started[v]]
         guard += 1
         if guard > 40 * g + 1000:
             raise SchedulingError("scheduler failed to converge; suspected livelock")
+        st.occ.release(t - 3)  # a backdated modification reaches back three cycles
         t += 1
     while st.cycles and not st.cycles[-1]:
         st.cycles.pop()
@@ -258,13 +268,12 @@ def schedule_limited(
 
 def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
     gate = st.circuit.gates[v]
-    ta = st.mapping.abs_tile(st.layout, gate.control)
-    tb = st.mapping.abs_tile(st.layout, gate.target)
+    ta, tb = st.op_tile[gate.control], st.op_tile[gate.target]
     if st.occ.tile_busy(t, ta) or st.occ.tile_busy(t, tb):
         return False
     if st.layout.model is ChipModel.LATTICE_SURGERY:
         kind, path = ActionKind.BELL, find_path(st.layout, st.occ, t, ta, tb, st.data_tiles)
-    elif st.tile_cut[ta] is not st.tile_cut[tb]:
+    elif st.cut[gate.control] is not st.cut[gate.target]:
         kind, path = ActionKind.BRAID, find_path(st.layout, st.occ, t, ta, tb)
     else:
         return _try_same_cut(st, t, v, ta, tb, ready_count, samecut)
@@ -289,9 +298,9 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
         best_idle = max(idle_a, idle_b)
         choice = "modify" if (3 - min(3, best_idle)) + 1 <= 2 else "direct"
     else:
-        mv_a = m_value(st.circuit, st.dag, _qubit_cuts(st), v, gate.control,
+        mv_a = m_value(st.circuit, st.dag, st.cut, v, gate.control,
                        idle_a, ready_count - 1, st.layout.total_bandwidth)
-        mv_b = m_value(st.circuit, st.dag, _qubit_cuts(st), v, gate.target,
+        mv_b = m_value(st.circuit, st.dag, st.cut, v, gate.target,
                        idle_b, ready_count - 1, st.layout.total_bandwidth)
         best = min(mv_a.value, mv_b.value)
         choice = "modify" if best < 0 else "direct"
@@ -318,7 +327,7 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
     """Start (possibly backdated) cut modification; the waiting gate braids
     once the flip lands.  Returns True: the modification itself is progress."""
     start = t - min(3, max(0, idle))
-    new_cut = st.tile_cut[tile].flipped
+    new_cut = st.cut[st.qubit_at[tile]].flipped
     st.hold_tile(tile, start, 3)
     for phase in (1, 2, 3):
         st.add_action(start + phase - 1,
@@ -326,10 +335,6 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
     st.pending_flips.append((start + 3, tile, new_cut))
     st.apply_flips(t)  # a fully backdated modify is already effective
     return True
-
-
-def _qubit_cuts(st: _State) -> dict[int, CutType]:
-    return {q: st.tile_cut[cell] for q, cell in st.mapping.positions.items()}
 
 
 def bipartite_prefix(
@@ -360,6 +365,15 @@ def bipartite_prefix(
     return coloring, end
 
 
+def require_capacity(layout: ChipLayout, pm: int) -> None:
+    """``schedule_sufficient``'s precondition: the chip routes a whole layer
+    of the layering (``pm`` gates) in one cycle."""
+    if layout.capacity < pm:
+        raise InfeasibleError(
+            f"chip capacity {layout.capacity} < layering width {pm}; use schedule_limited"
+        )
+
+
 def schedule_sufficient(
     layers: LayerSchedule,
     layout: ChipLayout,
@@ -370,16 +384,12 @@ def schedule_sufficient(
     types between maximal bipartite layer prefixes (three cycles per remap).
     The schedule's mapping carries the cuts of the first prefix."""
     model = layout.model
-    if layout.capacity < layers.pm:
-        raise InfeasibleError(
-            f"chip capacity {layout.capacity} < layering width {layers.pm}; "
-            "use schedule_limited"
-        )
-    occ = CycleOccupancy(layout)
-    cycles: list[list[Action]] = []
+    require_capacity(layout, layers.pm)
     if circuit.g == 0:
         return EncodedSchedule(model, [], layout, mapping, None)
     data = mapping.data_tiles(layout)
+    occ = CycleOccupancy(layout, data)
+    cycles: list[list[Action]] = []
 
     def batch(layer_gates, t: int, kind: ActionKind):
         pairs = [
@@ -387,7 +397,7 @@ def schedule_sufficient(
              mapping.abs_tile(layout, circuit.gates[gid].target))
             for gid in layer_gates
         ]
-        paths = route_batch_guaranteed(layout, pairs, data)
+        paths = route_batch_guaranteed(layout, pairs, data, fabric=occ.fabric)
         acts = []
         for gid, path, (ta, tb) in zip(layer_gates, paths, pairs):
             occ.commit_route(path, t, 1)

@@ -126,9 +126,12 @@ class TestBadInput:
         (["profile", "--random", "5"], EXIT_USAGE, "expected N,DEPTH,PAR"),
         (["schedule", "--bench", "bv_10", "--chip", "12x"], EXIT_USAGE, "<m1>x<m2>"),
         (["map", "--bench", "bv_10", "--chip", "1x1"], EXIT_INFEASIBLE, "too small for one"),
+        (["map", "--random", "16,10,4", "--seed", "3", "--scheduler", "resu", "--chip", "min",
+          "-d", "2"], EXIT_INFEASIBLE, "chip capacity 3 < layering width 4"),
         (["schedule", "--qasm", "{missing}"], EXIT_USAGE, "No such file"),
         (["sweep", "{missing}"], EXIT_USAGE, "No such file"),
-    ], ids=["random-arity", "chip-format", "map-chip-too-small", "missing-qasm", "missing-config"])
+    ], ids=["random-arity", "chip-format", "map-chip-too-small", "map-resu-capacity",
+         "missing-qasm", "missing-config"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code

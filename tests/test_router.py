@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -8,6 +9,7 @@ from surfc import router
 from surfc.chip import ChipModel, chip_capacity
 from surfc.errors import SchedulingError
 from surfc.oracle import OracleBudget, routing_feasible
+from surfc.placement import ArrayShape, baseline_mapping
 from surfc.router import (
     CycleOccupancy,
     RoutePath,
@@ -95,7 +97,10 @@ class TestCommit:
         occ = CycleOccupancy(layout)
         path = find_path(layout, occ, 0, (0, 0), (1, 1))
         occ.commit_route(path, 0, 3)
-        assert find_path(layout, occ, 2, (0, 0), (1, 1)) is None or True
+        # the route holds its lanes through cycle 2, so that cycle detours
+        # around it; cycle 3 gets the original route back
+        assert find_path(layout, occ, 2, (0, 0), (1, 1)).nodes == ((1, 0), (2, 0), (2, 1))
+        assert find_path(layout, occ, 3, (0, 0), (1, 1)).nodes == path.nodes == ((0, 1), (1, 1))
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
         assert occ.used(2, res) == 1
@@ -239,3 +244,76 @@ class TestRender:
         layout = uniform_ls_layout(2, 2)
         art = render_cycle(layout, [RoutePath(LS, ((0, 1), (1, 1)))])
         assert "a" in art
+
+
+GOLDEN_ROUTE_DIGEST = "cf6e3dad59b300a3701440e2b62f1b2c3f2d9713bc87259c81b2ae0a44d55a2f"
+
+
+def _query_stream(digest) -> tuple[int, int]:
+    """Seeded ``find_path`` queries with scheduler-style commits: both models,
+    bandwidth 1 and 2, durations 1 and 3, snake-mapped operand tiles (the
+    lattice-surgery data tiles).  A found route is committed, with its
+    operand tiles, when both tiles are free for its whole duration.
+    Returns (routes committed, queries that found no route)."""
+    rng = random.Random(20261018)
+    committed = blocked = 0
+    for model in (DD, LS):
+        for bandwidth in (1, 2):
+            for _ in range(20):
+                rows, cols = rng.randint(2, 5), rng.randint(2, 5)
+                if model is DD:
+                    layout = uniform_dd_layout(rows, cols, bandwidth=bandwidth)
+                else:
+                    layout = uniform_ls_layout(rows, cols, gap=bandwidth)
+                n = rng.randint(2, rows * cols)
+                mapping = baseline_mapping("snake", n, ArrayShape(rows, cols))
+                data = mapping.data_tiles(layout)
+                tiles = [mapping.abs_tile(layout, q) for q in range(n)]
+                occ = CycleOccupancy(layout)
+                for _ in range(60):
+                    a, b = rng.sample(tiles, 2)
+                    cycle, duration = rng.randrange(6), rng.choice((1, 3))
+                    path = find_path(layout, occ, cycle, a, b, data, duration)
+                    digest.update(repr((a, b, cycle, duration,
+                                        path and path.nodes)).encode())
+                    blocked += path is None
+                    span = range(cycle, cycle + duration)
+                    if path is None or any(occ.tile_busy(t, x) for t in span for x in (a, b)):
+                        continue
+                    committed += 1
+                    occ.commit_route(path, cycle, duration)
+                    occ.commit_tile(a, cycle, duration)
+                    occ.commit_tile(b, cycle, duration)
+    return committed, blocked
+
+
+def _batch_stream(digest) -> None:
+    """1500 criterion-3-style batches: capacity-sized random pairs on
+    uniform double-defect layouts of bandwidth 1, 3 and 5."""
+    for bandwidth in (1, 3, 5):
+        k = chip_capacity(bandwidth)
+        rng = random.Random(4321 + bandwidth)
+        done = 0
+        while done < 500:
+            g = rng.randint(3, 8)
+            if g * g < 2 * k:
+                continue
+            layout = uniform_dd_layout(g, g, bandwidth=bandwidth)
+            tiles = [(r, c) for r in range(g) for c in range(g)]
+            rng.shuffle(tiles)
+            pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(k)]
+            paths = route_batch_guaranteed(layout, pairs)
+            digest.update(repr([p.nodes for p in paths]).encode())
+            done += 1
+
+
+class TestGoldenRoutes:
+    """Every route the searches return, pinned: a change to the route
+    representation or search must leave this digest unchanged."""
+
+    def test_route_digest(self):
+        digest = hashlib.sha256()
+        committed, blocked = _query_stream(digest)
+        assert committed > 600 and blocked > 600
+        _batch_stream(digest)
+        assert digest.hexdigest() == GOLDEN_ROUTE_DIGEST
