@@ -38,7 +38,7 @@ from .placement import (
     init_cut_types,
     mapping_cost,
 )
-from .profiler import LayerSchedule, para_finding, slack_tiebreak
+from .profiler import LayerSchedule, para_finding
 from .qasm import parse_qasm
 from .router import CycleOccupancy, RoutePath, find_path, route_batch_guaranteed
 from .scheduler import (

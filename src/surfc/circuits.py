@@ -84,15 +84,14 @@ class GateDag:
     def descendant_counts(self) -> list[int]:
         """Number of transitive descendants of each gate (excluding itself)."""
         counts = [0] * self.n_gates
-        # reverse topological order: children before parents; bitmask per gate
-        order = sorted(range(self.n_gates), key=lambda v: -self.depth_from_source[v])
+        # reversed program order visits children before parents; bitmask per gate
         desc = [0] * self.n_gates
-        for v in order:
+        for v in reversed(range(self.n_gates)):
             mask = 0
             for c in self.children[v]:
                 mask |= desc[c] | (1 << c)
             desc[v] = mask
-            counts[v] = bin(mask).count("1")
+            counts[v] = mask.bit_count()
         return counts
 
 

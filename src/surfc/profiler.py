@@ -7,15 +7,25 @@ tightens the windows of its relatives.  The result is a precedence-feasible
 layering of exactly ``alpha`` layers; its widest layer is the circuit
 parallelism estimate ``pm``.
 
+The tightest gate comes off a binary heap keyed ``(high - low, gate id)``
+with lazy deletion: a window change pushes the gate's new key and leaves the
+old entry in place.  This is exact because a window only ever narrows, so a
+gate's key only falls: the entry with its current key sorts before all of its
+stale ones.  The first entry popped for a gate is therefore current and the
+minimum over all unplaced gates; the gate is placed then, and every later
+entry for it is skipped.  The layer is found by a scan over the window.  The
+cost is O((g + window updates) log g) for the heap plus the length of the
+scanned windows.
+
 Tie-breaking (lowest gate id, then earliest layer) is fixed here so that runs
 are reproducible; any choice yields a valid minimum-length layering.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .circuits import GateDag
-from .errors import CircuitError
 
 
 @dataclass(frozen=True)
@@ -33,32 +43,18 @@ class LayerSchedule:
         return max((len(layer) for layer in self.layers), default=0)
 
 
-def slack_tiebreak(
-    candidates: set[int],
-    low: dict[int, int],
-    high: dict[int, int],
-    loads: list[int],
-) -> tuple[int, int]:
-    """Pick (gate, layer): smallest high-low slack, ties to the lowest gate id;
-    then the least-loaded layer in [low, high], ties to the earliest layer.
-    ``loads`` is 1-indexed by layer."""
-    if not candidates:
-        raise CircuitError("no candidate gates to schedule")
-    gate = min(candidates, key=lambda v: (high[v] - low[v], v))
-    layer = min(range(low[gate], high[gate] + 1), key=lambda L: (loads[L], L))
-    return gate, layer
-
-
 def para_finding(dag: GateDag) -> LayerSchedule:
     g = dag.n_gates
     alpha = dag.alpha
     if g == 0:
         return LayerSchedule((), ())
-    low = {v: dag.depth_from_source[v] for v in range(g)}
-    high = {v: alpha - dag.depth_to_sink[v] + 1 for v in range(g)}
-    loads = [0] * (alpha + 1)
-    assigned: dict[int, int] = {}
-    unscheduled = set(range(g))
+    children, parents = dag.children, dag.parents
+    low = list(dag.depth_from_source)
+    high = [alpha - d + 1 for d in dag.depth_to_sink]
+    loads = [0] * (alpha + 1)  # 1-indexed by layer
+    done = [False] * g
+    heap = [(high[v] - low[v], v) for v in range(g)]
+    heapify(heap)
 
     def raise_low(v: int, floor: int) -> None:
         stack = [(v, floor)]
@@ -67,9 +63,10 @@ def para_finding(dag: GateDag) -> LayerSchedule:
             if low[v] >= floor:
                 continue
             low[v] = floor
-            if v in assigned:
+            if done[v]:
                 raise AssertionError("window update crossed an assigned gate")
-            stack.extend((c, floor + 1) for c in dag.children[v])
+            heappush(heap, (high[v] - floor, v))
+            stack.extend((c, floor + 1) for c in children[v])
 
     def drop_high(v: int, ceil: int) -> None:
         stack = [(v, ceil)]
@@ -78,23 +75,28 @@ def para_finding(dag: GateDag) -> LayerSchedule:
             if high[v] <= ceil:
                 continue
             high[v] = ceil
-            stack.extend((p, ceil - 1) for p in dag.parents[v])
+            heappush(heap, (ceil - low[v], v))
+            stack.extend((p, ceil - 1) for p in parents[v])
 
-    while unscheduled:
-        gate, layer = slack_tiebreak(unscheduled, low, high, loads)
-        unscheduled.remove(gate)
-        assigned[gate] = layer
+    for _ in range(g):
+        gate = heappop(heap)[1]
+        while done[gate]:
+            gate = heappop(heap)[1]
+        # min keeps the first of equal loads: ties go to the earliest layer
+        layer = min(range(low[gate], high[gate] + 1), key=loads.__getitem__)
+        done[gate] = True
         loads[layer] += 1
         low[gate] = high[gate] = layer
-        for c in dag.children[gate]:
+        for c in children[gate]:
             raise_low(c, layer + 1)
-        for p in dag.parents[gate]:
+        for p in parents[gate]:
             drop_high(p, layer - 1)
 
+    # a placed gate's window is its layer
     layers = [[] for _ in range(alpha)]
-    for v, layer in assigned.items():
-        layers[layer - 1].append(v)
+    for v in range(g):
+        layers[low[v] - 1].append(v)
     return LayerSchedule(
-        layers=tuple(tuple(sorted(layer)) for layer in layers),
-        layer_of=tuple(assigned[v] - 1 for v in range(g)),
+        layers=tuple(map(tuple, layers)),
+        layer_of=tuple(layer - 1 for layer in low),
     )

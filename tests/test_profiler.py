@@ -1,14 +1,85 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfc.circuits import build_dag, circuit
+from surfc.bench import BENCHMARKS
+from surfc.circuits import GateDag, build_dag, circuit
 from surfc.errors import CircuitError
 from surfc.generate import gen_random_circuit
 from surfc.oracle import OracleBudget, optimal_pm
-from surfc.profiler import para_finding, slack_tiebreak
+from surfc.profiler import LayerSchedule, para_finding
+
+
+# Reference layering: the O(g^2) scan that takes a min over every unscheduled
+# gate at each step.  The heap in surfc.profiler must reproduce it exactly.
+def slack_tiebreak(
+    candidates: set[int],
+    low: dict[int, int],
+    high: dict[int, int],
+    loads: list[int],
+) -> tuple[int, int]:
+    """Pick (gate, layer): smallest high-low slack, ties to the lowest gate id;
+    then the least-loaded layer in [low, high], ties to the earliest layer.
+    ``loads`` is 1-indexed by layer."""
+    if not candidates:
+        raise CircuitError("no candidate gates to schedule")
+    gate = min(candidates, key=lambda v: (high[v] - low[v], v))
+    layer = min(range(low[gate], high[gate] + 1), key=lambda L: (loads[L], L))
+    return gate, layer
+
+
+def reference_para_finding(dag: GateDag) -> LayerSchedule:
+    g = dag.n_gates
+    alpha = dag.alpha
+    if g == 0:
+        return LayerSchedule((), ())
+    low = {v: dag.depth_from_source[v] for v in range(g)}
+    high = {v: alpha - dag.depth_to_sink[v] + 1 for v in range(g)}
+    loads = [0] * (alpha + 1)
+    assigned: dict[int, int] = {}
+    unscheduled = set(range(g))
+
+    def raise_low(v: int, floor: int) -> None:
+        stack = [(v, floor)]
+        while stack:
+            v, floor = stack.pop()
+            if low[v] >= floor:
+                continue
+            low[v] = floor
+            if v in assigned:
+                raise AssertionError("window update crossed an assigned gate")
+            stack.extend((c, floor + 1) for c in dag.children[v])
+
+    def drop_high(v: int, ceil: int) -> None:
+        stack = [(v, ceil)]
+        while stack:
+            v, ceil = stack.pop()
+            if high[v] <= ceil:
+                continue
+            high[v] = ceil
+            stack.extend((p, ceil - 1) for p in dag.parents[v])
+
+    while unscheduled:
+        gate, layer = slack_tiebreak(unscheduled, low, high, loads)
+        unscheduled.remove(gate)
+        assigned[gate] = layer
+        loads[layer] += 1
+        low[gate] = high[gate] = layer
+        for c in dag.children[gate]:
+            raise_low(c, layer + 1)
+        for p in dag.parents[gate]:
+            drop_high(p, layer - 1)
+
+    layers = [[] for _ in range(alpha)]
+    for v, layer in assigned.items():
+        layers[layer - 1].append(v)
+    return LayerSchedule(
+        layers=tuple(tuple(sorted(layer)) for layer in layers),
+        layer_of=tuple(assigned[v] - 1 for v in range(g)),
+    )
 
 
 def _layering_is_valid(layers, dag):
@@ -94,6 +165,43 @@ class TestSlackTiebreak:
     def test_empty_candidates_error(self):
         with pytest.raises(CircuitError):
             slack_tiebreak(set(), {}, {}, [0])
+
+
+class TestAgainstReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_heap_equals_scan(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 14)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 60))]
+        dag = build_dag(circuit(n, pairs))
+        assert para_finding(dag) == reference_para_finding(dag)
+
+
+# (n, depth, par) rows of gen_random_circuit, seeds 0-2, up to g=4000.
+LAYERING_CORPUS = [
+    (9, 10, 1), (9, 40, 4), (25, 20, 3), (25, 80, 12),
+    (49, 50, 4), (49, 50, 21), (100, 40, 20), (100, 100, 40),
+]
+# sha256 over repr(layer_of) of every LAYERING_CORPUS circuit, then of every
+# surfc.bench circuit by name, recorded with reference_para_finding.
+GOLDEN_LAYERING_DIGEST = "991219a1ffa2233047345fe5de23e33b8d886fc836da04db1b2ec55174cbd450"
+
+
+class TestGoldenLayering:
+    def test_digest(self):
+        circuits = [
+            gen_random_circuit(n, depth, par, seed=seed)
+            for n, depth, par in LAYERING_CORPUS
+            for seed in range(3)
+        ]
+        circuits += [BENCHMARKS[name]() for name in sorted(BENCHMARKS)]
+        digest = hashlib.sha256()
+        for c in circuits:
+            digest.update(repr(para_finding(build_dag(c)).layer_of).encode())
+        assert len(circuits) == 33
+        assert max(c.g for c in circuits) == 4000
+        assert digest.hexdigest() == GOLDEN_LAYERING_DIGEST
 
 
 class TestProfilerInvariants:
