@@ -245,9 +245,11 @@ def derive_layout(spec: ChipSpec, mapped_tiles: int, distribute: bool = True) ->
 
     With ``distribute=True`` every unused slot row and leftover physical width
     is handed to the channels round-robin (centermost interior channels first),
-    giving the uniform layout the capacity guarantees reason about.  With
-    ``distribute=False`` the slack stays pooled on the layout so that bandwidth
-    adjusting can place it where the circuit's routes actually go."""
+    giving the uniform layout the capacity guarantees reason about; every
+    lattice-surgery compile and every ``resu`` compile runs on it.  With
+    ``distribute=False`` the slack stays pooled on the layout so that
+    double-defect bandwidth adjusting can place it where the circuit's routes
+    actually go."""
     side = tile_side(spec.model, spec.d)
     slots_r, slots_c = spec.m1 // side, spec.m2 // side
     r, c = minimal_perimeter_shape(mapped_tiles, slots_r, slots_c)

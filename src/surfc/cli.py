@@ -187,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
                        description="Print each qubit's array cell and initial cut: the "
                        "mapping that schedule starts from. With --scheduler resu the cut is "
                        "null, since resu picks the cuts of each bipartite layer prefix while "
-                       "it schedules.")
+                       "it schedules. A lattice-surgery mapping that leaves two interacting "
+                       "qubits with no ancilla path between them is rejected with exit code 3, "
+                       "as schedule rejects it.")
     _add_run_args(p)
     p.set_defaults(func=cmd_map)
 

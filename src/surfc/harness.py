@@ -1,10 +1,10 @@
 """End-to-end pipeline: configuration, runs, sweeps, comparisons.
 
-A run is parse/generate -> profile -> layout -> map -> (adjust) -> (cuts) ->
-schedule -> validate: ``place`` runs the stages before scheduling (``surfc
-map`` prints its mapping), ``compile_once`` adds the scheduler call and
-``run_full`` validates and wraps the result in a ``RunReport``, raising on an
-invalid schedule.  Sweeps fan runs out over a worker pool (rows are
+A run is parse/generate -> profile -> layout -> map -> (adjust, cuts) ->
+(repair) -> stranded-pair check -> schedule -> validate: ``place`` runs the
+stages before scheduling (``surfc map`` prints its mapping), ``compile_once``
+adds the scheduler call and ``run_full`` validates and wraps the result in a
+``RunReport``, raising on an invalid schedule.  Sweeps fan runs out over a worker pool (rows are
 independent) and emit one CSV row per run, including the compile-time ratio
 against the minimum-viable chip row of the same group.
 """
@@ -120,18 +120,17 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
 
 def place(config: RunConfig, circuit: LogicalCircuit):
     """Every stage before scheduling; returns (layers, layout, mapping).
-    The limited-resource schedulers also get bandwidth adjusting, repair and
-    cut types, which the mapping carries; ``resu`` keeps the uniform layout,
-    whose capacity must cover the layering width before anything is mapped,
-    and picks its cuts while it schedules.
 
-    The ``ecmas`` mapping is optimised before bandwidth adjusting places the
-    lattice-surgery fabric, and ``repair_mapping`` afterwards tries only one
-    move or swap at a time.  If that still leaves a pair stranded, the mapping
-    is established once more (same trials and seed) against the adjusted
-    layout, whose cost model and repair then see the real fabric.  A stranded
-    pair can never be routed, so this fallback only runs on compiles that
-    would otherwise fail."""
+    The circuit is mapped onto the layout it is scheduled on: the uniform
+    ``derive_layout(..., distribute=True)`` for lattice surgery and for
+    ``resu``, whose capacity must cover the layering width before anything
+    is mapped.  Only double-defect limited-resource compiles map onto the
+    pooled layout; they then get bandwidth adjusting and cut types, which
+    the mapping carries (``resu`` picks its cuts while it schedules).  The
+    ``ecmas`` mapping gets one ``repair_mapping`` pass against the final
+    layout.  A lattice-surgery pair that no fabric path joins can never be
+    routed, so a mapping of any kind that strands one is rejected here with
+    an InfeasibleError."""
     comm = build_comm_graph(circuit)
     dag = build_dag(circuit)
     layers = para_finding(dag)
@@ -140,7 +139,8 @@ def place(config: RunConfig, circuit: LogicalCircuit):
     if circuit.n == 0:  # empty cuts: the double-defect scheduler needs an assignment
         return layers, derive_layout(spec, 0), TileMapping(ArrayShape(0, 0), {}, {})
     sufficient = config.scheduler == "resu"
-    layout = derive_layout(spec, circuit.n, distribute=sufficient)
+    dd_limited = config.model is ChipModel.DOUBLE_DEFECT and not sufficient
+    layout = derive_layout(spec, circuit.n, distribute=not dd_limited)
     if sufficient:
         require_capacity(layout, layers.pm)
     shape = ArrayShape(layout.array_r, layout.array_c)
@@ -149,19 +149,21 @@ def place(config: RunConfig, circuit: LogicalCircuit):
                                     seed=config.seed, layout=layout)
     else:
         mapping = baseline_mapping(config.mapping, circuit.n, shape, seed=config.seed)
-    if sufficient:
-        return layers, layout, mapping
-    layout = adjust_bandwidth(layout, mapping, circuit)
-    if config.mapping == "ecmas":
-        mapping = repair_mapping(mapping, comm, layout)
-        if stranded_pairs(mapping, comm, layout):
-            mapping = establish_mapping(comm, shape, trials=config.trials,
-                                        seed=config.seed, layout=layout)
-    if config.model is ChipModel.DOUBLE_DEFECT:
+    if dd_limited:
+        layout = adjust_bandwidth(layout, mapping, circuit)
         if config.cuts == "ecmas":
             mapping = mapping.with_cuts(init_cut_types(circuit))
         else:
             mapping = mapping.with_cuts(baseline_cuts(config.cuts, comm, seed=config.seed))
+    if config.mapping == "ecmas":
+        mapping = repair_mapping(mapping, comm, layout)
+    stranded = stranded_pairs(mapping, comm, layout)
+    if stranded:
+        a, b = stranded[0]
+        raise InfeasibleError(
+            f"the {config.mapping} mapping strands {len(stranded)} interacting pair(s): "
+            f"no ancilla path joins qubits {a} and {b} on this chip"
+        )
     return layers, layout, mapping
 
 

@@ -5,8 +5,8 @@ Locations come from seeded recursive bisection of the communication graph
 followed by pairwise-swap descent on the communication cost
 ``f = sum(gamma_ij * distance_ij)``; several independent trials run and the
 cheapest wins.  For lattice surgery the internal distance is route-aware
-(pairs that could never reach each other through the ancilla fabric are
-heavily penalized, since such a mapping deadlocks the scheduler); the public
+on the layout's ancilla fabric (pairs that could never reach each other are
+heavily penalized, since no schedule exists for such a mapping); the public
 ``mapping_cost`` metric stays plain Manhattan.
 
 Both searches keep tables so that each candidate is judged in O(1):
@@ -21,10 +21,11 @@ Both searches keep tables so that each candidate is judged in O(1):
   entries of one row, a swap four entries plus the pair's own term, and a
   relocation updates only the rows of the mover's neighbours.
 
-Cut types: two-color the communication graph when bipartite (every CNOT then
-braids in one cycle); otherwise grow a sub-graph from precursor-free gates,
-layer by layer, while it stays bipartite, and color that prefix — early gates
-matter most because cut types can be modified later.
+Cut types: grow the communication sub-graph layer by layer over the ASAP
+layering while it stays bipartite (``bipartite_prefix``) and color that
+prefix, which is the whole graph when it is bipartite (every CNOT then braids
+in one cycle) — early gates matter most because cut types can be modified
+later.
 """
 from __future__ import annotations
 
@@ -34,8 +35,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
-from .circuits import CommGraph, LogicalCircuit, build_comm_graph, build_dag, two_coloring
+from .circuits import CommGraph, LogicalCircuit, build_dag
 from .errors import InfeasibleError
+from .profiler import LayerSchedule, bipartite_prefix
 from .router import Fabric, bfs, trace_back
 
 Tile = tuple[int, int]
@@ -328,10 +330,9 @@ def establish_mapping(
 ) -> TileMapping:
     """Best-of-``trials`` placement: one constructive trial (weighted-BFS
     linearization along the snake) plus seeded bisection trials, each refined
-    by swap descent, keeping the minimal-cost result.  Lattice-surgery
-    mappings get a final repair pass against the true ancilla fabric (gaps
-    plus unoccupied cells), since a pair the fabric cannot reach deadlocks
-    the scheduler no matter how cheap the mapping looks."""
+    by swap descent, keeping the minimal-cost result.  With a lattice-surgery
+    ``layout`` the cost is route-aware on that layout's fabric; the mapping
+    is not repaired here (see ``repair_mapping``)."""
     if trials < 1:
         raise InfeasibleError("establish_mapping needs at least one trial")
     n = comm.n
@@ -356,29 +357,14 @@ def establish_mapping(
         if best_cost is None or cost < best_cost:
             best, best_cost = dict(assign), cost
     assert best is not None
-    if layout is not None and layout.model is ChipModel.LATTICE_SURGERY:
-        _repair_ls_routability(best, shape, comm, layout, cm)
     return TileMapping(shape, best)
-
-
-def repair_mapping(mapping: TileMapping, comm: CommGraph, layout: ChipLayout) -> TileMapping:
-    """Re-run the routability repair against a (possibly re-adjusted) layout.
-    Bandwidth adjusting moves lattice-surgery fabric around after the mapping
-    is fixed, so stranded pairs must be re-checked against the final tracks."""
-    if layout.model is not ChipModel.LATTICE_SURGERY or not mapping.positions:
-        return mapping
-    assign = dict(mapping.positions)
-    _repair_ls_routability(assign, mapping.shape, comm, layout, None)
-    if assign == mapping.positions:
-        return mapping
-    return TileMapping(mapping.shape, assign, mapping.cuts)
 
 
 def stranded_pairs(mapping: TileMapping, comm: CommGraph,
                    layout: ChipLayout) -> list[tuple[int, int]]:
     """Lattice-surgery comm pairs that ``mapping`` leaves unroutable on
     ``layout`` (never any for double defect, whose abutting tiles keep a lane).
-    Such a pair deadlocks the scheduler whatever the bandwidth."""
+    No schedule exists for such a mapping, so ``harness.place`` rejects it."""
     if layout.model is not ChipModel.LATTICE_SURGERY or not mapping.positions:
         return []
     return _ls_unroutable_pairs(mapping.positions, comm, layout)
@@ -411,25 +397,25 @@ def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
     return bad
 
 
-def _repair_ls_routability(assign: dict[int, Tile], shape: ArrayShape, comm: CommGraph,
-                           layout: ChipLayout, cm: _CostModel | None) -> None:
-    """Greedy repair: while some pair cannot meet through the fabric, try the
-    single move or swap that most reduces the unroutable count (ties: lower
-    cost).  Stops when clean or stuck; a stuck mapping surfaces later as a
-    scheduler error naming the gate.  Hopeless geometries (undistributed
-    fabric, or more broken pairs than moves could mend) are left alone.
-    Without ``cm``, the cost model is built once a pair is found stranded."""
-    if layout.spare_rows or layout.spare_cols:
-        return  # fabric not placed yet; repair re-runs after adjusting
-    cells = shape.cells
+def repair_mapping(mapping: TileMapping, comm: CommGraph, layout: ChipLayout) -> TileMapping:
+    """Greedy routability repair of a lattice-surgery mapping on the layout it
+    will be scheduled on: while some pair cannot meet through the fabric, make
+    the single move or swap that most reduces the stranded count (ties: lower
+    cost).  Stops when clean or stuck; a mapping with more stranded pairs than
+    moves could mend is left alone.  Double-defect mappings pass unchanged."""
+    if layout.model is not ChipModel.LATTICE_SURGERY or not mapping.positions:
+        return mapping
+    assign = dict(mapping.positions)
+    cells = mapping.shape.cells
     bad = _ls_unroutable_pairs(assign, comm, layout)
     if len(bad) > max(8, comm.n // 2):
-        return
+        return mapping
+    cm = None
     for _round in range(16):
         if not bad:
-            return
+            break
         if cm is None:
-            cm = _CostModel(shape, layout)
+            cm = _CostModel(mapping.shape, layout)
         involved = sorted({q for pair in bad for q in pair})
         best_move = None
         best_key = (len(bad), _cost(assign, comm, cm))
@@ -452,12 +438,15 @@ def _repair_ls_routability(assign: dict[int, Tile], shape: ArrayShape, comm: Com
                 if other is not None:
                     assign[other] = cell
         if best_move is None:
-            return
+            break
         q, cell, other = best_move
         if other is not None:
             assign[other] = assign[q]
         assign[q] = cell
         bad = _ls_unroutable_pairs(assign, comm, layout)
+    if assign == mapping.positions:
+        return mapping
+    return TileMapping(mapping.shape, assign, mapping.cuts)
 
 
 def baseline_mapping(kind: str, n: int, shape: ArrayShape, seed: int = 0) -> TileMapping:
@@ -477,38 +466,21 @@ def baseline_mapping(kind: str, n: int, shape: ArrayShape, seed: int = 0) -> Til
     raise InfeasibleError(f"unknown baseline mapping kind {kind!r}")
 
 
+def coloring_cuts(coloring: dict[int, int], n: int) -> dict[int, CutType]:
+    """Cut types from a two-coloring: color 1 is Z, every other qubit of
+    ``0..n-1`` (color 0 or uncolored) is X."""
+    return {q: (CutType.Z if coloring.get(q) == 1 else CutType.X) for q in range(n)}
+
+
 def init_cut_types(circuit: LogicalCircuit) -> dict[int, CutType]:
-    """Cut assignment from the bipartite prefix of the gate DAG (whole graph if
-    bipartite); qubits outside the colored prefix default to X."""
-    comm = build_comm_graph(circuit)
-    coloring = two_coloring(circuit.n, set(comm.weights))
-    if coloring is None:
-        dag = build_dag(circuit)
-        remaining = set(range(circuit.g))
-        indeg = {v: len(dag.parents[v]) for v in range(circuit.g)}
-        edges: set[tuple[int, int]] = set()
-        coloring = {}
-        while remaining:
-            front = sorted(v for v in remaining if indeg[v] == 0)
-            if not front:
-                break
-            trial = set(edges)
-            for v in front:
-                a, b = circuit.gates[v].qubits
-                trial.add((min(a, b), max(a, b)))
-            colors = two_coloring(circuit.n, trial)
-            if colors is None:
-                break
-            coloring = colors
-            edges = trial
-            for v in front:
-                remaining.remove(v)
-                for ch in dag.children[v]:
-                    indeg[ch] -= 1
-    return {
-        q: (CutType.Z if coloring.get(q) == 1 else CutType.X)
-        for q in range(circuit.n)
-    }
+    """Cut assignment from the bipartite prefix of the ASAP layering (the
+    whole circuit if its communication graph is bipartite); qubits outside
+    the colored prefix default to X."""
+    if circuit.g == 0:
+        return coloring_cuts({}, circuit.n)
+    dag = build_dag(circuit)
+    asap = LayerSchedule.of([depth - 1 for depth in dag.depth_from_source], dag.alpha)
+    return coloring_cuts(bipartite_prefix(asap, 0, circuit)[0], circuit.n)
 
 
 def baseline_cuts(kind: str, comm: CommGraph, seed: int = 0) -> dict[int, CutType]:
@@ -545,23 +517,23 @@ def _one_exchange(comm: CommGraph, seed: int) -> list[int]:
 
 
 def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalCircuit) -> ChipLayout:
-    """Spend the layout's spare width on the channels that carry the most
-    pre-executed shortest routes (conflict-free, geometry only).  Width that a
-    channel cannot turn into a lane is reclaimed first; no channel's bandwidth
-    ever decreases, and the footprint audit stays intact."""
-    side = layout.side
+    """Spend a double-defect layout's spare width on the channels that carry
+    the most pre-executed shortest routes (conflict-free, geometry only).
+    Width that a channel cannot turn into a lane is reclaimed first; no
+    channel's bandwidth ever decreases, and the footprint audit stays intact.
+    Lattice surgery keeps the uniform fabric of ``derive_layout``, on which
+    its schedules come out shorter, so an LS layout is rejected."""
+    if layout.model is not ChipModel.DOUBLE_DEFECT:
+        raise InfeasibleError("bandwidth adjusting applies to the double-defect model only")
     d = layout.d
 
     def min_width(b: int) -> int:
-        if layout.model is ChipModel.DOUBLE_DEFECT:
-            return 0 if b <= 1 else ((b - 1) * 5 * d + 1) // 2  # ceil((b-1)*2.5d)
-        return b
+        return 0 if b <= 1 else ((b - 1) * 5 * d + 1) // 2  # ceil((b-1)*2.5d)
 
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
     v_routes = [0] * (layout.array_c + 1)
-    # the corridor abstraction fits both models
-    fabric = Fabric(layout, model=ChipModel.DOUBLE_DEFECT)
+    fabric = Fabric(layout)
     for gate in circuit.gates:
         ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
         parent, end = bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))

@@ -19,13 +19,17 @@ scanned windows.
 
 Tie-breaking (lowest gate id, then earliest layer) is fixed here so that runs
 are reproducible; any choice yields a valid minimum-length layering.
+
+``bipartite_prefix`` reads a layering as a stream of communication edges and
+takes the longest run of layers whose edges still two-color; cut-type
+initialisation runs it over the ASAP layering, ``resu`` over this one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
-from .circuits import GateDag
+from .circuits import GateDag, LogicalCircuit, two_coloring
 
 
 @dataclass(frozen=True)
@@ -41,6 +45,14 @@ class LayerSchedule:
     def pm(self) -> int:
         """Max layer width: the parallelism estimate."""
         return max((len(layer) for layer in self.layers), default=0)
+
+    @classmethod
+    def of(cls, layer_of: list[int], alpha: int) -> "LayerSchedule":
+        """The layering that puts gate ``v`` in 0-based layer ``layer_of[v]``."""
+        layers = [[] for _ in range(alpha)]
+        for v, layer in enumerate(layer_of):
+            layers[layer].append(v)
+        return cls(tuple(map(tuple, layers)), tuple(layer_of))
 
 
 def para_finding(dag: GateDag) -> LayerSchedule:
@@ -93,10 +105,32 @@ def para_finding(dag: GateDag) -> LayerSchedule:
             drop_high(p, layer - 1)
 
     # a placed gate's window is its layer
-    layers = [[] for _ in range(alpha)]
-    for v in range(g):
-        layers[low[v] - 1].append(v)
-    return LayerSchedule(
-        layers=tuple(map(tuple, layers)),
-        layer_of=tuple(layer - 1 for layer in low),
-    )
+    return LayerSchedule.of([layer - 1 for layer in low], alpha)
+
+
+def bipartite_prefix(
+    layers: LayerSchedule,
+    start: int,
+    circuit: LogicalCircuit,
+) -> tuple[dict[int, int], int]:
+    """Grow a communication sub-graph one layer at a time from ``start`` while
+    it stays bipartite.  Returns (two-coloring, first unconsumed layer index).
+    Any two adjacent layers have maximum degree two per qubit and cannot close
+    an odd ring, so at least two layers are always consumed when available."""
+    edges: set[tuple[int, int]] = set()
+    coloring: dict[int, int] = {}
+    end = start
+    while end < layers.alpha:
+        trial = set(edges)
+        for gid in layers.layers[end]:
+            a, b = circuit.gates[gid].qubits
+            trial.add((min(a, b), max(a, b)))
+        colors = two_coloring(circuit.n, trial)
+        if colors is None:
+            break
+        coloring, edges = colors, trial
+        end += 1
+    if end == start:  # a single layer is a matching, always bipartite
+        raise AssertionError("bipartite prefix consumed no layers")
+    assert end - start >= 2 or end == layers.alpha, "two adjacent layers must be consumable"
+    return coloring, end

@@ -21,9 +21,10 @@ those, so the referee shares no code with the fabric, and so does the
 oracle's route packing.
 
 ``bfs`` is the one breadth-first search over a fabric.  Route search, the
-saturated ring behind a failed search, the uncapacitated routes of bandwidth
-adjusting, and the lattice-surgery hop distances and fabric components of
-mapping all call it; ``trace_back`` turns its result into a path.
+saturated ring behind a failed search, the uncapacitated corridor routes of
+double-defect bandwidth adjusting, and the lattice-surgery hop distances and
+fabric components of mapping all call it; ``trace_back`` turns its result
+into a path.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  It routes
@@ -77,15 +78,13 @@ class RoutePath:
 
 
 class Fabric:
-    """A layout's routing graph in integer form (see the module docstring).
+    """A layout's routing graph in integer form (see the module docstring):
+    the corridor graph for double defect, the ancilla tile graph for lattice
+    surgery.  ``data`` is the set of lattice-surgery tiles that routes avoid
+    (empty for double defect)."""
 
-    ``model`` defaults to the layout's; bandwidth adjusting asks for the
-    corridor graph of either model.  ``data`` is the set of lattice-surgery
-    tiles that routes avoid (empty for double defect)."""
-
-    def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset(),
-                 model: ChipModel | None = None):
-        self.model = model = model or layout.model
+    def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
+        self.model = model = layout.model
         dd = model is ChipModel.DOUBLE_DEFECT
         self.data = frozenset() if dd else data_tiles
         if dd:
@@ -308,27 +307,20 @@ def _saturated_frontier(fabric: Fabric, usage: list[int], src: Tile) -> set[int]
 
 
 def find_path(
-    layout: ChipLayout,
     occupancy: CycleOccupancy,
     cycle: int,
     tile_a: Tile,
     tile_b: Tile,
-    data_tiles: frozenset[Tile] | None = None,
     duration: int = 1,
 ) -> RoutePath | None:
-    """Shortest route between two tiles that stays free for ``duration``
-    cycles from ``cycle``; None when saturated.  Reserves nothing — callers
-    commit explicitly.  Lattice-surgery routes avoid ``data_tiles``."""
-    fabric = occupancy.fabric
-    if layout.model is ChipModel.LATTICE_SURGERY:
-        data_tiles = data_tiles or frozenset()
-        if data_tiles is not fabric.data and data_tiles != fabric.data:
-            fabric = Fabric(layout, data_tiles)
+    """Shortest route between two tiles on ``occupancy``'s fabric that stays
+    free for ``duration`` cycles from ``cycle``; None when saturated.
+    Reserves nothing — callers commit explicitly."""
     usage = occupancy.usage(cycle)
     if duration > 1:
         usage = [max(col) for col in
                  zip(*(occupancy.usage(t) for t in range(cycle, cycle + duration)))]
-    return _bfs_route(fabric, usage, tile_a, tile_b)
+    return _bfs_route(occupancy.fabric, usage, tile_a, tile_b)
 
 
 def _dijkstra_route(fabric: Fabric, usage: list[int], hist: list[float], pressure: float,

@@ -30,10 +30,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .chip import ChipLayout, ChipModel
-from .circuits import GateDag, LogicalCircuit, build_dag, two_coloring
+from .circuits import GateDag, LogicalCircuit, build_dag
 from .errors import InfeasibleError, SchedulingError
-from .placement import CutType, TileMapping
-from .profiler import LayerSchedule
+from .placement import CutType, TileMapping, coloring_cuts
+from .profiler import LayerSchedule, bipartite_prefix
 from .router import (
     CycleOccupancy,
     RoutePath,
@@ -156,8 +156,7 @@ class _State:
         self.layout = layout
         self.mapping = mapping
         self.dag = build_dag(circuit)
-        self.data_tiles = mapping.data_tiles(layout)
-        self.occ = CycleOccupancy(layout, self.data_tiles)
+        self.occ = CycleOccupancy(layout, mapping.data_tiles(layout))
         self.cycles: list[list[Action]] = []
         self.cuts_initial = dict(cuts) if cuts else None
         self.op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
@@ -272,9 +271,9 @@ def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> boo
     if st.occ.tile_busy(t, ta) or st.occ.tile_busy(t, tb):
         return False
     if st.layout.model is ChipModel.LATTICE_SURGERY:
-        kind, path = ActionKind.BELL, find_path(st.layout, st.occ, t, ta, tb, st.data_tiles)
+        kind, path = ActionKind.BELL, find_path(st.occ, t, ta, tb)
     elif st.cut[gate.control] is not st.cut[gate.target]:
-        kind, path = ActionKind.BRAID, find_path(st.layout, st.occ, t, ta, tb)
+        kind, path = ActionKind.BRAID, find_path(st.occ, t, ta, tb)
     else:
         return _try_same_cut(st, t, v, ta, tb, ready_count, samecut)
     if path is None:
@@ -311,7 +310,7 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
             pick_a = idle_a >= idle_b
         tile, idle = (ca, idle_a) if pick_a else (cb, idle_b)
         return _commit_modify(st, t, tile, idle)
-    path = find_path(st.layout, st.occ, t, ca, cb, duration=3)
+    path = find_path(st.occ, t, ca, cb, duration=3)
     if path is None:
         return False
     st.occ.commit_route(path, t, 3)
@@ -335,34 +334,6 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
     st.pending_flips.append((start + 3, tile, new_cut))
     st.apply_flips(t)  # a fully backdated modify is already effective
     return True
-
-
-def bipartite_prefix(
-    layers: LayerSchedule,
-    start: int,
-    circuit: LogicalCircuit,
-) -> tuple[dict[int, int], int]:
-    """Grow a communication sub-graph one layer at a time from ``start`` while
-    it stays bipartite.  Returns (two-coloring, first unconsumed layer index).
-    Any two adjacent layers have maximum degree two per qubit and cannot close
-    an odd ring, so at least two layers are always consumed when available."""
-    edges: set[tuple[int, int]] = set()
-    coloring: dict[int, int] = {}
-    end = start
-    while end < layers.alpha:
-        trial = set(edges)
-        for gid in layers.layers[end]:
-            a, b = circuit.gates[gid].qubits
-            trial.add((min(a, b), max(a, b)))
-        colors = two_coloring(circuit.n, trial)
-        if colors is None:
-            break
-        coloring, edges = colors, trial
-        end += 1
-    if end == start:  # a single layer is a matching, always bipartite
-        raise AssertionError("bipartite prefix consumed no layers")
-    assert end - start >= 2 or end == layers.alpha, "two adjacent layers must be consumable"
-    return coloring, end
 
 
 def require_capacity(layout: ChipLayout, pm: int) -> None:
@@ -417,8 +388,7 @@ def schedule_sufficient(
     t = 0
     while start < layers.alpha:
         coloring, end = bipartite_prefix(layers, start, circuit)
-        seg_cuts = {q: (CutType.Z if coloring.get(q) == 1 else CutType.X)
-                    for q in range(circuit.n)}
+        seg_cuts = coloring_cuts(coloring, circuit.n)
         if initial_cuts is None:
             initial_cuts = seg_cuts
             for q, cell in mapping.positions.items():

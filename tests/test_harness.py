@@ -3,14 +3,16 @@ import json
 import pytest
 
 from surfc import harness, scheduler
-from surfc.chip import ChipModel
+from surfc.chip import ChipModel, ChipSpec, config_dims, derive_layout
 from surfc.errors import InfeasibleError, SurfcError
 from surfc.harness import (
+    SCHEDULERS,
     RunConfig,
     compare,
     config_from_mapping,
     load_circuit,
     parse_config_file,
+    place,
     run,
     run_full,
     sweep,
@@ -45,8 +47,8 @@ class TestRun:
         assert rep.delta >= 4
 
     def test_remap_when_repair_leaves_pair_stranded(self):
-        # mapped before the fabric exists, greedy repair strands (12, 14); the
-        # fallback remaps against the adjusted layout
+        # an explicit chip with a thin LS fabric: mapped once, route-aware,
+        # onto the layout it is scheduled on, no pair is left stranded
         config = RunConfig(random_params=(16, 10, 2), model=LS, chip="15x15", d=2, seed=4)
         rep, schedule = run_full(config)
         circ = load_circuit(config)
@@ -66,6 +68,29 @@ class TestRun:
         payload = json.loads(json.dumps(rep.to_json_dict()))
         assert payload["delta"] == rep.delta
         assert payload["scheduler"] == "ecmas"
+
+
+class TestPlace:
+    def test_lattice_surgery_maps_onto_the_uniform_layout(self):
+        m1, m2 = config_dims("4x", 9, 2, LS)
+        uniform = derive_layout(ChipSpec(LS, m1, m2, 2), 9, distribute=True)
+        for scheduler_name in SCHEDULERS:
+            config = RunConfig(random_params=(9, 5, 2), model=LS, chip="4x", d=2,
+                               scheduler=scheduler_name, trials=2)
+            _layers, layout, _mapping = place(config, load_circuit(config))
+            assert layout == uniform
+
+    def test_stranded_pair_rejected_before_scheduling(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("schedule_limited ran on a stranded mapping")
+
+        monkeypatch.setattr(harness, "schedule_limited", never)
+        # the snake mapping leaves qubits 1 and 8 with no ancilla path between them
+        config = RunConfig(random_params=(9, 5, 2), model=LS, chip="min", d=2,
+                           mapping="snake")
+        with pytest.raises(InfeasibleError, match=r"strands 1 interacting pair\(s\)"
+                                                  r".*qubits 1 and 8"):
+            run_full(config)
 
 
 class TestTracedStages:

@@ -7,11 +7,11 @@ from conftest import uniform_ls_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfc.bench import ghz
+from surfc.bench import BENCHMARKS, ghz
 from surfc.chip import ChipModel, ChipSpec, config_dims, derive_layout
-from surfc.circuits import build_comm_graph, circuit
+from surfc.circuits import build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
-from surfc.generate import gen_random_circuit
+from surfc.generate import gen_3sat_gadget, gen_random_circuit
 from surfc.placement import (
     ArrayShape,
     CutType,
@@ -255,6 +255,57 @@ class TestInitCutTypes:
         assert cuts[2] is CutType.X and cuts[3] is CutType.X
 
 
+def reference_init_cut_types(c):
+    """Cut types by front peeling: the whole-graph two-coloring when it
+    exists, else peel precursor-free fronts off the DAG while the cut
+    sub-graph stays bipartite.  ``init_cut_types`` must agree with it."""
+    comm = build_comm_graph(c)
+    coloring = two_coloring(c.n, set(comm.weights))
+    if coloring is None:
+        dag = build_dag(c)
+        remaining = set(range(c.g))
+        indeg = {v: len(dag.parents[v]) for v in range(c.g)}
+        edges: set[tuple[int, int]] = set()
+        coloring = {}
+        while remaining:
+            front = sorted(v for v in remaining if indeg[v] == 0)
+            if not front:
+                break
+            trial = set(edges)
+            for v in front:
+                a, b = c.gates[v].qubits
+                trial.add((min(a, b), max(a, b)))
+            colors = two_coloring(c.n, trial)
+            if colors is None:
+                break
+            coloring = colors
+            edges = trial
+            for v in front:
+                remaining.remove(v)
+                for ch in dag.children[v]:
+                    indeg[ch] -= 1
+    return {q: (CutType.Z if coloring.get(q) == 1 else CutType.X) for q in range(c.n)}
+
+
+class TestInitCutTypesAgainstReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_random_circuits(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 12)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 40))]
+        c = circuit(n, pairs)
+        assert init_cut_types(c) == reference_init_cut_types(c)
+
+    def test_benchmarks_and_generators(self):
+        circuits = [make() for make in BENCHMARKS.values()]
+        circuits += [gen_random_circuit(n, 8, par, seed=seed)
+                     for n, par in ((6, 2), (12, 5), (20, 9)) for seed in range(4)]
+        circuits += [gen_3sat_gadget([[1, -2, 3], [-1, 2, 4]][:k]) for k in (0, 1, 2)]
+        for c in circuits:
+            assert init_cut_types(c) == reference_init_cut_types(c)
+
+
 class TestBaselineCuts:
     def test_maxcut_on_tree_reaches_proper_coloring(self):
         # single-flip local search can stall one edge short on a path; with
@@ -337,13 +388,10 @@ class TestAdjustBandwidth:
         assert sum(adjusted.v_widths) == sum(layout.v_widths) + layout.spare_cols
         assert adjusted.spare_rows == adjusted.spare_cols == 0
 
-    def test_ls_gap_follows_traffic(self):
-        d = 3
-        spec = ChipSpec(LS, 40, 40, d)
-        layout = derive_layout(spec, 50, distribute=False)
+    def test_lattice_surgery_layout_rejected(self):
+        # lattice surgery schedules on the uniform fabric of derive_layout
+        layout = derive_layout(ChipSpec(LS, 40, 40, 3), 50, distribute=False)
         c = ghz(50)
-        comm = build_comm_graph(c)
-        shape = ArrayShape(layout.array_r, layout.array_c)
-        m = establish_mapping(comm, shape, trials=4, seed=0, layout=layout)
-        adjusted = adjust_bandwidth(layout, m, c)
-        assert sum(adjusted.h_widths) == layout.spare_rows
+        m = baseline_mapping("snake", 50, ArrayShape(layout.array_r, layout.array_c))
+        with pytest.raises(InfeasibleError):
+            adjust_bandwidth(layout, m, c)

@@ -27,7 +27,7 @@ class TestFindPath:
     def test_adjacent_tiles_single_segment(self):
         layout = uniform_dd_layout(3, 3)
         occ = CycleOccupancy(layout)
-        path = find_path(layout, occ, 0, (0, 0), (0, 1))
+        path = find_path(occ, 0, (0, 0), (0, 1))
         assert path is not None and path.length == 1
 
     def test_saturated_corridor_blocks(self):
@@ -36,10 +36,10 @@ class TestFindPath:
         layout = uniform_dd_layout(1, 2)  # 2x3 junction grid, bandwidth 1
         occ = CycleOccupancy(layout)
         for _ in range(2):
-            path = find_path(layout, occ, 0, (0, 0), (0, 1))
+            path = find_path(occ, 0, (0, 0), (0, 1))
             assert path is not None
             occ.commit_route(path, 0, 1)
-        assert find_path(layout, occ, 0, (0, 0), (0, 1)) is None
+        assert find_path(occ, 0, (0, 0), (0, 1)) is None
 
     def test_three_sequential_routes_on_bandwidth_one(self):
         # typical case [the guarantee itself is exercised through the batch
@@ -54,7 +54,7 @@ class TestFindPath:
             occ = CycleOccupancy(layout)
             paths = []
             for k in range(3):
-                path = find_path(layout, occ, 0, tiles[2 * k], tiles[2 * k + 1])
+                path = find_path(occ, 0, tiles[2 * k], tiles[2 * k + 1])
                 if path is None:
                     break
                 occ.commit_route(path, 0, 1)
@@ -87,7 +87,7 @@ class TestFindPath:
         occ = CycleOccupancy(layout)
         for _ in range(10):
             src, dst = rng.sample([(r, c) for r in range(3) for c in range(3)], 2)
-            path = find_path(layout, occ, 0, src, dst)
+            path = find_path(occ, 0, src, dst)
             assert path.length == all_paths(src, dst)
 
 
@@ -95,12 +95,12 @@ class TestCommit:
     def test_duration_three_frees_later(self):
         layout = uniform_dd_layout(2, 2)
         occ = CycleOccupancy(layout)
-        path = find_path(layout, occ, 0, (0, 0), (1, 1))
+        path = find_path(occ, 0, (0, 0), (1, 1))
         occ.commit_route(path, 0, 3)
         # the route holds its lanes through cycle 2, so that cycle detours
         # around it; cycle 3 gets the original route back
-        assert find_path(layout, occ, 2, (0, 0), (1, 1)).nodes == ((1, 0), (2, 0), (2, 1))
-        assert find_path(layout, occ, 3, (0, 0), (1, 1)).nodes == path.nodes == ((0, 1), (1, 1))
+        assert find_path(occ, 2, (0, 0), (1, 1)).nodes == ((1, 0), (2, 0), (2, 1))
+        assert find_path(occ, 3, (0, 0), (1, 1)).nodes == path.nodes == ((0, 1), (1, 1))
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
         assert occ.used(2, res) == 1
@@ -116,12 +116,12 @@ class TestCommit:
         with pytest.raises(AssertionError):
             occ.commit_route(seam, 0, 1)
         # routing between the tiles still succeeds through other channels
-        assert find_path(layout, occ, 0, (0, 0), (0, 1)) is not None
+        assert find_path(occ, 0, (0, 0), (0, 1)) is not None
 
     def test_double_commit_is_internal_error(self):
         layout = uniform_dd_layout(1, 2)
         occ = CycleOccupancy(layout)
-        path = find_path(layout, occ, 0, (0, 0), (0, 1))
+        path = find_path(occ, 0, (0, 0), (0, 1))
         occ.commit_route(path, 0, 1)
         with pytest.raises(AssertionError):
             occ.commit_route(path, 0, 1)
@@ -269,11 +269,11 @@ def _query_stream(digest) -> tuple[int, int]:
                 mapping = baseline_mapping("snake", n, ArrayShape(rows, cols))
                 data = mapping.data_tiles(layout)
                 tiles = [mapping.abs_tile(layout, q) for q in range(n)]
-                occ = CycleOccupancy(layout)
+                occ = CycleOccupancy(layout, data)
                 for _ in range(60):
                     a, b = rng.sample(tiles, 2)
                     cycle, duration = rng.randrange(6), rng.choice((1, 3))
-                    path = find_path(layout, occ, cycle, a, b, data, duration)
+                    path = find_path(occ, cycle, a, b, duration)
                     digest.update(repr((a, b, cycle, duration,
                                         path and path.nodes)).encode())
                     blocked += path is None
