@@ -21,11 +21,16 @@ are impossible and only neighbor merges remain.  The tile grid is bipartite,
 so a circuit whose communication graph has an odd cycle cannot run on a chip
 without fabric; that is why the data array never fills the whole slot grid
 of a lattice-surgery ``min`` chip (see ``config_dims``).
+
+There is one kind of layout: ``derive_layout`` deals every unused slot row
+and column (and, for double defect, the leftover physical width) to the
+channels.  Double-defect bandwidth adjusting re-deals the same total width by
+traffic.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -122,9 +127,10 @@ class ChipLayout:
 
     ``h_widths[i]`` is the width of the horizontal channel above data row ``i``
     (index r = below the last row); ``v_widths`` likewise for columns.  Widths
-    are physical qubits for double defect and whole tiles for lattice surgery.
-    The per-line bandwidths and the tile tracks are computed on first use and
-    then kept, as the layout never changes.
+    are physical qubits for double defect and whole tiles for lattice surgery;
+    the array and its channels must fit on the chip.  The per-line bandwidths
+    and the tile tracks are computed on first use and then kept, as the layout
+    never changes (``dataclasses.replace`` builds a re-dealt one).
     """
 
     model: ChipModel
@@ -135,19 +141,17 @@ class ChipLayout:
     array_c: int
     h_widths: tuple[int, ...]
     v_widths: tuple[int, ...]
-    spare_rows: int = 0  # slack not yet granted to any channel (physical rows / tiles)
-    spare_cols: int = 0
 
     def __post_init__(self):
         assert len(self.h_widths) == self.array_r + 1
         assert len(self.v_widths) == self.array_c + 1
         side = self.side
         if self.model is ChipModel.DOUBLE_DEFECT:
-            used_r = self.array_r * side + sum(self.h_widths) + self.spare_rows
-            used_c = self.array_c * side + sum(self.v_widths) + self.spare_cols
+            used_r = self.array_r * side + sum(self.h_widths)
+            used_c = self.array_c * side + sum(self.v_widths)
         else:
-            used_r = (self.array_r + sum(self.h_widths) + self.spare_rows) * side
-            used_c = (self.array_c + sum(self.v_widths) + self.spare_cols) * side
+            used_r = (self.array_r + sum(self.h_widths)) * side
+            used_c = (self.array_c + sum(self.v_widths)) * side
         if used_r > self.m1 or used_c > self.m2:
             raise InfeasibleError(
                 f"layout footprint {used_r}x{used_c} exceeds chip {self.m1}x{self.m2}"
@@ -214,18 +218,6 @@ class ChipLayout:
             pos += 1
         return tuple(tracks)
 
-    def with_widths(
-        self,
-        h_widths: tuple[int, ...],
-        v_widths: tuple[int, ...],
-        spare_rows: int = 0,
-        spare_cols: int = 0,
-    ) -> "ChipLayout":
-        return replace(
-            self, h_widths=h_widths, v_widths=v_widths,
-            spare_rows=spare_rows, spare_cols=spare_cols,
-        )
-
     def describe(self) -> dict:
         return {
             "model": self.model.value,
@@ -239,32 +231,17 @@ class ChipLayout:
         }
 
 
-def derive_layout(spec: ChipSpec, mapped_tiles: int, distribute: bool = True) -> ChipLayout:
-    """Carve the chip into the maximal slot grid and reserve a minimal-perimeter
-    data array for ``mapped_tiles`` qubits.
-
-    With ``distribute=True`` every unused slot row and leftover physical width
-    is handed to the channels round-robin (centermost interior channels first),
-    giving the uniform layout the capacity guarantees reason about; every
-    lattice-surgery compile and every ``resu`` compile runs on it.  With
-    ``distribute=False`` the slack stays pooled on the layout so that
-    double-defect bandwidth adjusting can place it where the circuit's routes
-    actually go."""
+def derive_layout(spec: ChipSpec, mapped_tiles: int) -> ChipLayout:
+    """Carve the chip into the maximal slot grid, reserve a minimal-perimeter
+    data array for ``mapped_tiles`` qubits and hand every unused slot row and
+    leftover physical width to the channels round-robin (centermost interior
+    channels first).  This uniform layout is the one the capacity guarantees
+    reason about and the one every compile maps onto; double-defect
+    limited-resource compiles then re-deal its width by traffic
+    (``placement.adjust_bandwidth``)."""
     side = tile_side(spec.model, spec.d)
     slots_r, slots_c = spec.m1 // side, spec.m2 // side
     r, c = minimal_perimeter_shape(mapped_tiles, slots_r, slots_c)
-    if spec.model is ChipModel.DOUBLE_DEFECT:
-        pool_r = (slots_r - r) * side + spec.m1 - slots_r * side
-        pool_c = (slots_c - c) * side + spec.m2 - slots_c * side
-    else:
-        pool_r, pool_c = slots_r - r, slots_c - c
-    if not distribute:
-        return ChipLayout(
-            model=spec.model, d=spec.d, m1=spec.m1, m2=spec.m2,
-            array_r=r, array_c=c,
-            h_widths=(0,) * (r + 1), v_widths=(0,) * (c + 1),
-            spare_rows=pool_r, spare_cols=pool_c,
-        )
     if spec.model is ChipModel.DOUBLE_DEFECT:
         # whole slot rows first (two lanes each), then the sub-lane leftover
         h = [g * side for g in _round_robin(slots_r - r, _gap_order(r), r + 1)]
@@ -317,7 +294,12 @@ def config_dims(
     ``4x``: for lattice surgery the 5d-pitch square (the quadrupled-qubit
     budget); for double defect, twice the minimum side.  ``sufficient``:
     smallest square whose uniformly-distributed bandwidth gives capacity >= pm.
+    A negative qubit count or parallelism is rejected whatever the kind.
     """
+    if n < 0:
+        raise InfeasibleError(f"qubit count {n} must be >= 0")
+    if pm is not None and pm < 0:
+        raise InfeasibleError(f"parallelism {pm} must be >= 0")
     explicit = _explicit_dims(check_chip_kind(kind))
     if explicit:
         return explicit

@@ -121,16 +121,14 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
 def place(config: RunConfig, circuit: LogicalCircuit):
     """Every stage before scheduling; returns (layers, layout, mapping).
 
-    The circuit is mapped onto the layout it is scheduled on: the uniform
-    ``derive_layout(..., distribute=True)`` for lattice surgery and for
-    ``resu``, whose capacity must cover the layering width before anything
-    is mapped.  Only double-defect limited-resource compiles map onto the
-    pooled layout; they then get bandwidth adjusting and cut types, which
-    the mapping carries (``resu`` picks its cuts while it schedules).  The
-    ``ecmas`` mapping gets one ``repair_mapping`` pass against the final
-    layout.  A lattice-surgery pair that no fabric path joins can never be
-    routed, so a mapping of any kind that strands one is rejected here with
-    an InfeasibleError."""
+    Every compile maps onto the uniform layout of ``derive_layout``; for
+    ``resu`` its capacity must first cover the layering width.  Double-defect
+    limited-resource compiles then re-deal its channel width by traffic
+    (``adjust_bandwidth``) and get cut types, which the mapping carries
+    (``resu`` picks its cuts while it schedules).  The ``ecmas`` mapping gets
+    one ``repair_mapping`` pass against the final layout.  A lattice-surgery
+    pair that no fabric path joins can never be routed, so a mapping of any
+    kind that strands one is rejected here with an InfeasibleError."""
     comm = build_comm_graph(circuit)
     dag = build_dag(circuit)
     layers = para_finding(dag)
@@ -140,7 +138,7 @@ def place(config: RunConfig, circuit: LogicalCircuit):
         return layers, derive_layout(spec, 0), TileMapping(ArrayShape(0, 0), {}, {})
     sufficient = config.scheduler == "resu"
     dd_limited = config.model is ChipModel.DOUBLE_DEFECT and not sufficient
-    layout = derive_layout(spec, circuit.n, distribute=not dd_limited)
+    layout = derive_layout(spec, circuit.n)
     if sufficient:
         require_capacity(layout, layers.pm)
     shape = ArrayShape(layout.array_r, layout.array_c)
@@ -173,7 +171,7 @@ def compile_once(config: RunConfig, circuit: LogicalCircuit):
     layers, layout, mapping = place(config, circuit)
     if config.scheduler == "resu":
         return schedule_sufficient(layers, layout, mapping, circuit), layers
-    schedule = schedule_limited(circuit, layout, mapping, mapping.cuts, strategy=config.scheduler)
+    schedule = schedule_limited(circuit, layout, mapping, strategy=config.scheduler)
     return schedule, layers
 
 
@@ -278,10 +276,11 @@ def _as_tuple(v):
     return tuple(v) if isinstance(v, (list, tuple)) else (v,)
 
 
-def parse_config_file(text: str) -> dict:
-    """Key/value config: one ``key = value`` per line, ``#`` comments.
-    Values: integers, true/false, or bare strings.  Keys mirror CLI flags."""
-    out: dict = {}
+def parse_config_file(text: str) -> dict[str, str]:
+    """Key/value config: one ``key = value`` per line, ``#`` comments.  Values
+    stay the text written; ``config_from_mapping`` reads the integer keys.
+    Keys mirror CLI flags."""
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -289,13 +288,7 @@ def parse_config_file(text: str) -> dict:
         if "=" not in line:
             raise InfeasibleError(f"config line {lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if value.lower() in ("true", "false"):
-            out[key] = value.lower() == "true"
-        else:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                out[key] = value
+        out[key] = value
     return out
 
 
@@ -309,8 +302,11 @@ def parse_random_params(text: str) -> tuple[int, int, int]:
 
 
 def config_from_mapping(data: dict) -> RunConfig:
+    """A ``RunConfig`` from config keys: ``d``, ``seed`` and ``trials`` are
+    integers (or their text), every other value is read as text."""
     kwargs: dict = {}
-    plain = {"chip", "scheduler", "mapping", "cuts", "label"}
+    fields = {"qasm": "qasm_path", "benchmark": "benchmark", "chip": "chip",
+              "scheduler": "scheduler", "mapping": "mapping", "cuts": "cuts", "label": "label"}
     for key, value in data.items():
         if key == "model":
             try:
@@ -318,17 +314,14 @@ def config_from_mapping(data: dict) -> RunConfig:
             except ValueError:
                 raise InfeasibleError(f"model {value!r}: expected dd or ls") from None
         elif key in ("d", "seed", "trials"):
-            if type(value) is not int:
-                raise InfeasibleError(f"{key} {value!r}: expected an integer")
-            kwargs[key] = value
-        elif key == "qasm":
-            kwargs["qasm_path"] = value
-        elif key == "benchmark":
-            kwargs["benchmark"] = value
+            try:
+                kwargs[key] = value if type(value) is int else int(str(value))
+            except ValueError:
+                raise InfeasibleError(f"{key} {value!r}: expected an integer") from None
         elif key == "random":
             kwargs["random_params"] = parse_random_params(str(value))
-        elif key in plain:
-            kwargs[key] = value
+        elif key in fields:
+            kwargs[fields[key]] = str(value)
         else:
             raise InfeasibleError(f"unknown config key {key!r}")
     return RunConfig(**kwargs)

@@ -203,13 +203,13 @@ def optimal_cycles(
     circuit: LogicalCircuit,
     layout: ChipLayout,
     mapping: TileMapping,
-    cuts: dict[int, CutType] | None,
     budget: OracleBudget = DEFAULT_BUDGET,
     upper_bound: int | None = None,
 ) -> int:
     """Exact minimum cycle count by branch-and-bound over per-cycle action sets,
     under exactly the validator's rules (1-cycle braids/bells, 3-cycle direct
-    same-cut executions holding their route, 3-cycle tile-local cut changes)."""
+    same-cut executions holding their route, 3-cycle tile-local cut changes).
+    Double-defect tiles start from the cut types that ``mapping`` carries."""
     budget.check_circuit(circuit.g, circuit.n)
     budget.check_grid(layout.array_r, layout.array_c)
     g = circuit.g
@@ -237,8 +237,8 @@ def optimal_cycles(
     tile_qubit = {tile: q for q, tile in mapping.positions.items()}
     init_cuts: tuple[CutType, ...] = ()  # lattice surgery has no cuts
     if model is ChipModel.DOUBLE_DEFECT:
-        assert cuts is not None, "double-defect oracle needs initial cuts"
-        init_cuts = tuple(cuts[tile_qubit[t]] for t in tiles_sorted)
+        assert mapping.cuts is not None, "double-defect oracle needs initial cuts"
+        init_cuts = tuple(mapping.cuts[tile_qubit[t]] for t in tiles_sorted)
 
     parents_mask = [0] * g
     for v in range(g):

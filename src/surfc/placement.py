@@ -517,18 +517,16 @@ def _one_exchange(comm: CommGraph, seed: int) -> list[int]:
 
 
 def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalCircuit) -> ChipLayout:
-    """Spend a double-defect layout's spare width on the channels that carry
-    the most pre-executed shortest routes (conflict-free, geometry only).
-    Width that a channel cannot turn into a lane is reclaimed first; no
-    channel's bandwidth ever decreases, and the footprint audit stays intact.
+    """Re-deal a uniform double-defect layout's channel width by traffic.
+
+    Every channel line starts at width 0 (one lane); the summed width of each
+    direction is then dealt one physical row at a time to the line with the
+    most pre-executed shortest routes (conflict-free, geometry only) per lane.
+    The total width, and so the footprint, is that of the input layout.
     Lattice surgery keeps the uniform fabric of ``derive_layout``, on which
     its schedules come out shorter, so an LS layout is rejected."""
     if layout.model is not ChipModel.DOUBLE_DEFECT:
         raise InfeasibleError("bandwidth adjusting applies to the double-defect model only")
-    d = layout.d
-
-    def min_width(b: int) -> int:
-        return 0 if b <= 1 else ((b - 1) * 5 * d + 1) // 2  # ceil((b-1)*2.5d)
 
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
@@ -548,24 +546,14 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
         for kind, idx in lines:
             (h_routes if kind == "h" else v_routes)[idx] += 1
 
-    def regrant(widths: list[int], routes: list[int], pool: int) -> list[int]:
-        bw = [layout._line_bandwidth(w) for w in widths]
-        new = [min_width(b) for b in bw]
-        pool += sum(widths) - sum(new)
-        while pool > 0:
-            scores = [
-                (routes[i] / max(bw[i], 0.5), -i)
-                for i in range(len(new))
-            ]
-            i = max(range(len(new)), key=lambda k: scores[k])
-            new[i] += 1
-            bw[i] = layout._line_bandwidth(new[i])
-            pool -= 1
-        return new
+    def deal(total: int, routes: list[int]) -> tuple[int, ...]:
+        widths = [0] * len(routes)
+        bw = [layout._line_bandwidth(0)] * len(routes)
+        for _ in range(total):
+            i = max(range(len(widths)), key=lambda k: (routes[k] / bw[k], -k))
+            widths[i] += 1
+            bw[i] = layout._line_bandwidth(widths[i])
+        return tuple(widths)
 
-    h_new = regrant(list(layout.h_widths), h_routes, layout.spare_rows)
-    v_new = regrant(list(layout.v_widths), v_routes, layout.spare_cols)
-    adjusted = layout.with_widths(tuple(h_new), tuple(v_new))
-    assert all(a >= b for a, b in zip(adjusted.bw_h, layout.bw_h))
-    assert all(a >= b for a, b in zip(adjusted.bw_v, layout.bw_v))
-    return adjusted
+    return replace(layout, h_widths=deal(sum(layout.h_widths), h_routes),
+                   v_widths=deal(sum(layout.v_widths), v_routes))

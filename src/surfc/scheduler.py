@@ -75,11 +75,16 @@ class Action:
 
 @dataclass
 class EncodedSchedule:
-    model: ChipModel
+    """The cycles of a schedule with the layout and mapping it runs on; the
+    mapping alone holds the initial cut types (double defect)."""
+
     cycles: list[list[Action]]
     layout: ChipLayout
     mapping: TileMapping
-    initial_cuts: dict[int, CutType] | None
+
+    @property
+    def model(self) -> ChipModel:
+        return self.layout.model
 
     @property
     def delta(self) -> int:
@@ -150,17 +155,16 @@ class _State:
     cycle.  Each qubit's operand tile and current cut are kept per qubit; the
     cut changes as flips land."""
 
-    def __init__(self, circuit: LogicalCircuit, layout: ChipLayout,
-                 mapping: TileMapping, cuts: dict[int, CutType] | None):
+    def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping):
         self.circuit = circuit
         self.layout = layout
         self.mapping = mapping
         self.dag = build_dag(circuit)
         self.occ = CycleOccupancy(layout, mapping.data_tiles(layout))
         self.cycles: list[list[Action]] = []
-        self.cuts_initial = dict(cuts) if cuts else None
         self.op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
         self.qubit_at = {cell: q for q, cell in mapping.positions.items()}
+        cuts = mapping.cuts
         self.cut: dict[int, CutType] = {q: cuts[q] for q in mapping.positions} if cuts else {}
         self.pending_flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
         self.last_busy: dict[Tile, int] = {}
@@ -213,11 +217,11 @@ def schedule_limited(
     circuit: LogicalCircuit,
     layout: ChipLayout,
     mapping: TileMapping,
-    cuts: dict[int, CutType] | None,
     strategy: str = "ecmas",
 ) -> EncodedSchedule:
     """Greedy per-cycle scheduling under scarce communication resources.
 
+    Double-defect tiles start from the cut types that ``mapping`` carries.
     ``strategy`` is a key of ``LIMITED``, which fixes the serving order of
     ready gates (priority: criticality, dependents, id; or program order) and
     the same-cut rule.
@@ -226,12 +230,12 @@ def schedule_limited(
         raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
     program_order, samecut = LIMITED[strategy]
     model = layout.model
-    if model is ChipModel.DOUBLE_DEFECT and cuts is None:
+    if model is ChipModel.DOUBLE_DEFECT and mapping.cuts is None:
         raise InfeasibleError("double-defect scheduling needs an initial cut assignment")
-    st = _State(circuit, layout, mapping, cuts)
+    st = _State(circuit, layout, mapping)
     g = circuit.g
     if g == 0:
-        return EncodedSchedule(model, [], layout, mapping, st.cuts_initial)
+        return EncodedSchedule([], layout, mapping)
     desc = st.dag.descendant_counts()
     prio = [(-st.dag.depth_to_sink[v], -desc[v], v) for v in range(g)]
     order = None if program_order else prio.__getitem__
@@ -262,7 +266,7 @@ def schedule_limited(
         t += 1
     while st.cycles and not st.cycles[-1]:
         st.cycles.pop()
-    return EncodedSchedule(model, st.cycles, layout, mapping, st.cuts_initial)
+    return EncodedSchedule(st.cycles, layout, mapping)
 
 
 def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
@@ -357,7 +361,7 @@ def schedule_sufficient(
     model = layout.model
     require_capacity(layout, layers.pm)
     if circuit.g == 0:
-        return EncodedSchedule(model, [], layout, mapping, None)
+        return EncodedSchedule([], layout, mapping)
     data = mapping.data_tiles(layout)
     occ = CycleOccupancy(layout, data)
     cycles: list[list[Action]] = []
@@ -380,7 +384,7 @@ def schedule_sufficient(
     if model is ChipModel.LATTICE_SURGERY:
         for i, layer in enumerate(layers.layers):
             cycles.append(batch(layer, i, ActionKind.BELL))
-        return EncodedSchedule(model, cycles, layout, mapping, None)
+        return EncodedSchedule(cycles, layout, mapping)
 
     initial_cuts: dict[int, CutType] | None = None
     tile_cut: dict[Tile, CutType] = {}
@@ -415,7 +419,7 @@ def schedule_sufficient(
             cycles.append(batch(layers.layers[i], t, ActionKind.BRAID))
             t += 1
         start = end
-    return EncodedSchedule(model, cycles, layout, mapping.with_cuts(initial_cuts), initial_cuts)
+    return EncodedSchedule(cycles, layout, mapping.with_cuts(initial_cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +431,8 @@ def validate(
     layout: ChipLayout,
     mapping: TileMapping,
 ) -> list[str]:
-    """Replay a schedule against the ground rules; returns all violations."""
+    """Replay a schedule against the ground rules; returns all violations.
+    Cut bookkeeping starts from the cuts of ``schedule.mapping``."""
     v: list[str] = []
     model = schedule.model
     dag = build_dag(circuit)
@@ -521,11 +526,9 @@ def validate(
                     )
 
     # cut bookkeeping: braids need opposite cuts, directs equal cuts
-    if model is ChipModel.DOUBLE_DEFECT and schedule.initial_cuts is not None:
-        tile_cut = {
-            mapping.tile_of(q): schedule.initial_cuts[q]
-            for q in mapping.positions
-        }
+    initial_cuts = schedule.mapping.cuts
+    if model is ChipModel.DOUBLE_DEFECT and initial_cuts is not None:
+        tile_cut = {mapping.tile_of(q): initial_cuts[q] for q in mapping.positions}
         flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order
         fi = 0
         for t, gid in sorted((span[0], gid) for gid, span in gate_span.items()):

@@ -143,10 +143,9 @@ class TestCriterion5Approximation:
             mapping = baseline_mapping("snake", n, ArrayShape(2, 3))
             layers = para_finding(build_dag(c))
             sched = schedule_sufficient(layers, layout, mapping, c)
-            cuts = sched.initial_cuts
-            mapping2 = mapping.with_cuts(cuts)
+            mapping2 = sched.mapping
             assert validate(sched, c, layout, mapping2) == []
-            opt = optimal_cycles(c, layout, mapping2, cuts, budget)
+            opt = optimal_cycles(c, layout, mapping2, budget)
             assert sched.delta <= math.ceil(2.5 * opt), (trial, sched.delta, opt)
             worst = max(worst, sched.delta / max(opt, 1))
         elapsed = time.monotonic() - t0

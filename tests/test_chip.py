@@ -103,13 +103,6 @@ class TestDeriveLayout:
         with pytest.raises(InfeasibleError):
             ChipSpec(DD, 5, 5, 2)
 
-    def test_undistributed_pools_slack(self):
-        d = 2
-        spec = ChipSpec(DD, 8 * 5 * d, 8 * 5 * d, d)
-        layout = derive_layout(spec, 10, distribute=False)
-        assert all(w == 0 for w in layout.h_widths + layout.v_widths)
-        assert layout.spare_rows > 0 and layout.spare_cols > 0
-
     def test_reported_bandwidth_is_min(self):
         d = 2
         spec = ChipSpec(DD, 11 * 5 * d, 11 * 5 * d, d)

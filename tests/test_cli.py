@@ -73,7 +73,7 @@ class TestMapAndSchedule:
             scheduler=scheduler, chip=chip, d=2, trials=4))
         assert {q: (r, c) for q, (r, c, _) in printed.items()} == schedule.mapping.positions
         if scheduler != "resu":
-            cuts = schedule.initial_cuts
+            cuts = schedule.mapping.cuts
             assert {q: cut for q, (_, _, cut) in printed.items()} == \
                 {q: cuts[q].value if cuts else None for q in printed}
 
@@ -140,8 +140,11 @@ class TestBadInput:
           "-d", "2"], EXIT_INFEASIBLE, "chip capacity 3 < layering width 4"),
         (["schedule", "--qasm", "{missing}"], EXIT_USAGE, "No such file"),
         (["sweep", "{missing}"], EXIT_USAGE, "No such file"),
+        (["chip", "describe", "-n", "-1"], EXIT_INFEASIBLE, "qubit count -1 must be >= 0"),
+        (["chip", "describe", "-n", "4", "--pm", "-2", "--chip", "sufficient"], EXIT_INFEASIBLE,
+         "parallelism -2 must be >= 0"),
     ], ids=["random-arity", "chip-format", "map-chip-too-small", "map-resu-capacity",
-         "missing-qasm", "missing-config"])
+         "missing-qasm", "missing-config", "chip-negative-qubits", "chip-negative-pm"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code
@@ -149,18 +152,21 @@ class TestBadInput:
         assert "Traceback" not in err
         assert message in err.strip().splitlines()[-1]
 
-    @pytest.mark.parametrize("text, message", [
-        ("benchmark = bv_10\nrandom = 5\n", "random '5': expected N,DEPTH,PAR"),
-        ("benchmark = bv_10\nchip = 12x\n", "chip '12x': expected"),
-        ("benchmark = bv_10\nmodel = foo\n", "model 'foo': expected dd or ls"),
-        ("benchmark = bv_10\nd = two\n", "d 'two': expected an integer"),
-        ("benchmark = bv_10\nseed = x\n", "seed 'x': expected an integer"),
+    @pytest.mark.parametrize("text, code, message", [
+        ("benchmark = bv_10\nrandom = 5\n", EXIT_INFEASIBLE, "random '5': expected N,DEPTH,PAR"),
+        ("benchmark = bv_10\nchip = 12x\n", EXIT_INFEASIBLE, "chip '12x': expected"),
+        ("benchmark = bv_10\nmodel = foo\n", EXIT_INFEASIBLE, "model 'foo': expected dd or ls"),
+        ("benchmark = bv_10\nd = two\n", EXIT_INFEASIBLE, "d 'two': expected an integer"),
+        ("benchmark = bv_10\nseed = x\n", EXIT_INFEASIBLE, "seed 'x': expected an integer"),
+        ("benchmark = bv_10\nchip = 40\n", EXIT_INFEASIBLE, "chip '40': expected"),
+        ("qasm = 12345\n", EXIT_USAGE, "No such file or directory: '12345'"),
     ], ids=["sweep-random-arity", "sweep-chip-format", "sweep-model", "sweep-distance",
-            "sweep-seed"])
-    def test_bad_sweep_config(self, capsys, tmp_path, text, message):
+            "sweep-seed", "sweep-chip-number", "sweep-qasm-number"])
+    def test_bad_sweep_config(self, capsys, tmp_path, monkeypatch, text, code, message):
+        monkeypatch.chdir(tmp_path)  # no file named 12345 here
         config = tmp_path / "row.cfg"
         config.write_text(text)
-        assert main(["sweep", str(config)]) == EXIT_INFEASIBLE
+        assert main(["sweep", str(config)]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and message in err

@@ -73,7 +73,7 @@ class TestRun:
 class TestPlace:
     def test_lattice_surgery_maps_onto_the_uniform_layout(self):
         m1, m2 = config_dims("4x", 9, 2, LS)
-        uniform = derive_layout(ChipSpec(LS, m1, m2, 2), 9, distribute=True)
+        uniform = derive_layout(ChipSpec(LS, m1, m2, 2), 9)
         for scheduler_name in SCHEDULERS:
             config = RunConfig(random_params=(9, 5, 2), model=LS, chip="4x", d=2,
                                scheduler=scheduler_name, trials=2)

@@ -51,14 +51,14 @@ class TestOptimalCycles:
     def test_single_cnot_opposite(self):
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _snake_setup(c, 1, 2)
-        assert optimal_cycles(c, layout, mapping, cuts) == 1
+        assert optimal_cycles(c, layout, mapping) == 1
 
     def test_single_cnot_same_cut(self):
         c = circuit(2, [(0, 1)])
         layout = uniform_dd_layout(1, 2)
         cuts = {0: CutType.X, 1: CutType.X}
         mapping = baseline_mapping("snake", 2, ArrayShape(1, 2)).with_cuts(cuts)
-        assert optimal_cycles(c, layout, mapping, cuts) == 3
+        assert optimal_cycles(c, layout, mapping) == 3
 
     def test_five_independent_gates_one_cycle(self):
         # the motivation example shape: independent gates, bound witnessed by
@@ -68,10 +68,10 @@ class TestOptimalCycles:
         mapping = baseline_mapping("snake", 10, ArrayShape(3, 4))
         cuts = init_cut_types(c)
         mapping = mapping.with_cuts(cuts)
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         assert sched.delta == 1
         budget = OracleBudget(max_gates=8, max_qubits=10, max_grid=(3, 4))
-        assert optimal_cycles(c, layout, mapping, cuts, budget, upper_bound=1) == 1
+        assert optimal_cycles(c, layout, mapping, budget, upper_bound=1) == 1
 
     def test_oracle_never_beaten_by_heuristics(self):
         budget = OracleBudget()
@@ -79,23 +79,23 @@ class TestOptimalCycles:
             rng = random.Random(4000 + trial)
             c = random_tiny_circuit(rng)
             layout, mapping, cuts = _snake_setup(c)
-            sched = schedule_limited(c, layout, mapping, cuts)
-            opt = optimal_cycles(c, layout, mapping, cuts, budget)
+            sched = schedule_limited(c, layout, mapping)
+            opt = optimal_cycles(c, layout, mapping, budget)
             assert opt <= sched.delta
             assert opt >= build_dag(c).alpha
 
     def test_deterministic(self):
         c = circuit(3, [(0, 1), (1, 2), (0, 2)])
         layout, mapping, cuts = _snake_setup(c, 1, 3)
-        a = optimal_cycles(c, layout, mapping, cuts)
-        b = optimal_cycles(c, layout, mapping, cuts)
+        a = optimal_cycles(c, layout, mapping)
+        b = optimal_cycles(c, layout, mapping)
         assert a == b
 
     def test_budget_refusal(self):
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _snake_setup(c, 1, 2)
         with pytest.raises(BudgetExceededError):
-            optimal_cycles(c, layout, mapping, cuts, OracleBudget(max_gates=0))
+            optimal_cycles(c, layout, mapping, OracleBudget(max_gates=0))
 
 
 class TestRoutingFeasible:
@@ -152,10 +152,9 @@ class TestReSuAgainstOracle:
             mapping = baseline_mapping("snake", c.n, ArrayShape(2, 3))
             layers = para_finding(build_dag(c))
             sched = schedule_sufficient(layers, layout, mapping, c)
-            cuts = sched.initial_cuts
-            mapping2 = mapping.with_cuts(cuts)
+            mapping2 = sched.mapping
             check_schedule(sched, c, layout, mapping2)
-            opt = optimal_cycles(c, layout, mapping2, cuts)
+            opt = optimal_cycles(c, layout, mapping2)
             assert sched.delta <= -(-5 * opt // 2)
 
 
@@ -183,14 +182,13 @@ class TestLimitedAgainstOracle:
             mapping = baseline_mapping("snake", c.n, ArrayShape(2, 3))
             if model == "dd":
                 layout = uniform_dd_layout(2, 3)
-                cuts = init_cut_types(c)
-                mapping = mapping.with_cuts(cuts)
+                mapping = mapping.with_cuts(init_cut_types(c))
             else:
-                layout, cuts = uniform_ls_layout(2, 3), None
-            opt = optimal_cycles(c, layout, mapping, cuts)
+                layout = uniform_ls_layout(2, 3)
+            opt = optimal_cycles(c, layout, mapping)
             assert opt >= build_dag(c).alpha
             for strategy in LIMITED:
-                sched = schedule_limited(c, layout, mapping, cuts, strategy=strategy)
+                sched = schedule_limited(c, layout, mapping, strategy=strategy)
                 check_schedule(sched, c, layout, mapping)
                 assert opt <= sched.delta, (trial, strategy)
                 worst[strategy] = max(worst[strategy], sched.delta / opt)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfc.bench import BENCHMARKS, ghz
-from surfc.chip import ChipModel, ChipSpec, config_dims, derive_layout
+from surfc.chip import ChipLayout, ChipModel, ChipSpec, config_dims, derive_layout, dims_for_avg_bandwidth
 from surfc.circuits import build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
@@ -125,8 +125,11 @@ class TestGoldenMapping:
                 for model in (DD, LS):
                     for chip in ("min", "4x"):
                         m1, m2 = config_dims(chip, n, 3, model)
-                        layout = derive_layout(ChipSpec(model, m1, m2, 3), n, distribute=False)
-                        shape = ArrayShape(layout.array_r, layout.array_c)
+                        uniform = derive_layout(ChipSpec(model, m1, m2, 3), n)
+                        shape = ArrayShape(uniform.array_r, uniform.array_c)
+                        # the zero-width layout these digests were recorded on
+                        layout = ChipLayout(model, 3, m1, m2, shape.rows, shape.cols,
+                                            (0,) * (shape.rows + 1), (0,) * (shape.cols + 1))
                         for lay in (None, layout):
                             m = establish_mapping(comm, shape, trials=4, seed=seed, layout=lay)
                             digest.update(repr(sorted(m.positions.items())).encode())
@@ -345,10 +348,17 @@ class TestBaselineCuts:
         assert cut_weight == 4
 
 
+# sha256 over repr((m1, m2, array_r, array_c, h_widths, v_widths, bw_h, bw_v))
+# of every layout of TestAdjustBandwidth.test_golden_digest, recorded when the
+# width to re-deal was held apart from the channels of an all-zero layout;
+# dealing the width of the uniform layout from zero must reproduce it.
+GOLDEN_ADJUST_DIGEST = "d2b9ed3c9a7d28e2be7a3855c67914d8083399c038feac2b91b91a8132d819fc"
+
+
 class TestAdjustBandwidth:
-    def _pooled(self, n=10, d=2, slots=8):
+    def _uniform(self, n=10, d=2, slots=8):
         spec = ChipSpec(DD, slots * 5 * d, slots * 5 * d, d)
-        return derive_layout(spec, n, distribute=False)
+        return derive_layout(spec, n)
 
     def test_no_slack_identity(self):
         d = 2
@@ -361,7 +371,7 @@ class TestAdjustBandwidth:
         assert adjusted.v_widths == layout.v_widths
 
     def test_hot_corridor_gets_the_slack(self):
-        layout = self._pooled()
+        layout = self._uniform()
         shape = ArrayShape(layout.array_r, layout.array_c)
         # all traffic runs straight down the leftmost vertical channel
         c = circuit(10, [(0, 1)] * 5)
@@ -375,22 +385,42 @@ class TestAdjustBandwidth:
         assert adjusted.bw_v[0] > 1
 
     def test_never_reduces_and_conserves(self):
-        layout = self._pooled()
+        layout = self._uniform()
         c = gen_random_circuit(10, 6, 4, seed=5)
         comm = build_comm_graph(c)
         shape = ArrayShape(layout.array_r, layout.array_c)
         m = establish_mapping(comm, shape, trials=4, seed=1)
         adjusted = adjust_bandwidth(layout, m, c)
-        assert all(a >= b for a, b in zip(adjusted.bw_h, layout.bw_h))
-        assert all(a >= b for a, b in zip(adjusted.bw_v, layout.bw_v))
-        # physical conservation: granted width equals the pool it came from
-        assert sum(adjusted.h_widths) == sum(layout.h_widths) + layout.spare_rows
-        assert sum(adjusted.v_widths) == sum(layout.v_widths) + layout.spare_cols
-        assert adjusted.spare_rows == adjusted.spare_cols == 0
+        # physical conservation: the re-dealt width is the input's
+        assert sum(adjusted.h_widths) == sum(layout.h_widths)
+        assert sum(adjusted.v_widths) == sum(layout.v_widths)
+        assert min(adjusted.bw_h + adjusted.bw_v) >= 1
+
+    def test_golden_digest(self):
+        digest = hashlib.sha256()
+        count = moved = 0
+        for n in (4, 9, 10, 16, 23, 30, 49):
+            for d in (2, 3):
+                dims = [config_dims(kind, n, d, DD) for kind in ("min", "4x")]
+                dims += [dims_for_avg_bandwidth(n, d, DD, b) for b in (1, 2, 3, 4)]
+                dims += [(m1 + 7, m1 + 3) for m1, _ in dims[:2]]  # non-square
+                for m1, m2 in dims:
+                    layout = derive_layout(ChipSpec(DD, m1, m2, d), n)
+                    shape = ArrayShape(layout.array_r, layout.array_c)
+                    for seed in (0, 1):
+                        c = gen_random_circuit(n, 8, max(1, n // 3), seed=seed)
+                        for kind in ("snake", "random"):
+                            a = adjust_bandwidth(layout, baseline_mapping(kind, n, shape, seed=seed), c)
+                            digest.update(repr((a.m1, a.m2, a.array_r, a.array_c, a.h_widths,
+                                                a.v_widths, a.bw_h, a.bw_v)).encode())
+                            count += 1
+                            moved += (a.h_widths, a.v_widths) != (layout.h_widths, layout.v_widths)
+        assert (count, moved) == (448, 356)
+        assert digest.hexdigest() == GOLDEN_ADJUST_DIGEST
 
     def test_lattice_surgery_layout_rejected(self):
         # lattice surgery schedules on the uniform fabric of derive_layout
-        layout = derive_layout(ChipSpec(LS, 40, 40, 3), 50, distribute=False)
+        layout = derive_layout(ChipSpec(LS, 40, 40, 3), 50)
         c = ghz(50)
         m = baseline_mapping("snake", 50, ArrayShape(layout.array_r, layout.array_c))
         with pytest.raises(InfeasibleError):

@@ -45,7 +45,7 @@ class TestScheduleLimited:
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _dd_setup(c, 1, 2)
         assert cuts[0] is not cuts[1]
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 1
         assert sched.cycles[0][0].kind is ActionKind.BRAID
@@ -54,7 +54,7 @@ class TestScheduleLimited:
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 3
         assert all(a.kind is ActionKind.DIRECT for acts in sched.cycles for a in acts)
@@ -62,7 +62,7 @@ class TestScheduleLimited:
     def test_ghz_chain_tracks_critical_path(self):
         c = ghz(23)
         layout, mapping, cuts = _dd_setup(c, 5, 5)
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 22
 
@@ -70,7 +70,7 @@ class TestScheduleLimited:
         c = ghz(9)
         layout = uniform_ls_layout(3, 3, gap=0)
         mapping = baseline_mapping("snake", 9, ArrayShape(3, 3))
-        sched = schedule_limited(c, layout, mapping, None)
+        sched = schedule_limited(c, layout, mapping)
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 8
 
@@ -80,20 +80,20 @@ class TestScheduleLimited:
         layout = uniform_ls_layout(2, 2, gap=0)
         mapping = TileMapping(ArrayShape(2, 2), {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)})
         with pytest.raises(SchedulingError) as err:
-            schedule_limited(c, layout, mapping, None)
+            schedule_limited(c, layout, mapping)
         assert "gate 0" in str(err.value)
 
     def test_same_cut_pair_later_reuses_flip(self):
         c = circuit(2, [(0, 1), (0, 1)])
         same = {0: CutType.Z, 1: CutType.Z}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         check_schedule(sched, c, layout, mapping)
 
     def test_empty_circuit(self):
         c = circuit(3, [])
         layout, mapping, cuts = _dd_setup(c, 1, 3)
-        sched = schedule_limited(c, layout, mapping, cuts)
+        sched = schedule_limited(c, layout, mapping)
         assert sched.delta == 0
 
 
@@ -153,8 +153,8 @@ class TestBaselineSchedulers:
     def test_circuit_order_matches_on_independent_gates(self):
         c = circuit(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         layout, mapping, cuts = _dd_setup(c, 2, 4)
-        a = schedule_limited(c, layout, mapping, cuts)
-        b = schedule_limited(c, layout, mapping, cuts, strategy="circuit-order")
+        a = schedule_limited(c, layout, mapping)
+        b = schedule_limited(c, layout, mapping, strategy="circuit-order")
         check_schedule(b, c, layout, mapping)
         assert a.delta == b.delta
 
@@ -162,7 +162,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = schedule_limited(c, layout, mapping, cuts, strategy="time-first")
+        sched = schedule_limited(c, layout, mapping, strategy="time-first")
         check_schedule(sched, c, layout, mapping)
         assert sched.delta == 3
         assert sched.cycles[0][0].kind is ActionKind.DIRECT
@@ -171,7 +171,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
-        sched = schedule_limited(c, layout, mapping, cuts, strategy="channel-first")
+        sched = schedule_limited(c, layout, mapping, strategy="channel-first")
         check_schedule(sched, c, layout, mapping)
         kinds = {a.kind for acts in sched.cycles for a in acts}
         assert ActionKind.MODIFY in kinds
@@ -181,7 +181,7 @@ class TestBaselineSchedulers:
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _dd_setup(c, 1, 2)
         with pytest.raises(InfeasibleError):
-            schedule_limited(c, layout, mapping, cuts, strategy="nope")
+            schedule_limited(c, layout, mapping, strategy="nope")
 
 
 class TestBipartitePrefix:
@@ -226,7 +226,7 @@ class TestScheduleSufficient:
         layout = uniform_dd_layout(2, 3)
         mapping = baseline_mapping("snake", 6, ArrayShape(2, 3))
         sched = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
+        check_schedule(sched, c, layout, sched.mapping)
         assert sched.delta == 2
         assert not any(a.kind is ActionKind.MODIFY for acts in sched.cycles for a in acts)
 
@@ -236,7 +236,7 @@ class TestScheduleSufficient:
         layout = uniform_dd_layout(3, 3)
         mapping = baseline_mapping("snake", 9, ArrayShape(3, 3))
         sched = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
+        check_schedule(sched, c, layout, sched.mapping)
         assert sched.delta == layers.alpha
 
     def test_remap_blocks_cost_three_cycles(self):
@@ -246,7 +246,7 @@ class TestScheduleSufficient:
         layout = uniform_dd_layout(1, 3)
         mapping = baseline_mapping("snake", 3, ArrayShape(1, 3))
         sched = schedule_sufficient(layers, layout, mapping, c)
-        check_schedule(sched, c, layout, mapping.with_cuts(sched.initial_cuts))
+        check_schedule(sched, c, layout, sched.mapping)
         assert sched.delta == layers.alpha + 3
 
     def test_lattice_surgery_alpha_exact(self):
@@ -272,7 +272,7 @@ class TestValidate:
         for _ in range(20):
             c = random_tiny_circuit(rng)
             layout, mapping, cuts = _dd_setup(c, 2, 3)
-            sched = schedule_limited(c, layout, mapping, cuts)
+            sched = schedule_limited(c, layout, mapping)
             assert validate(sched, c, layout, mapping) == []
 
     def test_dependency_violation_detected(self):
@@ -281,10 +281,9 @@ class TestValidate:
         route = RoutePath(DD, ((0, 0), (0, 1)))
         route2 = RoutePath(DD, ((1, 0), (1, 1)))
         bad = EncodedSchedule(
-            DD,
             [[Action(ActionKind.BRAID, gate=1, route=route)],
              [Action(ActionKind.BRAID, gate=0, route=route2)]],
-            layout, mapping, cuts,
+            layout, mapping,
         )
         violations = validate(bad, c, layout, mapping)
         assert any("dependency" in v for v in violations)
@@ -299,10 +298,9 @@ class TestValidate:
         shared = RoutePath(DD, ((0, 1), (0, 2), (0, 3)))
         inner = RoutePath(DD, ((0, 2), (0, 3)))
         bad = EncodedSchedule(
-            DD,
             [[Action(ActionKind.BRAID, gate=0, route=shared),
               Action(ActionKind.BRAID, gate=1, route=inner)]],
-            layout, mapping, mapping.cuts,
+            layout, mapping,
         )
         violations = validate(bad, c, layout, mapping)
         assert any("capacity" in v for v in violations)
@@ -312,8 +310,8 @@ class TestValidate:
         same = {0: CutType.X, 1: CutType.X}
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=same)
         bad = EncodedSchedule(
-            DD, [[Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 0), (0, 1))))]],
-            layout, mapping, cuts,
+            [[Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 0), (0, 1))))]],
+            layout, mapping,
         )
         violations = validate(bad, c, layout, mapping)
         assert any("same-cut" in v for v in violations)
@@ -324,8 +322,8 @@ class TestValidate:
         layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map=opposite)
         route = RoutePath(DD, ((0, 0), (0, 1)))
         bad = EncodedSchedule(
-            DD, [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p)] for p in (1, 2, 3)],
-            layout, mapping, cuts,
+            [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p)] for p in (1, 2, 3)],
+            layout, mapping,
         )
         assert validate(bad, c, layout, mapping) == [
             "gate 0: 3-cycle direct execution between opposite cuts at 0"
@@ -337,7 +335,7 @@ class TestValidate:
         modify = [[Action(ActionKind.MODIFY, tile=(0, 0), new_cut=cut, phase=p)
                    for cut in (CutType.Z, CutType.X)] for p in (1, 2, 3)]
         braid = [Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 0), (0, 1))))]
-        bad = EncodedSchedule(DD, [*modify, braid], layout, mapping, cuts)
+        bad = EncodedSchedule([*modify, braid], layout, mapping)
         assert validate(bad, c, layout, mapping) == [
             f"cycle {t}: tile (0, 0) used by two actions" for t in range(3)
         ]
@@ -345,7 +343,7 @@ class TestValidate:
     def test_missing_gate_detected(self):
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _dd_setup(c, 1, 2)
-        empty = EncodedSchedule(DD, [], layout, mapping, cuts)
+        empty = EncodedSchedule([], layout, mapping)
         violations = validate(empty, c, layout, mapping)
         assert any("never executed" in v for v in violations)
 
@@ -356,10 +354,10 @@ class TestDeltaLowerBound:
             c = random_tiny_circuit(rng)
             layout, mapping, cuts = _dd_setup(c, 2, 3)
             for maker in (
-                lambda: schedule_limited(c, layout, mapping, cuts),
-                lambda: schedule_limited(c, layout, mapping, cuts, strategy="circuit-order"),
-                lambda: schedule_limited(c, layout, mapping, cuts, strategy="time-first"),
-                lambda: schedule_limited(c, layout, mapping, cuts, strategy="channel-first"),
+                lambda: schedule_limited(c, layout, mapping),
+                lambda: schedule_limited(c, layout, mapping, strategy="circuit-order"),
+                lambda: schedule_limited(c, layout, mapping, strategy="time-first"),
+                lambda: schedule_limited(c, layout, mapping, strategy="channel-first"),
             ):
                 sched = maker()
                 check_schedule(sched, c, layout, mapping)
