@@ -182,7 +182,7 @@ def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
     schedule, layers = compile_once(config, circuit)
     seconds = time.monotonic() - t0
     layout = schedule.layout
-    violations = validate(schedule, circuit, layout, schedule.mapping)
+    violations = validate(schedule, circuit)
     if violations:
         raise SurfcError(
             f"schedule failed validation ({len(violations)} violations): "
@@ -228,6 +228,8 @@ def sweep(configs: list[RunConfig], workers: int = 1) -> tuple[list[dict], str]:
     """Run every config (partial failures recorded per row); returns
     (rows, csv_text).  Rows carry the compile-time ratio against the
     minimum-chip row of the same (label, model, scheduler) group."""
+    if workers < 1:
+        raise InfeasibleError(f"worker count {workers} must be >= 1")
     results: list[tuple[RunConfig, RunReport | None, str]] = []
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

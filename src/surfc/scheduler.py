@@ -428,11 +428,14 @@ def schedule_sufficient(
 def validate(
     schedule: EncodedSchedule,
     circuit: LogicalCircuit,
-    layout: ChipLayout,
-    mapping: TileMapping,
+    layout: ChipLayout | None = None,
+    mapping: TileMapping | None = None,
 ) -> list[str]:
     """Replay a schedule against the ground rules; returns all violations.
-    Cut bookkeeping starts from the cuts of ``schedule.mapping``."""
+    ``layout`` and ``mapping`` default to the schedule's own.  Cut
+    bookkeeping starts from the cuts of ``schedule.mapping``."""
+    layout = schedule.layout if layout is None else layout
+    mapping = schedule.mapping if mapping is None else mapping
     v: list[str] = []
     model = schedule.model
     dag = build_dag(circuit)

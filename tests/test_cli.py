@@ -170,3 +170,13 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and message in err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count(self, capsys, tmp_path, workers):
+        config = tmp_path / "row.cfg"
+        config.write_text("benchmark = bv_10\n")
+        assert main(["sweep", str(config), "--workers", workers]) == EXIT_INFEASIBLE
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert f"worker count {workers} must be >= 1" in err

@@ -3,8 +3,10 @@ import itertools
 import random
 
 import pytest
-
 from conftest import uniform_dd_layout, uniform_ls_layout
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from surfc import router
 from surfc.chip import ChipModel, chip_capacity
 from surfc.errors import SchedulingError
@@ -12,11 +14,14 @@ from surfc.oracle import OracleBudget, routing_feasible
 from surfc.placement import ArrayShape, baseline_mapping
 from surfc.router import (
     CycleOccupancy,
+    Fabric,
     RoutePath,
+    bfs,
     find_path,
     render_cycle,
     route_batch_guaranteed,
     tile_corners,
+    trace_back,
 )
 
 DD = ChipModel.DOUBLE_DEFECT
@@ -231,6 +236,101 @@ class TestTheoremTwoSmoke:
                     usage[res] = usage.get(res, 0) + 1
                     assert usage[res] <= cap(res)
             done += 1
+
+
+def _both_searches(fabric: Fabric, usage: list[int], src, dst):
+    """Unbounded and bounded ``bfs`` between two tiles, with the starts and
+    goals of a route search; asserts that they agree and returns the
+    unbounded ``(parent, end)``.  On a miss both return the whole region."""
+    cap = fabric.cap
+    starts = [n for n in fabric.terminals(src) if usage[n] < cap[n]]
+    goals = fabric.terminals(dst)
+    parent, end = bfs(fabric, starts, usage, goals)
+    bounded, bounded_end = bfs(fabric, starts, usage, goals, fabric.hop_bounds(dst))
+    assert bounded_end == end
+    if end is None:
+        assert list(bounded.items()) == list(parent.items())
+    else:
+        assert trace_back(bounded, end) == trace_back(parent, end)
+    return parent, end
+
+
+def _first_bound(fabric: Fabric, src, dst) -> int:
+    lower = fabric.hop_bounds(dst)
+    return max(1, min(lower[n] for n in fabric.terminals(src)))
+
+
+class TestBoundedSearch:
+    """The contour-bounded search of the batch router returns the same end
+    and route as the unbounded search on every query."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_route_as_unbounded(self, seed):
+        # both models, bandwidth 1-3, arrays up to 6x6, randomly saturated
+        # resources, and half the time a wall with one gap for long detours
+        rng = random.Random(seed)
+        model, bandwidth = rng.choice((DD, LS)), rng.randint(1, 3)
+        rows, cols = rng.choice([(r, c) for r in range(1, 7) for c in range(1, 7) if r * c >= 2])
+        cells = [(r, c) for r in range(rows) for c in range(cols)]
+        if model is DD:
+            layout = uniform_dd_layout(rows, cols, bandwidth=bandwidth)
+            tiles = cells
+        else:
+            layout = uniform_ls_layout(rows, cols, gap=bandwidth)
+            tiles = [(layout.row_tracks[r], layout.col_tracks[c])
+                     for r, c in rng.sample(cells, rng.randint(2, len(cells)))]
+        fabric = Fabric(layout, frozenset(tiles) if model is LS else frozenset())
+        usage = [0] * fabric.size
+        density = rng.choice((0.0, 0.1, 0.25, 0.4))
+        for res in range(fabric.size - 1):
+            if rng.random() < density:
+                usage[res] = fabric.cap[res]
+        width = fabric.cols
+        height = len(fabric.tiles) // width
+        if rng.random() < 0.5 and min(height, width) >= 3:
+            if rng.random() < 0.5:  # a full grid row but one node
+                k, gap = rng.randrange(1, height - 1), rng.choice((0, width - 1, rng.randrange(width)))
+                wall = [k * width + j for j in range(width) if j != gap]
+            else:  # a full grid column but one node
+                k, gap = rng.randrange(1, width - 1), rng.choice((0, height - 1, rng.randrange(height)))
+                wall = [i * width + k for i in range(height) if i != gap]
+            for n in wall:
+                usage[n] = fabric.cap[n]
+        pairs = [tuple(rng.sample(tiles, 2)) for _ in range(8)]
+        if model is DD:  # tiles that share a corner: a start is also a goal
+            r, c = rng.choice(tiles)
+            near = [(r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                    if (dr, dc) != (0, 0) and (r + dr, c + dc) in tiles]
+            pairs.append(((r, c), rng.choice(near)))
+        for src, dst in pairs:
+            _both_searches(fabric, usage, src, dst)
+
+    def test_detour_needs_a_second_contour(self):
+        # a saturated junction column between the tiles leaves one gap, one
+        # row below the direct route; the detour is longer than the first bound
+        layout = uniform_dd_layout(2, 4)
+        fabric = Fabric(layout)
+        usage = [0] * fabric.size
+        for i in (0, 1):
+            usage[fabric.res_id(("j", i, 2))] = 1
+        parent, end = _both_searches(fabric, usage, (0, 0), (0, 3))
+        path = trace_back(parent, end)
+        assert fabric.route(path).nodes == ((1, 1), (2, 1), (2, 2), (2, 3), (1, 3))
+        assert len(path) - 1 > _first_bound(fabric, (0, 0), (0, 3)) == 2
+
+    def test_true_miss_returns_the_reachable_region(self):
+        # a saturated junction row walls the top three rows off from the
+        # goal; the bounded search grows its contour until nothing is cut
+        layout = uniform_dd_layout(4, 4)
+        fabric = Fabric(layout)
+        usage = [0] * fabric.size
+        for j in range(5):
+            usage[fabric.res_id(("j", 3, j))] = 1
+        parent, end = _both_searches(fabric, usage, (0, 0), (3, 3))
+        assert end is None
+        assert sorted(fabric.tiles[n] for n in parent) == [(i, j) for i in range(3) for j in range(5)]
+        assert max(fabric.hop_bounds((3, 3))[n] for n in parent) > _first_bound(fabric, (0, 0), (3, 3))
 
 
 class TestRender:
