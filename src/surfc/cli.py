@@ -153,12 +153,20 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _load_report(path: str) -> dict:
+    """A run report: a JSON object with a numeric ``delta``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            report = json.load(fh)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InfeasibleError(f"report {path}: invalid JSON ({exc})") from None
+    if not isinstance(report, dict) or type(report.get("delta")) not in (int, float):
+        raise InfeasibleError(f"report {path}: expected a JSON object with a numeric delta")
+    return report
+
+
 def cmd_compare(args) -> int:
-    with open(args.report_a, "r", encoding="utf-8") as fh:
-        a = json.load(fh)
-    with open(args.report_b, "r", encoding="utf-8") as fh:
-        b = json.load(fh)
-    pct = compare(a, b)
+    pct = compare(_load_report(args.report_a), _load_report(args.report_b))
     _emit(json.dumps({"reduction_percent": round(pct, 1)}), args.out)
     return EXIT_OK
 

@@ -171,6 +171,26 @@ class TestBadInput:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1 and message in err
 
+    @pytest.mark.parametrize("data, message", [
+        (b'{"delta": 5', "invalid JSON"),
+        (b'{"delta": 5, "label": "\xff"}', "invalid JSON"),
+        (b"[1, 2]", "expected a JSON object with a numeric delta"),
+        (b'{"label": "x"}', "expected a JSON object with a numeric delta"),
+        (b'{"delta": "five"}', "expected a JSON object with a numeric delta"),
+        (b"{}", "expected a JSON object with a numeric delta"),
+    ], ids=["compare-invalid-json", "compare-not-utf8", "compare-list", "compare-no-delta",
+            "compare-text-delta", "compare-empty"])
+    def test_bad_compare_report(self, capsys, tmp_path, data, message):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text('{"delta": 10}')
+        bad.write_bytes(data)
+        for argv in ([str(good), str(bad)], [str(bad), str(good)]):
+            assert main(["compare", *argv]) == EXIT_INFEASIBLE
+            err = capsys.readouterr().err
+            assert "Traceback" not in err
+            assert len(err.strip().splitlines()) == 1
+            assert str(bad) in err and message in err
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_bad_worker_count(self, capsys, tmp_path, workers):
         config = tmp_path / "row.cfg"

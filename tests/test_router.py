@@ -132,6 +132,20 @@ class TestCommit:
             occ.commit_route(path, 0, 1)
 
 
+@pytest.fixture
+def ring_repairs(monkeypatch):
+    """Records each ``_ring_repair`` call: one per batch, plus one per restart."""
+    calls = []
+    repair = router._ring_repair
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return repair(*args, **kwargs)
+
+    monkeypatch.setattr(router, "_ring_repair", counted)
+    return calls
+
+
 class TestRouteBatchGuaranteed:
     def test_single_gate_shortest(self):
         layout = uniform_dd_layout(4, 4)
@@ -186,21 +200,17 @@ class TestRouteBatchGuaranteed:
                 assert node not in seen
                 seen.add(node)
 
-    def test_random_restart_tier(self, monkeypatch):
-        # ring repair and the 48-round negotiation both fail on this
-        # batch; only the seeded random restarts route it within capacity
+    def test_random_restart_tier(self, ring_repairs):
+        # ring repair fails on this batch in every batch order; only the
+        # seeded restarts, which shuffle the neighbour order too, route it
         layout = uniform_dd_layout(3, 3, 1)
         pairs = [((2, 1), (0, 2)), ((0, 1), (2, 2)), ((1, 2), (1, 1))]
-        calls = []
-        priced = router._dijkstra_route
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return priced(*args, **kwargs)
-
-        monkeypatch.setattr(router, "_dijkstra_route", counted)
+        fabric = Fabric(layout)
+        for order in itertools.permutations(range(len(pairs))):
+            assert router._ring_repair(fabric, pairs, list(order)) is None
+        ring_repairs.clear()
         paths = route_batch_guaranteed(layout, pairs)
-        assert len(calls) > 48 * len(pairs)
+        assert len(ring_repairs) > 1
         cap = router.resource_capacities(layout)
         usage = {}
         for (a, b), p in zip(pairs, paths):
@@ -208,6 +218,28 @@ class TestRouteBatchGuaranteed:
             for res in p.resources():
                 usage[res] = usage.get(res, 0) + 1
         assert all(u <= cap(res) for res, u in usage.items())
+
+    def test_lattice_surgery_batch_sweep(self, ring_repairs):
+        # capacity-sized batches among the data tiles of 3x3 to 8x8 arrays
+        # with channels one and two tiles wide; a few need a restart
+        rng = random.Random(20261018)
+        batches = 1000
+        for _ in range(batches):
+            layout = uniform_ls_layout(rng.randint(3, 8), rng.randint(3, 8), gap=rng.choice((1, 2)))
+            data = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+            tiles = rng.sample(data, 2 * layout.capacity)
+            pairs = list(zip(tiles[::2], tiles[1::2]))
+            paths = route_batch_guaranteed(layout, pairs, frozenset(data))
+            seen = set()
+            for (a, b), p in zip(pairs, paths):
+                if p.nodes:
+                    assert router._adjacent(a, p.nodes[0]) and router._adjacent(p.nodes[-1], b)
+                else:
+                    assert router._adjacent(a, b)
+                for node in p.nodes:
+                    assert node not in seen and node not in data
+                    seen.add(node)
+        assert len(ring_repairs) > batches
 
 
 class TestTheoremTwoSmoke:
@@ -346,7 +378,7 @@ class TestRender:
         assert "a" in art
 
 
-GOLDEN_ROUTE_DIGEST = "cf6e3dad59b300a3701440e2b62f1b2c3f2d9713bc87259c81b2ae0a44d55a2f"
+GOLDEN_ROUTE_DIGEST = "f00ef824c97ad40dde8dfeadbfffab9b70a197ebf2eafb7d7bfa87717ac3fc08"
 
 
 def _query_stream(digest) -> tuple[int, int]:
