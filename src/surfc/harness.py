@@ -175,6 +175,12 @@ def compile_once(config: RunConfig, circuit: LogicalCircuit):
     return schedule, layers
 
 
+def _report_label(config: RunConfig) -> str:
+    """The config's label, else a name for its circuit source."""
+    return config.label or (config.benchmark or config.qasm_path or
+                            f"random{config.random_params}")
+
+
 def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
     """Compile once, validate, and return the report with the schedule."""
     circuit = load_circuit(config)
@@ -191,8 +197,7 @@ def run_full(config: RunConfig) -> tuple[RunReport, EncodedSchedule]:
     if schedule.delta < layers.alpha:
         raise SurfcError(f"delta {schedule.delta} below critical path {layers.alpha}")
     report = RunReport(
-        label=config.label or (config.benchmark or config.qasm_path or
-                               f"random{config.random_params}"),
+        label=_report_label(config),
         n=circuit.n,
         alpha=layers.alpha,
         g=circuit.g,
@@ -244,7 +249,10 @@ def sweep(configs: list[RunConfig], workers: int = 1) -> tuple[list[dict], str]:
     rows: list[dict] = []
     for config, report, err in results:
         if report is None:
-            rows.append({"label": config.label, "valid": False, "error": err})
+            rows.append({"label": _report_label(config), "model": config.model.value,
+                         "chip": config.chip, "scheduler": config.scheduler,
+                         "mapping": config.mapping, "cuts": config.cuts, "seed": config.seed,
+                         "valid": False, "error": err})
             continue
         row = report.to_json_dict()
         key = (report.label, report.model, report.scheduler, report.seed)

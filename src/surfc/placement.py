@@ -16,10 +16,17 @@ Both searches keep tables so that each candidate is judged in O(1):
   ``x`` and ``y`` pays off when ``gain[x] + gain[y] - 2*w_xy > 0``, and a
   move flips the mover's gain and shifts each member neighbour's by ``2*w``;
 * swap descent indexes the cells, holds one dense distance matrix, and keeps
-  per qubit a row ``cost[q][k]``: q's share of ``f`` were it on cell ``k``
-  with every other qubit fixed.  A move into a free cell compares two
-  entries of one row, a swap four entries plus the pair's own term, and a
-  relocation updates only the rows of the mover's neighbours.
+  per qubit a cost row: field ``k`` is q's share of ``f`` were it on cell
+  ``k`` with every other qubit fixed.  A row is one Python int with ``B``
+  bits per cell, and so is each cell's packed distance row; a relocation
+  from cell ``a`` to ``b`` adds ``w * (packed[b] - packed[a])`` to each
+  neighbour's row, one integer add per neighbour instead of a rewrite of
+  every cell.  The packed add is exact: whatever the placement, a field is
+  a sum of non-negative terms no larger than the qubit's weighted degree
+  times the largest distance, and ``B`` is one bit more than that product
+  needs, so no field borrows from or carries into the next.  A move into a
+  free cell compares two fields of one row, a swap four fields plus the
+  pair's own term.
 
 Cut types: grow the communication sub-graph layer by layer over the ASAP
 layering while it stays bipartite (``bipartite_prefix``) and color that
@@ -205,6 +212,7 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
     side = {q: 0 for q in part_a if q >= 0}
     side.update({q: 1 for q in part_b if q >= 0})
     adj = comm.adjacency
+    weights = comm.weights
     # gain[v]: external minus internal weight over members (holes stay 0);
     # positive means v wants to move
     gain = dict.fromkeys(pool, 0)
@@ -226,8 +234,9 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
         for i in range(len(part_a)):
             for j in range(len(part_b)):
                 x, y = part_a[i], part_b[j]
-                # holes have no weight to anyone
-                if gain[x] + gain[y] - 2 * comm.weight(x, y) > 0:
+                # holes have no weight to anyone, and no pair weighs below 0
+                g = gain[x] + gain[y]
+                if g > 0 and g > 2 * weights.get((x, y) if x < y else (y, x), 0):
                     part_a[i], part_b[j] = y, x
                     move(x)
                     move(y)
@@ -243,20 +252,22 @@ def _swap_descent(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> N
     adj = comm.adjacency
     pos = {q: cm.index[cell] for q, cell in assign.items()}
     free = set(range(len(cm.cells))) - set(pos.values())
-    # cost[q][k]: q's share of the cost were it on cell k, all others fixed
-    cost: dict[int, list[int]] = {}
-    for q in assign:
-        row = [0] * len(cm.cells)
-        for u, w in adj[q]:
-            row = [c + w * d for c, d in zip(row, dist[pos[u]])]
-        cost[q] = row
+    # a row field never exceeds its qubit's weighted degree times the largest
+    # distance, so fields of ``width`` bits (one spare) hold the rows of every
+    # placement the descent passes through, and packed adds stay field-wise
+    top = max((sum(w for _u, w in adj[q]) for q in assign), default=0)
+    width = (top * max(map(max, dist), default=0)).bit_length() + 1
+    mask = (1 << width) - 1
+    # packed[k]: distance row of cell k, field j at bit width*j
+    packed = [sum(d << (width * j) for j, d in enumerate(row)) for row in dist]
+    # cost[q], field k: q's share of the cost were it on cell k, all others fixed
+    cost = {q: sum(w * packed[pos[u]] for u, w in adj[q]) for q in assign}
 
     def relocate(q: int, k: int) -> None:
-        delta = [a - b for a, b in zip(dist[k], dist[pos[q]])]
+        shift = packed[k] - packed[pos[q]]
         pos[q] = k
         for u, w in adj[q]:
-            row = cost[u]
-            row[:] = [c + w * d for c, d in zip(row, delta)]
+            cost[u] += w * shift
 
     qubits = sorted(assign)
     improved = True
@@ -264,27 +275,33 @@ def _swap_descent(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> N
         improved = False
         for q in qubits:
             row_q = cost[q]
-            # move into an empty cell
+            # move into an empty cell (q's own row stays put when q moves)
             for k in sorted(free):
                 kq = pos[q]
-                if row_q[k] < row_q[kq]:
+                if (row_q >> width * k) & mask < (row_q >> width * kq) & mask:
                     free.remove(k)
                     free.add(kq)
                     relocate(q, k)
                     improved = True
             # swap with another qubit
             kq = pos[q]
+            at_q = width * kq
+            here = (row_q >> at_q) & mask
             w_q = dict(adj[q])
             for p in qubits:
                 if p <= q:
                     continue
                 kp = pos[p]
                 row_p = cost[p]
-                if (row_q[kp] + row_p[kq] + 2 * w_q.get(p, 0) * dist[kq][kp]
-                        < row_q[kq] + row_p[kp]):
+                at_p = width * kp
+                if (((row_q >> at_p) & mask) + ((row_p >> at_q) & mask)
+                        + 2 * w_q.get(p, 0) * dist[kq][kp]
+                        < here + ((row_p >> at_p) & mask)):
                     relocate(q, kp)
                     relocate(p, kq)
-                    kq = kp
+                    kq, at_q = kp, at_p
+                    row_q = cost[q]
+                    here = (row_q >> at_q) & mask
                     improved = True
     for q, k in pos.items():
         assign[q] = cm.cells[k]

@@ -164,6 +164,18 @@ class TestSweep:
         assert rows[1]["valid"] is False and rows[1]["error"]
         assert "bad" in text
 
+    def test_failed_rows_name_their_config(self):
+        few_trials = RunConfig(benchmark="bv_10", model=LS, chip="min", trials=0)
+        no_distance = RunConfig(benchmark="bv_10", model=DD, chip="4x", d=0, seed=2,
+                                mapping="snake", cuts="maxcut", label="d0")
+        rows, text = sweep([few_trials, no_distance])
+        assert [row["valid"] for row in rows] == [False, False]
+        assert rows[0]["error"] == "establish_mapping needs at least one trial"
+        config_fields = ("label", "model", "chip", "scheduler", "mapping", "cuts", "seed")
+        assert [rows[0][k] for k in config_fields] == ["bv_10", "ls", "min", "ecmas", "ecmas", "ecmas", 0]
+        assert [rows[1][k] for k in config_fields] == ["d0", "dd", "4x", "ecmas", "snake", "maxcut", 2]
+        assert text.splitlines()[1].startswith("bv_10,,,,,ls,min,")
+
     def test_reproducible(self):
         configs = [
             RunConfig(random_params=(10, 5, 3), model=DD, chip="min", d=2, seed=s, label=f"r{s}")

@@ -4,12 +4,12 @@ import random
 
 import pytest
 from conftest import uniform_ls_layout
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfc.bench import BENCHMARKS, ghz
 from surfc.chip import ChipLayout, ChipModel, ChipSpec, config_dims, derive_layout, dims_for_avg_bandwidth
-from surfc.circuits import build_comm_graph, build_dag, circuit, two_coloring
+from surfc.circuits import CommGraph, build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
 from surfc.placement import (
@@ -104,38 +104,61 @@ class TestEstablishMapping:
 
 
 # sha256 over repr(sorted(positions.items())) of every mapping in one grid of
-# TestGoldenMapping, recorded with a reference search that recomputed each
-# candidate's cost from scratch; the incremental tables must reproduce them.
-# Square sizes fill their arrays; the other sizes leave free cells to move into.
+# TestGoldenMapping.  The "n..." grids were recorded with a reference search
+# that recomputed each candidate's cost from scratch; the incremental tables
+# must reproduce them.  Their circuits (depth 10, par n//3) are sparse: square
+# sizes fill their arrays, the other sizes leave free cells to move into.  The
+# "map49" grid is the dense criterion-8 circuit (n=49, depth 50, par 21) on the
+# layouts of average bandwidth 1 and 2, as the pipeline maps it: many edges and
+# large multiplicities.
 GOLDEN_MAPPING_DIGESTS = {
-    (9, 16, 25, 49): "0e73fa56f09c4c3b188bdbddb7b6a22d1f8e93c8bb83523553c2384f5f612421",
-    (7, 12, 20, 30): "4f34cb9b5e8ed082f85bcc0c0dd65ce54710062f13997303842887de515d5c54",
+    "n9-16-25-49": "0e73fa56f09c4c3b188bdbddb7b6a22d1f8e93c8bb83523553c2384f5f612421",
+    "n7-12-20-30": "4f34cb9b5e8ed082f85bcc0c0dd65ce54710062f13997303842887de515d5c54",
+    "map49": "653927aef88e4abf6f687f7b4f15803f350e6612666c097f87f38405a72fcbe4",
 }
 
 
+def _sparse_golden_mappings(sizes):
+    for n in sizes:
+        for seed in range(3):
+            comm = build_comm_graph(gen_random_circuit(n, 10, n // 3, seed=seed))
+            for model in (DD, LS):
+                for chip in ("min", "4x"):
+                    m1, m2 = config_dims(chip, n, 3, model)
+                    uniform = derive_layout(ChipSpec(model, m1, m2, 3), n)
+                    shape = ArrayShape(uniform.array_r, uniform.array_c)
+                    # the zero-width layout these digests were recorded on
+                    layout = ChipLayout(model, 3, m1, m2, shape.rows, shape.cols,
+                                        (0,) * (shape.rows + 1), (0,) * (shape.cols + 1))
+                    for lay in (None, layout):
+                        yield establish_mapping(comm, shape, trials=4, seed=seed, layout=lay)
+
+
+def _dense_golden_mappings():
+    for seed in range(3):
+        comm = build_comm_graph(gen_random_circuit(49, 50, 21, seed=seed))
+        for model in (DD, LS):
+            for b in (1, 2):
+                m1, m2 = dims_for_avg_bandwidth(49, 3, model, b)
+                layout = derive_layout(ChipSpec(model, m1, m2, 3), 49)
+                shape = ArrayShape(layout.array_r, layout.array_c)
+                yield establish_mapping(comm, shape, trials=4, seed=seed, layout=layout)
+
+
 class TestGoldenMapping:
-    @pytest.mark.parametrize("sizes", sorted(GOLDEN_MAPPING_DIGESTS),
-                             ids=lambda sizes: "n" + "-".join(map(str, sizes)))
-    def test_digest(self, sizes):
+    @pytest.mark.parametrize("grid", sorted(GOLDEN_MAPPING_DIGESTS))
+    def test_digest(self, grid):
+        if grid == "map49":
+            mappings, expected = _dense_golden_mappings(), 12
+        else:
+            mappings, expected = _sparse_golden_mappings(map(int, grid[1:].split("-"))), 96
         digest = hashlib.sha256()
         count = 0
-        for n in sizes:
-            for seed in range(3):
-                comm = build_comm_graph(gen_random_circuit(n, 10, n // 3, seed=seed))
-                for model in (DD, LS):
-                    for chip in ("min", "4x"):
-                        m1, m2 = config_dims(chip, n, 3, model)
-                        uniform = derive_layout(ChipSpec(model, m1, m2, 3), n)
-                        shape = ArrayShape(uniform.array_r, uniform.array_c)
-                        # the zero-width layout these digests were recorded on
-                        layout = ChipLayout(model, 3, m1, m2, shape.rows, shape.cols,
-                                            (0,) * (shape.rows + 1), (0,) * (shape.cols + 1))
-                        for lay in (None, layout):
-                            m = establish_mapping(comm, shape, trials=4, seed=seed, layout=lay)
-                            digest.update(repr(sorted(m.positions.items())).encode())
-                            count += 1
-        assert count == 96
-        assert digest.hexdigest() == GOLDEN_MAPPING_DIGESTS[sizes]
+        for m in mappings:
+            digest.update(repr(sorted(m.positions.items())).encode())
+            count += 1
+        assert count == expected
+        assert digest.hexdigest() == GOLDEN_MAPPING_DIGESTS[grid]
 
 
 @st.composite
@@ -175,6 +198,88 @@ class TestSwapDescent:
                 if other is not None:
                     trial[other] = origin
                 assert _cost(trial, comm, cm) >= best, (q, cell, other)
+
+
+def _list_row_descent(assign, comm, cm):
+    """Reference swap descent on plain list rows: each relocation rewrites
+    every neighbour's full cost row."""
+    dist = cm.matrix
+    adj = comm.adjacency
+    pos = {q: cm.index[cell] for q, cell in assign.items()}
+    free = set(range(len(cm.cells))) - set(pos.values())
+    cost = {}
+    for q in assign:
+        row = [0] * len(cm.cells)
+        for u, w in adj[q]:
+            row = [c + w * d for c, d in zip(row, dist[pos[u]])]
+        cost[q] = row
+
+    def relocate(q, k):
+        delta = [a - b for a, b in zip(dist[k], dist[pos[q]])]
+        pos[q] = k
+        for u, w in adj[q]:
+            row = cost[u]
+            row[:] = [c + w * d for c, d in zip(row, delta)]
+
+    qubits = sorted(assign)
+    improved = True
+    while improved:
+        improved = False
+        for q in qubits:
+            row_q = cost[q]
+            for k in sorted(free):
+                kq = pos[q]
+                if row_q[k] < row_q[kq]:
+                    free.remove(k)
+                    free.add(kq)
+                    relocate(q, k)
+                    improved = True
+            kq = pos[q]
+            w_q = dict(adj[q])
+            for p in qubits:
+                if p <= q:
+                    continue
+                kp = pos[p]
+                row_p = cost[p]
+                if (row_q[kp] + row_p[kq] + 2 * w_q.get(p, 0) * dist[kq][kp]
+                        < row_q[kq] + row_p[kp]):
+                    relocate(q, kp)
+                    relocate(p, kq)
+                    kq = kp
+                    improved = True
+    for q, k in pos.items():
+        assign[q] = cm.cells[k]
+
+
+@st.composite
+def _weighted_instances(draw):
+    """A communication graph with multiplicities up to 1000 on a shape that
+    may leave free cells; one-qubit and one-cell shapes included."""
+    n = draw(st.integers(1, 9))
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(-(-n // rows), -(-n // rows) + 2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: ab[0] < ab[1])
+    weights = draw(st.dictionaries(pairs, st.integers(1, 1000), max_size=20)) if n > 1 else {}
+    cells = draw(st.permutations(ArrayShape(rows, cols).cells))
+    return CommGraph(n, weights), ArrayShape(rows, cols), dict(enumerate(cells[:n]))
+
+
+class TestSwapDescentAgainstListRows:
+    @pytest.mark.parametrize("model", [DD, LS])
+    @given(inst=_weighted_instances(), gap=st.integers(0, 1))
+    @example(inst=(CommGraph(1, {}), ArrayShape(1, 1), {0: (0, 0)}), gap=0)
+    @example(inst=(CommGraph(1, {}), ArrayShape(2, 3), {0: (1, 2)}), gap=0)
+    @example(inst=(CommGraph(4, {(0, 3): 1000, (1, 2): 999, (0, 1): 1}), ArrayShape(2, 3),
+                   {0: (0, 0), 1: (1, 2), 2: (0, 1), 3: (1, 1)}), gap=0)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_assignment(self, model, inst, gap):
+        comm, shape, assign = inst
+        layout = uniform_ls_layout(shape.rows, shape.cols, gap=gap) if model is LS else None
+        cm = _CostModel(shape, layout)
+        ours, ref = dict(assign), dict(assign)
+        _swap_descent(ours, comm, cm)
+        _list_row_descent(ref, comm, cm)
+        assert ours == ref
 
 
 class TestMappingCost:
