@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import bench
 from .chip import ChipModel, ChipSpec, check_chip_kind, config_dims, derive_layout
-from .circuits import LogicalCircuit, build_comm_graph, build_dag
+from .circuits import GateDag, LogicalCircuit, build_comm_graph, build_dag
 from .errors import InfeasibleError, SurfcError
 from .generate import gen_random_circuit
 from .placement import (
@@ -118,8 +118,9 @@ def load_circuit(config: RunConfig) -> LogicalCircuit:
     return gen_random_circuit(n, depth, parallelism, config.seed)
 
 
-def place(config: RunConfig, circuit: LogicalCircuit):
+def place(config: RunConfig, circuit: LogicalCircuit, dag: GateDag | None = None):
     """Every stage before scheduling; returns (layers, layout, mapping).
+    ``dag`` is ``build_dag(circuit)``, built here when not given.
 
     Every compile maps onto the uniform layout of ``derive_layout``; for
     ``resu`` its capacity must first cover the layering width.  Double-defect
@@ -130,7 +131,8 @@ def place(config: RunConfig, circuit: LogicalCircuit):
     pair that no fabric path joins can never be routed, so a mapping of any
     kind that strands one is rejected here with an InfeasibleError."""
     comm = build_comm_graph(circuit)
-    dag = build_dag(circuit)
+    if dag is None:
+        dag = build_dag(circuit)
     layers = para_finding(dag)
     dims = config_dims(config.chip, circuit.n, config.d, config.model, pm=layers.pm)
     spec = ChipSpec(config.model, dims[0], dims[1], config.d)
@@ -150,7 +152,7 @@ def place(config: RunConfig, circuit: LogicalCircuit):
     if dd_limited:
         layout = adjust_bandwidth(layout, mapping, circuit)
         if config.cuts == "ecmas":
-            mapping = mapping.with_cuts(init_cut_types(circuit))
+            mapping = mapping.with_cuts(init_cut_types(circuit, dag=dag))
         else:
             mapping = mapping.with_cuts(baseline_cuts(config.cuts, comm, seed=config.seed))
     if config.mapping == "ecmas":
@@ -167,11 +169,13 @@ def place(config: RunConfig, circuit: LogicalCircuit):
 
 def compile_once(config: RunConfig, circuit: LogicalCircuit):
     """``place`` plus one scheduler call; returns (schedule, layers).  The
-    schedule holds the layout and mapping it was built on."""
-    layers, layout, mapping = place(config, circuit)
+    schedule holds the layout and mapping it was built on.  Both share one
+    dependency DAG."""
+    dag = build_dag(circuit)
+    layers, layout, mapping = place(config, circuit, dag=dag)
     if config.scheduler == "resu":
         return schedule_sufficient(layers, layout, mapping, circuit), layers
-    schedule = schedule_limited(circuit, layout, mapping, strategy=config.scheduler)
+    schedule = schedule_limited(circuit, layout, mapping, strategy=config.scheduler, dag=dag)
     return schedule, layers
 
 

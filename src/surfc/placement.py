@@ -37,12 +37,12 @@ later.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
-from .circuits import CommGraph, LogicalCircuit, build_dag
+from .circuits import CommGraph, GateDag, LogicalCircuit, build_dag
 from .errors import InfeasibleError
 from .profiler import LayerSchedule, bipartite_prefix
 from .router import Fabric, bfs, trace_back
@@ -489,13 +489,15 @@ def coloring_cuts(coloring: dict[int, int], n: int) -> dict[int, CutType]:
     return {q: (CutType.Z if coloring.get(q) == 1 else CutType.X) for q in range(n)}
 
 
-def init_cut_types(circuit: LogicalCircuit) -> dict[int, CutType]:
+def init_cut_types(circuit: LogicalCircuit, dag: GateDag | None = None) -> dict[int, CutType]:
     """Cut assignment from the bipartite prefix of the ASAP layering (the
     whole circuit if its communication graph is bipartite); qubits outside
-    the colored prefix default to X."""
+    the colored prefix default to X.  ``dag`` is ``build_dag(circuit)``,
+    built here when not given."""
     if circuit.g == 0:
         return coloring_cuts({}, circuit.n)
-    dag = build_dag(circuit)
+    if dag is None:
+        dag = build_dag(circuit)
     asap = LayerSchedule.of([depth - 1 for depth in dag.depth_from_source], dag.alpha)
     return coloring_cuts(bipartite_prefix(asap, 0, circuit)[0], circuit.n)
 
@@ -541,27 +543,55 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     most pre-executed shortest routes (conflict-free, geometry only) per lane.
     The total width, and so the footprint, is that of the input layout.
     Lattice surgery keeps the uniform fabric of ``derive_layout``, on which
-    its schedules come out shorter, so an LS layout is rejected."""
+    its schedules come out shorter, so an LS layout is rejected.
+
+    A gate's route is the one an early-exit ``bfs`` from the control tile's
+    corners to the target tile's finds, and its lines count once per gate.
+    Each control tile gets one full uncapacitated ``bfs`` tree instead, read
+    for all of its target tiles.  When no start is a goal, the early-exit
+    search returns at the first goal it discovers, with the predecessor that
+    goal has in the full tree; so the route ends at the target corner that
+    the tree discovered first, and the tally is the same.  Tiles that share
+    a corner have a start that is also a goal, which a route may not end on;
+    such a pair keeps its own search."""
     if layout.model is not ChipModel.DOUBLE_DEFECT:
         raise InfeasibleError("bandwidth adjusting applies to the double-defect model only")
 
+    targets = defaultdict(list)  # control qubit -> its gates' target qubits
+    for gate in circuit.gates:
+        targets[gate.control].append(gate.target)
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
     v_routes = [0] * (layout.array_c + 1)
     fabric = Fabric(layout)
-    for gate in circuit.gates:
-        ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
-        parent, end = bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))
-        if end is None:
-            continue
-        lines: set[tuple[str, int]] = set()
-        for res in fabric.route(trace_back(parent, end)).resources():
-            if res[0] == "h":
-                lines.add(("h", res[1]))
-            elif res[0] == "v":
-                lines.add(("v", res[2]))
-        for kind, idx in lines:
-            (h_routes if kind == "h" else v_routes)[idx] += 1
+    tiles = fabric.tiles
+    for control, qubits in targets.items():
+        starts = fabric.terminals(mapping.tile_of(control))
+        tree = None
+        for target, gates in Counter(qubits).items():
+            goals = fabric.terminals(mapping.tile_of(target))
+            if set(starts).isdisjoint(goals):
+                if tree is None:
+                    tree = bfs(fabric, starts)[0]
+                    found = {n: k for k, n in enumerate(tree)}  # discovery index
+                parent = tree
+                goal = min(goals, key=lambda n: found.get(n, len(found)))
+                end = (goal, tree[goal]) if goal in tree else None
+            else:
+                parent, end = bfs(fabric, starts, goals=goals)
+            if end is None:
+                continue
+            path = [tiles[n] for n in trace_back(parent, end)]
+            h_lines, v_lines = set(), set()
+            for (i1, j1), (i2, _) in zip(path, path[1:]):
+                if i1 == i2:
+                    h_lines.add(i1)
+                else:
+                    v_lines.add(j1)
+            for i in h_lines:
+                h_routes[i] += gates
+            for j in v_lines:
+                v_routes[j] += gates
 
     def deal(total: int, routes: list[int]) -> tuple[int, ...]:
         widths = [0] * len(routes)

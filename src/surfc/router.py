@@ -20,11 +20,21 @@ of ``RoutePath.resources`` instead; the validator replays schedules on
 those, so the referee shares no code with the fabric, and so does the
 oracle's route packing.
 
-``bfs`` is the one breadth-first search over a fabric.  Route search, the
-uncapacitated corridor routes of double-defect bandwidth adjusting, and the
-lattice-surgery hop distances and fabric components of mapping all call
-it; ``trace_back`` turns its result into a path, and the region a failed
-route search returns gives the saturated ring behind it.
+``bfs`` is the one breadth-first search over a fabric.  Route search calls
+it with a cycle's usage.  Bandwidth adjusting calls it without usage
+(nothing is ever full, ``Fabric.unlimited``): one full tree per control
+tile, from which it reads the route to each target tile, and a per-pair
+search only where the two tiles share a corner.  Lattice-surgery mapping
+calls it without usage too, for the hop distances from each cell and the
+components of the free fabric.  ``trace_back`` turns its result into a path,
+and the region a failed route search returns gives the saturated ring
+behind it.
+
+When no start is a goal, every goal met is an end: the search returns at
+the first one it discovers, and that goal's predecessor is the one it has
+in the full tree from the same starts.  Only when a start is also a goal
+(double-defect tiles that share a corner) does a search keep the start each
+node was reached from, since a route may not end where it starts.
 
 Given ``lower``, a per-node lower bound on the hops to the goals
 (``Fabric.hop_bounds``), ``bfs`` bounds its search the way IDA* (Korf, 1985)
@@ -143,6 +153,9 @@ class Fabric:
         self.cap = cap
         self.size = len(cap)
         self.idle = [0] * self.size  # the usage of a cycle nothing has touched; never written
+        # the usage of an uncapacitated search: nothing is ever full, not
+        # even a 0-lane line; never written
+        self.unlimited = [-_NEVER_FULL] * self.size
         adj = []
         for r, c in self.tiles:
             out = []
@@ -295,55 +308,70 @@ def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=(), lower=
     reachable region.  When a start is also a goal, ``lower`` is ignored."""
     adj, cap = fabric.adj, fabric.cap
     if usage is None:
-        usage = [-_NEVER_FULL] * fabric.size  # nothing is ever full, even a 0-lane line
+        usage = fabric.unlimited
     # no closures below: a generator over ``goals`` or ``lower`` would turn
     # them into cell variables, slower to read in the loops
-    if lower is not None and set(starts).isdisjoint(goals):
-        # no start is a goal, so every goal met is an end, no root is kept,
-        # and no goal is ever in ``parent``
-        b0 = bound = max(1, min(map(lower.__getitem__, starts), default=0))
-        while True:
-            parent = dict.fromkeys(starts)
-            frontier = list(starts)
-            depth = 0
-            cut = _NEVER_FULL  # least depth + lower of a node this contour left out
-            while frontier:
-                depth += 1
-                level = []
-                for node in frontier:
-                    for nxt, seg in adj[node]:
-                        if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                            continue
-                        if nxt in goals:
-                            return parent, (nxt, node)
-                        f = depth + lower[nxt]
-                        if f > bound:
-                            if f < cut:
-                                cut = f
-                            continue
-                        parent[nxt] = node
-                        level.append(nxt)
-                frontier = level
-            if cut == _NEVER_FULL:
-                return parent, None
-            bound = max(cut, 2 * bound - b0 + 2)
     parent: dict[int, int | None] = dict.fromkeys(starts)
-    root = {n: n for n in starts}
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
-        origin = root[node]
-        for nxt, seg in adj[node]:
-            if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                continue
-            if nxt in goals and origin != nxt:
-                return parent, (nxt, node)
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            root[nxt] = origin
-            queue.append(nxt)
-    return parent, None
+    if not set(starts).isdisjoint(goals):
+        # each node keeps the start it was reached from: a goal is an end
+        # only when met from another start, as a route may not end where
+        # it starts
+        root = {n: n for n in starts}
+        queue = deque(starts)
+        while queue:
+            node = queue.popleft()
+            origin = root[node]
+            for nxt, seg in adj[node]:
+                if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                    continue
+                if nxt in goals and origin != nxt:
+                    return parent, (nxt, node)
+                if nxt in parent:
+                    continue
+                parent[nxt] = node
+                root[nxt] = origin
+                queue.append(nxt)
+        return parent, None
+    # no start is a goal, so every goal met is an end, no root is kept,
+    # and no goal is ever in ``parent``
+    if lower is None:
+        queue = deque(starts)
+        while queue:
+            node = queue.popleft()
+            for nxt, seg in adj[node]:
+                if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                    continue
+                if nxt in goals:
+                    return parent, (nxt, node)
+                parent[nxt] = node
+                queue.append(nxt)
+        return parent, None
+    b0 = bound = max(1, min(map(lower.__getitem__, starts), default=0))
+    while True:
+        parent = dict.fromkeys(starts)
+        frontier = list(starts)
+        depth = 0
+        cut = _NEVER_FULL  # least depth + lower of a node this contour left out
+        while frontier:
+            depth += 1
+            level = []
+            for node in frontier:
+                for nxt, seg in adj[node]:
+                    if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                        continue
+                    if nxt in goals:
+                        return parent, (nxt, node)
+                    f = depth + lower[nxt]
+                    if f > bound:
+                        if f < cut:
+                            cut = f
+                        continue
+                    parent[nxt] = node
+                    level.append(nxt)
+            frontier = level
+        if cut == _NEVER_FULL:
+            return parent, None
+        bound = max(cut, 2 * bound - b0 + 2)
 
 
 def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:

@@ -155,11 +155,12 @@ class _State:
     cycle.  Each qubit's operand tile and current cut are kept per qubit; the
     cut changes as flips land."""
 
-    def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping):
+    def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping,
+                 dag: GateDag):
         self.circuit = circuit
         self.layout = layout
         self.mapping = mapping
-        self.dag = build_dag(circuit)
+        self.dag = dag
         self.occ = CycleOccupancy(layout, mapping.data_tiles(layout))
         self.cycles: list[list[Action]] = []
         self.op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
@@ -218,13 +219,15 @@ def schedule_limited(
     layout: ChipLayout,
     mapping: TileMapping,
     strategy: str = "ecmas",
+    dag: GateDag | None = None,
 ) -> EncodedSchedule:
     """Greedy per-cycle scheduling under scarce communication resources.
 
     Double-defect tiles start from the cut types that ``mapping`` carries.
     ``strategy`` is a key of ``LIMITED``, which fixes the serving order of
     ready gates (priority: criticality, dependents, id; or program order) and
-    the same-cut rule.
+    the same-cut rule.  ``dag`` is ``build_dag(circuit)``, built here when
+    not given.
     """
     if strategy not in LIMITED:
         raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
@@ -232,7 +235,7 @@ def schedule_limited(
     model = layout.model
     if model is ChipModel.DOUBLE_DEFECT and mapping.cuts is None:
         raise InfeasibleError("double-defect scheduling needs an initial cut assignment")
-    st = _State(circuit, layout, mapping)
+    st = _State(circuit, layout, mapping, build_dag(circuit) if dag is None else dag)
     g = circuit.g
     if g == 0:
         return EncodedSchedule([], layout, mapping)

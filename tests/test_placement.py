@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from conftest import uniform_ls_layout
@@ -12,6 +13,7 @@ from surfc.chip import ChipLayout, ChipModel, ChipSpec, config_dims, derive_layo
 from surfc.circuits import CommGraph, build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
+from surfc.router import Fabric, bfs, trace_back
 from surfc.placement import (
     ArrayShape,
     CutType,
@@ -530,3 +532,77 @@ class TestAdjustBandwidth:
         m = baseline_mapping("snake", 50, ArrayShape(layout.array_r, layout.array_c))
         with pytest.raises(InfeasibleError):
             adjust_bandwidth(layout, m, c)
+
+
+def _per_gate_adjust(layout, mapping, circ):
+    """Reference bandwidth adjusting: one early-exit search per gate from the
+    control tile's corners to the target tile's, its route's lines tallied
+    once per gate, then the same deal."""
+    h_routes = [0] * (layout.array_r + 1)
+    v_routes = [0] * (layout.array_c + 1)
+    fabric = Fabric(layout)
+    for gate in circ.gates:
+        ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
+        parent, end = bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))
+        if end is None:
+            continue
+        lines = set()
+        for res in fabric.route(trace_back(parent, end)).resources():
+            if res[0] == "h":
+                lines.add(("h", res[1]))
+            elif res[0] == "v":
+                lines.add(("v", res[2]))
+        for kind, idx in lines:
+            (h_routes if kind == "h" else v_routes)[idx] += 1
+
+    def deal(total, routes):
+        widths = [0] * len(routes)
+        bw = [layout._line_bandwidth(0)] * len(routes)
+        for _ in range(total):
+            i = max(range(len(widths)), key=lambda k: (routes[k] / bw[k], -k))
+            widths[i] += 1
+            bw[i] = layout._line_bandwidth(widths[i])
+        return tuple(widths)
+
+    return replace(layout, h_widths=deal(sum(layout.h_widths), h_routes),
+                   v_widths=deal(sum(layout.v_widths), v_routes))
+
+
+@st.composite
+def _adjust_instances(draw):
+    """A double-defect layout (``min``, ``4x`` or average bandwidth 1-4,
+    sometimes widened into a non-square chip), a random placement, and a
+    circuit drawn from a few control-target pairs, so pairs repeat; one-qubit
+    and empty circuits included."""
+    n = draw(st.integers(1, 16))
+    d = draw(st.sampled_from((2, 3)))
+    kind = draw(st.sampled_from(("min", "4x", 1, 2, 3, 4)))
+    if isinstance(kind, str):
+        m1, m2 = config_dims(kind, n, d, DD)
+    else:
+        m1, m2 = dims_for_avg_bandwidth(n, d, DD, kind)
+    m1 += draw(st.sampled_from((0, 0, 5 * d, 12 * d)))
+    layout = derive_layout(ChipSpec(DD, m1, m2, d), n)
+    shape = ArrayShape(layout.array_r, layout.array_c)
+    cells = draw(st.permutations(shape.cells))
+    mapping = TileMapping(shape, dict(enumerate(cells[:n])))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    gates = []
+    if pairs:
+        pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=6))
+        gates = draw(st.lists(st.sampled_from(pool), max_size=24))
+    return layout, mapping, circuit(n, gates)
+
+
+class TestAdjustBandwidthAgainstPerGateTally:
+    @given(inst=_adjust_instances())
+    @example(inst=(derive_layout(ChipSpec(DD, 60, 60, 2), 9),  # 3x3 array, bandwidth 2
+                   TileMapping(ArrayShape(3, 3), {q: (q // 3, q % 3) for q in range(9)}),
+                   # edge and corner neighbours, both directions, repeated
+                   circuit(9, [(4, 5), (4, 0), (0, 4), (4, 8), (2, 4), (4, 5), (1, 3), (6, 2)])))
+    @example(inst=(derive_layout(ChipSpec(DD, 30, 30, 2), 1),
+                   TileMapping(ArrayShape(1, 1), {0: (0, 0)}), circuit(1, [])))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_layout(self, inst):
+        layout, mapping, circ = inst
+        assert adjust_bandwidth(layout, mapping, circ) == _per_gate_adjust(layout, mapping, circ)

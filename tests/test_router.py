@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+from collections import Counter, deque
 
 import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
@@ -363,6 +364,79 @@ class TestBoundedSearch:
         assert end is None
         assert sorted(fabric.tiles[n] for n in parent) == [(i, j) for i in range(3) for j in range(5)]
         assert max(fabric.hop_bounds((3, 3))[n] for n in parent) > _first_bound(fabric, (0, 0), (3, 3))
+
+
+def _rooted_bfs(fabric: Fabric, starts, usage=None, goals=()):
+    """Reference unbounded search: every node keeps the start it was
+    reached from, and a goal is an end only when met from another start."""
+    adj, cap = fabric.adj, fabric.cap
+    if usage is None:
+        usage = [-(1 << 30)] * fabric.size
+    parent = dict.fromkeys(starts)
+    root = {n: n for n in starts}
+    queue = deque(starts)
+    while queue:
+        node = queue.popleft()
+        origin = root[node]
+        for nxt, seg in adj[node]:
+            if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                continue
+            if nxt in goals and origin != nxt:
+                return parent, (nxt, node)
+            if nxt in parent:
+                continue
+            parent[nxt] = node
+            root[nxt] = origin
+            queue.append(nxt)
+    return parent, None
+
+
+def _unbounded_queries(seed: int) -> Counter:
+    """Random unbounded ``bfs`` queries on one DD or LS fabric, each checked
+    against ``_rooted_bfs``: the same end and the same ``parent`` in the same
+    order.  Returns the count of (hit, a start is a goal) outcomes."""
+    rng = random.Random(seed)
+    model = rng.choice((DD, LS))
+    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+    if model is DD:
+        fabric = Fabric(uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3)))
+    else:
+        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+        cells = [(layout.row_tracks[r], layout.col_tracks[c])
+                 for r in range(rows) for c in range(cols)]
+        fabric = Fabric(layout, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
+    usage = None
+    if rng.random() < 0.7:
+        density = rng.choice((0.1, 0.3, 0.6))
+        usage = [rng.randint(0, cap) if rng.random() < density else 0 for cap in fabric.cap]
+    nodes = range(len(fabric.tiles))
+    outcomes = Counter()
+    for _ in range(6):
+        starts = rng.sample(nodes, rng.randint(0, min(4, len(nodes))))
+        goals = tuple(rng.sample(nodes, rng.randint(0, min(4, len(nodes)))))
+        if starts and rng.random() < 0.3:
+            goals += (rng.choice(starts),)
+        parent, end = bfs(fabric, starts, usage, goals)
+        ref_parent, ref_end = _rooted_bfs(fabric, starts, usage, goals)
+        assert end == ref_end
+        assert list(parent.items()) == list(ref_parent.items())
+        outcomes[end is not None, not set(starts).isdisjoint(goals)] += 1
+    assert fabric.unlimited == [-(1 << 30)] * fabric.size
+    return outcomes
+
+
+class TestUnboundedSearch:
+    """The search without root bookkeeping, used whenever no start is a
+    goal, returns what the rooted search does."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_as_rooted_search(self, seed):
+        _unbounded_queries(seed)
+
+    def test_queries_hit_and_miss(self):
+        outcomes = sum((_unbounded_queries(seed) for seed in range(100)), Counter())
+        assert min(outcomes[hit, shared] for hit in (False, True) for shared in (False, True)) >= 10
 
 
 class TestRender:
