@@ -96,33 +96,46 @@ class GateDag:
 
 
 def build_dag(circ: LogicalCircuit) -> GateDag:
-    """Immediate-predecessor DAG of a circuit, with critical-path depths."""
+    """Immediate-predecessor DAG of a circuit, with critical-path depths.
+
+    A gate's parents are the last gates on its two qubits, in ascending
+    order (one parent when both are the same gate); each gate joins its
+    parents' child lists in program order."""
     g = circ.g
-    parents: list[list[int]] = [[] for _ in range(g)]
+    parents: list[tuple[int, ...]] = [()] * g
     children: list[list[int]] = [[] for _ in range(g)]
-    last_on_qubit: dict[int, int] = {}
-    for gate in circ.gates:
-        preds = set()
-        for q in gate.qubits:
-            if q in last_on_qubit:
-                preds.add(last_on_qubit[q])
-        for p in sorted(preds):
-            parents[gate.gid].append(p)
-            children[p].append(gate.gid)
-        for q in gate.qubits:
-            last_on_qubit[q] = gate.gid
     down = [0] * g
-    for v in range(g):  # program order is a topological order
-        down[v] = 1 + max((down[p] for p in parents[v]), default=0)
+    last: dict[int, int] = {}
+    last_on = last.get
+    for gate in circ.gates:
+        v, c, t = gate.gid, gate.control, gate.target
+        a, b = last_on(c), last_on(t)
+        if a is None:
+            ps = () if b is None else (b,)
+        elif b is None or a == b:
+            ps = (a,)
+        else:
+            ps = (a, b) if a < b else (b, a)
+        depth = 0
+        for p in ps:
+            children[p].append(v)
+            if down[p] > depth:
+                depth = down[p]
+        parents[v] = ps
+        down[v] = depth + 1  # program order is a topological order
+        last[c] = last[t] = v
     up = [0] * g
     for v in reversed(range(g)):
-        up[v] = 1 + max((up[c] for c in children[v]), default=0)
-    alpha = max(down, default=0)
+        depth = 0
+        for w in children[v]:
+            if up[w] > depth:
+                depth = up[w]
+        up[v] = depth + 1
     return GateDag(
         n_gates=g,
-        parents=tuple(tuple(p) for p in parents),
-        children=tuple(tuple(c) for c in children),
-        alpha=alpha,
+        parents=tuple(parents),
+        children=tuple(map(tuple, children)),
+        alpha=max(down, default=0),
         depth_from_source=tuple(down),
         depth_to_sink=tuple(up),
     )

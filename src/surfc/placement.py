@@ -541,9 +541,11 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     Every channel line starts at width 0 (one lane); the summed width of each
     direction is then dealt one physical row at a time to the line with the
     most pre-executed shortest routes (conflict-free, geometry only) per lane.
-    The total width, and so the footprint, is that of the input layout.
-    Lattice surgery keeps the uniform fabric of ``derive_layout``, on which
-    its schedules come out shorter, so an LS layout is rejected.
+    The total width, and so the footprint, is that of the input layout; a
+    layout with no width to deal (every line at width 0) comes back as it
+    is, without a tally.  Lattice surgery keeps the uniform fabric of
+    ``derive_layout``, on which its schedules come out shorter, so an LS
+    layout is rejected.
 
     A gate's route is the one an early-exit ``bfs`` from the control tile's
     corners to the target tile's finds, and its lines count once per gate.
@@ -556,6 +558,8 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     such a pair keeps its own search."""
     if layout.model is not ChipModel.DOUBLE_DEFECT:
         raise InfeasibleError("bandwidth adjusting applies to the double-defect model only")
+    if not any(layout.h_widths) and not any(layout.v_widths):
+        return layout  # no width to deal: ``deal`` hands out zeros whatever the tally
 
     targets = defaultdict(list)  # control qubit -> its gates' target qubits
     for gate in circuit.gates:

@@ -6,6 +6,13 @@ statements, and ``gate`` definitions whose bodies are inlined when applied so
 that nested ``cx`` gates are recovered.  ``include`` lines are tolerated and
 skipped; included files are never read.  Anything else is a parse error with
 a line number.
+
+A top-level ``cx``/``CX`` between two indexed qubits of the declared register,
+both in range and distinct, takes a direct path: one regex match, no operand
+splitting.  Whitespace, newlines and comments may sit between its tokens.
+Any other statement, a ``cx`` before the ``qreg`` or with a wrong register,
+an out-of-range index or equal operands included, falls through to the
+general path, so every error keeps its class, message and line number.
 """
 from __future__ import annotations
 
@@ -22,6 +29,8 @@ _CREG_RE = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _OPERAND_RE = re.compile(rf"^({_ID})(?:\s*\[\s*(\d+)\s*\])?$")
 _APPLY_RE = re.compile(rf"^({_ID})\s*(\([^)]*\))?\s*(.*)$", re.S)
 _GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(\([^)]*\))?\s*([^{{]*)$")
+# a plain ``cx`` between two indexed qubits; only a valid one takes the direct path
+_CX_RE = re.compile(rf"^(?:cx|CX)\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
 
 _DROPPED_KEYWORDS = ("barrier", "measure", "reset")
 
@@ -104,6 +113,12 @@ class _Parser:
         self.defs[name] = _GateDef([p for p in plist if p], alist, body)
 
     def _top_statement(self, line: int, stmt: str) -> None:
+        m = _CX_RE.match(stmt)
+        if m and m[1] == self.reg == m[3]:
+            c, t = int(m[2]), int(m[4])
+            if c != t and c < self.n and t < self.n:
+                self.pairs.append((c, t))
+                return
         if stmt.startswith("OPENQASM") or stmt.startswith("include"):
             return
         m = _QREG_RE.match(stmt)

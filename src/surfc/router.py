@@ -15,9 +15,10 @@ order, where segment id -1 (lattice surgery) names a last resource that is
 never full.  Capacities and per-cycle usage are lists indexed by resource id,
 so a search touches no tuple keys; tiles appear only where a caller hands
 them in or gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list
-per cycle.  ``resource_capacities`` gives the capacity of a tuple resource
-of ``RoutePath.resources`` instead; the validator replays schedules on
-those, so the referee shares no code with the fabric, and so does the
+per cycle, and commits a route by the ids ``Fabric.resource_ids`` computes
+from its nodes.  ``resource_capacities`` gives the capacity of a tuple
+resource of ``RoutePath.resources`` instead; the validator replays schedules
+on those, so the referee shares no code with the fabric, and so does the
 oracle's route packing.
 
 ``bfs`` is the one breadth-first search over a fabric.  Route search calls
@@ -107,14 +108,15 @@ class RoutePath:
     nodes: tuple[Tile, ...]
 
     def resources(self) -> list[Resource]:
+        nodes = self.nodes
         if self.model is ChipModel.LATTICE_SURGERY:
-            return [("t", r, c) for r, c in self.nodes]
-        out: list[Resource] = [("j", i, j) for i, j in self.nodes]
-        for (i1, j1), (i2, j2) in zip(self.nodes, self.nodes[1:]):
+            return [("t", r, c) for r, c in nodes]
+        out: list[Resource] = [("j", i, j) for i, j in nodes]
+        for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
             if i1 == i2:
-                out.append(("h", i1, min(j1, j2)))
+                out.append(("h", i1, j1 if j1 < j2 else j2))
             else:
-                out.append(("v", min(i1, i2), j1))
+                out.append(("v", i1 if i1 < i2 else i2, j1))
         return out
 
     @property
@@ -184,7 +186,20 @@ class Fabric:
         return i * self.cols + j
 
     def resource_ids(self, path: RoutePath) -> list[int]:
-        return [self.res_id(res) for res in path.resources()]
+        """The ids of ``path.resources()``, in that order: the node ids, then
+        (double defect) the ids of the segments between them.  Computed from
+        ``path.nodes`` alone."""
+        cols = self.cols
+        nodes = path.nodes
+        ids = [r * cols + c for r, c in nodes]
+        if self.model is ChipModel.DOUBLE_DEFECT:
+            h0, v0, h_cols = self._h0, self._v0, cols - 1
+            for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
+                if i1 == i2:
+                    ids.append(h0 + i1 * h_cols + (j1 if j1 < j2 else j2))
+                else:
+                    ids.append(v0 + (i1 if i1 < i2 else i2) * cols + j1)
+        return ids
 
     def terminals(self, tile: Tile) -> tuple[int, ...]:
         """Ascending ids of the nodes a route to or from ``tile`` may end
@@ -248,15 +263,15 @@ class CycleOccupancy:
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
         fabric = self.fabric
         cap = fabric.cap
-        resources = path.resources()
-        ids = [fabric.res_id(res) for res in resources]
+        ids = fabric.resource_ids(path)
         for t in range(cycle, cycle + duration):
             usage = self._usage.get(t)
             if usage is None:
                 usage = self._usage[t] = [0] * fabric.size
-            for res, i in zip(resources, ids):
+            for i in ids:
                 usage[i] += 1
-                assert usage[i] <= cap[i], f"lane over-commit on {res} at cycle {t}"
+                assert usage[i] <= cap[i], \
+                    f"lane over-commit on {path.resources()[ids.index(i)]} at cycle {t}"
 
     def commit_tile(self, tile: Tile, cycle: int, duration: int = 1) -> None:
         for t in range(cycle, cycle + duration):

@@ -26,6 +26,7 @@ bookkeeping) and is run on every schedule the test suite produces.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -443,11 +444,14 @@ def validate(
     model = schedule.model
     dag = build_dag(circuit)
     cap = resource_capacities(layout)
+    capacity: dict[tuple, int] = {}  # cap(res), memoised per resource
     data_tiles = mapping.data_tiles(layout)
+    gates = circuit.gates
+    tile_of = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
 
     def operand_tiles(gid: int) -> tuple[Tile, Tile]:
-        gate = circuit.gates[gid]
-        return mapping.abs_tile(layout, gate.control), mapping.abs_tile(layout, gate.target)
+        gate = gates[gid]
+        return tile_of[gate.control], tile_of[gate.target]
 
     # gather per-gate execution spans, first action kinds and per-cycle
     # resource/tile usage
@@ -458,35 +462,43 @@ def validate(
     seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
     for t, actions in enumerate(schedule.cycles):
         tiles_this_cycle: list[Tile] = []
-        usage: dict = {}
+        routed: list[tuple] = []  # the resources of every route held at t
         for a in actions:
-            if a.gate is not None:
-                gate_kind.setdefault(a.gate, a.kind)
-            if a.kind in (ActionKind.BRAID, ActionKind.BELL):
-                if a.gate in gate_span:
-                    v.append(f"gate {a.gate} executed more than once")
-                gate_span[a.gate] = (t, t)
-                _count_route(usage, a.route)
-                ta, tb = operand_tiles(a.gate)
-                tiles_this_cycle.extend((ta, tb))
+            kind, gid = a.kind, a.gate
+            if gid is not None:
+                gate_kind.setdefault(gid, kind)
+            if kind is ActionKind.BRAID or kind is ActionKind.BELL:
+                if gid in gate_span:
+                    v.append(f"gate {gid} executed more than once")
+                gate_span[gid] = (t, t)
+                if a.route is not None:
+                    routed += a.route.resources()
+                ta, tb = operand_tiles(gid)
+                tiles_this_cycle += (ta, tb)
                 _check_route(v, a, ta, tb, model)
-            elif a.kind is ActionKind.DIRECT:
-                seen_direct.setdefault(a.gate, []).append((t, a.phase, a.route))
-                _count_route(usage, a.route)
-                tiles_this_cycle.extend(operand_tiles(a.gate))
-            elif a.kind is ActionKind.MODIFY:
+            elif kind is ActionKind.DIRECT:
+                seen_direct.setdefault(gid, []).append((t, a.phase, a.route))
+                if a.route is not None:
+                    routed += a.route.resources()
+                tiles_this_cycle += operand_tiles(gid)
+            elif kind is ActionKind.MODIFY:
                 modify_at.add((a.tile, a.phase, t))
                 if a.phase == 1:
                     modify_starts.append((a.tile, t, a.new_cut))
                 tiles_this_cycle.append(a.tile)
-        for res, used in usage.items():
-            if used > cap(res):
-                v.append(f"cycle {t}: resource {res} used {used} > capacity {cap(res)}")
-        seen_tiles = set()
-        for tile in tiles_this_cycle:
-            if tile in seen_tiles:
-                v.append(f"cycle {t}: tile {tile} used by two actions")
-            seen_tiles.add(tile)
+        for res, used in Counter(routed).items():
+            limit = capacity.get(res)
+            if limit is None:
+                limit = capacity[res] = cap(res)
+            if used > limit:
+                v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
+        seen_tiles = set(tiles_this_cycle)
+        if len(seen_tiles) < len(tiles_this_cycle):
+            seen_tiles = set()
+            for tile in tiles_this_cycle:
+                if tile in seen_tiles:
+                    v.append(f"cycle {t}: tile {tile} used by two actions")
+                seen_tiles.add(tile)
         if model is ChipModel.LATTICE_SURGERY:
             for a in actions:
                 if a.route is not None:
@@ -549,13 +561,6 @@ def validate(
             if kind is ActionKind.DIRECT and tile_cut[ca] is not tile_cut[cb]:
                 v.append(f"gate {gid}: 3-cycle direct execution between opposite cuts at {t}")
     return v
-
-
-def _count_route(usage: dict, route: RoutePath | None) -> None:
-    if route is None:
-        return
-    for res in route.resources():
-        usage[res] = usage.get(res, 0) + 1
 
 
 def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:

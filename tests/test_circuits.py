@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from surfc import qasm
 from surfc.circuits import (
     CnotGate,
+    GateDag,
     LogicalCircuit,
     build_comm_graph,
     build_dag,
@@ -93,6 +96,101 @@ class TestParseQasm:
             parse_qasm("cx q[0],q[1];")
 
 
+class _GeneralParser(qasm._Parser):
+    """The parser with every top-level statement on the general path: no
+    direct path for plain ``cx`` statements."""
+
+    def _top_statement(self, line, stmt):
+        if stmt.startswith("OPENQASM") or stmt.startswith("include"):
+            return
+        m = qasm._QREG_RE.match(stmt)
+        if m:
+            if self.reg is not None:
+                raise QasmError("multiple qreg declarations are not supported", line)
+            self.reg = m.group(1)
+            self.n = int(m.group(2))
+            return
+        if qasm._CREG_RE.match(stmt):
+            return
+        first = stmt.split(None, 1)[0] if stmt else ""
+        if first in qasm._DROPPED_KEYWORDS:
+            return
+        self._apply(line, stmt, {})
+
+
+def _outcome(parse, text):
+    """The gate list a parse gives, or the class and message of its error."""
+    try:
+        return [g.qubits for g in parse(text).gates]
+    except (QasmError, CircuitError) as exc:
+        return type(exc), str(exc)
+
+
+# whitespace, newlines and comments that may sit between the tokens of a statement
+_GAP = st.sampled_from(["", " ", "  ", "\n", "\t", " \n\t ", " // note\n"])
+
+
+@st.composite
+def _cx_statement(draw):
+    gap = lambda: draw(_GAP)  # noqa: E731
+    name = draw(st.sampled_from(["cx", "CX"]))
+    after_name = draw(st.sampled_from(["", " ", "\n", "\t", " // note\n "]))
+    regs = [draw(st.sampled_from(["q", "q", "q", "r"])) for _ in range(2)]
+    idx = [draw(st.integers(0, 5)) for _ in range(2)]
+    (a, b), (i, j) = regs, idx
+    return (f"{name}{after_name}{a}{gap()}[{gap()}{i}{gap()}]{gap()},{gap()}"
+            f"{b}{gap()}[{gap()}{j}{gap()}]{gap()};")
+
+
+_OTHER_STATEMENTS = st.sampled_from([
+    "h q[0];", "rz(pi/4)\nq[1];", "barrier q[0], q[1];", "creg c[2];",
+    "gate pair a, b { h a; cx a, b; }", "pair q[0], q[2];", "pair q[1],q[1];",
+    "measure q[0] -> c[0];", "// only a comment",
+])
+
+
+@st.composite
+def _programs(draw):
+    body = draw(st.lists(st.one_of(_cx_statement(), _cx_statement(), _OTHER_STATEMENTS),
+                         max_size=8))
+    qreg = f"qreg {draw(st.sampled_from(['q', 'q', 'r']))}[{draw(st.integers(1, 5))}];"
+    body.insert(draw(st.integers(0, len(body))), qreg)  # a cx may come before it
+    seps = [draw(st.sampled_from(["\n", " ", "\n\n", " // c\n"])) for _ in body]
+    return "OPENQASM 2.0;\n" + "".join(s + sep for s, sep in zip(body, seps))
+
+
+class TestDirectCxPath:
+    """Plain ``cx q[i], q[j];`` statements skip the general path; every
+    program parses as the general path alone parses it."""
+
+    @given(_programs())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_as_general_path(self, text):
+        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+
+    @pytest.mark.parametrize("text", [
+        "qreg q[3];\ncx q[0],q[1];\nCX q [ 2 ] ,\n q[0] ;",
+        "qreg q[3];\ncx q[0], // split\n  q[2];",
+        "cx q[0],q[1];\nqreg q[2];",
+        "qreg q[2];\ncx r[0],q[1];",
+        "qreg q[2];\ncx q[0],q[5];",
+        "qreg q[2];\ncx q[1],q[1];",
+        "qreg q[2];\ncxq[0],q[1];",
+        "qreg q[2];\ncx q[0],q[1],;",
+        "qreg q[3];\ngate cx a, b { h a; }\ncx q[0],q[2];",
+        "qreg q[3];\ngate g a, b { cx a, b; cx b, a; }\ng q[2], q[0];",
+    ])
+    def test_fixed_programs(self, text):
+        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+
+    def test_plain_cx_needs_no_general_path(self, monkeypatch):
+        def general(*args):
+            raise AssertionError("general path taken")
+        monkeypatch.setattr(qasm._Parser, "_apply", general)
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\nCX q[2], q[0];\n")
+        assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
+
+
 class TestCircuitTypes:
     def test_invariants_enforced(self):
         with pytest.raises(CircuitError):
@@ -135,6 +233,65 @@ class TestBuildDag:
         dag = build_dag(c)
         assert set(dag.edges) == {(0, 1), (0, 2), (1, 3), (2, 3)}
         assert dag.alpha == 3
+
+
+def _set_and_sort_dag(circ):
+    """Reference builder: each gate's parents are the sorted set of the last
+    gates on its qubits; depths by ``max`` over generators."""
+    g = circ.g
+    parents = [[] for _ in range(g)]
+    children = [[] for _ in range(g)]
+    last_on_qubit = {}
+    for gate in circ.gates:
+        preds = set()
+        for q in gate.qubits:
+            if q in last_on_qubit:
+                preds.add(last_on_qubit[q])
+        for p in sorted(preds):
+            parents[gate.gid].append(p)
+            children[p].append(gate.gid)
+        for q in gate.qubits:
+            last_on_qubit[q] = gate.gid
+    down = [0] * g
+    for v in range(g):
+        down[v] = 1 + max((down[p] for p in parents[v]), default=0)
+    up = [0] * g
+    for v in reversed(range(g)):
+        up[v] = 1 + max((up[c] for c in children[v]), default=0)
+    return GateDag(g, tuple(map(tuple, parents)), tuple(map(tuple, children)),
+                   max(down, default=0), tuple(down), tuple(up))
+
+
+@st.composite
+def _circuits_with_repeats(draw):
+    """Random circuits in which a gate often repeats or reverses the pair
+    before it; one-gate and empty circuits included."""
+    n = draw(st.integers(2, 8))
+    pairs = []
+    for _ in range(draw(st.integers(0, 30))):
+        how = draw(st.sampled_from(["new", "new", "same", "reversed"]))
+        if pairs and how == "same":
+            pairs.append(pairs[-1])
+        elif pairs and how == "reversed":
+            pairs.append(pairs[-1][::-1])
+        else:
+            pairs.append(tuple(draw(st.permutations(range(n)))[:2]))
+    return circuit(n, pairs)
+
+
+class TestBuildDagAgainstSetAndSort:
+    @given(_circuits_with_repeats())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_dag(self, c):
+        dag, ref = build_dag(c), _set_and_sort_dag(c)
+        for f in dataclasses.fields(GateDag):
+            assert getattr(dag, f.name) == getattr(ref, f.name), f.name
+
+    @pytest.mark.parametrize("pairs", [[], [(0, 1)], [(0, 1), (0, 1)], [(0, 1), (1, 0)],
+                                       [(2, 3), (0, 1), (1, 2), (2, 1), (3, 0)]])
+    def test_fixed_circuits(self, pairs):
+        c = circuit(4, pairs)
+        assert build_dag(c) == _set_and_sort_dag(c)
 
 
 class TestCommGraph:

@@ -525,6 +525,21 @@ class TestAdjustBandwidth:
         assert (count, moved) == (448, 356)
         assert digest.hexdigest() == GOLDEN_ADJUST_DIGEST
 
+    def test_zero_width_returns_its_input(self):
+        # at average bandwidth 1 every channel line has width 0: nothing to deal
+        m1, m2 = dims_for_avg_bandwidth(49, 3, DD, 1)
+        layout = derive_layout(ChipSpec(DD, m1, m2, 3), 49)
+        assert not any(layout.h_widths + layout.v_widths)
+        c = gen_random_circuit(49, 10, 16, seed=3)
+        m = baseline_mapping("snake", 49, ArrayShape(layout.array_r, layout.array_c))
+        assert adjust_bandwidth(layout, m, c) is layout
+        assert layout == _per_gate_adjust(layout, m, c)
+        # a lattice-surgery layout is still rejected, also at width 0
+        ls = uniform_ls_layout(2, 2, gap=0)
+        with pytest.raises(InfeasibleError):
+            adjust_bandwidth(ls, TileMapping(ArrayShape(2, 2), {0: (0, 0), 1: (1, 1)}),
+                             circuit(2, [(0, 1)]))
+
     def test_lattice_surgery_layout_rejected(self):
         # lattice surgery schedules on the uniform fabric of derive_layout
         layout = derive_layout(ChipSpec(LS, 40, 40, 3), 50)

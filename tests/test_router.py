@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
@@ -131,6 +133,77 @@ class TestCommit:
         occ.commit_route(path, 0, 1)
         with pytest.raises(AssertionError):
             occ.commit_route(path, 0, 1)
+
+
+def _random_paths(seed: int) -> tuple[Fabric, list[RoutePath]]:
+    """Routes ``find_path`` finds on one random DD or LS fabric as earlier
+    routes fill it, random walks on its node grid and a sequence of random
+    nodes (not routes, but node sequences all the same)."""
+    rng = random.Random(seed)
+    model = rng.choice((DD, LS))
+    rows, cols = rng.choice([(1, 2), (2, 1), (2, 2), (3, 4), (4, 3)])
+    if model is DD:
+        layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+        tiles = [(r, c) for r in range(rows) for c in range(cols)]
+        grid = (rows + 1, cols + 1)
+    else:
+        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+        tiles = [(layout.row_tracks[r], layout.col_tracks[c])
+                 for r in range(rows) for c in range(cols)]
+        grid = (layout.grid_rows, layout.grid_cols)
+    occ = CycleOccupancy(layout, frozenset(tiles) if model is LS else frozenset())
+    paths = []
+    for _ in range(6):
+        path = find_path(occ, 0, *rng.sample(tiles, 2))
+        if path is not None:
+            paths.append(path)
+            occ.commit_route(path, 0)
+    for _ in range(4):
+        walk = [(rng.randrange(grid[0]), rng.randrange(grid[1]))]
+        for _ in range(rng.randint(0, 8)):
+            i, j = walk[-1]
+            steps = [(i + di, j + dj) for di, dj in ((-1, 0), (0, 1), (1, 0), (0, -1))
+                     if 0 <= i + di < grid[0] and 0 <= j + dj < grid[1]]
+            walk.append(rng.choice(steps))
+        paths.append(RoutePath(model, tuple(walk)))
+    jumps = [(rng.randrange(grid[0]), rng.randrange(grid[1])) for _ in range(rng.randint(0, 5))]
+    paths.append(RoutePath(model, tuple(jumps)))
+    return occ.fabric, paths
+
+
+class TestResourceIds:
+    """``Fabric.resource_ids`` computes from the nodes the ids that
+    ``res_id`` gives the tuple resources of ``RoutePath.resources``."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_as_tuple_resources(self, seed):
+        fabric, paths = _random_paths(seed)
+        for path in paths:
+            assert fabric.resource_ids(path) == [fabric.res_id(r) for r in path.resources()]
+
+    def test_one_hop_and_empty_routes(self):
+        fabric = Fabric(uniform_dd_layout(1, 2))
+        for nodes in (((0, 1), (1, 1)), ((1, 1), (0, 1)), ((0, 2), (0, 1))):
+            path = RoutePath(DD, nodes)
+            assert fabric.resource_ids(path) == [fabric.res_id(r) for r in path.resources()]
+            assert len(fabric.resource_ids(path)) == 3
+        assert Fabric(uniform_ls_layout(1, 2)).resource_ids(RoutePath(LS, ())) == []
+
+    def test_over_commit_names_the_resource_and_cycle(self):
+        occ = CycleOccupancy(uniform_dd_layout(1, 2))
+        path = RoutePath(DD, ((0, 0), (0, 1)))
+        occ.commit_route(path, 6)
+        with pytest.raises(AssertionError,
+                           match=re.escape("lane over-commit on ('j', 0, 0) at cycle 6")):
+            occ.commit_route(path, 5, 3)
+        # horizontal lines at one lane, vertical ones at two: a horizontal
+        # seam's junctions take two routes, its segment one
+        occ = CycleOccupancy(replace(uniform_dd_layout(1, 2, bandwidth=2), h_widths=(0, 0)))
+        occ.commit_route(path, 0)
+        with pytest.raises(AssertionError,
+                           match=re.escape("lane over-commit on ('h', 0, 0) at cycle 0")):
+            occ.commit_route(path, 0)
 
 
 @pytest.fixture
