@@ -9,74 +9,68 @@ cycle; adjacent operand tiles merge directly with an empty route.
 
 ``Fabric`` holds either graph as integers, built once per layout and set of
 lattice-surgery data tiles.  Nodes are numbered row-major and a node's id is
-also its resource id; double-defect segment ids follow the nodes.  Each
-node's adjacency is a tuple of ``(neighbour id, segment id)`` in N, E, S, W
-order, where segment id -1 (lattice surgery) names a last resource that is
-never full.  Capacities and per-cycle usage are lists indexed by resource id,
-so a search touches no tuple keys; tiles appear only where a caller hands
-them in or gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list
-per cycle, and commits a route by the ids ``Fabric.resource_ids`` computes
-from its nodes.  ``resource_capacities`` gives the capacity of a tuple
-resource of ``RoutePath.resources`` instead; the validator replays schedules
-on those, so the referee shares no code with the fabric, and so does the
-oracle's route packing.
+also its resource id; double-defect segment ids are node-aligned after them
+(``Fabric`` gives the layout).  Each node's adjacency is a tuple of
+``(neighbour id, segment id)`` in N, E, S, W order, where lattice surgery
+names the last resource, which is never full, as every segment.
+Capacities and per-cycle usage are lists indexed by resource id, so a search
+touches no tuple keys; tiles appear only where a caller hands them in or
+gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list per
+cycle, and beside it one integer whose bit ``i`` is set while resource ``i``
+is at capacity; it commits a route by the ids ``Fabric.resource_ids``
+computes from its nodes.  ``resource_capacities`` gives the capacity of a
+tuple resource of ``RoutePath.resources`` instead; the validator replays
+schedules on those, so the referee shares no code with the fabric, and so
+does the oracle's route packing.
 
-``bfs`` is the one breadth-first search over a fabric.  Route search calls
-it with a cycle's usage.  Bandwidth adjusting calls it without usage
-(nothing is ever full, ``Fabric.unlimited``): one full tree per control
-tile, from which it reads the route to each target tile, and a per-pair
-search only where the two tiles share a corner.  Lattice-surgery mapping
-calls it without usage too, for the hop distances from each cell and the
-components of the free fabric.  ``trace_back`` turns its result into a path,
-and the region a failed route search returns gives the saturated ring
-behind it.
+``bfs`` is the breadth-first search over a fabric with a queue and a parent
+dict.  Bandwidth adjusting calls it without usage (nothing is ever full,
+``Fabric.unlimited``): one full tree per control tile, from which it reads
+the route to each target tile, and a per-pair search only where the two
+tiles share a corner.  Lattice-surgery mapping calls it without usage too,
+for the hop distances from each cell and the components of the free fabric.
+When no start is a goal, every goal met is an end: the search returns at the
+first one it discovers, and that goal's predecessor is the one it has in the
+full tree from the same starts.  Only when a start is also a goal does a
+search keep the start each node was reached from, since a route may not end
+where it starts.
 
-When no start is a goal, every goal met is an end: the search returns at
-the first one it discovers, and that goal's predecessor is the one it has
-in the full tree from the same starts.  Only when a start is also a goal
-(double-defect tiles that share a corner) does a search keep the start each
-node was reached from, since a route may not end where it starts.
+Route search (``find_path`` and ring repair) runs on the bitmask of full
+resources instead.  When its starts and goals are disjoint, which is every
+lattice-surgery search past the adjacent and single-tile checks and every
+double-defect one whose tiles share no corner, ``_level_route`` searches one
+whole BFS level at a time, as Lee's maze router does (Lee, 1961), with each
+level held as one integer over node ids, as in bitmap-frontier BFS (Beamer,
+Asanovic and Patterson, 2012).  The next level is ``N(level) & free &
+~seen``, where ``N`` shifts a mask one step each way, guarded by the
+``east`` and ``south`` masks so that no shift wraps from the end of a row
+into the next; the search stops at the first level that meets a goal.  It
+then walks back, keeping ``U_k = level_k & N(U_k+1)``, the nodes of each
+level on some shortest route, from the goals hit; and then forward, from the
+first start in ``starts`` order in ``U_0``, taking at each step the first
+neighbour in ``adj`` order that lies in the next ``U`` over a free edge.
 
-Given ``lower``, a per-node lower bound on the hops to the goals
-(``Fabric.hop_bounds``), ``bfs`` bounds its search the way IDA* (Korf, 1985)
-bounds a depth-first one.  ``lower`` is the distance to the goal tile's box
-of corners (double defect) or the Manhattan distance to the goal tile minus
-one (lattice surgery): it changes by at most one per hop, is zero on a goal
-and positive on every other node a search reaches.  A pass enqueues a node
-only when its depth plus ``lower`` is at most the bound; call that sum ``f``.
-The first bound is ``b0 = max(1, min lower(start))``.  A pass that finds no
-goal but cut some node repeats with the bound grown to
-``max(least cut f, 2*bound - b0 + 2)``; a pass that cut nothing is a true
-miss, and its ``parent`` is the whole reachable region, as unbounded.
-
-The bounded search returns the route the unbounded one does.  Along a BFS
-parent chain ``f`` never grows, so a pass keeps exactly the nodes whose BFS
-depth plus ``lower`` is within the bound, and it visits them in BFS order
-with their BFS parents.  As ``lower`` is positive off the goals and the bound
-is at least one, a goal a pass finds lies within the bound, so no pass whose
-bound is shorter than the shortest route finds one.  Once the bound reaches
-that length, the node from which BFS first meets a goal is kept (its
-``lower`` is at most one), and no node kept before it meets one.  So the
-first goal found, and the parent chain behind it, are BFS's.  That argument
-needs every goal met to be an end.
-When a start is also a goal (double-defect tiles that share a corner), a
-route may not end where it starts, and such a search runs unbounded.
-
-Only the batch router searches bounded.  Its searches on the 31x31
-lattice-surgery fabric of a ``sufficient`` chip are long and seldom fail:
-for a route of a median 19 hops, a median 391 nodes were enqueued unbounded
-and 68 bounded, and 1.3 % of searches missed (resu49, seed 1).
-``find_path``, the limited schedulers' search, stays unbounded.  Its
-searches are short and often fail: a hit enqueues a median of 12-64 nodes
-on map49 and 37 on deep100, 23-42 % of searches miss, and a miss pays for
-every contour.  Bounding it changed no route, gained nothing on map49 and
-cost about 3 % on deep100.
+This is the route ``bfs`` returns.  Take the node of level ``k`` that comes
+first in BFS queue order among those adjacent to ``U_k+1`` (adjacent means
+over a free edge throughout).  No node queued before it is adjacent to
+``U_k+1``: not of level ``k``, by its choice, and not of an earlier level,
+which would have put that neighbour in a level before ``k+1``.  So it
+discovers every one of its ``U_k+1`` neighbours, in ``adj`` order, and they
+come first in the queue order of ``U_k+1``.  By induction
+from the starts, the forward walk visits the first node of each ``U`` in
+queue order, each discovered by the one before; the last is the first goal
+``bfs`` meets, and the walk is its parent chain.  The argument holds for any
+neighbour order, so the shuffled ``adj`` of a restart is served too.  On a
+miss the search returns the region ``bfs`` reaches, as a mask; the ring
+behind it is read from the node ids of that mask (``_saturated_frontier``).  Double-defect tiles that share a
+corner keep ``bfs``'s rooted loop: there a start that is also a goal is an
+end only when met from another start, which whole levels cannot tell.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
-repair routes bounded shortest paths in batch order, ripping up the paths
-on any "ring" (the saturated boundary of the region a failed search
-reached) that walls a gate off.  When that fails, seeded restarts re-run it
+repair routes shortest paths in batch order, ripping up the paths on any
+"ring" (the saturated boundary of the region a failed search reached) that
+walls a gate off.  When that fails, seeded restarts re-run it
 with the batch order and each node's neighbour order shuffled: on 29 of
 32,000 resu49 batches (seeds 0-9), one restart each, and on 3 of the 3,000
 criterion-3 batches, 1, 1 and 4.  Failure with the precondition satisfied
@@ -130,7 +124,16 @@ class Fabric:
     """A layout's routing graph in integer form (see the module docstring):
     the corridor graph for double defect, the ancilla tile graph for lattice
     surgery.  ``data`` is the set of lattice-surgery tiles that routes avoid
-    (empty for double defect)."""
+    (empty for double defect).
+
+    Ids are node-aligned.  Node ``n`` (row-major, ``N`` nodes) is resource
+    ``n``; on double defect the segment east of it is ``N + n`` and the one
+    south of it ``2N + n``, where a slot with no segment (last column, last
+    row) has capacity 0.  The last id, ``size - 1``, is never full; lattice
+    surgery, whose routes hold tiles only, names it as every edge's segment.
+    ``open``, ``east`` and ``south`` are bitmasks over node ids: the nodes a
+    route may use (capacity above 0, no lattice-surgery data tile), and the
+    nodes whose east or south edge exists and has capacity above 0."""
 
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
         self.model = model = layout.model
@@ -141,49 +144,58 @@ class Fabric:
         else:
             rows, cols = layout.grid_rows, layout.grid_cols
         self.cols = cols
-        self.tiles = [(r, c) for r in range(rows) for c in range(cols)]
-        nodes = rows * cols
-        self._h0, self._v0 = nodes, nodes + rows * (cols - 1)  # first h and v segment
+        self.tiles = tiles = [(r, c) for r in range(rows) for c in range(cols)]
+        self.nodes = nodes = rows * cols
         bw_h, bw_v = layout.bw_h, layout.bw_v
         if dd:
-            cap = [max(bw_h[i], bw_v[j]) for i, j in self.tiles]
-            cap += [bw_h[i] for i in range(rows) for _ in range(cols - 1)]
-            cap += [bw_v[j] for _ in range(rows - 1) for j in range(cols)]
+            cap = [max(bw_h[i], bw_v[j]) for i, j in tiles]
+            cap += [bw_h[i] if j < cols - 1 else 0 for i, j in tiles]
+            cap += [bw_v[j] if i < rows - 1 else 0 for i, j in tiles]
         else:
             cap = [1] * nodes
         cap.append(_NEVER_FULL)
         self.cap = cap
-        self.size = len(cap)
-        self.idle = [0] * self.size  # the usage of a cycle nothing has touched; never written
+        self.size = size = len(cap)
+        never = size - 1
+        self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
         # the usage of an uncapacitated search: nothing is ever full, not
         # even a 0-lane line; never written
-        self.unlimited = [-_NEVER_FULL] * self.size
+        self.unlimited = [-_NEVER_FULL] * size
         adj = []
-        for r, c in self.tiles:
+        for n, (r, c) in enumerate(tiles):
             out = []
             for dr, dc in _STEPS:
                 nr, nc = r + dr, c + dc
                 if not (0 <= nr < rows and 0 <= nc < cols):
                     continue
                 if dd:
-                    seg = self.res_id(("h", r, min(c, nc)) if dr == 0 else ("v", min(r, nr), c))
+                    m = n if dr + dc > 0 else nr * cols + nc  # the edge's north or west end
+                    seg = m + (nodes if dr == 0 else 2 * nodes)
                 elif (nr, nc) in self.data:
                     continue
                 else:
-                    seg = -1
+                    seg = never
                 out.append((nr * cols + nc, seg))
             adj.append(tuple(out))
         self.adj = adj
+        if dd:
+            self.open = _mask(n for n in range(nodes) if cap[n] > 0)
+            self.east = _mask(n for n in range(nodes) if cap[nodes + n] > 0)
+            self.south = _mask(n for n in range(nodes) if cap[2 * nodes + n] > 0)
+        else:
+            self.open = (1 << nodes) - 1 & ~_mask(r * cols + c for r, c in self.data)
+            self.east = int(("0" + "1" * (cols - 1)) * rows or "0", 2)  # all but the last column
+            self.south = (1 << (nodes - cols)) - 1 if nodes else 0  # all but the last row
         self._terminals: dict[Tile, tuple[int, ...]] = {}
-        self._hop_bounds: dict[Tile, list[int]] = {}
 
     def res_id(self, res: Resource) -> int:
         kind, i, j = res
+        n = i * self.cols + j
         if kind == "h":
-            return self._h0 + i * (self.cols - 1) + j
+            return self.nodes + n
         if kind == "v":
-            return self._v0 + i * self.cols + j
-        return i * self.cols + j
+            return 2 * self.nodes + n
+        return n
 
     def resource_ids(self, path: RoutePath) -> list[int]:
         """The ids of ``path.resources()``, in that order: the node ids, then
@@ -193,10 +205,10 @@ class Fabric:
         nodes = path.nodes
         ids = [r * cols + c for r, c in nodes]
         if self.model is ChipModel.DOUBLE_DEFECT:
-            h0, v0, h_cols = self._h0, self._v0, cols - 1
+            h0, v0 = self.nodes, 2 * self.nodes
             for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
                 if i1 == i2:
-                    ids.append(h0 + i1 * h_cols + (j1 if j1 < j2 else j2))
+                    ids.append(h0 + i1 * cols + (j1 if j1 < j2 else j2))
                 else:
                     ids.append(v0 + (i1 if i1 < i2 else i2) * cols + j1)
         return ids
@@ -216,40 +228,30 @@ class Fabric:
             self._terminals[tile] = ids
         return ids
 
-    def hop_bounds(self, tile: Tile) -> list[int]:
-        """A lower bound, per node id, on the hops from that node to a
-        terminal of ``tile``: the distance to its box of corner junctions
-        (double defect) or the Manhattan distance to the tile minus one
-        (lattice surgery).  It changes by at most one per hop, is zero on a
-        terminal and positive on every other node a route search can reach."""
-        bounds = self._hop_bounds.get(tile)
-        if bounds is None:
-            r, c = tile
-            dd = self.model is ChipModel.DOUBLE_DEFECT
-            r1, c1, less = (r + 1, c + 1, 0) if dd else (r, c, 1)
-            down = [max(0, r - i, i - r1) - less for i in range(len(self.tiles) // self.cols)]
-            across = [max(0, c - j, j - c1) for j in range(self.cols)]
-            bounds = self._hop_bounds[tile] = [x + y for x in down for y in across]
-        return bounds
-
     def route(self, ids) -> RoutePath:
         return RoutePath(self.model, tuple(self.tiles[n] for n in ids))
 
 
 class CycleOccupancy:
     """Per-cycle reservation ledger: one usage list per cycle, indexed by the
-    resource ids of ``fabric``, plus the busy tiles of each cycle.  Tiles are
-    array coordinates for double defect, absolute tile coordinates for
-    lattice surgery."""
+    resource ids of ``fabric``, and beside it a bitmask of the resources at
+    capacity; plus the busy tiles of each cycle.  Tiles are array coordinates
+    for double defect, absolute tile coordinates for lattice surgery."""
 
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
         self.fabric = Fabric(layout, data_tiles)
         self._usage: dict[int, list[int]] = {}
+        self._full: dict[int, int] = {}
         self._busy: dict[int, set[Tile]] = {}
 
     def usage(self, cycle: int) -> list[int]:
         """Resource use at ``cycle``, indexed by resource id; read-only."""
         return self._usage.get(cycle, self.fabric.idle)
+
+    def full(self, cycle: int) -> int:
+        """Bitmask of the resource ids whose use at ``cycle`` has reached
+        their capacity (those of capacity 0 excepted: no route holds one)."""
+        return self._full.get(cycle, 0)
 
     def used(self, cycle: int, res: Resource) -> int:
         return self.usage(cycle)[self.fabric.res_id(res)]
@@ -268,10 +270,14 @@ class CycleOccupancy:
             usage = self._usage.get(t)
             if usage is None:
                 usage = self._usage[t] = [0] * fabric.size
+            full = self._full.get(t, 0)
             for i in ids:
                 usage[i] += 1
-                assert usage[i] <= cap[i], \
-                    f"lane over-commit on {path.resources()[ids.index(i)]} at cycle {t}"
+                if usage[i] >= cap[i]:
+                    assert usage[i] == cap[i], \
+                        f"lane over-commit on {path.resources()[ids.index(i)]} at cycle {t}"
+                    full |= 1 << i
+            self._full[t] = full
 
     def commit_tile(self, tile: Tile, cycle: int, duration: int = 1) -> None:
         for t in range(cycle, cycle + duration):
@@ -282,6 +288,7 @@ class CycleOccupancy:
     def release(self, cycle: int) -> None:
         """Forget ``cycle``; the caller will neither read nor commit it again."""
         self._usage.pop(cycle, None)
+        self._full.pop(cycle, None)
         self._busy.pop(cycle, None)
 
 
@@ -306,33 +313,40 @@ def tile_corners(tile: Tile) -> tuple[Tile, ...]:
     return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
-def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=(), lower=None):
+def _mask(ids) -> int:
+    """The bitmask with the bits of ``ids`` set."""
+    mask = 0
+    for n in ids:
+        mask |= 1 << n
+    return mask
+
+
+def _bits(mask: int) -> list[int]:
+    """Ascending ids of the set bits of ``mask``."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
     """Breadth-first search from the node ids ``starts``, expanding neighbours
-    N, E, S, W.
+    in ``fabric.adj`` order.
 
     Returns ``(parent, end)``: ``parent`` maps each reached node to its
     predecessor (None for a start), in visit order; ``end`` is
     ``(goal, predecessor)`` for the first node of ``goals`` reached by at
     least one hop from a start other than itself, else None.  With ``usage``,
-    a segment or node whose use has reached its capacity is a wall.
-
-    ``lower`` (``Fabric.hop_bounds`` of the goals' tile) bounds the search in
-    contours, as the module docstring explains: ``end`` and the path behind
-    it stay those of the unbounded search, but on a hit ``parent`` holds only
-    the nodes of the last contour.  A miss explores, and returns, the whole
-    reachable region.  When a start is also a goal, ``lower`` is ignored."""
+    a segment or node whose use has reached its capacity is a wall."""
     adj, cap = fabric.adj, fabric.cap
     if usage is None:
         usage = fabric.unlimited
-    # no closures below: a generator over ``goals`` or ``lower`` would turn
-    # them into cell variables, slower to read in the loops
+    # no closures below: a generator over ``goals`` would turn it into a
+    # cell variable, slower to read in the loops
     parent: dict[int, int | None] = dict.fromkeys(starts)
+    queue = deque(starts)
     if not set(starts).isdisjoint(goals):
         # each node keeps the start it was reached from: a goal is an end
         # only when met from another start, as a route may not end where
         # it starts
         root = {n: n for n in starts}
-        queue = deque(starts)
         while queue:
             node = queue.popleft()
             origin = root[node]
@@ -349,44 +363,61 @@ def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=(), lower=
         return parent, None
     # no start is a goal, so every goal met is an end, no root is kept,
     # and no goal is ever in ``parent``
-    if lower is None:
-        queue = deque(starts)
-        while queue:
-            node = queue.popleft()
-            for nxt, seg in adj[node]:
-                if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                    continue
-                if nxt in goals:
-                    return parent, (nxt, node)
-                parent[nxt] = node
-                queue.append(nxt)
-        return parent, None
-    b0 = bound = max(1, min(map(lower.__getitem__, starts), default=0))
+    while queue:
+        node = queue.popleft()
+        for nxt, seg in adj[node]:
+            if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
+                continue
+            if nxt in goals:
+                return parent, (nxt, node)
+            parent[nxt] = node
+            queue.append(nxt)
+    return parent, None
+
+
+def _level_route(fabric: Fabric, full: int, starts, goals) -> tuple[tuple[int, ...] | None, int]:
+    """The route ``bfs`` finds from ``starts`` to ``goals`` with the
+    resources of the bitmask ``full`` as walls, searched one whole BFS level
+    at a time (see the module docstring).  ``starts`` must be free and
+    disjoint from ``goals``.  Returns ``(path, region)``: the node ids from a
+    start to the goal, or None on a miss; and on a miss the bitmask of the
+    nodes ``bfs`` reaches, else 0."""
+    nodes, cols, adj = fabric.nodes, fabric.cols, fabric.adj
+    east = fabric.east & ~(full >> nodes)
+    south = fabric.south & ~(full >> 2 * nodes)
+    free = fabric.open & ~full
+    frontier = _mask(starts)
+    unseen = free & ~frontier
+    goal = _mask(goals) & unseen
+    levels = [frontier]
     while True:
-        parent = dict.fromkeys(starts)
-        frontier = list(starts)
-        depth = 0
-        cut = _NEVER_FULL  # least depth + lower of a node this contour left out
-        while frontier:
-            depth += 1
-            level = []
-            for node in frontier:
-                for nxt, seg in adj[node]:
-                    if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                        continue
-                    if nxt in goals:
-                        return parent, (nxt, node)
-                    f = depth + lower[nxt]
-                    if f > bound:
-                        if f < cut:
-                            cut = f
-                        continue
-                    parent[nxt] = node
-                    level.append(nxt)
-            frontier = level
-        if cut == _NEVER_FULL:
-            return parent, None
-        bound = max(cut, 2 * bound - b0 + 2)
+        frontier = (((frontier & east) << 1) | ((frontier >> 1) & east)
+                    | ((frontier & south) << cols) | ((frontier >> cols) & south)) & unseen
+        if not frontier:
+            return None, free & ~unseen
+        hit = frontier & goal
+        if hit:
+            break
+        unseen ^= frontier
+        levels.append(frontier)
+    # back from the goals hit: the nodes of each level on a shortest route
+    on_route = [hit]
+    for level in reversed(levels):
+        hit = (((hit & east) << 1) | ((hit >> 1) & east)
+               | ((hit & south) << cols) | ((hit >> cols) & south)) & level
+        on_route.append(hit)
+    on_route.reverse()
+    # forward in BFS discovery order: the first start on a shortest route,
+    # then at each step the first neighbour on one over a free edge
+    node = next(n for n in starts if on_route[0] >> n & 1)
+    path = [node]
+    for step in on_route[1:]:
+        for nxt, seg in adj[node]:
+            if step >> nxt & 1 and not full >> seg & 1:
+                break
+        node = nxt
+        path.append(node)
+    return tuple(path), 0
 
 
 def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:
@@ -399,27 +430,35 @@ def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int
     return tuple(reversed(path))
 
 
-def _bfs_route(fabric: Fabric, usage: list[int], src: Tile, dst: Tile,
-               bounded: bool = False) -> tuple[RoutePath | None, dict[int, int | None]]:
-    """Deterministic shortest route with free lanes everywhere, and the
-    search's ``parent``.  Sources are the free terminals of ``src`` in fixed
-    order.  A goal that happens to be a source is still only accepted after
-    >= 1 hop, so a route always occupies fabric.  ``bounded`` searches in
-    contours of ``fabric.hop_bounds(dst)``, which returns the same route.  On
-    a miss, ``parent`` is the whole region reachable from the sources."""
+def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile) -> tuple[RoutePath | None, int]:
+    """Deterministic shortest route that avoids the resources of the bitmask
+    ``full``, and on a miss the bitmask of the nodes the search reached.
+    Sources are the free terminals of ``src`` in fixed order.  A goal that
+    happens to be a source is still only accepted after >= 1 hop, so a route
+    always occupies fabric."""
     model = fabric.model
     if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
-        return RoutePath(model, ()), {}
-    cap = fabric.cap
+        return RoutePath(model, ()), 0
     goals = fabric.terminals(dst)
-    starts = [n for n in fabric.terminals(src) if usage[n] < cap[n]]
+    free = fabric.open & ~full
+    starts = [n for n in fabric.terminals(src) if free >> n & 1]
     if model is ChipModel.LATTICE_SURGERY:
         # a single free tile adjacent to both operands is a complete chain
         for n in starts:
             if n in goals:
-                return fabric.route((n,)), {}
-    parent, end = bfs(fabric, starts, usage, goals, fabric.hop_bounds(dst) if bounded else None)
-    return None if end is None else fabric.route(trace_back(parent, end)), parent
+                return fabric.route((n,)), 0
+    elif not set(starts).isdisjoint(goals):
+        # double-defect tiles that share a corner: the rooted search, on a
+        # usage that puts each full resource at its capacity
+        usage = fabric.idle.copy()
+        for i in _bits(full):
+            usage[i] = fabric.cap[i]
+        parent, end = bfs(fabric, starts, usage, goals)
+        if end is None:
+            return None, _mask(parent)
+        return fabric.route(trace_back(parent, end)), 0
+    path, region = _level_route(fabric, full, starts, goals)
+    return (None if path is None else fabric.route(path)), region
 
 
 def _adjacent(a: Tile, b: Tile) -> bool:
@@ -427,7 +466,7 @@ def _adjacent(a: Tile, b: Tile) -> bool:
 
 
 def _saturated_frontier(fabric: Fabric, usage: list[int], src: Tile,
-                        region: dict[int, int | None]) -> set[int]:
+                        region: list[int]) -> set[int]:
     """Resource ids at capacity along the boundary of ``region``, the nodes
     a failed route search from ``src`` reached, and at the terminals of
     ``src``.  These form the blocking ring of saturated channels separating
@@ -453,11 +492,10 @@ def find_path(
     """Shortest route between two tiles on ``occupancy``'s fabric that stays
     free for ``duration`` cycles from ``cycle``; None when saturated.
     Reserves nothing — callers commit explicitly."""
-    usage = occupancy.usage(cycle)
-    if duration > 1:
-        usage = [max(col) for col in
-                 zip(*(occupancy.usage(t) for t in range(cycle, cycle + duration)))]
-    return _bfs_route(occupancy.fabric, usage, tile_a, tile_b)[0]
+    full = occupancy.full(cycle)
+    for t in range(cycle + 1, cycle + duration):
+        full |= occupancy.full(t)
+    return _bfs_route(occupancy.fabric, full, tile_a, tile_b)[0]
 
 
 def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
@@ -468,19 +506,21 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
     rip-up this is plain greedy routing.  Returns the routes in batch order,
     or None when a ring holds no committed path or the rip-ups exceed four
     per gate."""
+    cap = fabric.cap
     paths: dict[int, RoutePath] = {}
     usage = [0] * fabric.size
+    full = 0  # the resources whose use has reached their capacity
     pending = list(order)
     repairs = 0
     while pending:
         idx = pending.pop(0)
         a, b = tile_pairs[idx]
-        p, region = _bfs_route(fabric, usage, a, b, bounded=True)
+        p, region = _bfs_route(fabric, full, a, b)
         if p is None:
             repairs += 1
             if repairs > 4 * len(tile_pairs):
                 return None
-            ring = _saturated_frontier(fabric, usage, a, region)
+            ring = _saturated_frontier(fabric, usage, a, _bits(region))
             ripped = sorted(k for k, q in paths.items()
                             if any(r in ring for r in fabric.resource_ids(q)))
             if not ripped:
@@ -488,11 +528,14 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
             for k in ripped:
                 for res in fabric.resource_ids(paths.pop(k)):
                     usage[res] -= 1
+                    full &= ~(1 << res)
             pending = [idx] + ripped + pending
             continue
         paths[idx] = p
         for res in fabric.resource_ids(p):
             usage[res] += 1
+            if usage[res] >= cap[res]:
+                full |= 1 << res
     return [paths[i] for i in range(len(tile_pairs))]
 
 
@@ -533,7 +576,7 @@ def route_batch_guaranteed(
     rng = random.Random(0xC0FFEE + 31 * len(tile_pairs))
     for _ in range(160):
         rng.shuffle(order)
-        # the copy shares the terminal and hop-bound caches: neither
+        # the copy shares the terminal cache and the masks: none of them
         # depends on the neighbour order
         shuffled = copy.copy(fabric)
         shuffled.adj = [tuple(rng.sample(nbrs, len(nbrs))) for nbrs in fabric.adj]

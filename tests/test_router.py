@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import itertools
 import random
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfc import router
-from surfc.chip import ChipModel, chip_capacity
+from surfc.chip import ChipLayout, ChipModel, ChipSpec, chip_capacity, config_dims, derive_layout
 from surfc.errors import SchedulingError
 from surfc.oracle import OracleBudget, routing_feasible
 from surfc.placement import ArrayShape, baseline_mapping
@@ -296,14 +297,10 @@ class TestRouteBatchGuaranteed:
     def test_lattice_surgery_batch_sweep(self, ring_repairs):
         # capacity-sized batches among the data tiles of 3x3 to 8x8 arrays
         # with channels one and two tiles wide; a few need a restart
-        rng = random.Random(20261018)
-        batches = 1000
-        for _ in range(batches):
-            layout = uniform_ls_layout(rng.randint(3, 8), rng.randint(3, 8), gap=rng.choice((1, 2)))
-            data = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
-            tiles = rng.sample(data, 2 * layout.capacity)
-            pairs = list(zip(tiles[::2], tiles[1::2]))
-            paths = route_batch_guaranteed(layout, pairs, frozenset(data))
+        batches = 0
+        for layout, data, pairs in _ls_sweep_batches():
+            batches += 1
+            paths = route_batch_guaranteed(layout, pairs, data)
             seen = set()
             for (a, b), p in zip(pairs, paths):
                 if p.nodes:
@@ -314,6 +311,18 @@ class TestRouteBatchGuaranteed:
                     assert node not in seen and node not in data
                     seen.add(node)
         assert len(ring_repairs) > batches
+
+
+def _ls_sweep_batches():
+    """``(layout, data tiles, pairs)`` of 1000 capacity-sized lattice-surgery
+    batches among the data tiles of 3x3 to 8x8 arrays, with channels one and
+    two tiles wide."""
+    rng = random.Random(20261018)
+    for _ in range(1000):
+        layout = uniform_ls_layout(rng.randint(3, 8), rng.randint(3, 8), gap=rng.choice((1, 2)))
+        data = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+        tiles = rng.sample(data, 2 * layout.capacity)
+        yield layout, frozenset(data), list(zip(tiles[::2], tiles[1::2]))
 
 
 class TestTheoremTwoSmoke:
@@ -344,37 +353,71 @@ class TestTheoremTwoSmoke:
             done += 1
 
 
-def _both_searches(fabric: Fabric, usage: list[int], src, dst):
-    """Unbounded and bounded ``bfs`` between two tiles, with the starts and
-    goals of a route search; asserts that they agree and returns the
-    unbounded ``(parent, end)``.  On a miss both return the whole region."""
+def _full_mask(fabric: Fabric, usage: list[int]) -> int:
+    """The bitmask of the resources of capacity above 0 that ``usage``
+    fills."""
+    return sum(1 << i for i, (u, c) in enumerate(zip(usage, fabric.cap)) if c > 0 and u >= c)
+
+
+def _reference_route(fabric: Fabric, usage: list[int], src, dst):
+    """The route search of ``find_path`` and ring repair on plain ``bfs`` with
+    ``usage`` walls: ``(route, region)``, where on a miss ``region`` is the
+    bitmask of every node the search reached, else 0."""
+    model = fabric.model
+    if model is LS and router._adjacent(src, dst):
+        return RoutePath(model, ()), 0
     cap = fabric.cap
-    starts = [n for n in fabric.terminals(src) if usage[n] < cap[n]]
     goals = fabric.terminals(dst)
+    starts = [n for n in fabric.terminals(src) if usage[n] < cap[n]]
+    if model is LS:
+        for n in starts:
+            if n in goals:
+                return fabric.route((n,)), 0
     parent, end = bfs(fabric, starts, usage, goals)
-    bounded, bounded_end = bfs(fabric, starts, usage, goals, fabric.hop_bounds(dst))
-    assert bounded_end == end
+    if end is not None:
+        return fabric.route(trace_back(parent, end)), 0
+    return None, sum(1 << n for n in parent)
+
+
+def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
+    """Asserts that ``router._bfs_route`` on the walls of ``usage`` returns
+    the reference route and region; returns them."""
+    found = router._bfs_route(fabric, _full_mask(fabric, usage), src, dst)
+    reference = _reference_route(fabric, usage, src, dst)
+    assert found == reference
+    return reference
+
+
+def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
+    """Asserts that ``_level_route`` returns the path and the region of plain
+    ``bfs`` for free ``starts`` disjoint from ``goals``."""
+    path, region = router._level_route(fabric, _full_mask(fabric, usage), starts, goals)
+    parent, end = bfs(fabric, starts, usage, goals)
     if end is None:
-        assert list(bounded.items()) == list(parent.items())
+        assert path is None and region == sum(1 << n for n in parent)
     else:
-        assert trace_back(bounded, end) == trace_back(parent, end)
-    return parent, end
+        assert path == trace_back(parent, end) and region == 0
+    return path
 
 
-def _first_bound(fabric: Fabric, src, dst) -> int:
-    lower = fabric.hop_bounds(dst)
-    return max(1, min(lower[n] for n in fabric.terminals(src)))
+def _shuffled(fabric: Fabric, rng: random.Random) -> Fabric:
+    """``fabric`` with each node's neighbour order shuffled, as the batch
+    router's restarts shuffle it."""
+    out = copy.copy(fabric)
+    out.adj = [tuple(rng.sample(nbrs, len(nbrs))) for nbrs in fabric.adj]
+    return out
 
 
-class TestBoundedSearch:
-    """The contour-bounded search of the batch router returns the same end
-    and route as the unbounded search on every query."""
+class TestLevelSearch:
+    """The level-set search returns the route plain ``bfs`` returns, and on
+    a miss the region it reached, on every query."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_same_route_as_unbounded(self, seed):
+    def test_same_route_as_bfs(self, seed):
         # both models, bandwidth 1-3, arrays up to 6x6, randomly saturated
-        # resources, and half the time a wall with one gap for long detours
+        # resources, half the time a wall with one gap for long detours, and
+        # a third of the time shuffled neighbour orders
         rng = random.Random(seed)
         model, bandwidth = rng.choice((DD, LS)), rng.randint(1, 3)
         rows, cols = rng.choice([(r, c) for r in range(1, 7) for c in range(1, 7) if r * c >= 2])
@@ -387,6 +430,8 @@ class TestBoundedSearch:
             tiles = [(layout.row_tracks[r], layout.col_tracks[c])
                      for r, c in rng.sample(cells, rng.randint(2, len(cells)))]
         fabric = Fabric(layout, frozenset(tiles) if model is LS else frozenset())
+        if rng.random() < 1 / 3:
+            fabric = _shuffled(fabric, rng)
         usage = [0] * fabric.size
         density = rng.choice((0.0, 0.1, 0.25, 0.4))
         for res in range(fabric.size - 1):
@@ -409,34 +454,242 @@ class TestBoundedSearch:
             near = [(r + dr, c + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                     if (dr, dc) != (0, 0) and (r + dr, c + dc) in tiles]
             pairs.append(((r, c), rng.choice(near)))
+        else:  # a fabric tile next to a data tile: an empty route
+            r, c = rng.choice(tiles)
+            pairs.append(((r, c), (r, c + 1)))
         for src, dst in pairs:
-            _both_searches(fabric, usage, src, dst)
+            _same_as_reference(fabric, usage, src, dst)
+        # node-level queries: starts in random order, goals disjoint from them
+        free = [n for n in range(len(fabric.tiles))
+                if usage[n] < fabric.cap[n] and fabric.tiles[n] not in fabric.data]
+        for _ in range(4):
+            picked = rng.sample(free, min(len(free), rng.randint(0, 6)))
+            split = rng.randint(0, len(picked))
+            _same_levels_as_bfs(fabric, usage, picked[:split], picked[split:])
 
-    def test_detour_needs_a_second_contour(self):
+    def test_detour_around_a_wall(self):
         # a saturated junction column between the tiles leaves one gap, one
-        # row below the direct route; the detour is longer than the first bound
-        layout = uniform_dd_layout(2, 4)
-        fabric = Fabric(layout)
+        # row below the direct route
+        fabric = Fabric(uniform_dd_layout(2, 4))
         usage = [0] * fabric.size
         for i in (0, 1):
             usage[fabric.res_id(("j", i, 2))] = 1
-        parent, end = _both_searches(fabric, usage, (0, 0), (0, 3))
-        path = trace_back(parent, end)
-        assert fabric.route(path).nodes == ((1, 1), (2, 1), (2, 2), (2, 3), (1, 3))
-        assert len(path) - 1 > _first_bound(fabric, (0, 0), (0, 3)) == 2
+        path, _ = _same_as_reference(fabric, usage, (0, 0), (0, 3))
+        assert path.nodes == ((1, 1), (2, 1), (2, 2), (2, 3), (1, 3))
 
     def test_true_miss_returns_the_reachable_region(self):
-        # a saturated junction row walls the top three rows off from the
-        # goal; the bounded search grows its contour until nothing is cut
-        layout = uniform_dd_layout(4, 4)
-        fabric = Fabric(layout)
+        # a saturated junction row walls the top three rows off from the goal
+        fabric = Fabric(uniform_dd_layout(4, 4))
         usage = [0] * fabric.size
         for j in range(5):
             usage[fabric.res_id(("j", 3, j))] = 1
-        parent, end = _both_searches(fabric, usage, (0, 0), (3, 3))
-        assert end is None
-        assert sorted(fabric.tiles[n] for n in parent) == [(i, j) for i in range(3) for j in range(5)]
-        assert max(fabric.hop_bounds((3, 3))[n] for n in parent) > _first_bound(fabric, (0, 0), (3, 3))
+        path, region = _same_as_reference(fabric, usage, (0, 0), (3, 3))
+        assert path is None
+        assert [fabric.tiles[n] for n in router._bits(region)] == [(i, j) for i in range(3) for j in range(5)]
+
+    def test_forward_walk_skips_a_full_edge(self):
+        # (0, 2) is on a shortest route, reached from the second start, and
+        # comes first in the first start's neighbour order, but the segment
+        # between them is full: the route goes south first
+        fabric = Fabric(uniform_dd_layout(3, 3))
+        usage = [0] * fabric.size
+        usage[fabric.res_id(("h", 0, 1))] = 1
+        ids = {t: n for n, t in enumerate(fabric.tiles)}
+        path = _same_levels_as_bfs(fabric, usage, [ids[0, 1], ids[0, 3]], [ids[1, 2]])
+        assert [fabric.tiles[n] for n in path] == [(0, 1), (1, 1), (1, 2)]
+
+    def test_empty_starts_and_full_goals(self):
+        fabric = Fabric(uniform_dd_layout(3, 3))
+        usage = [0] * fabric.size
+        assert router._level_route(fabric, 0, [], fabric.terminals((2, 2))) == (None, 0)
+        # every corner of the goal tile full: the search explores the rest
+        for n in fabric.terminals((2, 2)):
+            usage[n] = fabric.cap[n]
+        assert _same_levels_as_bfs(fabric, usage, fabric.terminals((0, 0)), fabric.terminals((2, 2))) is None
+        path, region = _same_as_reference(fabric, usage, (0, 0), (2, 2))
+        assert path is None and len(router._bits(region)) == len(fabric.tiles) - 4
+        # every corner of the source tile full: no start, an empty region
+        usage = [0] * fabric.size
+        for n in fabric.terminals((0, 0)):
+            usage[n] = fabric.cap[n]
+        assert _same_as_reference(fabric, usage, (0, 0), (2, 2)) == (None, 0)
+
+    @pytest.mark.parametrize("rows, cols", [(1, 7), (7, 1), (2, 5), (5, 2)])
+    def test_single_line_fabrics(self, rows, cols):
+        # junction grids one or two nodes wide: a shift past the end of a
+        # row must not wrap into the next one
+        layout = ChipLayout(model=DD, d=2, m1=100, m2=100, array_r=rows - 1,
+                            array_c=cols - 1, h_widths=(0,) * rows, v_widths=(0,) * cols)
+        rng = random.Random(rows * 10 + cols)
+        for _ in range(40):
+            fabric = Fabric(layout)
+            if rng.random() < 0.5:
+                fabric = _shuffled(fabric, rng)
+            usage = [fabric.cap[i] if rng.random() < 0.15 else 0 for i in range(fabric.size - 1)] + [0]
+            free = [n for n in range(len(fabric.tiles)) if usage[n] < fabric.cap[n]]
+            picked = rng.sample(free, min(len(free), rng.randint(2, 4)))
+            split = rng.randint(1, len(picked) - 1)
+            _same_levels_as_bfs(fabric, usage, picked[:split], picked[split:])
+        # the end of one row next to the start of the next
+        fabric = Fabric(layout)
+        idle = [0] * fabric.size
+        last = rows * cols - 1
+        for start, goal in ((cols - 1, cols % (rows * cols)), (0, last), (last, 0)):
+            path = _same_levels_as_bfs(fabric, idle, [start], [goal])
+            (r1, c1), (r2, c2) = fabric.tiles[start], fabric.tiles[goal]
+            assert len(path) - 1 == abs(r1 - r2) + abs(c1 - c2)
+
+    def test_lattice_surgery_single_tile_and_adjacent_pairs(self):
+        layout = uniform_ls_layout(2, 2, gap=1)
+        tr, tc = layout.row_tracks, layout.col_tracks
+        data = frozenset((r, c) for r in tr for c in tc)
+        fabric = Fabric(layout, data)
+        idle = [0] * fabric.size
+        # two data tiles one fabric tile apart: that tile is the route
+        path, _ = _same_as_reference(fabric, idle, (tr[0], tc[0]), (tr[0], tc[1]))
+        assert path.nodes == ((tr[0], tc[0] + 1),)
+        # a data tile next to a fabric tile: an empty route
+        path, _ = _same_as_reference(fabric, idle, (tr[0], tc[0]), (tr[0], tc[0] + 1))
+        assert path.nodes == ()
+        # the single tile taken: the route goes round it, through the row above
+        usage = idle.copy()
+        usage[fabric.res_id(("t", tr[0], tc[0] + 1))] = 1
+        path, _ = _same_as_reference(fabric, usage, (tr[0], tc[0]), (tr[0], tc[1]))
+        assert path.nodes == ((tr[0] - 1, tc[0]), (tr[0] - 1, tc[0] + 1), (tr[0] - 1, tc[1]))
+
+
+class TestFullMasks:
+    """The bitmasks of full resources that commits, releases and ring repair
+    keep match their usage lists."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_static_masks(self, seed):
+        # ``open``: the nodes of capacity above 0 that are no data tile;
+        # ``east`` and ``south``: the nodes whose edge that way exists and
+        # has capacity above 0
+        rng = random.Random(seed)
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        if rng.random() < 0.5:
+            layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+            fabric = Fabric(layout)
+        else:
+            layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+            cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+            fabric = Fabric(layout, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
+        cap, n, width = fabric.cap, fabric.nodes, fabric.cols
+        ls = fabric.model is LS
+        assert fabric.size == len(cap) == (n + 1 if ls else 3 * n + 1) and cap[-1] > 1 << 20
+        for i in range(n):  # node-aligned segment ids; lattice surgery names the last id
+            for nxt, seg in fabric.adj[i]:
+                lo, horizontal = min(i, nxt), abs(i - nxt) == 1
+                assert seg == (fabric.size - 1 if ls else lo + (n if horizontal else 2 * n))
+        if not ls:  # a slot with no segment has capacity 0
+            assert [cap[n + i] > 0 for i in range(n)] == [i % width < width - 1 for i in range(n)]
+            assert [cap[2 * n + i] > 0 for i in range(n)] == [i < n - width for i in range(n)]
+
+        def bits(ids):
+            return sum(1 << i for i in ids)
+
+        assert fabric.open == bits(i for i in range(n) if cap[i] > 0 and fabric.tiles[i] not in fabric.data)
+        assert fabric.east == bits(i for i in range(n) if i % width < width - 1 and (ls or cap[n + i] > 0))
+        assert fabric.south == bits(i for i in range(n - width) if ls or cap[2 * n + i] > 0)
+
+    @pytest.mark.parametrize("model", [DD, LS])
+    def test_occupancy_commits_and_releases(self, model):
+        rng = random.Random(7 if model is DD else 8)
+        for _ in range(20):
+            rows, cols = rng.randint(2, 5), rng.randint(2, 5)
+            if model is DD:
+                layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+                tiles = [(r, c) for r in range(rows) for c in range(cols)]
+                occ = CycleOccupancy(layout)
+            else:
+                layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+                tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+                occ = CycleOccupancy(layout, frozenset(tiles))
+            fabric = occ.fabric
+            released = set()
+            for _ in range(40):
+                a, b = rng.sample(tiles, 2)
+                cycle, duration = rng.randrange(8), rng.choice((1, 3))
+                path = find_path(occ, cycle, a, b, duration)
+                if path is not None:
+                    occ.commit_route(path, cycle, duration)
+                if rng.random() < 0.1:
+                    t = rng.randrange(8)
+                    occ.release(t)
+                    released.add(t)
+            for t in range(12):
+                usage = occ.usage(t)
+                assert occ.full(t) == _full_mask(fabric, usage)
+                if t in released and usage is fabric.idle:
+                    assert occ.full(t) == 0
+            assert fabric.idle == [0] * fabric.size
+
+    def test_find_path_three_cycles(self):
+        # the route of the combined usage of three cycles, as the search
+        # built it before: each resource at its greatest use
+        rng = random.Random(3)
+        for model in (DD, LS):
+            for _ in range(15):
+                rows, cols = rng.randint(2, 5), rng.randint(2, 5)
+                if model is DD:
+                    layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 2))
+                    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+                    occ = CycleOccupancy(layout)
+                else:
+                    layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+                    tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+                    occ = CycleOccupancy(layout, frozenset(tiles))
+                for _ in range(30):
+                    a, b = rng.sample(tiles, 2)
+                    cycle = rng.randrange(5)
+                    usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + 3)))]
+                    path = find_path(occ, cycle, a, b, duration=3)
+                    assert path == _reference_route(occ.fabric, usage, a, b)[0]
+                    if path is not None and rng.random() < 0.7:
+                        occ.commit_route(path, cycle, rng.choice((1, 3)))
+
+    def test_ring_repair_rip_ups(self, monkeypatch):
+        # every search of ring repair, rip-ups included, sees the mask of
+        # the usage it keeps: checked at each ring, where the usage list
+        # shows, and at every search after it in the same repair
+        ring_repair, search, frontier = router._ring_repair, router._bfs_route, router._saturated_frontier
+        kept, last_full, checked = [], [], []
+
+        def repair(*args):
+            kept.clear()
+            return ring_repair(*args)
+
+        def searched(fabric, full, src, dst):
+            if kept:
+                assert full == _full_mask(fabric, kept[0])
+                checked.append(1)
+            last_full[:] = [full]
+            return search(fabric, full, src, dst)
+
+        def ring(fabric, usage, src, region):
+            assert last_full[0] == _full_mask(fabric, usage)
+            kept[:] = [usage]
+            return frontier(fabric, usage, src, region)
+
+        monkeypatch.setattr(router, "_ring_repair", repair)
+        monkeypatch.setattr(router, "_bfs_route", searched)
+        monkeypatch.setattr(router, "_saturated_frontier", ring)
+        for k, (layout, data, pairs) in enumerate(_ls_sweep_batches()):
+            if k == 300:
+                break
+            route_batch_guaranteed(layout, pairs, data)
+        for bandwidth in (1, 3):
+            rng = random.Random(bandwidth)
+            for _ in range(100):
+                g = rng.randint(3, 6)
+                tiles = [(r, c) for r in range(g) for c in range(g)]
+                rng.shuffle(tiles)
+                pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(chip_capacity(bandwidth))]
+                route_batch_guaranteed(uniform_dd_layout(g, g, bandwidth=bandwidth), pairs)
+        assert len(checked) > 100
 
 
 def _rooted_bfs(fabric: Fabric, starts, usage=None, goals=()):
@@ -586,6 +839,29 @@ def _batch_stream(digest) -> None:
             done += 1
 
 
+GOLDEN_LS_BATCH_DIGEST = "e54e85f6c4b34396b758caf9eda9f645efd4ba18f07240622d47a05b6e9c7c81"
+
+
+def _ls_batch_stream(digest) -> None:
+    """The batches of ``_ls_sweep_batches``, then 200 capacity-sized batches
+    on the lattice-surgery ``sufficient`` chip for n=49 at parallelism 4 and
+    d=3: a 7x7 data array in a 31x31 fabric, capacity 4."""
+    for layout, data, pairs in _ls_sweep_batches():
+        digest.update(repr([p.nodes for p in route_batch_guaranteed(layout, pairs, data)]).encode())
+    model = LS
+    m1, m2 = config_dims("sufficient", 49, 3, model, pm=4)
+    layout = derive_layout(ChipSpec(model, m1, m2, 3), 49)
+    assert (layout.grid_rows, layout.grid_cols, layout.capacity) == (31, 31, 4)
+    data = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+    fabric = Fabric(layout, frozenset(data))
+    rng = random.Random(49)
+    for _ in range(200):
+        tiles = rng.sample(data, 2 * layout.capacity)
+        pairs = list(zip(tiles[::2], tiles[1::2]))
+        paths = route_batch_guaranteed(layout, pairs, fabric.data, fabric=fabric)
+        digest.update(repr([p.nodes for p in paths]).encode())
+
+
 class TestGoldenRoutes:
     """Every route the searches return, pinned: a change to the route
     representation or search must leave this digest unchanged."""
@@ -596,3 +872,8 @@ class TestGoldenRoutes:
         assert committed > 600 and blocked > 600
         _batch_stream(digest)
         assert digest.hexdigest() == GOLDEN_ROUTE_DIGEST
+
+    def test_lattice_surgery_batch_digest(self):
+        digest = hashlib.sha256()
+        _ls_batch_stream(digest)
+        assert digest.hexdigest() == GOLDEN_LS_BATCH_DIGEST
