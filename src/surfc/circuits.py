@@ -17,7 +17,7 @@ from functools import cached_property
 from .errors import CircuitError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CnotGate:
     gid: int
     control: int

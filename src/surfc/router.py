@@ -17,8 +17,11 @@ Capacities and per-cycle usage are lists indexed by resource id, so a search
 touches no tuple keys; tiles appear only where a caller hands them in or
 gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list per
 cycle, and beside it one integer whose bit ``i`` is set while resource ``i``
-is at capacity; it commits a route by the ids ``Fabric.resource_ids``
-computes from its nodes.  ``resource_capacities`` gives the capacity of a
+is at capacity.  It commits a route by the ids of its resources: those the
+search recorded while it built the route, when ``find_path`` found it, else
+those ``Fabric.resource_ids`` computes from its nodes (the batch router's
+routes).  Ring repair commits and rips up by the search's ids too.
+``resource_capacities`` gives the capacity of a
 tuple resource of ``RoutePath.resources`` instead; the validator replays
 schedules on those, so the referee shares no code with the fabric, and so
 does the oracle's route packing.
@@ -36,7 +39,19 @@ search keep the start each node was reached from, since a route may not end
 where it starts.
 
 Route search (``find_path`` and ring repair) runs on the bitmask of full
-resources instead.  When its starts and goals are disjoint, which is every
+resources instead, and on terminal masks: ``Fabric.terminal_mask`` caches
+the terminals of each tile as a bitmask, so a query's starts are
+``terminal_mask(src) & free`` and its goals ``terminal_mask(dst) & free``,
+and two tiles share a free terminal when ``starts & goals`` is not 0.
+Where ``bfs`` takes the first start of a list, the search takes the lowest
+set bit of a mask: the same node, because ``Fabric.terminals`` is ascending
+on every tile of both models.  So the lattice-surgery single-tile route is
+the lowest bit of ``starts & goals``.  Two exits need no search, and both
+return what the search would: a query with no free start misses with an
+empty region, and ``find_path``, which needs no region, misses at once when
+no goal is free (lattice-surgery adjacent pairs, routed empty, come first).
+Ring repair searches on in that case, because it reads the ring from the
+region.  When its starts and goals are disjoint, which is every
 lattice-surgery search past the adjacent and single-tile checks and every
 double-defect one whose tiles share no corner, ``_level_route`` searches one
 whole BFS level at a time, as Lee's maze router does (Lee, 1961), with each
@@ -47,8 +62,9 @@ Asanovic and Patterson, 2012).  The next level is ``N(level) & free &
 into the next; the search stops at the first level that meets a goal.  It
 then walks back, keeping ``U_k = level_k & N(U_k+1)``, the nodes of each
 level on some shortest route, from the goals hit; and then forward, from the
-first start in ``starts`` order in ``U_0``, taking at each step the first
-neighbour in ``adj`` order that lies in the next ``U`` over a free edge.
+lowest start in ``U_0``, taking at each step the first neighbour in
+``adj`` order that lies in the next ``U`` over a free edge, and recording
+the segment it crosses.
 
 This is the route ``bfs`` returns.  Take the node of level ``k`` that comes
 first in BFS queue order among those adjacent to ``U_k+1`` (adjacent means
@@ -61,10 +77,12 @@ from the starts, the forward walk visits the first node of each ``U`` in
 queue order, each discovered by the one before; the last is the first goal
 ``bfs`` meets, and the walk is its parent chain.  The argument holds for any
 neighbour order, so the shuffled ``adj`` of a restart is served too.  On a
-miss the search returns the region ``bfs`` reaches, as a mask; the ring
-behind it is read from the node ids of that mask (``_saturated_frontier``).  Double-defect tiles that share a
-corner keep ``bfs``'s rooted loop: there a start that is also a goal is an
-end only when met from another start, which whole levels cannot tell.
+miss the search returns the region ``bfs`` reaches, as a mask, and
+``_saturated_frontier`` reads the ring behind it from that mask with the
+same shifts: the full segments that leave it and the full nodes beyond its
+free edges.  Double-defect tiles that share a corner keep ``bfs``'s rooted
+loop: there a start that is also a goal is an end only when met from
+another start, which whole levels cannot tell.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
@@ -93,7 +111,7 @@ _STEPS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # N, E, S, W
 _NEVER_FULL = 1 << 30  # capacity of the "no segment" resource
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoutePath:
     """A committed route: junction sequence (double defect, >= 2 junctions) or
     free-tile chain (lattice surgery, possibly empty for adjacent merges)."""
@@ -187,6 +205,7 @@ class Fabric:
             self.east = int(("0" + "1" * (cols - 1)) * rows or "0", 2)  # all but the last column
             self.south = (1 << (nodes - cols)) - 1 if nodes else 0  # all but the last row
         self._terminals: dict[Tile, tuple[int, ...]] = {}
+        self._terminal_masks: dict[Tile, int] = {}
 
     def res_id(self, res: Resource) -> int:
         kind, i, j = res
@@ -216,7 +235,9 @@ class Fabric:
     def terminals(self, tile: Tile) -> tuple[int, ...]:
         """Ascending ids of the nodes a route to or from ``tile`` may end
         on: its four corner junctions (double defect) or its free grid
-        neighbours (lattice surgery)."""
+        neighbours (lattice surgery).  The route search relies on this
+        order: it takes the lowest set bit of a terminal mask where ``bfs``
+        would take the first start in this tuple."""
         ids = self._terminals.get(tile)
         if ids is None:
             r, c = tile
@@ -228,21 +249,33 @@ class Fabric:
             self._terminals[tile] = ids
         return ids
 
+    def terminal_mask(self, tile: Tile) -> int:
+        """The bitmask of ``terminals(tile)``."""
+        mask = self._terminal_masks.get(tile)
+        if mask is None:
+            mask = self._terminal_masks[tile] = _mask(self.terminals(tile))
+        return mask
+
     def route(self, ids) -> RoutePath:
-        return RoutePath(self.model, tuple(self.tiles[n] for n in ids))
+        return RoutePath(self.model, tuple(map(self.tiles.__getitem__, ids)))
 
 
 class CycleOccupancy:
     """Per-cycle reservation ledger: one usage list per cycle, indexed by the
     resource ids of ``fabric``, and beside it a bitmask of the resources at
     capacity; plus the busy tiles of each cycle.  Tiles are array coordinates
-    for double defect, absolute tile coordinates for lattice surgery."""
+    for double defect, absolute tile coordinates for lattice surgery.
+
+    ``_found`` holds the last route ``find_path`` found here with the ids
+    of its resources, which the search derived on the way; committing that
+    route object reads them instead of deriving them again."""
 
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
         self.fabric = Fabric(layout, data_tiles)
         self._usage: dict[int, list[int]] = {}
         self._full: dict[int, int] = {}
         self._busy: dict[int, set[Tile]] = {}
+        self._found: tuple[RoutePath | None, list[int] | None] = (None, None)
 
     def usage(self, cycle: int) -> list[int]:
         """Resource use at ``cycle``, indexed by resource id; read-only."""
@@ -265,7 +298,9 @@ class CycleOccupancy:
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
         fabric = self.fabric
         cap = fabric.cap
-        ids = fabric.resource_ids(path)
+        found, ids = self._found
+        if found is not path:
+            ids = fabric.resource_ids(path)
         for t in range(cycle, cycle + duration):
             usage = self._usage.get(t)
             if usage is None:
@@ -306,11 +341,6 @@ def resource_capacities(layout: ChipLayout):
         return 1  # lattice-surgery ancilla tile
 
     return cap
-
-
-def tile_corners(tile: Tile) -> tuple[Tile, ...]:
-    r, c = tile
-    return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
 def _mask(ids) -> int:
@@ -375,26 +405,29 @@ def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
     return parent, None
 
 
-def _level_route(fabric: Fabric, full: int, starts, goals) -> tuple[tuple[int, ...] | None, int]:
-    """The route ``bfs`` finds from ``starts`` to ``goals`` with the
-    resources of the bitmask ``full`` as walls, searched one whole BFS level
-    at a time (see the module docstring).  ``starts`` must be free and
-    disjoint from ``goals``.  Returns ``(path, region)``: the node ids from a
-    start to the goal, or None on a miss; and on a miss the bitmask of the
-    nodes ``bfs`` reaches, else 0."""
+def _level_route(fabric: Fabric, full: int, starts: int, goals: int
+                 ) -> tuple[list[int] | None, list[int] | None, int]:
+    """The route ``bfs`` finds from the nodes of the bitmask ``starts``, in
+    ascending order, to those of ``goals``, with the resources of the
+    bitmask ``full`` as walls, searched one whole BFS level at a time (see
+    the module docstring).  ``starts`` must be free and disjoint from
+    ``goals``.  Returns ``(path, segments, region)``: the node ids from a
+    start to the goal and the ids of the segments between them, or None and
+    None on a miss; and on a miss the bitmask of the nodes ``bfs`` reaches,
+    else 0."""
     nodes, cols, adj = fabric.nodes, fabric.cols, fabric.adj
     east = fabric.east & ~(full >> nodes)
     south = fabric.south & ~(full >> 2 * nodes)
     free = fabric.open & ~full
-    frontier = _mask(starts)
+    frontier = starts
     unseen = free & ~frontier
-    goal = _mask(goals) & unseen
+    goal = goals & unseen
     levels = [frontier]
     while True:
         frontier = (((frontier & east) << 1) | ((frontier >> 1) & east)
                     | ((frontier & south) << cols) | ((frontier >> cols) & south)) & unseen
         if not frontier:
-            return None, free & ~unseen
+            return None, None, free & ~unseen
         hit = frontier & goal
         if hit:
             break
@@ -407,17 +440,20 @@ def _level_route(fabric: Fabric, full: int, starts, goals) -> tuple[tuple[int, .
                | ((hit & south) << cols) | ((hit >> cols) & south)) & level
         on_route.append(hit)
     on_route.reverse()
-    # forward in BFS discovery order: the first start on a shortest route,
+    # forward in BFS discovery order: the lowest start on a shortest route,
     # then at each step the first neighbour on one over a free edge
-    node = next(n for n in starts if on_route[0] >> n & 1)
+    first = on_route[0]
+    node = (first & -first).bit_length() - 1
     path = [node]
+    segments = []
     for step in on_route[1:]:
         for nxt, seg in adj[node]:
             if step >> nxt & 1 and not full >> seg & 1:
                 break
         node = nxt
         path.append(node)
-    return tuple(path), 0
+        segments.append(seg)
+    return path, segments, 0
 
 
 def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:
@@ -430,56 +466,74 @@ def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int
     return tuple(reversed(path))
 
 
-def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile) -> tuple[RoutePath | None, int]:
+def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = True
+               ) -> tuple[RoutePath | None, list[int] | None, int]:
     """Deterministic shortest route that avoids the resources of the bitmask
-    ``full``, and on a miss the bitmask of the nodes the search reached.
-    Sources are the free terminals of ``src`` in fixed order.  A goal that
-    happens to be a source is still only accepted after >= 1 hop, so a route
-    always occupies fabric."""
+    ``full``.  Sources are the free terminals of ``src`` in ascending order.
+    A goal that happens to be a source is still only accepted after >= 1
+    hop, so a route always occupies fabric.
+
+    Returns ``(route, ids, region)``: the route and the ids of its
+    ``resources()`` in that order, or None and None on a miss; and on a
+    miss the bitmask of the nodes the search reached, else 0.  A miss with
+    no free source reaches nothing.  With ``region`` False the caller needs
+    no region, and a query with no free goal misses without a search."""
     model = fabric.model
-    if model is ChipModel.LATTICE_SURGERY and _adjacent(src, dst):
-        return RoutePath(model, ()), 0
-    goals = fabric.terminals(dst)
+    ls = model is ChipModel.LATTICE_SURGERY
+    if ls and _adjacent(src, dst):
+        return RoutePath(model, ()), [], 0
     free = fabric.open & ~full
-    starts = [n for n in fabric.terminals(src) if free >> n & 1]
-    if model is ChipModel.LATTICE_SURGERY:
-        # a single free tile adjacent to both operands is a complete chain
-        for n in starts:
-            if n in goals:
-                return fabric.route((n,)), 0
-    elif not set(starts).isdisjoint(goals):
+    goals = fabric.terminal_mask(dst) & free
+    if not goals and not region:
+        return None, None, 0
+    starts = fabric.terminal_mask(src) & free
+    if not starts:
+        return None, None, 0
+    shared = starts & goals
+    if shared:
+        if ls:
+            # a single free tile adjacent to both operands is a complete chain
+            n = (shared & -shared).bit_length() - 1
+            return fabric.route((n,)), [n], 0
         # double-defect tiles that share a corner: the rooted search, on a
         # usage that puts each full resource at its capacity
         usage = fabric.idle.copy()
         for i in _bits(full):
             usage[i] = fabric.cap[i]
-        parent, end = bfs(fabric, starts, usage, goals)
+        parent, end = bfs(fabric, _bits(starts), usage, _bits(goals))
         if end is None:
-            return None, _mask(parent)
-        return fabric.route(trace_back(parent, end)), 0
-    path, region = _level_route(fabric, full, starts, goals)
-    return (None if path is None else fabric.route(path)), region
+            return None, None, _mask(parent)
+        route = fabric.route(trace_back(parent, end))
+        return route, fabric.resource_ids(route), 0
+    path, segments, reached = _level_route(fabric, full, starts, goals)
+    if path is None:
+        return None, None, reached
+    route = fabric.route(path)
+    if not ls:
+        path += segments
+    return route, path, 0
 
 
 def _adjacent(a: Tile, b: Tile) -> bool:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
-def _saturated_frontier(fabric: Fabric, usage: list[int], src: Tile,
-                        region: list[int]) -> set[int]:
-    """Resource ids at capacity along the boundary of ``region``, the nodes
-    a failed route search from ``src`` reached, and at the terminals of
-    ``src``.  These form the blocking ring of saturated channels separating
-    the pair."""
-    cap = fabric.cap
-    ring = {n for n in fabric.terminals(src) if usage[n] >= cap[n]}
-    for node in region:
-        for nxt, seg in fabric.adj[node]:
-            if usage[seg] >= cap[seg]:
-                ring.add(seg)
-            elif usage[nxt] >= cap[nxt]:
-                ring.add(nxt)
-    return ring
+def _saturated_frontier(fabric: Fabric, full: int, src: Tile, region: int) -> int:
+    """Bitmask of the full resources on the boundary of the bitmask
+    ``region``, the nodes a failed route search from ``src`` reached, and at
+    the terminals of ``src``: the segments that leave ``region``, and the
+    nodes beyond its free edges.  These form the blocking ring of saturated
+    channels separating the pair."""
+    nodes, cols = fabric.nodes, fabric.cols
+    full_east = full >> nodes & fabric.east  # nodes whose east segment is full
+    full_south = full >> 2 * nodes & fabric.south
+    east = fabric.east & ~full_east
+    south = fabric.south & ~full_south
+    beyond = (((region & east) << 1) | ((region >> 1) & east)
+              | ((region & south) << cols) | ((region >> cols) & south))
+    return ((fabric.terminal_mask(src) | beyond) & full
+            | ((region | region >> 1) & full_east) << nodes
+            | ((region | region >> cols) & full_south) << 2 * nodes)
 
 
 def find_path(
@@ -495,7 +549,10 @@ def find_path(
     full = occupancy.full(cycle)
     for t in range(cycle + 1, cycle + duration):
         full |= occupancy.full(t)
-    return _bfs_route(occupancy.fabric, full, tile_a, tile_b)[0]
+    path, ids, _ = _bfs_route(occupancy.fabric, full, tile_a, tile_b, region=False)
+    if path is not None:
+        occupancy._found = path, ids
+    return path
 
 
 def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
@@ -507,7 +564,7 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
     or None when a ring holds no committed path or the rip-ups exceed four
     per gate."""
     cap = fabric.cap
-    paths: dict[int, RoutePath] = {}
+    paths: dict[int, tuple[RoutePath, list[int]]] = {}  # each with its resource ids
     usage = [0] * fabric.size
     full = 0  # the resources whose use has reached their capacity
     pending = list(order)
@@ -515,28 +572,27 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
     while pending:
         idx = pending.pop(0)
         a, b = tile_pairs[idx]
-        p, region = _bfs_route(fabric, full, a, b)
+        p, ids, region = _bfs_route(fabric, full, a, b)
         if p is None:
             repairs += 1
             if repairs > 4 * len(tile_pairs):
                 return None
-            ring = _saturated_frontier(fabric, usage, a, _bits(region))
-            ripped = sorted(k for k, q in paths.items()
-                            if any(r in ring for r in fabric.resource_ids(q)))
+            ring = _saturated_frontier(fabric, full, a, region)
+            ripped = sorted(k for k, (_, held) in paths.items() if _mask(held) & ring)
             if not ripped:
                 return None
             for k in ripped:
-                for res in fabric.resource_ids(paths.pop(k)):
+                for res in paths.pop(k)[1]:
                     usage[res] -= 1
                     full &= ~(1 << res)
             pending = [idx] + ripped + pending
             continue
-        paths[idx] = p
-        for res in fabric.resource_ids(p):
+        paths[idx] = p, ids
+        for res in ids:
             usage[res] += 1
             if usage[res] >= cap[res]:
                 full |= 1 << res
-    return [paths[i] for i in range(len(tile_pairs))]
+    return [paths[i][0] for i in range(len(tile_pairs))]
 
 
 def route_batch_guaranteed(

@@ -41,7 +41,6 @@ from .router import (
     find_path,
     resource_capacities,
     route_batch_guaranteed,
-    tile_corners,
 )
 
 Tile = tuple[int, int]
@@ -54,7 +53,7 @@ class ActionKind(Enum):
     MODIFY = "modify"   # cut-type change, three cycles, tile-local
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     kind: ActionKind
     gate: int | None = None
@@ -101,7 +100,7 @@ class EncodedSchedule:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MValueInputs:
     m_t: int
     m_s: int
@@ -460,6 +459,9 @@ def validate(
     modify_at: set[tuple[Tile, int, int]] = set()  # (tile, phase, cycle)
     modify_starts: list[tuple[Tile, int, CutType]] = []  # phase 1: (tile, cycle, cut)
     seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
+    # a direct gate's route object and its resources, derived once for all
+    # three phases; dropped at phase 3
+    direct_held: dict[int, tuple[RoutePath, list[tuple]]] = {}
     for t, actions in enumerate(schedule.cycles):
         tiles_this_cycle: list[Tile] = []
         routed: list[tuple] = []  # the resources of every route held at t
@@ -477,9 +479,15 @@ def validate(
                 tiles_this_cycle += (ta, tb)
                 _check_route(v, a, ta, tb, model)
             elif kind is ActionKind.DIRECT:
-                seen_direct.setdefault(gid, []).append((t, a.phase, a.route))
-                if a.route is not None:
-                    routed += a.route.resources()
+                route = a.route
+                seen_direct.setdefault(gid, []).append((t, a.phase, route))
+                if route is not None:
+                    held = direct_held.get(gid)
+                    if held is None or held[0] is not route:
+                        held = direct_held[gid] = route, route.resources()
+                    if a.phase == 3:
+                        del direct_held[gid]
+                    routed += held[1]
                 tiles_this_cycle += operand_tiles(gid)
             elif kind is ActionKind.MODIFY:
                 modify_at.add((a.tile, a.phase, t))
@@ -578,7 +586,10 @@ def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:
     if len(nodes) < 2:
         v.append(f"gate {action.gate}: corridor route must hold at least one segment")
         return
-    if nodes[0] not in tile_corners(ta) or nodes[-1] not in tile_corners(tb):
+    # each end on one of the four corners of its operand tile
+    (ra, ca), (rb, cb) = nodes[0], nodes[-1]
+    if not (0 <= ra - ta[0] <= 1 and 0 <= ca - ta[1] <= 1
+            and 0 <= rb - tb[0] <= 1 and 0 <= cb - tb[1] <= 1):
         v.append(f"gate {action.gate}: route endpoints not on operand tiles")
     for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
         if abs(i1 - i2) + abs(j1 - j2) != 1:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import re
+import sys
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -24,12 +25,16 @@ from surfc.router import (
     find_path,
     render_cycle,
     route_batch_guaranteed,
-    tile_corners,
     trace_back,
 )
 
 DD = ChipModel.DOUBLE_DEFECT
 LS = ChipModel.LATTICE_SURGERY
+
+
+def tile_corners(tile):
+    r, c = tile
+    return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
 
 
 class TestFindPath:
@@ -381,22 +386,32 @@ def _reference_route(fabric: Fabric, usage: list[int], src, dst):
 
 def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
     """Asserts that ``router._bfs_route`` on the walls of ``usage`` returns
-    the reference route and region; returns them."""
-    found = router._bfs_route(fabric, _full_mask(fabric, usage), src, dst)
+    the reference route and region, with the ids of the route's resources,
+    and that without a region it returns the same route; returns the
+    reference."""
+    full = _full_mask(fabric, usage)
+    route, ids, region = router._bfs_route(fabric, full, src, dst)
     reference = _reference_route(fabric, usage, src, dst)
-    assert found == reference
+    assert (route, region) == reference
+    assert ids == (None if route is None else [fabric.res_id(r) for r in route.resources()])
+    assert router._bfs_route(fabric, full, src, dst, region=False)[:2] == (route, ids)
     return reference
 
 
 def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
-    """Asserts that ``_level_route`` returns the path and the region of plain
-    ``bfs`` for free ``starts`` disjoint from ``goals``."""
-    path, region = router._level_route(fabric, _full_mask(fabric, usage), starts, goals)
-    parent, end = bfs(fabric, starts, usage, goals)
+    """Asserts that ``_level_route`` on the masks of free ``starts`` and of
+    ``goals`` disjoint from them returns the path and the region of plain
+    ``bfs`` from ``starts`` in ascending order, and the segments on that
+    path."""
+    path, segments, region = router._level_route(
+        fabric, _full_mask(fabric, usage), router._mask(starts), router._mask(goals))
+    parent, end = bfs(fabric, sorted(starts), usage, goals)
     if end is None:
-        assert path is None and region == sum(1 << n for n in parent)
+        assert path is None is segments and region == sum(1 << n for n in parent)
     else:
-        assert path == trace_back(parent, end) and region == 0
+        assert path == list(trace_back(parent, end)) and region == 0
+        assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
+                            for n, nxt in zip(path, path[1:])]
     return path
 
 
@@ -501,7 +516,7 @@ class TestLevelSearch:
     def test_empty_starts_and_full_goals(self):
         fabric = Fabric(uniform_dd_layout(3, 3))
         usage = [0] * fabric.size
-        assert router._level_route(fabric, 0, [], fabric.terminals((2, 2))) == (None, 0)
+        assert router._level_route(fabric, 0, 0, fabric.terminal_mask((2, 2))) == (None, None, 0)
         # every corner of the goal tile full: the search explores the rest
         for n in fabric.terminals((2, 2)):
             usage[n] = fabric.cap[n]
@@ -556,6 +571,144 @@ class TestLevelSearch:
         usage[fabric.res_id(("t", tr[0], tc[0] + 1))] = 1
         path, _ = _same_as_reference(fabric, usage, (tr[0], tc[0]), (tr[0], tc[1]))
         assert path.nodes == ((tr[0] - 1, tc[0]), (tr[0] - 1, tc[0] + 1), (tr[0] - 1, tc[1]))
+
+
+def _mask_queries(seed: int) -> Counter:
+    """Queries on one random DD or LS occupancy, checked against
+    ``_reference_route``: ``find_path`` over durations 1 and 3, with the ids
+    it hands to the commit, and ``_bfs_route`` with and without a region on
+    the same usage, half the time with every terminal of the source or of
+    the target filled.  Operand pairs are random or one step apart, straight
+    or diagonal, and a third of the fabrics have shuffled neighbour orders.
+    Returns the count of each kind of query met."""
+    rng = random.Random(seed)
+    model = rng.choice((DD, LS))
+    rows, cols = rng.choice([(r, c) for r in range(1, 6) for c in range(1, 6) if r * c >= 2])
+    if model is DD:
+        layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+        data = frozenset()
+        tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    else:
+        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+        cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+        data = frozenset(rng.sample(cells, rng.randint(1, len(cells))))
+        tiles = [(r, c) for r in range(layout.grid_rows) for c in range(layout.grid_cols)]
+    occ = CycleOccupancy(layout, data)
+    if rng.random() < 1 / 3:
+        occ.fabric = _shuffled(occ.fabric, rng)
+    fabric, cap = occ.fabric, occ.fabric.cap
+    for tile in tiles:  # the lowest-bit rule rests on this order
+        terminals = fabric.terminals(tile)
+        assert list(terminals) == sorted(set(terminals))
+        assert fabric.terminal_mask(tile) == router._mask(terminals)
+    kinds = Counter()
+    for _ in range(40):
+        a = rng.choice(tiles)
+        near = [(a[0] + dr, a[1] + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                if (dr, dc) != (0, 0) and (a[0] + dr, a[1] + dc) in tiles]
+        b = rng.choice(near if rng.random() < 0.4 else [t for t in tiles if t != a])
+        cycle, duration = rng.randrange(4), rng.choice((1, 3))
+        usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + duration)))]
+        filled = rng.choice((None, None, a, b))
+        if filled is not None:
+            for n in fabric.terminals(filled):
+                usage[n] = max(usage[n], cap[n])
+        route, region = _same_as_reference(fabric, usage, a, b)
+        free = fabric.open & ~_full_mask(fabric, usage)
+        starts, goals = fabric.terminal_mask(a) & free, fabric.terminal_mask(b) & free
+        shared = len(router._bits(fabric.terminal_mask(a) & fabric.terminal_mask(b)))
+        if model is LS and router._adjacent(a, b):
+            kinds["ls adjacent"] += 1
+        elif not starts:
+            kinds["no free start"] += 1
+        elif not goals:
+            kinds["no free goal"] += 1
+            assert region  # ring repair's region: the search ran
+        elif model is LS and starts & goals:
+            kinds[f"ls single tile, {len(router._bits(starts & goals))} shared"] += 1
+        elif model is DD and shared:
+            kinds[f"dd {shared} shared corners"] += 1
+        else:
+            kinds[f"level search {'hit' if route else 'miss'}"] += 1
+        if filled is not None:
+            continue
+        path = find_path(occ, cycle, a, b, duration)
+        assert path == route
+        if path is not None:
+            found, ids = occ._found
+            assert found is path and ids == [fabric.res_id(r) for r in path.resources()]
+            if rng.random() < 0.7:
+                occ.commit_route(path, cycle, duration)
+                kinds[f"commit {duration}"] += 1
+    return kinds
+
+
+class TestMaskQuery:
+    """The query on terminal masks returns the route and region of plain
+    ``bfs`` from the free terminals in ``terminals`` order, through
+    ``find_path`` and ``_bfs_route``, and the ids it hands to the commit are
+    those of the route's resources."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        _mask_queries(seed)
+
+    def test_every_kind_of_query(self):
+        kinds = sum((_mask_queries(seed) for seed in range(60)), Counter())
+        expected = ["ls adjacent", "no free start", "no free goal", "ls single tile, 1 shared",
+                    "ls single tile, 2 shared", "dd 1 shared corners", "dd 2 shared corners",
+                    "level search hit", "level search miss", "commit 1", "commit 3"]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
+
+
+def _node_walk_frontier(fabric: Fabric, usage: list[int], src, region: int) -> set[int]:
+    """The ring as a walk over the node ids of ``region`` finds it: the ids
+    at capacity at the terminals of ``src``, of the segments that leave the
+    region and, past a segment below capacity, of the nodes beyond it.  It
+    also holds ids of capacity 0, which no route holds."""
+    cap = fabric.cap
+    ring = {n for n in fabric.terminals(src) if usage[n] >= cap[n]}
+    for node in router._bits(region):
+        for nxt, seg in fabric.adj[node]:
+            if usage[seg] >= cap[seg]:
+                ring.add(seg)
+            elif usage[nxt] >= cap[nxt]:
+                ring.add(nxt)
+    return ring
+
+
+class TestSaturatedFrontier:
+    """The ring read from the region mask holds the ids of capacity above 0
+    that the node walk finds, so ring repair rips up the same paths."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_ring_as_node_walk(self, seed):
+        rng = random.Random(seed)
+        model = rng.choice((DD, LS))
+        rows, cols = rng.choice([(r, c) for r in range(1, 7) for c in range(1, 7) if r * c >= 2])
+        if model is DD:
+            layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+            fabric, tiles = Fabric(layout), [(r, c) for r in range(rows) for c in range(cols)]
+        else:
+            layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+            tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+            fabric = Fabric(layout, frozenset(tiles))
+        if rng.random() < 1 / 3:
+            fabric = _shuffled(fabric, rng)
+        # full resources are ones a route can hold: no lattice-surgery data tile
+        density = rng.choice((0.1, 0.25, 0.4, 0.6))
+        usage = [fabric.cap[i] if rng.random() < density and (i >= fabric.nodes or fabric.open >> i & 1)
+                 else 0 for i in range(fabric.size - 1)] + [0]
+        full = _full_mask(fabric, usage)
+        for _ in range(8):
+            a, b = rng.sample(tiles, 2)
+            route, _, region = router._bfs_route(fabric, full, a, b)
+            if route is None:
+                ring = router._saturated_frontier(fabric, full, a, region)
+                walk = _node_walk_frontier(fabric, usage, a, region)
+                assert router._bits(ring) == sorted(i for i in walk if fabric.cap[i] > 0)
 
 
 class TestFullMasks:
@@ -656,7 +809,7 @@ class TestFullMasks:
         # the usage it keeps: checked at each ring, where the usage list
         # shows, and at every search after it in the same repair
         ring_repair, search, frontier = router._ring_repair, router._bfs_route, router._saturated_frontier
-        kept, last_full, checked = [], [], []
+        kept, last_full, checked, ripped = [], [], [], []
 
         def repair(*args):
             kept.clear()
@@ -669,10 +822,21 @@ class TestFullMasks:
             last_full[:] = [full]
             return search(fabric, full, src, dst)
 
-        def ring(fabric, usage, src, region):
-            assert last_full[0] == _full_mask(fabric, usage)
+        def ring(fabric, full, src, region):
+            # the usage list and the held paths are ring repair's own
+            held = sys._getframe(1).f_locals
+            usage, paths = held["usage"], held["paths"]
+            assert last_full[0] == full == _full_mask(fabric, usage)
             kept[:] = [usage]
-            return frontier(fabric, usage, src, region)
+            ring = frontier(fabric, full, src, region)
+            # the paths on the ring, as the node walk over the region's
+            # nodes and ids derived from each route's nodes find them
+            walk = _node_walk_frontier(fabric, usage, src, region)
+            by_walk = sorted(k for k, (q, _) in paths.items()
+                             if any(r in walk for r in fabric.resource_ids(q)))
+            assert by_walk == sorted(k for k, (_, ids) in paths.items() if router._mask(ids) & ring)
+            ripped.append(len(by_walk))
+            return ring
 
         monkeypatch.setattr(router, "_ring_repair", repair)
         monkeypatch.setattr(router, "_bfs_route", searched)
@@ -689,7 +853,7 @@ class TestFullMasks:
                 rng.shuffle(tiles)
                 pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(chip_capacity(bandwidth))]
                 route_batch_guaranteed(uniform_dd_layout(g, g, bandwidth=bandwidth), pairs)
-        assert len(checked) > 100
+        assert len(checked) > 100 and sum(map(bool, ripped)) > 50
 
 
 def _rooted_bfs(fabric: Fabric, starts, usage=None, goals=()):

@@ -347,6 +347,80 @@ class TestValidate:
         violations = validate(empty, c, layout, mapping)
         assert any("never executed" in v for v in violations)
 
+    # messages pinned on hand-built schedules: a 1x4 array, a direct gate
+    # between the same-cut tiles (0, 0) and (0, 1) over cycles 0-2, and a
+    # braid between the opposite-cut tiles (0, 2) and (0, 3) in each cycle
+    # whose route shares junctions and segments with the direct one
+    _DIRECT_A = ((0, 1), (1, 1))
+    _DIRECT_B = ((0, 1), (0, 2), (1, 2))
+    _BRAID = ((1, 2), (1, 1), (0, 1), (0, 2), (0, 3))
+
+    def _direct_and_braids(self, direct_routes):
+        c = circuit(4, [(0, 1), (2, 3), (2, 3), (2, 3)])
+        layout = uniform_dd_layout(1, 4)
+        mapping = TileMapping(
+            ArrayShape(1, 4), {0: (0, 0), 1: (0, 1), 2: (0, 2), 3: (0, 3)},
+            cuts={0: CutType.X, 1: CutType.X, 2: CutType.X, 3: CutType.Z},
+        )
+        cycles = [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p),
+                   Action(ActionKind.BRAID, gate=p, route=RoutePath(DD, self._BRAID))]
+                  for p, route in zip((1, 2, 3), direct_routes)]
+        return validate(EncodedSchedule(cycles, layout, mapping), c)
+
+    def test_direct_phases_with_equal_distinct_routes(self):
+        # three equal route objects count as one route held for three cycles
+        routes = [RoutePath(DD, self._DIRECT_A) for _ in range(3)]
+        assert len({id(r) for r in routes}) == 3
+        assert self._direct_and_braids(routes) == [
+            f"cycle {t}: resource {res} used 2 > capacity 1"
+            for t in range(3) for res in (("j", 0, 1), ("j", 1, 1), ("v", 0, 1))
+        ]
+
+    def test_direct_route_changed_in_phase_two(self):
+        a, b = RoutePath(DD, self._DIRECT_A), RoutePath(DD, self._DIRECT_B)
+        on_a = [("j", 0, 1), ("j", 1, 1), ("v", 0, 1)]
+        on_b = [("j", 0, 1), ("j", 0, 2), ("j", 1, 2), ("h", 0, 1)]
+        # each phase is replayed on the route it holds, the third on the
+        # first route object again
+        assert self._direct_and_braids([a, b, a]) == [
+            *(f"cycle 0: resource {res} used 2 > capacity 1" for res in on_a),
+            *(f"cycle 1: resource {res} used 2 > capacity 1" for res in on_b),
+            *(f"cycle 2: resource {res} used 2 > capacity 1" for res in on_a),
+            "gate 0: direct execution changed route between phases",
+        ]
+        assert self._direct_and_braids([a, a, b])[-1] == "gate 0: direct execution changed route between phases"
+
+    def test_route_ends_one_step_off_the_tiles(self):
+        # a braid between tiles (1, 1) and (1, 3) of a 3x5 array: every
+        # junction within one step of a tile's four corners as the first
+        # (last) junction, and a straight route from (to) a corner of the
+        # other tile
+        c = circuit(2, [(0, 1)])
+        layout = uniform_dd_layout(3, 5)
+        mapping = TileMapping(ArrayShape(3, 5), {0: (1, 1), 1: (1, 3)},
+                              cuts={0: CutType.X, 1: CutType.Z})
+
+        def walk(a, b):
+            (i, j), nodes = a, [a]
+            while (i, j) != b:
+                if i != b[0]:
+                    i += 1 if b[0] > i else -1
+                else:
+                    j += 1 if b[1] > j else -1
+                nodes.append((i, j))
+            return tuple(nodes)
+
+        off = 0
+        for tile, other, first in (((1, 1), (2, 4), True), ((1, 3), (1, 1), False)):
+            corners = {(tile[0] + di, tile[1] + dj) for di in (0, 1) for dj in (0, 1)}
+            for end in [(tile[0] + di, tile[1] + dj) for di in range(-1, 3) for dj in range(-1, 3)]:
+                nodes = walk(end, other) if first else walk(other, end)
+                schedule = EncodedSchedule(
+                    [[Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, nodes))]], layout, mapping)
+                off += end not in corners
+                assert validate(schedule, c) == (
+                    [] if end in corners else ["gate 0: route endpoints not on operand tiles"])
+        assert off == 2 * 12
 
 class TestDeltaLowerBound:
     def test_delta_at_least_alpha_everywhere(self, rng):
