@@ -84,12 +84,16 @@ class GateDag:
     def descendant_counts(self) -> list[int]:
         """Number of transitive descendants of each gate (excluding itself)."""
         counts = [0] * self.n_gates
-        # reversed program order visits children before parents; bitmask per gate
+        # reversed program order visits children before parents; bitmask per
+        # gate, dropped once its lowest parent, its last reader, has read it
         desc = [0] * self.n_gates
+        parents = self.parents
         for v in reversed(range(self.n_gates)):
             mask = 0
             for c in self.children[v]:
                 mask |= desc[c] | (1 << c)
+                if parents[c][0] == v:
+                    desc[c] = 0
             desc[v] = mask
             counts[v] = mask.bit_count()
         return counts

@@ -116,21 +116,48 @@ def bipartite_prefix(
     """Grow a communication sub-graph one layer at a time from ``start`` while
     it stays bipartite.  Returns (two-coloring, first unconsumed layer index).
     Any two adjacent layers have maximum degree two per qubit and cannot close
-    an odd ring, so at least two layers are always consumed when available."""
+    an odd ring, so at least two layers are always consumed when available.
+
+    Each edge is tested as it arrives, on a union-find that keeps every
+    qubit's parity against its root: an edge closes an odd ring exactly when
+    its two ends share a root at the same parity.  The edges of the layers
+    consumed are then colored once, by ``two_coloring``."""
+    root = list(range(circuit.n))
+    parity = [0] * circuit.n  # against root[q], and once q is a root, 0
+
+    def find(q: int) -> tuple[int, int]:
+        """q's root and q's parity against it; compresses the path."""
+        path = []
+        while root[q] != q:
+            path.append(q)
+            q = root[q]
+        odd = 0
+        for p in reversed(path):  # nearest the root first
+            odd ^= parity[p]
+            parity[p] = odd
+            root[p] = q
+        return q, odd
+
+    def join(a: int, b: int) -> bool:
+        """Add the edge a-b; False, adding nothing, if it closes an odd ring."""
+        (ra, pa), (rb, pb) = find(a), find(b)
+        if ra == rb:
+            return pa != pb
+        root[ra] = rb
+        parity[ra] = pa ^ pb ^ 1  # a and b at opposite parities
+        return True
+
     edges: set[tuple[int, int]] = set()
-    coloring: dict[int, int] = {}
     end = start
     while end < layers.alpha:
-        trial = set(edges)
-        for gid in layers.layers[end]:
-            a, b = circuit.gates[gid].qubits
-            trial.add((min(a, b), max(a, b)))
-        colors = two_coloring(circuit.n, trial)
-        if colors is None:
+        pairs = [circuit.gates[gid].qubits for gid in layers.layers[end]]
+        if not all(join(a, b) for a, b in pairs):
             break
-        coloring, edges = colors, trial
+        edges.update((min(a, b), max(a, b)) for a, b in pairs)
         end += 1
     if end == start:  # a single layer is a matching, always bipartite
         raise AssertionError("bipartite prefix consumed no layers")
     assert end - start >= 2 or end == layers.alpha, "two adjacent layers must be consumable"
+    coloring = two_coloring(circuit.n, edges)
+    assert coloring is not None
     return coloring, end

@@ -82,7 +82,16 @@ miss the search returns the region ``bfs`` reaches, as a mask, and
 same shifts: the full segments that leave it and the full nodes beyond its
 free edges.  Double-defect tiles that share a corner keep ``bfs``'s rooted
 loop: there a start that is also a goal is an end only when met from
-another start, which whole levels cannot tell.
+another start, which whole levels cannot tell.  Nearly every such query
+ends one hop from a start, and that answer is read on the masks first.
+The rooted loop takes its starts off the queue first, in ascending order,
+tries each start's neighbours in ``adj`` order, and accepts a free goal
+over a free segment before it looks at ``parent``; so the first start, in
+ascending order, with a free goal one free segment away, and its first
+such neighbour in ``adj`` order, give the route it returns, ``[start,
+goal]`` with the ids ``[start, goal, segment]``.  A segment of capacity 0
+is never set in ``full``, so the check reads the capacity as well.  Only
+when no start has a goal one hop away does the rooted loop run.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
@@ -266,6 +275,8 @@ class CycleOccupancy:
     capacity; plus the busy tiles of each cycle.  Tiles are array coordinates
     for double defect, absolute tile coordinates for lattice surgery.
 
+    ``busy`` maps a cycle to its set of busy tiles; the limited scheduler
+    reads it, and adds a braid's one-cycle holds to it, directly.
     ``_found`` holds the last route ``find_path`` found here with the ids
     of its resources, which the search derived on the way; committing that
     route object reads them instead of deriving them again."""
@@ -274,7 +285,7 @@ class CycleOccupancy:
         self.fabric = Fabric(layout, data_tiles)
         self._usage: dict[int, list[int]] = {}
         self._full: dict[int, int] = {}
-        self._busy: dict[int, set[Tile]] = {}
+        self.busy: dict[int, set[Tile]] = {}
         self._found: tuple[RoutePath | None, list[int] | None] = (None, None)
 
     def usage(self, cycle: int) -> list[int]:
@@ -290,10 +301,10 @@ class CycleOccupancy:
         return self.usage(cycle)[self.fabric.res_id(res)]
 
     def tile_busy(self, cycle: int, tile: Tile) -> bool:
-        return tile in self._busy.get(cycle, ())
+        return tile in self.busy.get(cycle, ())
 
     def busy_tiles(self, cycle: int) -> set[Tile]:
-        return self._busy.get(cycle, set())
+        return self.busy.get(cycle, set())
 
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
         fabric = self.fabric
@@ -316,7 +327,7 @@ class CycleOccupancy:
 
     def commit_tile(self, tile: Tile, cycle: int, duration: int = 1) -> None:
         for t in range(cycle, cycle + duration):
-            busy = self._busy.setdefault(t, set())
+            busy = self.busy.setdefault(t, set())
             assert tile not in busy, f"tile {tile} double-booked at cycle {t}"
             busy.add(tile)
 
@@ -324,7 +335,7 @@ class CycleOccupancy:
         """Forget ``cycle``; the caller will neither read nor commit it again."""
         self._usage.pop(cycle, None)
         self._full.pop(cycle, None)
-        self._busy.pop(cycle, None)
+        self.busy.pop(cycle, None)
 
 
 def resource_capacities(layout: ChipLayout):
@@ -495,8 +506,20 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
             # a single free tile adjacent to both operands is a complete chain
             n = (shared & -shared).bit_length() - 1
             return fabric.route((n,)), [n], 0
-        # double-defect tiles that share a corner: the rooted search, on a
-        # usage that puts each full resource at its capacity
+        # double-defect tiles that share a corner: the rooted search's first
+        # level, read on the masks (see the module docstring), answers
+        # almost every query; a segment of capacity 0 is never in ``full``
+        cap = fabric.cap
+        rest = starts
+        while rest:
+            low = rest & -rest
+            node = low.bit_length() - 1
+            for nxt, seg in fabric.adj[node]:
+                if goals >> nxt & 1 and cap[seg] > 0 and not full >> seg & 1:
+                    return fabric.route((node, nxt)), [node, nxt, seg], 0
+            rest ^= low
+        # no goal one hop from a start: the rooted search, on a usage that
+        # puts each full resource at its capacity
         usage = fabric.idle.copy()
         for i in _bits(full):
             usage[i] = fabric.cap[i]

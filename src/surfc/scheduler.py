@@ -22,7 +22,9 @@ Two producers:
 
 ``validate`` replays any schedule against the raw rules (completeness,
 dependency order, per-cycle capacities, multi-cycle contiguity, cut
-bookkeeping) and is run on every schedule the test suite produces.
+bookkeeping) and is run on every schedule the test suite produces.  It
+counts resource use by keys it derives from route coordinates itself, and
+words a message on the tuple resources only in a cycle that may break one.
 """
 from __future__ import annotations
 
@@ -174,6 +176,9 @@ class _State:
         self.arrivals: dict[int, list[int]] = {0: [v for v in range(circuit.g) if not self.indeg[v]]}
         self.started = [False] * circuit.g
         self.done = 0
+        # the three phase records of each (tile, new cut) modification; frozen
+        # and compared by value, so one set serves every modification alike
+        self.modify_records: dict[tuple[Tile, CutType], tuple[Action, Action, Action]] = {}
 
     def add_action(self, t: int, action: Action) -> None:
         while len(self.cycles) <= t:
@@ -228,6 +233,15 @@ def schedule_limited(
     ready gates (priority: criticality, dependents, id; or program order) and
     the same-cut rule.  ``dag`` is ``build_dag(circuit)``, built here when
     not given.
+
+    Each gate's operand qubits and its (control tile, target tile) pair are
+    read into lists once, before the cycle loop; the loop tests a ready
+    gate's pair against the cycle's busy tiles (``CycleOccupancy.busy``) and
+    adds a braid's or Bell merge's one-cycle holds there itself.  The three
+    phase records of a cut modification are built once per (tile, new cut)
+    and reused by every later modification alike: actions are frozen and
+    compare by value, so the schedule and its JSON are those of fresh
+    records.
     """
     if strategy not in LIMITED:
         raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
@@ -242,6 +256,15 @@ def schedule_limited(
     desc = st.dag.descendant_counts()
     prio = [(-st.dag.depth_to_sink[v], -desc[v], v) for v in range(g)]
     order = None if program_order else prio.__getitem__
+    # each gate's operand qubits and tiles, read once
+    gates = circuit.gates
+    controls = [gate.control for gate in gates]
+    targets = [gate.target for gate in gates]
+    op_tile = st.op_tile
+    pairs = [(op_tile[c], op_tile[q]) for c, q in zip(controls, targets)]
+    ls = model is ChipModel.LATTICE_SURGERY
+    occ, cut, cycles, last_busy = st.occ, st.cut, st.cycles, st.last_busy
+    busy_at = occ.busy
     ready: list[int] = []
     t = 0
     guard = 0
@@ -251,11 +274,40 @@ def schedule_limited(
         if arrivals:
             ready += arrivals
             ready.sort(key=order)
+        while len(cycles) <= t:
+            cycles.append([])
+        acts = cycles[t]
+        ready_count = len(ready)
         committed = False
         for v in ready:
-            if _try_gate(st, t, v, ready_count=len(ready), samecut=samecut):
-                committed = True
-        if not committed and not st.occ.busy_tiles(t):
+            # read per gate: a commit may create the cycle's busy set
+            busy = busy_at.get(t)
+            ta, tb = pairs[v]
+            if busy is not None and (ta in busy or tb in busy):
+                continue
+            if ls:
+                kind = ActionKind.BELL
+            elif cut[controls[v]] is not cut[targets[v]]:
+                kind = ActionKind.BRAID
+            else:
+                if _try_same_cut(st, t, v, ta, tb, ready_count, samecut):
+                    committed = True
+                continue
+            path = find_path(occ, t, ta, tb)
+            if path is None:
+                continue
+            occ.commit_route(path, t, 1)
+            # one-cycle holds of the two free operand tiles; every earlier
+            # hold of a tile free at ``t`` ended before ``t``
+            if busy is None:
+                busy = busy_at[t] = set()
+            busy.add(ta)
+            busy.add(tb)
+            last_busy[ta] = last_busy[tb] = t
+            acts.append(Action(kind, gate=v, route=path))
+            st.complete(v, t)
+            committed = True
+        if not committed and not occ.busy_tiles(t):
             stuck = ready[0] if ready else None
             raise SchedulingError(
                 f"gate {stuck} cannot be routed on this chip "
@@ -265,32 +317,11 @@ def schedule_limited(
         guard += 1
         if guard > 40 * g + 1000:
             raise SchedulingError("scheduler failed to converge; suspected livelock")
-        st.occ.release(t - 3)  # a backdated modification reaches back three cycles
+        occ.release(t - 3)  # a backdated modification reaches back three cycles
         t += 1
     while st.cycles and not st.cycles[-1]:
         st.cycles.pop()
     return EncodedSchedule(st.cycles, layout, mapping)
-
-
-def _try_gate(st: _State, t: int, v: int, ready_count: int, samecut: str) -> bool:
-    gate = st.circuit.gates[v]
-    ta, tb = st.op_tile[gate.control], st.op_tile[gate.target]
-    if st.occ.tile_busy(t, ta) or st.occ.tile_busy(t, tb):
-        return False
-    if st.layout.model is ChipModel.LATTICE_SURGERY:
-        kind, path = ActionKind.BELL, find_path(st.occ, t, ta, tb)
-    elif st.cut[gate.control] is not st.cut[gate.target]:
-        kind, path = ActionKind.BRAID, find_path(st.occ, t, ta, tb)
-    else:
-        return _try_same_cut(st, t, v, ta, tb, ready_count, samecut)
-    if path is None:
-        return False
-    st.occ.commit_route(path, t, 1)
-    st.hold_tile(ta, t, 1)
-    st.hold_tile(tb, t, 1)
-    st.add_action(t, Action(kind, gate=v, route=path))
-    st.complete(v, t)
-    return True
 
 
 def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
@@ -335,9 +366,12 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
     start = t - min(3, max(0, idle))
     new_cut = st.cut[st.qubit_at[tile]].flipped
     st.hold_tile(tile, start, 3)
-    for phase in (1, 2, 3):
-        st.add_action(start + phase - 1,
-                      Action(ActionKind.MODIFY, tile=tile, new_cut=new_cut, phase=phase))
+    records = st.modify_records.get((tile, new_cut))
+    if records is None:
+        records = st.modify_records[tile, new_cut] = tuple(
+            Action(ActionKind.MODIFY, tile=tile, new_cut=new_cut, phase=phase) for phase in (1, 2, 3))
+    for k, action in enumerate(records):
+        st.add_action(start + k, action)
     st.pending_flips.append((start + 3, tile, new_cut))
     st.apply_flips(t)  # a fully backdated modify is already effective
     return True
@@ -436,70 +470,152 @@ def validate(
 ) -> list[str]:
     """Replay a schedule against the ground rules; returns all violations.
     ``layout`` and ``mapping`` default to the schedule's own.  Cut
-    bookkeeping starts from the cuts of ``schedule.mapping``."""
+    bookkeeping starts from the cuts of ``schedule.mapping``.
+
+    The replay counts each cycle's use of the resources of
+    ``RoutePath.resources`` by keys of its own: a lattice-surgery tile is
+    its own key, and a double-defect junction or segment inside the junction
+    grid has an integer key (``_junction_keys``), found from the route's
+    coordinates by lookup, so that a step between two junctions that are not
+    neighbours, or a junction outside the grid, finds none.  A cycle where
+    every route has its keys is within capacity when no key repeats, since
+    a lattice-surgery tile holds one route and every double-defect resource
+    has a bandwidth of at least 1; on double defect, also when no key is
+    used more often than the narrowest channel's bandwidth, or than its own
+    capacity.  Any other cycle is replayed on the tuple resources
+    themselves, which also words its messages.  A double-defect route found
+    whole in the grid, with its ends on its operands' corners, has nothing
+    more to check.  Execution spans and first action kinds are lists indexed
+    by gate id; an id outside ``0..g-1``, as only a malformed schedule
+    carries, is kept in a dict under the id given.
+    """
     layout = schedule.layout if layout is None else layout
     mapping = schedule.mapping if mapping is None else mapping
     v: list[str] = []
     model = schedule.model
+    dd = model is ChipModel.DOUBLE_DEFECT
     dag = build_dag(circuit)
     cap = resource_capacities(layout)
     capacity: dict[tuple, int] = {}  # cap(res), memoised per resource
     data_tiles = mapping.data_tiles(layout)
     gates = circuit.gates
+    g = circuit.g
+    gate_ids = range(g)
     tile_of = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
 
     def operand_tiles(gid: int) -> tuple[Tile, Tile]:
         gate = gates[gid]
         return tile_of[gate.control], tile_of[gate.target]
 
-    # gather per-gate execution spans, first action kinds and per-cycle
-    # resource/tile usage
-    gate_span: dict[int, tuple[int, int]] = {}
-    gate_kind: dict[int, ActionKind] = {}
+    try:
+        operand = [(tile_of[gate.control], tile_of[gate.target]) for gate in gates].__getitem__
+    except KeyError:  # an unmapped qubit fails where its gate is met
+        operand = operand_tiles
+    if dd:
+        grid, node_key, edge_key = _junction_keys(layout.array_r + 1, layout.array_c + 1)
+        corners = {(r, c): frozenset(((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)))
+                   for r, c in tile_of.values()}
+        narrowest = layout.bandwidth  # 1 or more on every double-defect layout
+        key_cap: list[int] = []  # cap of each key, derived when first needed
+
+    def route_keys(route: RoutePath) -> list | None:
+        """The keys of ``route.resources()``, or None where the tuple replay
+        must count them."""
+        nodes = route.nodes
+        if route.model is not model:
+            return None
+        if not dd:
+            return list(nodes)
+        try:
+            keys = list(map(node_key.__getitem__, nodes))
+            keys += map(edge_key.__getitem__, zip(nodes, nodes[1:]))
+        except (KeyError, TypeError):
+            return None
+        return keys
+
+    # per-gate execution spans (first cycle, last cycle), first action kinds,
+    # and the per-cycle resource/tile usage
+    first = [_NEVER] * g
+    last = [-1] * g
+    first_kind: list[ActionKind | None] = [None] * g
+    other_span: dict = {}
+    other_kind: dict = {}
     modify_at: set[tuple[Tile, int, int]] = set()  # (tile, phase, cycle)
     modify_starts: list[tuple[Tile, int, CutType]] = []  # phase 1: (tile, cycle, cut)
     seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
-    # a direct gate's route object and its resources, derived once for all
-    # three phases; dropped at phase 3
-    direct_held: dict[int, tuple[RoutePath, list[tuple]]] = {}
+    braid, bell, direct, modify = ActionKind.BRAID, ActionKind.BELL, ActionKind.DIRECT, ActionKind.MODIFY
     for t, actions in enumerate(schedule.cycles):
         tiles_this_cycle: list[Tile] = []
-        routed: list[tuple] = []  # the resources of every route held at t
+        keys: list = []  # the keys of every route held at t
+        exact = True  # every route held at t has its keys
         for a in actions:
             kind, gid = a.kind, a.gate
-            if gid is not None:
-                gate_kind.setdefault(gid, kind)
-            if kind is ActionKind.BRAID or kind is ActionKind.BELL:
-                if gid in gate_span:
-                    v.append(f"gate {gid} executed more than once")
-                gate_span[gid] = (t, t)
-                if a.route is not None:
-                    routed += a.route.resources()
-                ta, tb = operand_tiles(gid)
+            if gid is not None:  # None is not an int: ``in`` would scan the range
+                if gid in gate_ids:
+                    if first_kind[gid] is None:
+                        first_kind[gid] = kind
+                else:
+                    other_kind.setdefault(gid, kind)
+            if kind is braid or kind is bell:
+                if gid in gate_ids:
+                    if last[gid] >= 0:
+                        v.append(f"gate {gid} executed more than once")
+                    first[gid] = last[gid] = t
+                else:
+                    if gid in other_span:
+                        v.append(f"gate {gid} executed more than once")
+                    other_span[gid] = (t, t)
+                route = a.route
+                held = None if route is None else route_keys(route)
+                if held is None:
+                    exact = exact and route is None
+                else:
+                    keys += held
+                ta, tb = operand(gid)
                 tiles_this_cycle += (ta, tb)
-                _check_route(v, a, ta, tb, model)
-            elif kind is ActionKind.DIRECT:
+                # a double-defect route whose keys were all found is unbroken
+                # and inside the grid: only its ends are left to check
+                if not (dd and held and len(held) > 1 and route.nodes[0] in corners[ta]
+                        and route.nodes[-1] in corners[tb]):
+                    _check_route(v, a, ta, tb, model)
+            elif kind is direct:
                 route = a.route
                 seen_direct.setdefault(gid, []).append((t, a.phase, route))
                 if route is not None:
-                    held = direct_held.get(gid)
-                    if held is None or held[0] is not route:
-                        held = direct_held[gid] = route, route.resources()
-                    if a.phase == 3:
-                        del direct_held[gid]
-                    routed += held[1]
-                tiles_this_cycle += operand_tiles(gid)
-            elif kind is ActionKind.MODIFY:
+                    held = route_keys(route)
+                    if held is None:
+                        exact = False
+                    else:
+                        keys += held
+                tiles_this_cycle += operand(gid)
+            elif kind is modify:
                 modify_at.add((a.tile, a.phase, t))
                 if a.phase == 1:
                     modify_starts.append((a.tile, t, a.new_cut))
                 tiles_this_cycle.append(a.tile)
-        for res, used in Counter(routed).items():
-            limit = capacity.get(res)
-            if limit is None:
-                limit = capacity[res] = cap(res)
-            if used > limit:
-                v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
+        if exact and len(set(keys)) < len(keys):
+            # a repeated key: over capacity on lattice surgery, and on double
+            # defect where its use passes the narrowest bandwidth and its own
+            if dd:
+                used = Counter(keys)
+                if max(used.values()) > narrowest:
+                    if not key_cap:
+                        key_cap += [cap((kind, i, j)) for kind in "jhv" for i, j in grid]
+                    exact = all(n <= key_cap[k] for k, n in used.items())
+            else:
+                exact = False
+        if not exact:
+            routed: list[tuple] = []  # the resources of every route held at t
+            for a in actions:
+                kind = a.kind
+                if (kind is braid or kind is bell or kind is direct) and a.route is not None:
+                    routed += a.route.resources()
+            for res, used in Counter(routed).items():
+                limit = capacity.get(res)
+                if limit is None:
+                    limit = capacity[res] = cap(res)
+                if used > limit:
+                    v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
         seen_tiles = set(tiles_this_cycle)
         if len(seen_tiles) < len(tiles_this_cycle):
             seen_tiles = set()
@@ -507,10 +623,13 @@ def validate(
                 if tile in seen_tiles:
                     v.append(f"cycle {t}: tile {tile} used by two actions")
                 seen_tiles.add(tile)
-        if model is ChipModel.LATTICE_SURGERY:
+        if not dd:
             for a in actions:
                 if a.route is not None:
-                    for node in a.route.nodes:
+                    nodes = a.route.nodes
+                    if data_tiles.isdisjoint(nodes) and seen_tiles.isdisjoint(nodes):
+                        continue
+                    for node in nodes:
                         if node in data_tiles:
                             v.append(f"cycle {t}: route crosses data tile {node}")
                         if node in seen_tiles:
@@ -527,9 +646,14 @@ def validate(
             v.append(f"gate {gid}: direct execution not contiguous at {times}")
         if len({e[2].nodes for e in entries}) != 1:
             v.append(f"gate {gid}: direct execution changed route between phases")
-        if gid in gate_span:
-            v.append(f"gate {gid} executed more than once")
-        gate_span[gid] = (times[0], times[2])
+        if gid in gate_ids:
+            if last[gid] >= 0:
+                v.append(f"gate {gid} executed more than once")
+            first[gid], last[gid] = times[0], times[2]
+        else:
+            if gid in other_span:
+                v.append(f"gate {gid} executed more than once")
+            other_span[gid] = (times[0], times[2])
 
     # modify actions: each phase-1 start needs phases 2 and 3 right after it
     flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
@@ -539,36 +663,55 @@ def validate(
                 v.append(f"tile {tile}: cut modification at {t0} missing phase {ph}")
         flips.append((t0 + 3, tile, cut))
 
-    for gid in range(circuit.g):
-        if gid not in gate_span:
-            v.append(f"gate {gid} never executed")
-    for u in range(circuit.g):
-        for w in dag.children[u]:
-            if u in gate_span and w in gate_span:
-                if gate_span[u][1] >= gate_span[w][0]:
-                    v.append(
-                        f"dependency violated: gate {w} starts at {gate_span[w][0]} "
-                        f"but parent {u} completes at {gate_span[u][1]}"
-                    )
+    v += [f"gate {gid} never executed" for gid in gate_ids if last[gid] < 0]
+    for u, children in enumerate(dag.children):
+        end = last[u]
+        if end >= 0:
+            for w in children:
+                if end >= first[w]:  # never for a gate never executed
+                    v.append(f"dependency violated: gate {w} starts at {first[w]} "
+                             f"but parent {u} completes at {end}")
 
     # cut bookkeeping: braids need opposite cuts, directs equal cuts
     initial_cuts = schedule.mapping.cuts
-    if model is ChipModel.DOUBLE_DEFECT and initial_cuts is not None:
+    if dd and initial_cuts is not None:
         tile_cut = {mapping.tile_of(q): initial_cuts[q] for q in mapping.positions}
         flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order
         fi = 0
-        for t, gid in sorted((span[0], gid) for gid, span in gate_span.items()):
+        timeline = [(first[gid], gid) for gid in gate_ids if last[gid] >= 0]
+        timeline += [(span[0], gid) for gid, span in other_span.items()]
+        timeline.sort()
+        for t, gid in timeline:
             while fi < len(flips) and flips[fi][0] <= t:
                 _, tile, cut = flips[fi]
                 tile_cut[tile] = cut
                 fi += 1
-            ca, cb = operand_tiles(gid)
-            kind = gate_kind[gid]
-            if kind is ActionKind.BRAID and tile_cut[ca] is tile_cut[cb]:
+            ca, cb = operand(gid)
+            kind = first_kind[gid] if gid in gate_ids else other_kind[gid]
+            if kind is braid and tile_cut[ca] is tile_cut[cb]:
                 v.append(f"gate {gid}: braid between same-cut tiles at cycle {t}")
-            if kind is ActionKind.DIRECT and tile_cut[ca] is not tile_cut[cb]:
+            if kind is direct and tile_cut[ca] is not tile_cut[cb]:
                 v.append(f"gate {gid}: 3-cycle direct execution between opposite cuts at {t}")
     return v
+
+
+_NEVER = 1 << 62  # validate's first cycle of a gate never executed
+
+
+def _junction_keys(rows: int, cols: int) -> tuple[list[Tile], dict, dict]:
+    """``validate``'s integer keys on a ``rows x cols`` junction grid:
+    ``(grid, node_key, edge_key)``.  ``grid`` lists the junctions row-major
+    and ``node_key`` maps each to its index ``k``, the key of resource
+    ``("j", *grid[k])``; ``edge_key`` maps each ordered pair of neighbouring
+    junctions to the key of the segment between them, ``k + len(grid)`` for
+    ``("h", *grid[k])`` and ``k + 2 * len(grid)`` for ``("v", *grid[k])``,
+    where ``grid[k]`` is the segment's west or north end."""
+    n = rows * cols
+    grid = [(i, j) for i in range(rows) for j in range(cols)]
+    edge_key = {(grid[k], grid[k + 1]): n + k for k in range(n - 1) if (k + 1) % cols}
+    edge_key.update({(grid[k], grid[k + cols]): 2 * n + k for k in range(n - cols)})
+    edge_key.update({(b, a): k for (a, b), k in edge_key.items()})
+    return grid, dict(zip(grid, range(n))), edge_key
 
 
 def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:

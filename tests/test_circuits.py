@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfc import qasm
+from surfc.bench import BENCHMARKS
 from surfc.circuits import (
     CnotGate,
     GateDag,
@@ -17,6 +18,7 @@ from surfc.circuits import (
     two_coloring,
 )
 from surfc.errors import CircuitError, QasmError
+from surfc.generate import gen_random_circuit
 from surfc.qasm import parse_qasm
 
 
@@ -292,6 +294,33 @@ class TestBuildDagAgainstSetAndSort:
     def test_fixed_circuits(self, pairs):
         c = circuit(4, pairs)
         assert build_dag(c) == _set_and_sort_dag(c)
+
+
+def _all_masks_descendant_counts(dag: GateDag) -> list[int]:
+    """Descendant counts from a reversed sweep that keeps every gate's mask."""
+    desc = [0] * dag.n_gates
+    for v in reversed(range(dag.n_gates)):
+        for c in dag.children[v]:
+            desc[v] |= desc[c] | (1 << c)
+    return [mask.bit_count() for mask in desc]
+
+
+class TestDescendantCounts:
+    """Dropping a child's mask after its lowest parent reads it leaves every
+    count as the sweep that keeps all masks gives it."""
+
+    @given(_circuits_with_repeats())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_circuits(self, c):
+        dag = build_dag(c)
+        assert dag.descendant_counts() == _all_masks_descendant_counts(dag)
+
+    def test_bench_and_generated_circuits(self):
+        circuits = [make() for make in BENCHMARKS.values()]
+        circuits += [gen_random_circuit(20, 30, 6, seed=seed) for seed in range(4)]
+        for c in circuits:
+            dag = build_dag(c)
+            assert dag.descendant_counts() == _all_masks_descendant_counts(dag)
 
 
 class TestCommGraph:

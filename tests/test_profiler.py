@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from surfc.bench import BENCHMARKS
-from surfc.circuits import GateDag, build_dag, circuit
+from surfc.circuits import GateDag, build_dag, circuit, two_coloring
 from surfc.errors import CircuitError
 from surfc.generate import gen_random_circuit
 from surfc.oracle import OracleBudget, optimal_pm
-from surfc.profiler import LayerSchedule, para_finding
+from surfc.profiler import LayerSchedule, bipartite_prefix, para_finding
 
 
 # Reference layering: the O(g^2) scan that takes a min over every unscheduled
@@ -243,3 +243,75 @@ class TestProfilerInvariants:
             layers = para_finding(build_dag(c))
             assert layers.pm == par
             assert layers.alpha == depth
+
+
+def _recoloring_prefix(layers: LayerSchedule, start: int, circ) -> tuple[dict[int, int], int]:
+    """``bipartite_prefix`` as it was: the whole prefix re-colored by
+    ``two_coloring`` after each added layer."""
+    edges: set[tuple[int, int]] = set()
+    coloring: dict[int, int] = {}
+    end = start
+    while end < layers.alpha:
+        trial = set(edges)
+        for gid in layers.layers[end]:
+            a, b = circ.gates[gid].qubits
+            trial.add((min(a, b), max(a, b)))
+        colors = two_coloring(circ.n, trial)
+        if colors is None:
+            break
+        coloring, edges = colors, trial
+        end += 1
+    if end == start:
+        raise AssertionError("bipartite prefix consumed no layers")
+    assert end - start >= 2 or end == layers.alpha, "two adjacent layers must be consumable"
+    return coloring, end
+
+
+def _prefix_outcome(prefix, layers, start, circ):
+    try:
+        return prefix(layers, start, circ)
+    except AssertionError:
+        return "AssertionError"
+
+
+def _assert_same_prefixes(layers: LayerSchedule, circ) -> list:
+    """Every start of ``layers``: the union-find prefix against the
+    re-coloring one; returns the outcomes."""
+    outcomes = []
+    for start in range(layers.alpha):
+        want = _prefix_outcome(_recoloring_prefix, layers, start, circ)
+        assert _prefix_outcome(bipartite_prefix, layers, start, circ) == want
+        outcomes.append(want)
+    return outcomes
+
+
+class TestBipartitePrefixAgainstRecoloring:
+    """The parity union-find stops at the layer where re-coloring the whole
+    prefix first fails, and returns the same coloring, or raises the same
+    ``AssertionError``."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_layerings(self, seed):
+        # gates dealt to layers at random: a layer may hold a triangle, or
+        # a path that the next layer closes into an odd ring
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        c = circuit(n, [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 24))])
+        alpha = rng.randint(1, c.g)
+        layer_of = [rng.randrange(alpha) for _ in range(c.g)]
+        layer_of[:alpha] = rng.sample(range(alpha), alpha)  # no layer empty
+        _assert_same_prefixes(LayerSchedule.of(layer_of, alpha), c)
+
+    def test_bench_circuits_and_their_layerings(self):
+        outcomes = []
+        circuits = [make() for make in BENCHMARKS.values()]
+        circuits += [gen_random_circuit(12, 8, 4, seed=seed) for seed in range(5)]
+        for c in circuits:
+            dag = build_dag(c)
+            asap = LayerSchedule.of([d - 1 for d in dag.depth_from_source], dag.alpha)
+            for layers in (para_finding(dag), asap):
+                outcomes += _assert_same_prefixes(layers, c)
+        ends = [o[1] for o in outcomes if o != "AssertionError"]
+        assert len(outcomes) > 300 and len(set(ends)) >= 10
+

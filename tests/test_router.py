@@ -662,6 +662,98 @@ class TestMaskQuery:
         assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
 
 
+def _with_zero_lines(fabric: Fabric, rows: set[int], cols: set[int]) -> Fabric:
+    """A copy of the DD ``fabric`` whose segments along the junction rows
+    ``rows`` and the junction columns ``cols`` have capacity 0, as channels
+    without a lane would; a junction on both loses its capacity too.  The
+    masks are rebuilt from the capacities, as ``Fabric`` builds them."""
+    out = copy.copy(fabric)
+    n, width = fabric.nodes, fabric.cols
+    cap = list(fabric.cap)
+    for k in range(n):
+        i, j = divmod(k, width)
+        if i in rows:
+            cap[n + k] = 0
+        if j in cols:
+            cap[2 * n + k] = 0
+        if i in rows and j in cols:
+            cap[k] = 0
+    out.cap = cap
+    out.open = router._mask(k for k in range(n) if cap[k] > 0)
+    out.east = router._mask(k for k in range(n) if cap[n + k] > 0)
+    out.south = router._mask(k for k in range(n) if cap[2 * n + k] > 0)
+    return out
+
+
+def _shared_corner_queries(seed: int) -> Counter:
+    """Queries between DD tiles that share one or two corners, on random
+    usage with some corners filled, some channels of capacity 0 and a third
+    of the fabrics with shuffled neighbour orders, each checked against
+    ``_reference_route`` (route, ids and region); no route holds a resource
+    of capacity 0.  Returns the count of each kind of outcome."""
+    rng = random.Random(seed)
+    rows, cols = rng.choice([(r, c) for r in range(1, 5) for c in range(1, 5) if r * c >= 2])
+    fabric = Fabric(uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 2)))
+    kinds = Counter()
+    if rng.random() < 0.5:
+        zero_rows = set(rng.sample(range(rows + 1), rng.randint(1, 2)))
+        zero_cols = set(rng.sample(range(cols + 1), rng.randint(0, 2)))
+        fabric = _with_zero_lines(fabric, zero_rows, zero_cols)
+        kinds["zero lines"] += 1
+    if rng.random() < 1 / 3:
+        fabric = _shuffled(fabric, rng)
+    cap = fabric.cap
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    density = rng.choice((0.0, 0.2, 0.5))
+    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+    for _ in range(12):
+        a = rng.choice(tiles)
+        near = [(a[0] + dr, a[1] + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                if (dr, dc) != (0, 0) and (a[0] + dr, a[1] + dc) in tiles]
+        b = rng.choice(near)
+        case = usage.copy()
+        if rng.random() < 0.3:  # fill the shared corners
+            for n in set(fabric.terminals(a)) & set(fabric.terminals(b)):
+                case[n] = cap[n]
+        route, _ = _same_as_reference(fabric, case, a, b)
+        if route is not None:
+            ids = fabric.resource_ids(route)
+            assert all(cap[i] > 0 and case[i] < cap[i] for i in ids)
+        shared = len(set(fabric.terminals(a)) & set(fabric.terminals(b)))
+        hops = "miss" if route is None else "one hop" if len(route.nodes) == 2 else "longer"
+        kinds[f"{shared} shared, {hops}"] += 1
+    return kinds
+
+
+class TestSharedCornerHop:
+    """Between DD tiles that share a corner, the one-hop answer read on the
+    masks, and the rooted search behind it, return the route, ids and
+    region of plain ``bfs`` from the free corners in ascending order."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        _shared_corner_queries(seed)
+
+    def test_every_kind_of_outcome(self):
+        kinds = sum((_shared_corner_queries(seed) for seed in range(80)), Counter())
+        expected = [f"{shared} shared, {hops}" for shared in (1, 2)
+                    for hops in ("one hop", "longer", "miss")] + ["zero lines"]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
+
+    def test_zero_capacity_row_is_never_crossed(self):
+        # tiles (0, 0) and (0, 1) share the junctions (0, 1) and (1, 1); with
+        # no lane along junction row 0, the first start, (0, 0), has no goal
+        # one hop away, and (0, 1) reaches (1, 1) down column 1
+        fabric = _with_zero_lines(Fabric(uniform_dd_layout(1, 2)), {0}, set())
+        route, _ = _same_as_reference(fabric, [0] * fabric.size, (0, 0), (0, 1))
+        assert route.nodes == ((0, 1), (1, 1))
+        # with every lane, the first start takes its first neighbour, east
+        fabric = Fabric(uniform_dd_layout(1, 2))
+        route, _ = _same_as_reference(fabric, [0] * fabric.size, (0, 0), (0, 1))
+        assert route.nodes == ((0, 0), (0, 1))
+
+
 def _node_walk_frontier(fabric: Fabric, usage: list[int], src, region: int) -> set[int]:
     """The ring as a walk over the node ids of ``region`` finds it: the ids
     at capacity at the terminals of ``src``, of the segments that leave the

@@ -1,12 +1,17 @@
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_schedule, random_tiny_circuit, uniform_dd_layout, uniform_ls_layout
+from surfc import scheduler
 from surfc.bench import ghz
-from surfc.chip import ChipModel
-from surfc.circuits import build_comm_graph, build_dag, circuit
+from surfc.chip import ChipLayout, ChipModel
+from surfc.circuits import LogicalCircuit, build_comm_graph, build_dag, circuit
 from surfc.errors import InfeasibleError, SchedulingError
 from surfc.generate import gen_random_circuit
 from surfc.placement import (
@@ -17,8 +22,9 @@ from surfc.placement import (
     init_cut_types,
 )
 from surfc.profiler import para_finding
-from surfc.router import RoutePath
+from surfc.router import RoutePath, resource_capacities
 from surfc.scheduler import (
+    LIMITED,
     Action,
     ActionKind,
     EncodedSchedule,
@@ -340,6 +346,14 @@ class TestValidate:
             f"cycle {t}: tile (0, 0) used by two actions" for t in range(3)
         ]
 
+    def test_one_junction_route_between_tiles_sharing_it(self):
+        # (0, 1) is a corner of both tiles, so both route ends are on them
+        c = circuit(2, [(0, 1)])
+        layout, mapping, cuts = _dd_setup(c, 1, 2, cuts_map={0: CutType.X, 1: CutType.Z})
+        bad = EncodedSchedule(
+            [[Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 1),)))]], layout, mapping)
+        assert validate(bad, c) == ["gate 0: corridor route must hold at least one segment"]
+
     def test_missing_gate_detected(self):
         c = circuit(2, [(0, 1)])
         layout, mapping, cuts = _dd_setup(c, 1, 2)
@@ -435,3 +449,359 @@ class TestDeltaLowerBound:
             ):
                 sched = maker()
                 check_schedule(sched, c, layout, mapping)
+
+
+# ---------------------------------------------------------------------------
+# the replay on integer keys against the replay on tuple resources
+
+Tile = tuple[int, int]
+
+
+def _reference_validate(
+    schedule: EncodedSchedule,
+    circuit: LogicalCircuit,
+    layout: ChipLayout | None = None,
+    mapping: TileMapping | None = None,
+) -> list[str]:
+    """``validate`` as it was when it replayed every cycle on tuple
+    resources, kept verbatim: the reference of ``TestValidateAgainstTupleReplay``."""
+    layout = schedule.layout if layout is None else layout
+    mapping = schedule.mapping if mapping is None else mapping
+    v: list[str] = []
+    model = schedule.model
+    dag = build_dag(circuit)
+    cap = resource_capacities(layout)
+    capacity: dict[tuple, int] = {}  # cap(res), memoised per resource
+    data_tiles = mapping.data_tiles(layout)
+    gates = circuit.gates
+    tile_of = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
+
+    def operand_tiles(gid: int) -> tuple[Tile, Tile]:
+        gate = gates[gid]
+        return tile_of[gate.control], tile_of[gate.target]
+
+    # gather per-gate execution spans, first action kinds and per-cycle
+    # resource/tile usage
+    gate_span: dict[int, tuple[int, int]] = {}
+    gate_kind: dict[int, ActionKind] = {}
+    modify_at: set[tuple[Tile, int, int]] = set()  # (tile, phase, cycle)
+    modify_starts: list[tuple[Tile, int, CutType]] = []  # phase 1: (tile, cycle, cut)
+    seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
+    # a direct gate's route object and its resources, derived once for all
+    # three phases; dropped at phase 3
+    direct_held: dict[int, tuple[RoutePath, list[tuple]]] = {}
+    for t, actions in enumerate(schedule.cycles):
+        tiles_this_cycle: list[Tile] = []
+        routed: list[tuple] = []  # the resources of every route held at t
+        for a in actions:
+            kind, gid = a.kind, a.gate
+            if gid is not None:
+                gate_kind.setdefault(gid, kind)
+            if kind is ActionKind.BRAID or kind is ActionKind.BELL:
+                if gid in gate_span:
+                    v.append(f"gate {gid} executed more than once")
+                gate_span[gid] = (t, t)
+                if a.route is not None:
+                    routed += a.route.resources()
+                ta, tb = operand_tiles(gid)
+                tiles_this_cycle += (ta, tb)
+                _reference_check_route(v, a, ta, tb, model)
+            elif kind is ActionKind.DIRECT:
+                route = a.route
+                seen_direct.setdefault(gid, []).append((t, a.phase, route))
+                if route is not None:
+                    held = direct_held.get(gid)
+                    if held is None or held[0] is not route:
+                        held = direct_held[gid] = route, route.resources()
+                    if a.phase == 3:
+                        del direct_held[gid]
+                    routed += held[1]
+                tiles_this_cycle += operand_tiles(gid)
+            elif kind is ActionKind.MODIFY:
+                modify_at.add((a.tile, a.phase, t))
+                if a.phase == 1:
+                    modify_starts.append((a.tile, t, a.new_cut))
+                tiles_this_cycle.append(a.tile)
+        for res, used in Counter(routed).items():
+            limit = capacity.get(res)
+            if limit is None:
+                limit = capacity[res] = cap(res)
+            if used > limit:
+                v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
+        seen_tiles = set(tiles_this_cycle)
+        if len(seen_tiles) < len(tiles_this_cycle):
+            seen_tiles = set()
+            for tile in tiles_this_cycle:
+                if tile in seen_tiles:
+                    v.append(f"cycle {t}: tile {tile} used by two actions")
+                seen_tiles.add(tile)
+        if model is ChipModel.LATTICE_SURGERY:
+            for a in actions:
+                if a.route is not None:
+                    for node in a.route.nodes:
+                        if node in data_tiles:
+                            v.append(f"cycle {t}: route crosses data tile {node}")
+                        if node in seen_tiles:
+                            v.append(f"cycle {t}: route tile {node} collides with an operand")
+
+    # direct gates: three consecutive phases with a pinned route
+    for gid, entries in seen_direct.items():
+        entries.sort()
+        if [p for _, p, _ in entries] != [1, 2, 3]:
+            v.append(f"gate {gid}: direct execution phases are {[p for _, p, _ in entries]}")
+            continue
+        times = [t for t, _, _ in entries]
+        if times[1] != times[0] + 1 or times[2] != times[0] + 2:
+            v.append(f"gate {gid}: direct execution not contiguous at {times}")
+        if len({e[2].nodes for e in entries}) != 1:
+            v.append(f"gate {gid}: direct execution changed route between phases")
+        if gid in gate_span:
+            v.append(f"gate {gid} executed more than once")
+        gate_span[gid] = (times[0], times[2])
+
+    # modify actions: each phase-1 start needs phases 2 and 3 right after it
+    flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
+    for tile, t0, cut in sorted(modify_starts, key=lambda m: m[:2]):
+        for ph in (2, 3):
+            if (tile, ph, t0 + ph - 1) not in modify_at:
+                v.append(f"tile {tile}: cut modification at {t0} missing phase {ph}")
+        flips.append((t0 + 3, tile, cut))
+
+    for gid in range(circuit.g):
+        if gid not in gate_span:
+            v.append(f"gate {gid} never executed")
+    for u in range(circuit.g):
+        for w in dag.children[u]:
+            if u in gate_span and w in gate_span:
+                if gate_span[u][1] >= gate_span[w][0]:
+                    v.append(
+                        f"dependency violated: gate {w} starts at {gate_span[w][0]} "
+                        f"but parent {u} completes at {gate_span[u][1]}"
+                    )
+
+    # cut bookkeeping: braids need opposite cuts, directs equal cuts
+    initial_cuts = schedule.mapping.cuts
+    if model is ChipModel.DOUBLE_DEFECT and initial_cuts is not None:
+        tile_cut = {mapping.tile_of(q): initial_cuts[q] for q in mapping.positions}
+        flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order
+        fi = 0
+        for t, gid in sorted((span[0], gid) for gid, span in gate_span.items()):
+            while fi < len(flips) and flips[fi][0] <= t:
+                _, tile, cut = flips[fi]
+                tile_cut[tile] = cut
+                fi += 1
+            ca, cb = operand_tiles(gid)
+            kind = gate_kind[gid]
+            if kind is ActionKind.BRAID and tile_cut[ca] is tile_cut[cb]:
+                v.append(f"gate {gid}: braid between same-cut tiles at cycle {t}")
+            if kind is ActionKind.DIRECT and tile_cut[ca] is not tile_cut[cb]:
+                v.append(f"gate {gid}: 3-cycle direct execution between opposite cuts at {t}")
+    return v
+
+
+def _reference_check_route(v, action, ta: Tile, tb: Tile, model) -> None:
+    nodes = action.route.nodes
+    if model is ChipModel.LATTICE_SURGERY:
+        if not nodes:
+            if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) != 1:
+                v.append(f"gate {action.gate}: empty route between non-adjacent tiles")
+            return
+        chain = [ta, *nodes, tb]
+        for x, y in zip(chain, chain[1:]):
+            if abs(x[0] - y[0]) + abs(x[1] - y[1]) != 1:
+                v.append(f"gate {action.gate}: route chain broken between {x} and {y}")
+        return
+    if len(nodes) < 2:
+        v.append(f"gate {action.gate}: corridor route must hold at least one segment")
+        return
+    # each end on one of the four corners of its operand tile
+    (ra, ca), (rb, cb) = nodes[0], nodes[-1]
+    if not (0 <= ra - ta[0] <= 1 and 0 <= ca - ta[1] <= 1
+            and 0 <= rb - tb[0] <= 1 and 0 <= cb - tb[1] <= 1):
+        v.append(f"gate {action.gate}: route endpoints not on operand tiles")
+    for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
+        if abs(i1 - i2) + abs(j1 - j2) != 1:
+            v.append(f"gate {action.gate}: junction route broken at {(i1, j1)}->{(i2, j2)}")
+
+
+def _base_schedules(seed: int):
+    """Schedules of one random circuit from every ``LIMITED`` strategy and
+    from ``resu``, on a double-defect or a lattice-surgery layout; yields
+    (name, schedule, circuit)."""
+    rng = random.Random(seed)
+    model = rng.choice((DD, LS))
+    rows, cols = rng.choice(((2, 2), (2, 3), (3, 3)))
+    n = rng.randint(2, rows * cols)
+    if n >= 4 and rng.random() < 0.5:
+        c = gen_random_circuit(n, rng.randint(2, 6), rng.randint(1, n // 2), seed=rng.randrange(1000))
+    else:
+        c = random_tiny_circuit(rng, max_n=n, max_g=12)
+    shape = ArrayShape(rows, cols)
+    mapping = baseline_mapping(rng.choice(("snake", "random")), c.n, shape, seed=seed)
+    if model is DD:
+        layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3))
+        if rng.random() < 0.5:  # each line its own bandwidth: 1, 3 or 4 at d=2
+            h = tuple(rng.choice((0, 10, 15)) for _ in range(rows + 1))
+            w = tuple(rng.choice((0, 10, 15)) for _ in range(cols + 1))
+            layout = ChipLayout(model=DD, d=2, m1=rows * 10 + sum(h), m2=cols * 10 + sum(w),
+                                array_r=rows, array_c=cols, h_widths=h, v_widths=w)
+        if rng.random() < 0.5:
+            cuts = init_cut_types(c)
+        else:  # random cuts make same-cut pairs, and so directs and modifications
+            cuts = {q: rng.choice((CutType.X, CutType.Z)) for q in range(c.n)}
+        mapping = mapping.with_cuts(cuts)
+    else:
+        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+    for strategy in LIMITED:
+        try:
+            yield strategy, schedule_limited(c, layout, mapping, strategy=strategy), c
+        except SchedulingError:  # a lattice-surgery pair walled off
+            pass
+    try:
+        yield "resu", schedule_sufficient(para_finding(build_dag(c)), layout, mapping, c), c
+    except InfeasibleError:  # capacity below the layering width
+        pass
+
+
+def _mutations(schedule: EncodedSchedule, rng: random.Random):
+    """Malformed copies of ``schedule``; yields (kind, schedule)."""
+    cycles = schedule.cycles
+    model = schedule.model
+    layout = schedule.layout
+    dd = model is DD
+    rows = layout.array_r + 1 if dd else layout.grid_rows
+    cols = layout.array_c + 1 if dd else layout.grid_cols
+    g = len({a.gate for acts in cycles for a in acts if a.gate is not None})
+    located = [(t, k, a) for t, acts in enumerate(cycles) for k, a in enumerate(acts)]
+
+    def edited(edits, extra=()):
+        """A copy with the actions at (t, k) replaced (None drops one) and
+        the (t, action) pairs of ``extra`` appended."""
+        out = [list(acts) for acts in cycles]
+        for (t, k), action in sorted(edits.items(), key=lambda e: (-e[0][0], -e[0][1])):
+            if action is None:
+                del out[t][k]
+            else:
+                out[t][k] = action
+        for t, action in extra:
+            while len(out) <= t:
+                out.append([])
+            out[t].append(action)
+        return EncodedSchedule(out, schedule.layout, schedule.mapping)
+
+    def pick(test):
+        found = [(t, k, a) for t, k, a in located if test(a)]
+        return rng.choice(found) if found else None
+
+    if located:
+        t, k, a = rng.choice(located)
+        yield "dropped action", edited({(t, k): None})
+        yield "moved action", edited({(t, k): None}, [(rng.randrange(len(cycles) + 2), a)])
+    hit = pick(lambda a: a.kind in (ActionKind.BRAID, ActionKind.BELL))
+    if hit:
+        t, k, a = hit
+        yield "duplicated braid", edited({}, [(rng.randrange(len(cycles)), a)])
+        yield "gate out of range", edited({(t, k): replace(a, gate=rng.choice((g, g + 2, -1, -g)))})
+        if rng.random() < 0.2:
+            yield "no gate", edited({(t, k): replace(a, gate=None)})
+            yield "no route", edited({(t, k): replace(a, route=None)})
+    hit = pick(lambda a: a.kind is ActionKind.DIRECT)
+    if hit:
+        t, k, a = hit
+        yield "shifted direct phase", edited({(t, k): None}, [(max(0, t + rng.choice((-1, 1))), a)])
+        other = pick(lambda b: b.route is not None and b.route != a.route)
+        if other:
+            yield "direct route changed", edited({(t, k): replace(a, route=other[2].route)})
+        yield "direct phase renumbered", edited({(t, k): replace(a, phase=rng.choice((1, 2, 3, 4)))})
+    hit = pick(lambda a: a.kind is ActionKind.MODIFY and a.phase in (2, 3))
+    if hit:
+        t, k, a = hit
+        yield "missing modify phase", edited({(t, k): None})
+        yield "modify moved", edited({(t, k): replace(a, tile=rng.choice(
+            [b.tile for _, _, b in located if b.tile is not None]))})
+    routed = [(t, k, a) for t, k, a in located if a.route is not None and a.route.nodes]
+    if routed:
+        t, k, a = rng.choice(routed)
+        same = [(k2, b) for t2, k2, b in routed if t2 == t and k2 != k]
+        if same:
+            k2, b = rng.choice(same)
+            yield "overloaded resources", edited({(t, k2): replace(b, route=a.route)})
+        else:
+            yield "overloaded resources", edited({}, [(t, replace(a, gate=(a.gate + 1) % max(g, 1)))])
+        nodes = list(a.route.nodes)
+        i = rng.randrange(len(nodes))
+        off = rng.choice(((-1, nodes[i][1]), (nodes[i][0], -1), (rows, nodes[i][1]),
+                          (nodes[i][0], cols), (rows + 3, cols + 3), (-2, -5)))
+        yield "out-of-grid node", edited({(t, k): replace(a, route=RoutePath(model, tuple(
+            nodes[:i] + [off] + nodes[i + 1:])))})
+        if len(nodes) >= 3:
+            yield "broken step", edited({(t, k): replace(a, route=RoutePath(model, tuple(
+                nodes[:i] + nodes[i + 1:])))})
+        if not dd:
+            data = sorted(schedule.mapping.data_tiles(layout))
+            yield "route over a data tile", edited({(t, k): replace(a, route=RoutePath(model, tuple(
+                nodes[:i] + [rng.choice(data)] + nodes[i + 1:])))})
+        yield "tile held on a route", edited({}, [(t, Action(
+            ActionKind.MODIFY, tile=rng.choice(nodes), new_cut=CutType.X, phase=1))])
+        other = LS if dd else DD
+        yield "route of the other model", edited({(t, k): replace(a, route=RoutePath(other, a.route.nodes))})
+
+
+def _compare(schedule: EncodedSchedule, circ) -> str:
+    """Asserts that ``validate`` gives the reference's violations, or raises
+    the type of exception the reference raises; returns the outcome."""
+    try:
+        want = _reference_validate(schedule, circ)
+    except Exception as exc:  # a malformed schedule the reference cannot replay
+        with pytest.raises(type(exc)):
+            validate(schedule, circ)
+        return "raises"
+    assert validate(schedule, circ) == want
+    return "violations" if want else "valid"
+
+
+def _validate_cases(seed: int) -> Counter:
+    rng = random.Random(seed)
+    kinds = Counter()
+    for name, schedule, circ in _base_schedules(seed):
+        assert _compare(schedule, circ) == "valid"
+        kinds[name] += 1
+        for kind, mutated in _mutations(schedule, rng):
+            kinds[kind] += 1
+            kinds[_compare(mutated, circ)] += 1
+    return kinds
+
+
+class TestValidateAgainstTupleReplay:
+    """``validate`` gives the violation list of the tuple replay it replaced
+    (``_reference_validate``) on the schedules of every producer and on
+    malformed copies of them, and raises what it raises."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_same_violations(self, seed):
+        _validate_cases(seed)
+
+    def test_keys_name_the_tuple_resources(self):
+        for rows, cols in ((1, 1), (1, 4), (3, 2), (4, 5)):
+            grid, node_key, edge_key = scheduler._junction_keys(rows, cols)
+            assert grid == [(i, j) for i in range(rows) for j in range(cols)]
+            key_resource = [(kind, i, j) for kind in "jhv" for i, j in grid]
+            assert {key_resource[k]: node for node, k in node_key.items()} == {
+                ("j", i, j): (i, j) for i, j in grid}
+            steps = [(a, b) for a in grid for b in grid
+                     if abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1]
+            assert sorted(edge_key) == sorted(steps)
+            for (a, b), k in edge_key.items():
+                assert key_resource[k] == RoutePath(DD, (a, b)).resources()[2]
+
+    def test_every_producer_and_mutation(self):
+        kinds = sum((_validate_cases(seed) for seed in range(40)), Counter())
+        expected = [*LIMITED, "resu", "dropped action", "moved action", "duplicated braid",
+                    "gate out of range", "no gate", "no route", "shifted direct phase",
+                    "direct route changed", "direct phase renumbered", "missing modify phase",
+                    "modify moved", "overloaded resources", "out-of-grid node", "broken step",
+                    "route over a data tile", "tile held on a route", "route of the other model",
+                    "raises", "violations",
+                    "valid"]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
