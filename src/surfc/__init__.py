@@ -33,7 +33,6 @@ from .placement import (
     adjust_bandwidth,
     baseline_cuts,
     baseline_mapping,
-    determine_shape,
     establish_mapping,
     init_cut_types,
     mapping_cost,

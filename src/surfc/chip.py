@@ -85,23 +85,17 @@ def chip_capacity(bandwidth: int) -> int:
 
 def minimal_perimeter_shape(n: int, max_r: int, max_c: int) -> tuple[int, int]:
     """Smallest-perimeter r x c with r*c >= n that wastes less than a full
-    row/column (r*c - n < min(r, c)); ties favor squareness, then fewer rows.
-    Falls back to plain minimum perimeter if the waste rule admits nothing."""
+    row/column (r*c - n < min(r, c)); ties favor squareness, then fewer rows."""
     if n == 0:
         return (0, 0)
     if max_r * max_c < n or max_r < 1 or max_c < 1:
         raise InfeasibleError(f"{max_r}x{max_c} tile grid cannot hold {n} qubits")
     strict: list[tuple[int, int]] = []
-    loose: list[tuple[int, int]] = []
     for r in range(1, max_r + 1):
         c = -(-n // r)  # smallest c with r*c >= n
-        if c > max_c:
-            continue
-        loose.append((r, c))
-        if r * c - n < min(r, c):
+        if c <= max_c and r * c - n < min(r, c):
             strict.append((r, c))
-    pool = strict or loose
-    return min(pool, key=lambda rc: (2 * (rc[0] + rc[1]), abs(rc[0] - rc[1]), rc[0]))
+    return min(strict, key=lambda rc: (2 * (rc[0] + rc[1]), abs(rc[0] - rc[1]), rc[0]))
 
 
 def _gap_order(r: int) -> list[int]:

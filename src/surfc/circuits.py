@@ -9,7 +9,6 @@ derived structures drive everything downstream:
 """
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,17 +45,6 @@ class LogicalCircuit:
     @property
     def g(self) -> int:
         return len(self.gates)
-
-    def to_json(self) -> str:
-        """Canonical dump used by golden tests: {n, gates: [[id, control, target], ...]}."""
-        payload = {"n": self.n, "gates": [[g.gid, g.control, g.target] for g in self.gates]}
-        return json.dumps(payload, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str) -> "LogicalCircuit":
-        payload = json.loads(text)
-        gates = tuple(CnotGate(gid, c, t) for gid, c, t in payload["gates"])
-        return LogicalCircuit(payload["n"], gates)
 
 
 def circuit(n: int, pairs: list[tuple[int, int]]) -> LogicalCircuit:
@@ -167,15 +155,6 @@ class CommGraph:
             rows[a].append((b, w))
             rows[b].append((a, w))
         return tuple(tuple(sorted(row)) for row in rows)
-
-    def neighbors(self, q: int) -> list[int]:
-        return [u for u, _w in self.adjacency[q]]
-
-    def total_weight(self) -> int:
-        return sum(self.weights.values())
-
-    def is_bipartite(self) -> bool:
-        return two_coloring(self.n, set(self.weights)) is not None
 
 
 def build_comm_graph(circ: LogicalCircuit) -> CommGraph:

@@ -136,11 +136,9 @@ def cmd_schedule(args) -> int:
 def cmd_oracle(args) -> int:
     budget = OracleBudget(max_gates=args.max_gates, max_qubits=args.max_qubits)
     circuit = load_circuit(RunConfig(**_circuit_source(args)))
-    if args.query == "pm":
-        value = optimal_pm(build_dag(circuit), budget)
-        _emit(json.dumps({"pm_optimal": value}), getattr(args, "out", None))
-        return EXIT_OK
-    raise InfeasibleError(f"unsupported oracle query {args.query!r}")
+    value = optimal_pm(build_dag(circuit), budget)
+    _emit(json.dumps({"pm_optimal": value}), getattr(args, "out", None))
+    return EXIT_OK
 
 
 def cmd_sweep(args) -> int:

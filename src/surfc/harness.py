@@ -6,7 +6,8 @@ stages before scheduling (``surfc map`` prints its mapping), ``compile_once``
 adds the scheduler call and ``run_full`` validates and wraps the result in a
 ``RunReport``, raising on an invalid schedule.  Sweeps fan runs out over a worker pool (rows are
 independent) and emit one CSV row per run, including the compile-time ratio
-against the minimum-viable chip row of the same group.
+against the minimum-viable chip row of the same (label, model, scheduler,
+seed).
 """
 from __future__ import annotations
 
@@ -236,7 +237,7 @@ def _run_one(config: RunConfig) -> tuple[RunConfig, RunReport | None, str]:
 def sweep(configs: list[RunConfig], workers: int = 1) -> tuple[list[dict], str]:
     """Run every config (partial failures recorded per row); returns
     (rows, csv_text).  Rows carry the compile-time ratio against the
-    minimum-chip row of the same (label, model, scheduler) group."""
+    minimum-chip row of the same (label, model, scheduler, seed)."""
     if workers < 1:
         raise InfeasibleError(f"worker count {workers} must be >= 1")
     results: list[tuple[RunConfig, RunReport | None, str]] = []

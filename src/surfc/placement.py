@@ -114,11 +114,6 @@ class TileMapping:
         }
 
 
-def determine_shape(n: int, grid_rows: int, grid_cols: int) -> ArrayShape:
-    r, c = minimal_perimeter_shape(n, grid_rows, grid_cols)
-    return ArrayShape(r, c)
-
-
 def mapping_cost(mapping: TileMapping, comm: CommGraph) -> int:
     """Communication cost f: CNOT multiplicity times Manhattan tile distance."""
     total = 0

@@ -3,9 +3,11 @@
 Supported subset: one ``qreg``, optional ``creg``/``barrier``/``measure``/
 ``reset`` (dropped), single-qubit gate applications (dropped), ``cx``
 statements, and ``gate`` definitions whose bodies are inlined when applied so
-that nested ``cx`` gates are recovered.  ``include`` lines are tolerated and
-skipped; included files are never read.  Anything else is a parse error with
-a line number.
+that nested ``cx`` gates are recovered.  As in OpenQASM 2, a body applies only
+gates defined before its own gate: one that applies its own gate, or a gate
+defined after it on two or more operands, is a parse error.  ``include``
+lines are tolerated and skipped; included files are never read.  Anything
+else is a parse error with a line number.
 
 A top-level ``cx``/``CX`` between two indexed qubits of the declared register,
 both in range and distinct, takes a direct path: one regex match, no operand
@@ -37,9 +39,11 @@ _DROPPED_KEYWORDS = ("barrier", "measure", "reset")
 
 @dataclass
 class _GateDef:
+    name: str
     params: list[str]
     args: list[str]
     body: list[tuple[int, str]]  # (line, statement text)
+    seq: int  # definitions made before this one: all its body may apply
 
 
 def _strip_comments(text: str) -> str:
@@ -75,7 +79,8 @@ class _Parser:
     def __init__(self):
         self.reg: str | None = None
         self.n = 0
-        self.defs: dict[str, _GateDef] = {}
+        self.defs: dict[str, list[_GateDef]] = {}  # every definition of a name, in order
+        self.n_defs = 0
         self.pairs: list[tuple[int, int]] = []
 
     def parse(self, text: str) -> LogicalCircuit:
@@ -110,7 +115,9 @@ class _Parser:
             raise QasmError(f"gate {name} body never closed", line)
         plist = [p.strip() for p in params[1:-1].split(",")] if params else []
         alist = [a.strip() for a in args.split(",") if a.strip()]
-        self.defs[name] = _GateDef([p for p in plist if p], alist, body)
+        gdef = _GateDef(name, [p for p in plist if p], alist, body, self.n_defs)
+        self.defs.setdefault(name, []).append(gdef)
+        self.n_defs += 1
 
     def _top_statement(self, line: int, stmt: str) -> None:
         m = _CX_RE.match(stmt)
@@ -135,7 +142,8 @@ class _Parser:
             return
         self._apply(line, stmt, {})
 
-    def _apply(self, line: int, stmt: str, binding: dict[str, int]) -> None:
+    def _apply(self, line: int, stmt: str, binding: dict[str, int],
+               within: _GateDef | None = None) -> None:
         m = _APPLY_RE.match(stmt)
         if not m:
             raise QasmError(f"malformed statement: {stmt!r}", line)
@@ -150,8 +158,11 @@ class _Parser:
                 raise CircuitError(f"line {line}: cx with equal operands q[{c}]")
             self.pairs.append((c, t))
             return
-        if name in self.defs:
-            gdef = self.defs[name]
+        # the latest definition of ``name``; in the body of ``within``, the
+        # latest made before it
+        before = self.n_defs if within is None else within.seq
+        gdef = next((d for d in reversed(self.defs.get(name, ())) if d.seq < before), None)
+        if gdef is not None:
             if len(operands) != len(gdef.args):
                 raise QasmError(
                     f"gate {name} expects {len(gdef.args)} operands, got {len(operands)}", line
@@ -161,8 +172,11 @@ class _Parser:
                 for formal, actual in zip(gdef.args, operands)
             }
             for bline, bstmt in gdef.body:
-                self._apply(bline, bstmt, inner)
+                self._apply(bline, bstmt, inner, gdef)
             return
+        if within is not None and (name == within.name or len(operands) > 1 and name in self.defs):
+            what = "itself" if name == within.name else f"{name}, defined after it"
+            raise QasmError(f"gate {within.name} applies {what}", line)
         if len(operands) == 1:
             return  # single-qubit gate: executed in software / locally, not modeled
         raise QasmError(f"unsupported multi-qubit gate {name!r}", line)

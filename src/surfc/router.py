@@ -297,15 +297,6 @@ class CycleOccupancy:
         their capacity (those of capacity 0 excepted: no route holds one)."""
         return self._full.get(cycle, 0)
 
-    def used(self, cycle: int, res: Resource) -> int:
-        return self.usage(cycle)[self.fabric.res_id(res)]
-
-    def tile_busy(self, cycle: int, tile: Tile) -> bool:
-        return tile in self.busy.get(cycle, ())
-
-    def busy_tiles(self, cycle: int) -> set[Tile]:
-        return self.busy.get(cycle, set())
-
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
         fabric = self.fabric
         cap = fabric.cap

@@ -34,7 +34,7 @@ from enum import Enum
 
 from .chip import ChipLayout, ChipModel
 from .circuits import GateDag, LogicalCircuit, build_dag
-from .errors import InfeasibleError, SchedulingError
+from .errors import InfeasibleError, SchedulingError, SurfcError
 from .placement import CutType, TileMapping, coloring_cuts
 from .profiler import LayerSchedule, bipartite_prefix
 from .router import (
@@ -160,7 +160,7 @@ class _State:
     def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping,
                  dag: GateDag):
         self.circuit = circuit
-        self.layout = layout
+        self.total_bandwidth = layout.total_bandwidth  # a sum over every channel line
         self.mapping = mapping
         self.dag = dag
         self.occ = CycleOccupancy(layout, mapping.data_tiles(layout))
@@ -307,7 +307,7 @@ def schedule_limited(
             acts.append(Action(kind, gate=v, route=path))
             st.complete(v, t)
             committed = True
-        if not committed and not occ.busy_tiles(t):
+        if not committed and not busy_at.get(t):
             stuck = ready[0] if ready else None
             raise SchedulingError(
                 f"gate {stuck} cannot be routed on this chip "
@@ -336,9 +336,9 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
         choice = "modify" if (3 - min(3, best_idle)) + 1 <= 2 else "direct"
     else:
         mv_a = m_value(st.circuit, st.dag, st.cut, v, gate.control,
-                       idle_a, ready_count - 1, st.layout.total_bandwidth)
+                       idle_a, ready_count - 1, st.total_bandwidth)
         mv_b = m_value(st.circuit, st.dag, st.cut, v, gate.target,
-                       idle_b, ready_count - 1, st.layout.total_bandwidth)
+                       idle_b, ready_count - 1, st.total_bandwidth)
         best = min(mv_a.value, mv_b.value)
         choice = "modify" if best < 0 else "direct"
     if choice == "modify":
@@ -469,8 +469,9 @@ def validate(
     mapping: TileMapping | None = None,
 ) -> list[str]:
     """Replay a schedule against the ground rules; returns all violations.
-    ``layout`` and ``mapping`` default to the schedule's own.  Cut
-    bookkeeping starts from the cuts of ``schedule.mapping``.
+    Tiles and initial cuts come from the schedule's own layout and mapping;
+    a ``layout`` other than it, or a ``mapping`` with other tile positions
+    (its cuts may differ, as a ``resu`` schedule's do), raises ``SurfcError``.
 
     The replay counts each cycle's use of the resources of
     ``RoutePath.resources`` by keys of its own: a lattice-surgery tile is
@@ -489,14 +490,16 @@ def validate(
     by gate id; an id outside ``0..g-1``, as only a malformed schedule
     carries, is kept in a dict under the id given.
     """
-    layout = schedule.layout if layout is None else layout
-    mapping = schedule.mapping if mapping is None else mapping
+    if layout is not None and layout != schedule.layout:
+        raise SurfcError("validate: the layout argument is not the schedule's layout")
+    if mapping is not None and mapping.positions != schedule.mapping.positions:
+        raise SurfcError("validate: the mapping argument places qubits elsewhere")
+    layout, mapping = schedule.layout, schedule.mapping
     v: list[str] = []
     model = schedule.model
     dd = model is ChipModel.DOUBLE_DEFECT
     dag = build_dag(circuit)
     cap = resource_capacities(layout)
-    capacity: dict[tuple, int] = {}  # cap(res), memoised per resource
     data_tiles = mapping.data_tiles(layout)
     gates = circuit.gates
     g = circuit.g
@@ -611,9 +614,7 @@ def validate(
                 if (kind is braid or kind is bell or kind is direct) and a.route is not None:
                     routed += a.route.resources()
             for res, used in Counter(routed).items():
-                limit = capacity.get(res)
-                if limit is None:
-                    limit = capacity[res] = cap(res)
+                limit = cap(res)
                 if used > limit:
                     v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
         seen_tiles = set(tiles_this_cycle)
@@ -673,7 +674,7 @@ def validate(
                              f"but parent {u} completes at {end}")
 
     # cut bookkeeping: braids need opposite cuts, directs equal cuts
-    initial_cuts = schedule.mapping.cuts
+    initial_cuts = mapping.cuts
     if dd and initial_cuts is not None:
         tile_cut = {mapping.tile_of(q): initial_cuts[q] for q in mapping.positions}
         flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order

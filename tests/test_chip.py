@@ -66,6 +66,7 @@ class TestMinimalPerimeterShape:
 
     def test_nine_unique(self):
         assert minimal_perimeter_shape(9, 4, 4) == (3, 3)
+        assert minimal_perimeter_shape(9, 3, 3) == (3, 3)
 
     def test_exhaustive_minimality(self):
         for n in range(1, 31):
@@ -80,6 +81,19 @@ class TestMinimalPerimeterShape:
     def test_too_small(self):
         with pytest.raises(InfeasibleError):
             minimal_perimeter_shape(10, 3, 3)
+        with pytest.raises(InfeasibleError):
+            minimal_perimeter_shape(20, 2, 2)
+
+    def test_every_grid_that_fits_meets_the_waste_rule(self):
+        # the strict waste rule always admits a shape: from any fitting
+        # (r, ceil(n/r)), the shape (ceil(n/c), c) fits and wastes less than
+        # a row and a column
+        for n in range(1, 201):
+            for max_r in range(1, 31):
+                for max_c in range(-(-n // max_r), 31):
+                    r, c = minimal_perimeter_shape(n, max_r, max_c)
+                    assert r <= max_r and c <= max_c, (n, max_r, max_c)
+                    assert 0 <= r * c - n < min(r, c), (n, max_r, max_c, r, c)
 
 
 class TestDeriveLayout:

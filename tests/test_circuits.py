@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import random
 
 import pytest
@@ -96,6 +95,27 @@ class TestParseQasm:
     def test_missing_qreg(self):
         with pytest.raises(QasmError):
             parse_qasm("cx q[0],q[1];")
+
+    def test_gate_applying_itself_rejected(self):
+        with pytest.raises(QasmError, match="gate g applies itself") as err:
+            parse_qasm("qreg q[2];\ngate g a {\n  g a;\n}\ng q[0];\n")
+        assert err.value.line == 3
+
+    def test_gate_applying_a_later_gate_rejected(self):
+        prog = "qreg q[2];\ngate a x, y { b x, y; }\ngate b x, y { a x, y; }\na q[0], q[1];\n"
+        with pytest.raises(QasmError, match="gate a applies b, defined after it") as err:
+            parse_qasm(prog)
+        assert err.value.line == 2
+        # a one-operand name not defined before its gate is dropped
+        assert parse_qasm("qreg q[2];\ngate a x { b x; }\ngate b x { a x; }\nb q[0];\n").g == 0
+
+    def test_body_sees_the_definitions_before_its_gate(self):
+        lines = ["qreg q[2];", "gate g0 a, b { cx a, b; }"]
+        lines += [f"gate g{i} a, b {{ g{i - 1} b, a; }}" for i in range(1, 600)]
+        lines += ["g599 q[0], q[1];", "gate g0 a, b { cx b, a; }", "g1 q[0], q[1];"]
+        # 599 operand swaps; then g1 still applies the g0 it was defined
+        # over, not the one redefined after it
+        assert [g.qubits for g in parse_qasm("\n".join(lines)).gates] == [(1, 0), (1, 0)]
 
 
 class _GeneralParser(qasm._Parser):
@@ -201,12 +221,6 @@ class TestCircuitTypes:
             LogicalCircuit(2, (CnotGate(0, 0, 3),))
         with pytest.raises(CircuitError):
             LogicalCircuit(2, (CnotGate(5, 0, 1),))
-
-    def test_json_round_trip(self):
-        c = circuit(3, [(0, 1), (1, 2), (0, 2)])
-        payload = json.loads(c.to_json())
-        assert payload == {"n": 3, "gates": [[0, 0, 1], [1, 1, 2], [2, 0, 2]]}
-        assert LogicalCircuit.from_json(c.to_json()) == c
 
 
 class TestBuildDag:
@@ -334,7 +348,7 @@ class TestCommGraph:
         comm = build_comm_graph(c)
         assert all(w == 1 for _, _, w in comm.edges())
         assert len(comm.edges()) == 22
-        assert comm.is_bipartite()
+        assert two_coloring(comm.n, set(comm.weights)) is not None
 
     def test_total_weight_equals_gate_count(self):
         rng = random.Random(5)
@@ -345,7 +359,7 @@ class TestCommGraph:
                 a, b = rng.sample(range(n), 2)
                 pairs.append((a, b))
             c = circuit(n, pairs)
-            assert build_comm_graph(c).total_weight() == c.g
+            assert sum(build_comm_graph(c).weights.values()) == c.g
 
     def test_adjacency_matches_weights(self):
         rng = random.Random(11)
@@ -357,11 +371,10 @@ class TestCommGraph:
             assert len(adj) == n
             for q, row in enumerate(adj):
                 assert [u for u, _ in row] == sorted({u for u, _ in row})
-                assert comm.neighbors(q) == [u for u, _ in row]
                 for u, w in row:
                     assert w == comm.weight(q, u) > 0
                     assert (q, w) in adj[u]
-            assert sum(w for row in adj for _, w in row) == 2 * comm.total_weight()
+            assert sum(w for row in adj for _, w in row) == 2 * sum(comm.weights.values())
 
     def test_adjacency_isolated_and_empty(self):
         comm = build_comm_graph(circuit(4, [(2, 0), (0, 2)]))

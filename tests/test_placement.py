@@ -9,7 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from surfc.bench import BENCHMARKS, ghz
-from surfc.chip import ChipLayout, ChipModel, ChipSpec, config_dims, derive_layout, dims_for_avg_bandwidth
+from surfc.chip import (
+    ChipLayout,
+    ChipModel,
+    ChipSpec,
+    config_dims,
+    derive_layout,
+    dims_for_avg_bandwidth,
+    minimal_perimeter_shape,
+)
 from surfc.circuits import CommGraph, build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
@@ -24,7 +32,6 @@ from surfc.placement import (
     adjust_bandwidth,
     baseline_cuts,
     baseline_mapping,
-    determine_shape,
     establish_mapping,
     init_cut_types,
     mapping_cost,
@@ -32,21 +39,6 @@ from surfc.placement import (
 
 DD = ChipModel.DOUBLE_DEFECT
 LS = ChipModel.LATTICE_SURGERY
-
-
-class TestDetermineShape:
-    def test_paper_pick_for_eight(self):
-        assert determine_shape(8, 5, 5) == ArrayShape(3, 3)
-
-    def test_six(self):
-        assert determine_shape(6, 6, 6) == ArrayShape(2, 3)
-
-    def test_nine(self):
-        assert determine_shape(9, 3, 3) == ArrayShape(3, 3)
-
-    def test_nothing_fits(self):
-        with pytest.raises(InfeasibleError):
-            determine_shape(20, 2, 2)
 
 
 def _exhaustive_best_cost(comm, shape):
@@ -97,7 +89,7 @@ class TestEstablishMapping:
             par = rng.randint(1, max(1, n // 3))
             c = gen_random_circuit(n, depth, par, seed=seed)
             comm = build_comm_graph(c)
-            shape = determine_shape(n, 8, 8)
+            shape = ArrayShape(*minimal_perimeter_shape(n, 8, 8))
             ours = mapping_cost(establish_mapping(comm, shape, trials=8, seed=seed), comm)
             snake = mapping_cost(baseline_mapping("snake", n, shape), comm)
             if ours <= snake:
@@ -344,7 +336,7 @@ class TestInitCutTypes:
     def test_bipartite_graph_zero_same_cut(self):
         c = gen_random_circuit(8, 3, 2, seed=2)
         comm = build_comm_graph(c)
-        if comm.is_bipartite():
+        if two_coloring(comm.n, set(comm.weights)) is not None:
             cuts = init_cut_types(c)
             same = sum(1 for g in c.gates if cuts[g.control] is cuts[g.target])
             assert same == 0
@@ -432,7 +424,7 @@ class TestBaselineCuts:
             cuts = baseline_cuts("maxcut", comm, seed=seed)
             for q in range(comm.n):
                 gain = 0
-                for other in comm.neighbors(q):
+                for other, _ in comm.adjacency[q]:
                     w = comm.weight(q, other)
                     gain += w if cuts[q] is cuts[other] else -w
                 assert gain <= 0

@@ -117,8 +117,8 @@ class TestCommit:
         assert find_path(occ, 3, (0, 0), (1, 1)).nodes == path.nodes == ((0, 1), (1, 1))
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
-        assert occ.used(2, res) == 1
-        assert occ.used(3, res) == 0
+        assert occ.usage(2)[occ.fabric.res_id(res)] == 1
+        assert occ.usage(3)[occ.fabric.res_id(res)] == 0
 
     def test_two_lanes_then_segment_blocked(self):
         layout = uniform_dd_layout(1, 2, bandwidth=2)
@@ -1066,7 +1066,7 @@ def _query_stream(digest) -> tuple[int, int]:
                                         path and path.nodes)).encode())
                     blocked += path is None
                     span = range(cycle, cycle + duration)
-                    if path is None or any(occ.tile_busy(t, x) for t in span for x in (a, b)):
+                    if path is None or any(x in occ.busy.get(t, ()) for t in span for x in (a, b)):
                         continue
                     committed += 1
                     occ.commit_route(path, cycle, duration)

@@ -12,7 +12,7 @@ from surfc import scheduler
 from surfc.bench import ghz
 from surfc.chip import ChipLayout, ChipModel
 from surfc.circuits import LogicalCircuit, build_comm_graph, build_dag, circuit
-from surfc.errors import InfeasibleError, SchedulingError
+from surfc.errors import InfeasibleError, SchedulingError, SurfcError
 from surfc.generate import gen_random_circuit
 from surfc.placement import (
     ArrayShape,
@@ -353,6 +353,23 @@ class TestValidate:
         bad = EncodedSchedule(
             [[Action(ActionKind.BRAID, gate=0, route=RoutePath(DD, ((0, 1),)))]], layout, mapping)
         assert validate(bad, c) == ["gate 0: corridor route must hold at least one segment"]
+
+    def test_arguments_must_agree_with_the_schedule(self):
+        # positions, tiles and cuts all come from the schedule; a layout or a
+        # mapping that would place the operands elsewhere is refused
+        c = circuit(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        layout, mapping, cuts = _dd_setup(c, 2, 2)
+        sched = schedule_limited(c, layout, mapping)
+        swapped = TileMapping(ArrayShape(2, 2), {0: (1, 1), 1: (1, 0), 2: (0, 1), 3: (0, 0)}, cuts)
+        with pytest.raises(SurfcError, match="mapping argument"):
+            validate(sched, c, layout, swapped)
+        with pytest.raises(SurfcError, match="layout argument"):
+            validate(sched, c, uniform_dd_layout(2, 2, bandwidth=2), mapping)
+        flipped = mapping.with_cuts({q: cut.flipped for q, cut in cuts.items()})
+        assert validate(sched, c, uniform_dd_layout(2, 2), flipped) == []
+        # a resu schedule carries its own cuts; the caller's mapping has none
+        resu = schedule_sufficient(para_finding(build_dag(c)), layout, mapping, c)
+        assert validate(resu, c, layout, replace(mapping, cuts=None)) == []
 
     def test_missing_gate_detected(self):
         c = circuit(2, [(0, 1)])
