@@ -41,6 +41,25 @@ DD = ChipModel.DOUBLE_DEFECT
 LS = ChipModel.LATTICE_SURGERY
 
 
+def _array_shape(n, max_r, max_c):
+    return ArrayShape(*minimal_perimeter_shape(n, max_r, max_c))
+
+
+class TestDetermineShape:
+    def test_paper_pick_for_eight(self):
+        assert _array_shape(8, 5, 5) == ArrayShape(3, 3)
+
+    def test_six(self):
+        assert _array_shape(6, 6, 6) == ArrayShape(2, 3)
+
+    def test_nine(self):
+        assert _array_shape(9, 3, 3) == ArrayShape(3, 3)
+
+    def test_nothing_fits(self):
+        with pytest.raises(InfeasibleError):
+            _array_shape(20, 2, 2)
+
+
 def _exhaustive_best_cost(comm, shape):
     cells = shape.cells
     best = None
@@ -89,7 +108,7 @@ class TestEstablishMapping:
             par = rng.randint(1, max(1, n // 3))
             c = gen_random_circuit(n, depth, par, seed=seed)
             comm = build_comm_graph(c)
-            shape = ArrayShape(*minimal_perimeter_shape(n, 8, 8))
+            shape = _array_shape(n, 8, 8)
             ours = mapping_cost(establish_mapping(comm, shape, trials=8, seed=seed), comm)
             snake = mapping_cost(baseline_mapping("snake", n, shape), comm)
             if ours <= snake:
