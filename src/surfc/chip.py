@@ -122,9 +122,9 @@ class ChipLayout:
     ``h_widths[i]`` is the width of the horizontal channel above data row ``i``
     (index r = below the last row); ``v_widths`` likewise for columns.  Widths
     are physical qubits for double defect and whole tiles for lattice surgery;
-    the array and its channels must fit on the chip.  The per-line bandwidths
-    and the tile tracks are computed on first use and then kept, as the layout
-    never changes (``dataclasses.replace`` builds a re-dealt one).
+    the array and its channels must fit on the chip.  The bandwidths, the
+    capacity and the tile tracks are computed on first use and then kept, as
+    the layout never changes (``dataclasses.replace`` builds a re-dealt one).
     """
 
     model: ChipModel
@@ -168,12 +168,12 @@ class ChipLayout:
     def bw_v(self) -> tuple[int, ...]:
         return tuple(self._line_bandwidth(w) for w in self.v_widths)
 
-    @property
+    @cached_property
     def bandwidth(self) -> int:
         """Chip bandwidth: the minimum over all channels."""
         return min(self.bw_h + self.bw_v)
 
-    @property
+    @cached_property
     def capacity(self) -> int:
         return chip_capacity(self.bandwidth)
 

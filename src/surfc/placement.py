@@ -5,9 +5,11 @@ Locations come from seeded recursive bisection of the communication graph
 followed by pairwise-swap descent on the communication cost
 ``f = sum(gamma_ij * distance_ij)``; several independent trials run and the
 cheapest wins.  For lattice surgery the internal distance is route-aware
-on the layout's ancilla fabric (pairs that could never reach each other are
+on the layout's ancilla fabric, from one BFS per cell that holds each level
+as a bitmask of free tiles (pairs that could never reach each other are
 heavily penalized, since no schedule exists for such a mapping); the public
-``mapping_cost`` metric stays plain Manhattan.
+``mapping_cost`` metric stays plain Manhattan.  Stranded pairs are found on
+the same masks, by flood fill of the free fabric's components.
 
 Both searches keep tables so that each candidate is judged in O(1):
 
@@ -45,7 +47,7 @@ from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
 from .circuits import CommGraph, GateDag, LogicalCircuit, build_dag
 from .errors import InfeasibleError
 from .profiler import LayerSchedule, bipartite_prefix
-from .router import Fabric, bfs, trace_back
+from .router import Fabric, bfs, flood, grid_masks, spread, trace_back
 
 Tile = tuple[int, int]
 
@@ -125,52 +127,57 @@ def mapping_cost(mapping: TileMapping, comm: CommGraph) -> int:
     return total
 
 
-def _ls_cell_distances(layout: ChipLayout) -> dict[tuple[Tile, Tile], int]:
-    """Route-aware distance between array cells for lattice surgery: 1 for
-    tile-adjacent cells, else 1 + shortest hop count through the gap fabric
-    (array cells all count as obstacles), else a deadlock penalty."""
-    rt, ct = layout.row_tracks, layout.col_tracks
-    cell_tiles = {(i, j): (rt[i], ct[j])
-                  for i in range(layout.array_r) for j in range(layout.array_c)}
-    fabric = Fabric(layout, frozenset(cell_tiles.values()))
+def _ls_cell_distances(layout: ChipLayout) -> list[list[int]]:
+    """Route-aware distance matrix over the array cells (row-major index) for
+    lattice surgery: 1 for tile-adjacent cells, else 1 + shortest hop count
+    through the gap fabric (array cells all count as obstacles), else a
+    deadlock penalty; 0 on the diagonal."""
+    cols = layout.grid_cols
+    east, south = grid_masks(layout.grid_rows, cols)
+    tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+    bits = [1 << (r * cols + c) for r, c in tiles]
+    free = (1 << layout.grid_rows * cols) - 1 - sum(bits)
+    ends = [spread(bit, east, south, cols) & free for bit in bits]  # free neighbours
     penalty = 8 * (layout.grid_rows + layout.grid_cols)
-    dist: dict[tuple[Tile, Tile], int] = {}
-    cells = sorted(cell_tiles)
-    for idx, cell in enumerate(cells):
-        src = cell_tiles[cell]
-        # hop counts through fabric tiles from src's free neighbors
-        hops: dict[int, int] = {}
-        for t, back in bfs(fabric, fabric.terminals(src))[0].items():
-            hops[t] = 1 if back is None else hops[back] + 1
-        for other in cells[idx + 1:]:
-            dst = cell_tiles[other]
-            manhattan = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
+    dist = [[0] * len(tiles) for _ in tiles]
+    for idx, (r1, c1) in enumerate(tiles):
+        # BFS levels through the gap fabric from the cell's free neighbours,
+        # which are one hop away
+        levels = []
+        level = seen = ends[idx]
+        while level:
+            levels.append(level)
+            level = spread(level, east, south, cols) & free & ~seen
+            seen |= level
+        for other in range(idx + 1, len(tiles)):
+            r2, c2 = tiles[other]
+            manhattan = abs(r1 - r2) + abs(c1 - c2)
             if manhattan == 1:
                 d = 1
             else:
-                best = min(
-                    (hops[nb] for nb in fabric.terminals(dst) if nb in hops),
-                    default=None,
-                )
                 # unreachable pairs keep a Manhattan gradient under the penalty
                 # so swap descent can still pull them together
-                d = penalty + manhattan if best is None else best + 1
-            dist[(cell, other)] = dist[(other, cell)] = d
+                d = penalty + manhattan
+                goal = ends[other]
+                for hops, level in enumerate(levels, 2):
+                    if level & goal:
+                        d = hops
+                        break
+            dist[idx][other] = dist[other][idx] = d
     return dist
 
 
 class _CostModel:
     """Dense distance matrix over the cells of ``shape`` (row-major index):
-    Manhattan for double defect, route-aware for lattice surgery.  Both are
-    symmetric with a zero diagonal."""
+    Manhattan for double defect, route-aware for lattice surgery (``shape``
+    is then the layout's array).  Both are symmetric with a zero diagonal."""
 
     def __init__(self, shape: ArrayShape, layout: ChipLayout | None):
         self.cells = shape.cells
         self.index = {cell: k for k, cell in enumerate(self.cells)}
         if layout is not None and layout.model is ChipModel.LATTICE_SURGERY:
-            table = _ls_cell_distances(layout)
-            self.matrix = [[table[(a, b)] if a != b else 0 for b in self.cells]
-                           for a in self.cells]
+            assert (shape.rows, shape.cols) == (layout.array_r, layout.array_c)
+            self.matrix = _ls_cell_distances(layout)
         else:
             self.matrix = [[abs(a[0] - b[0]) + abs(a[1] - b[1]) for b in self.cells]
                            for a in self.cells]
@@ -385,28 +392,22 @@ def stranded_pairs(mapping: TileMapping, comm: CommGraph,
 def _ls_unroutable_pairs(assign: dict[int, Tile], comm: CommGraph,
                          layout: ChipLayout) -> list[tuple[int, int]]:
     """Comm pairs that are neither tile-adjacent nor connected through the
-    actual free fabric (gap tiles and unoccupied cells) of this assignment."""
+    actual free fabric (gap tiles and unoccupied cells) of this assignment:
+    no component of the free fabric meets the free neighbours of both."""
     rt, ct = layout.row_tracks, layout.col_tracks
-    fabric = Fabric(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
-    # free-fabric components, each labelled by its first node
-    comp: dict[int, int] = {}
-    for node, tile in enumerate(fabric.tiles):
-        if tile not in fabric.data and node not in comp:
-            comp.update(dict.fromkeys(bfs(fabric, [node])[0], node))
-
-    def touch(tile: Tile) -> set[int]:
-        return {comp[v] for v in fabric.terminals(tile)}
-
-    bad = []
-    for a, b, _w in comm.edges():
-        ta = (rt[assign[a][0]], ct[assign[a][1]])
-        tb = (rt[assign[b][0]], ct[assign[b][1]])
-        if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) == 1:
-            continue
-        if touch(ta) & touch(tb):
-            continue
-        bad.append((a, b))
-    return bad
+    cols = layout.grid_cols
+    east, south = grid_masks(layout.grid_rows, cols)
+    bit = {q: 1 << (rt[i] * cols + ct[j]) for q, (i, j) in assign.items()}
+    free = (1 << layout.grid_rows * cols) - 1 - sum(bit.values())
+    near = {q: spread(b, east, south, cols) for q, b in bit.items()}  # grid neighbours
+    comps = []  # the components of the free fabric, as masks
+    rest = free
+    while rest:
+        comps.append(flood(rest & -rest, free, east, south, cols))
+        rest &= ~comps[-1]
+    # the free fabric that each qubit's free neighbours reach
+    reach = {q: sum(comp for comp in comps if comp & n) for q, n in near.items()}
+    return [(a, b) for a, b, _w in comm.edges() if not (near[a] & bit[b] or reach[a] & near[b])]
 
 
 def repair_mapping(mapping: TileMapping, comm: CommGraph, layout: ChipLayout) -> TileMapping:

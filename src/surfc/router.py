@@ -17,12 +17,12 @@ Capacities and per-cycle usage are lists indexed by resource id, so a search
 touches no tuple keys; tiles appear only where a caller hands them in or
 gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list per
 cycle, and beside it one integer whose bit ``i`` is set while resource ``i``
-is at capacity.  It commits a route by the ids of its resources: those the
-search recorded while it built the route, when ``find_path`` found it, else
-those ``Fabric.resource_ids`` computes from its nodes (the batch router's
-routes).  Ring repair commits and rips up by the search's ids too.
-``resource_capacities`` gives the capacity of a
-tuple resource of ``RoutePath.resources`` instead; the validator replays
+is at capacity.  It commits a route by the ids of its resources that the
+search recorded while it built the route (``Fabric.routed`` keeps them for
+the routes ``find_path`` or the batch router last handed out), else by those
+``Fabric.resource_ids`` computes from its nodes.  Ring repair commits and
+rips up by the search's ids too.  ``resource_capacities`` gives the capacity
+of a tuple resource of ``RoutePath.resources`` instead; the validator replays
 schedules on those, so the referee shares no code with the fabric, and so
 does the oracle's route packing.
 
@@ -30,13 +30,11 @@ does the oracle's route packing.
 dict.  Bandwidth adjusting calls it without usage (nothing is ever full,
 ``Fabric.unlimited``): one full tree per control tile, from which it reads
 the route to each target tile, and a per-pair search only where the two
-tiles share a corner.  Lattice-surgery mapping calls it without usage too,
-for the hop distances from each cell and the components of the free fabric.
-When no start is a goal, every goal met is an end: the search returns at the
-first one it discovers, and that goal's predecessor is the one it has in the
-full tree from the same starts.  Only when a start is also a goal does a
-search keep the start each node was reached from, since a route may not end
-where it starts.
+tiles share a corner.  When no start is a goal, every goal met is an end:
+the search returns at the first one it discovers, and that goal's
+predecessor is the one it has in the full tree from the same starts.  Only
+when a start is also a goal does a search keep the start each node was
+reached from, since a route may not end where it starts.
 
 Route search (``find_path`` and ring repair) runs on the bitmask of full
 resources instead, and on terminal masks: ``Fabric.terminal_mask`` caches
@@ -64,7 +62,9 @@ then walks back, keeping ``U_k = level_k & N(U_k+1)``, the nodes of each
 level on some shortest route, from the goals hit; and then forward, from the
 lowest start in ``U_0``, taking at each step the first neighbour in
 ``adj`` order that lies in the next ``U`` over a free edge, and recording
-the segment it crosses.
+the segment it crosses.  ``spread`` is ``N``; with it, ``grid_masks`` and
+``flood``, lattice-surgery mapping finds hop distances and stranded pairs on
+the free fabric's masks, with no ``Fabric``.
 
 This is the route ``bfs`` returns.  Take the node of level ``k`` that comes
 first in BFS queue order among those adjacent to ``U_k+1`` (adjacent means
@@ -116,7 +116,6 @@ from .errors import SchedulingError
 Tile = tuple[int, int]
 Resource = tuple  # ('h', i, j) | ('v', i, j) | ('j', i, j) | ('t', r, c)
 
-_STEPS = ((-1, 0), (0, 1), (1, 0), (0, -1))  # N, E, S, W
 _NEVER_FULL = 1 << 30  # capacity of the "no segment" resource
 
 
@@ -183,38 +182,46 @@ class Fabric:
         cap.append(_NEVER_FULL)
         self.cap = cap
         self.size = size = len(cap)
-        never = size - 1
         self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
         # the usage of an uncapacitated search: nothing is ever full, not
         # even a 0-lane line; never written
         self.unlimited = [-_NEVER_FULL] * size
+        # neighbours by row and column arithmetic on node ids; a
+        # double-defect segment is named by its north or west end
+        blocked = {r * cols + c for r, c in self.data}
+        if dd:
+            h_seg, v_seg = range(nodes, 2 * nodes), range(2 * nodes, 3 * nodes)
+        else:
+            h_seg = v_seg = [size - 1] * nodes
         adj = []
-        for n, (r, c) in enumerate(tiles):
-            out = []
-            for dr, dc in _STEPS:
-                nr, nc = r + dr, c + dc
-                if not (0 <= nr < rows and 0 <= nc < cols):
-                    continue
-                if dd:
-                    m = n if dr + dc > 0 else nr * cols + nc  # the edge's north or west end
-                    seg = m + (nodes if dr == 0 else 2 * nodes)
-                elif (nr, nc) in self.data:
-                    continue
-                else:
-                    seg = never
-                out.append((nr * cols + nc, seg))
-            adj.append(tuple(out))
+        n = 0
+        for r in range(rows):
+            north, south = r > 0, r < rows - 1
+            for c in range(cols):
+                out = []
+                if north and n - cols not in blocked:
+                    out.append((n - cols, v_seg[n - cols]))
+                if c < cols - 1 and n + 1 not in blocked:
+                    out.append((n + 1, h_seg[n]))
+                if south and n + cols not in blocked:
+                    out.append((n + cols, v_seg[n]))
+                if c and n - 1 not in blocked:
+                    out.append((n - 1, h_seg[n - 1]))
+                adj.append(tuple(out))
+                n += 1
         self.adj = adj
         if dd:
             self.open = _mask(n for n in range(nodes) if cap[n] > 0)
             self.east = _mask(n for n in range(nodes) if cap[nodes + n] > 0)
             self.south = _mask(n for n in range(nodes) if cap[2 * nodes + n] > 0)
         else:
-            self.open = (1 << nodes) - 1 & ~_mask(r * cols + c for r, c in self.data)
-            self.east = int(("0" + "1" * (cols - 1)) * rows or "0", 2)  # all but the last column
-            self.south = (1 << (nodes - cols)) - 1 if nodes else 0  # all but the last row
+            self.open = (1 << nodes) - 1 & ~_mask(blocked)
+            self.east, self.south = grid_masks(rows, cols)
         self._terminals: dict[Tile, tuple[int, ...]] = {}
         self._terminal_masks: dict[Tile, int] = {}
+        # the routes of the last search (``find_path`` or a batch) with their
+        # resource ids, by ``id``; an entry holds its route, keeping the id its own
+        self.routed: dict[int, tuple[RoutePath, list[int]]] = {}
 
     def res_id(self, res: Resource) -> int:
         kind, i, j = res
@@ -276,17 +283,13 @@ class CycleOccupancy:
     for double defect, absolute tile coordinates for lattice surgery.
 
     ``busy`` maps a cycle to its set of busy tiles; the limited scheduler
-    reads it, and adds a braid's one-cycle holds to it, directly.
-    ``_found`` holds the last route ``find_path`` found here with the ids
-    of its resources, which the search derived on the way; committing that
-    route object reads them instead of deriving them again."""
+    reads it, and adds a braid's one-cycle holds to it, directly."""
 
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
         self.fabric = Fabric(layout, data_tiles)
         self._usage: dict[int, list[int]] = {}
         self._full: dict[int, int] = {}
         self.busy: dict[int, set[Tile]] = {}
-        self._found: tuple[RoutePath | None, list[int] | None] = (None, None)
 
     def usage(self, cycle: int) -> list[int]:
         """Resource use at ``cycle``, indexed by resource id; read-only."""
@@ -300,9 +303,8 @@ class CycleOccupancy:
     def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
         fabric = self.fabric
         cap = fabric.cap
-        found, ids = self._found
-        if found is not path:
-            ids = fabric.resource_ids(path)
+        held = fabric.routed.get(id(path))
+        ids = fabric.resource_ids(path) if held is None else held[1]
         for t in range(cycle, cycle + duration):
             usage = self._usage.get(t)
             if usage is None:
@@ -356,6 +358,30 @@ def _mask(ids) -> int:
 def _bits(mask: int) -> list[int]:
     """Ascending ids of the set bits of ``mask``."""
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
+def grid_masks(rows: int, cols: int) -> tuple[int, int]:
+    """``(east, south)`` of a ``rows x cols`` grid of row-major node ids:
+    all nodes but the last column's, and all but the last row's."""
+    return (int(("0" + "1" * (cols - 1)) * rows or "0", 2),
+            (1 << (rows * cols - cols)) - 1 if rows else 0)
+
+
+def spread(mask: int, east: int, south: int, cols: int) -> int:
+    """``N(mask)``: the nodes one step from those of ``mask``, each way over
+    the edges that ``east`` and ``south`` allow."""
+    return (((mask & east) << 1) | ((mask >> 1) & east)
+            | ((mask & south) << cols) | ((mask >> cols) & south))
+
+
+def flood(seed: int, free: int, east: int, south: int, cols: int) -> int:
+    """The nodes of ``free`` that the nodes of ``seed``, all in ``free``,
+    reach through ``free``."""
+    region = frontier = seed
+    while frontier:
+        frontier = spread(frontier, east, south, cols) & free & ~region
+        region |= frontier
+    return region
 
 
 def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
@@ -543,8 +569,7 @@ def _saturated_frontier(fabric: Fabric, full: int, src: Tile, region: int) -> in
     full_south = full >> 2 * nodes & fabric.south
     east = fabric.east & ~full_east
     south = fabric.south & ~full_south
-    beyond = (((region & east) << 1) | ((region >> 1) & east)
-              | ((region & south) << cols) | ((region >> cols) & south))
+    beyond = spread(region, east, south, cols)
     return ((fabric.terminal_mask(src) | beyond) & full
             | ((region | region >> 1) & full_east) << nodes
             | ((region | region >> cols) & full_south) << 2 * nodes)
@@ -565,18 +590,18 @@ def find_path(
         full |= occupancy.full(t)
     path, ids, _ = _bfs_route(occupancy.fabric, full, tile_a, tile_b, region=False)
     if path is not None:
-        occupancy._found = path, ids
+        occupancy.fabric.routed = {id(path): (path, ids)}
     return path
 
 
 def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
-                 order: list[int]) -> list[RoutePath] | None:
+                 order: list[int]) -> list[tuple[RoutePath, list[int]]] | None:
     """Greedy routing in ``order`` with targeted rip-up: when a gate is
     walled off by a ring of saturated channels, evict the committed paths
     sitting on that ring and let the blocked gate route first.  With no
     rip-up this is plain greedy routing.  Returns the routes in batch order,
-    or None when a ring holds no committed path or the rip-ups exceed four
-    per gate."""
+    each with the ids of its resources, or None when a ring holds no
+    committed path or the rip-ups exceed four per gate."""
     cap = fabric.cap
     paths: dict[int, tuple[RoutePath, list[int]]] = {}  # each with its resource ids
     usage = [0] * fabric.size
@@ -606,7 +631,7 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
             usage[res] += 1
             if usage[res] >= cap[res]:
                 full |= 1 << res
-    return [paths[i][0] for i in range(len(tile_pairs))]
+    return [paths[i] for i in range(len(tile_pairs))]
 
 
 def route_batch_guaranteed(
@@ -623,7 +648,8 @@ def route_batch_guaranteed(
     Under the precondition this never fails; a SchedulingError here indicates a
     violated precondition (or a routing bug, which the property suite hunts).
     ``fabric``, when given, is ``Fabric(layout, data_tiles)`` built once by
-    the caller for many batches.
+    the caller for many batches; its ``routed`` then holds the routes
+    returned, with their resource ids, for the commits.
     """
     if len(tile_pairs) > max(layout.capacity, 0):
         raise SchedulingError(
@@ -640,22 +666,22 @@ def route_batch_guaranteed(
     if fabric is None:
         fabric = Fabric(layout, data_tiles or frozenset())
     order = list(range(len(tile_pairs)))
-    paths = _ring_repair(fabric, tile_pairs, order)
-    if paths is not None:
-        return paths
-    rng = random.Random(0xC0FFEE + 31 * len(tile_pairs))
-    for _ in range(160):
-        rng.shuffle(order)
-        # the copy shares the terminal cache and the masks: none of them
-        # depends on the neighbour order
-        shuffled = copy.copy(fabric)
-        shuffled.adj = [tuple(rng.sample(nbrs, len(nbrs))) for nbrs in fabric.adj]
-        paths = _ring_repair(shuffled, tile_pairs, order)
-        if paths is not None:
-            return paths
-    raise SchedulingError(
-        "guaranteed batch routing failed; capacity precondition violated?"
-    )
+    routed = _ring_repair(fabric, tile_pairs, order)
+    if routed is None:
+        rng = random.Random(0xC0FFEE + 31 * len(tile_pairs))
+        for _ in range(160):
+            rng.shuffle(order)
+            # the copy shares the terminal cache and the masks: none of them
+            # depends on the neighbour order
+            shuffled = copy.copy(fabric)
+            shuffled.adj = [tuple(rng.sample(nbrs, len(nbrs))) for nbrs in fabric.adj]
+            routed = _ring_repair(shuffled, tile_pairs, order)
+            if routed is not None:
+                break
+        else:
+            raise SchedulingError("guaranteed batch routing failed; capacity precondition violated?")
+    fabric.routed = {id(p): (p, ids) for p, ids in routed}
+    return [p for p, _ in routed]
 
 
 def render_cycle(layout: ChipLayout, paths: list[RoutePath], labels: list[str] | None = None) -> str:

@@ -402,13 +402,11 @@ def schedule_sufficient(
     data = mapping.data_tiles(layout)
     occ = CycleOccupancy(layout, data)
     cycles: list[list[Action]] = []
+    op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
+    gate_tiles = [(op_tile[g.control], op_tile[g.target]) for g in circuit.gates]
 
     def batch(layer_gates, t: int, kind: ActionKind):
-        pairs = [
-            (mapping.abs_tile(layout, circuit.gates[gid].control),
-             mapping.abs_tile(layout, circuit.gates[gid].target))
-            for gid in layer_gates
-        ]
+        pairs = [gate_tiles[gid] for gid in layer_gates]
         paths = route_batch_guaranteed(layout, pairs, data, fabric=occ.fabric)
         acts = []
         for gid, path, (ta, tb) in zip(layer_gates, paths, pairs):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from surfc import harness, scheduler
+from surfc import harness, router, scheduler
 from surfc.chip import ChipModel, ChipSpec, config_dims, derive_layout
 from surfc.errors import InfeasibleError, SurfcError
 from surfc.harness import (
@@ -91,6 +91,29 @@ class TestPlace:
         with pytest.raises(InfeasibleError, match=r"strands 1 interacting pair\(s\)"
                                                   r".*qubits 1 and 8"):
             run_full(config)
+
+
+class TestOneFabric:
+    """A lattice-surgery compile builds one ``Fabric``, the scheduler's:
+    mapping, repair and the stranded-pair check read the free fabric from
+    bitmasks."""
+
+    @pytest.mark.parametrize("config", [
+        RunConfig(random_params=(16, 10, 4), model=LS, chip="sufficient", d=3, seed=2,
+                  scheduler="resu", mapping="snake"),
+        RunConfig(random_params=(16, 10, 3), model=LS, chip="4x", d=3, seed=2, trials=2),
+    ], ids=["resu-snake", "ecmas"])
+    def test_one_fabric_per_compile(self, monkeypatch, config):
+        built = []
+        init = router.Fabric.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(router.Fabric, "__init__", counted)
+        run_full(config)
+        assert len(built) == 1
 
 
 class TestTracedStages:

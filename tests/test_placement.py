@@ -21,6 +21,8 @@ from surfc.chip import (
 from surfc.circuits import CommGraph, build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
+from surfc import placement
+from surfc.profiler import para_finding
 from surfc.router import Fabric, bfs, trace_back
 from surfc.placement import (
     ArrayShape,
@@ -28,6 +30,8 @@ from surfc.placement import (
     TileMapping,
     _cost,
     _CostModel,
+    _ls_cell_distances,
+    _ls_unroutable_pairs,
     _swap_descent,
     adjust_bandwidth,
     baseline_cuts,
@@ -35,6 +39,8 @@ from surfc.placement import (
     establish_mapping,
     init_cut_types,
     mapping_cost,
+    repair_mapping,
+    stranded_pairs,
 )
 
 DD = ChipModel.DOUBLE_DEFECT
@@ -632,3 +638,121 @@ class TestAdjustBandwidthAgainstPerGateTally:
     def test_same_layout(self, inst):
         layout, mapping, circ = inst
         assert adjust_bandwidth(layout, mapping, circ) == _per_gate_adjust(layout, mapping, circ)
+
+
+def _reference_ls_cell_distances(layout):
+    """Route-aware cell distances from one dict ``bfs`` per cell on a
+    ``Fabric`` whose data tiles are all the array cells."""
+    rt, ct = layout.row_tracks, layout.col_tracks
+    cell_tiles = {(i, j): (rt[i], ct[j])
+                  for i in range(layout.array_r) for j in range(layout.array_c)}
+    fabric = Fabric(layout, frozenset(cell_tiles.values()))
+    penalty = 8 * (layout.grid_rows + layout.grid_cols)
+    dist = {}
+    cells = sorted(cell_tiles)
+    for idx, cell in enumerate(cells):
+        src = cell_tiles[cell]
+        hops = {}
+        for t, back in bfs(fabric, fabric.terminals(src))[0].items():
+            hops[t] = 1 if back is None else hops[back] + 1
+        for other in cells[idx + 1:]:
+            dst = cell_tiles[other]
+            manhattan = abs(src[0] - dst[0]) + abs(src[1] - dst[1])
+            if manhattan == 1:
+                d = 1
+            else:
+                best = min((hops[nb] for nb in fabric.terminals(dst) if nb in hops), default=None)
+                d = penalty + manhattan if best is None else best + 1
+            dist[(cell, other)] = dist[(other, cell)] = d
+    return dist
+
+
+def _reference_ls_unroutable_pairs(assign, comm, layout):
+    """Stranded pairs from free-fabric components labelled by dict ``bfs``
+    on a ``Fabric`` of this assignment's data tiles."""
+    rt, ct = layout.row_tracks, layout.col_tracks
+    fabric = Fabric(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
+    comp = {}
+    for node, tile in enumerate(fabric.tiles):
+        if tile not in fabric.data and node not in comp:
+            comp.update(dict.fromkeys(bfs(fabric, [node])[0], node))
+
+    def touch(tile):
+        return {comp[v] for v in fabric.terminals(tile)}
+
+    bad = []
+    for a, b, _w in comm.edges():
+        ta = (rt[assign[a][0]], ct[assign[a][1]])
+        tb = (rt[assign[b][0]], ct[assign[b][1]])
+        if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) != 1 and not touch(ta) & touch(tb):
+            bad.append((a, b))
+    return bad
+
+
+# (n, depth, par, chip, d, circuit seeds): LS ``min`` chips at n=10..12, whose
+# 4x4 grids strand pairs on most seeds, then ``4x``, ``sufficient`` and
+# explicit chips
+_LS_CASES = [
+    (10, 10, 2, "min", 3, range(4)),
+    (11, 10, 2, "min", 3, range(4)),
+    (12, 10, 2, "min", 3, range(12)),
+    (9, 12, 3, "4x", 3, range(2)),
+    (16, 10, 4, "sufficient", 3, range(2)),
+    (25, 8, 6, "sufficient", 2, range(1)),
+    (16, 10, 2, "15x15", 2, range(3)),
+    (12, 10, 3, "40x55", 3, range(2)),
+]
+
+
+def _ls_layouts():
+    """``(layout, comm, seed)`` of every ``_LS_CASES`` circuit."""
+    for n, depth, par, chip, d, seeds in _LS_CASES:
+        for seed in seeds:
+            circ = gen_random_circuit(n, depth, par, seed)
+            pm = para_finding(build_dag(circ)).pm
+            m1, m2 = config_dims(chip, n, d, LS, pm=pm)
+            yield derive_layout(ChipSpec(LS, m1, m2, d), n), build_comm_graph(circ), seed
+
+
+class TestLsMaskAnswers:
+    """The level-set answers of lattice-surgery mapping against the dict
+    ``bfs`` on a ``Fabric`` that they replace: cell distances, stranded
+    pairs, and ``repair_mapping`` through them."""
+
+    def test_cell_distances(self):
+        penalties = 0
+        layouts = {(lay.grid_rows, lay.grid_cols, lay.row_tracks, lay.col_tracks): lay
+                   for lay, _comm, _seed in _ls_layouts()}
+        for layout in layouts.values():
+            ref = _reference_ls_cell_distances(layout)
+            ours = _ls_cell_distances(layout)
+            cells = ArrayShape(layout.array_r, layout.array_c).cells
+            for i, a in enumerate(cells):
+                assert ours[i] == [ref[(a, b)] if a != b else 0 for b in cells]
+            penalties += sum(d > 8 * (layout.grid_rows + layout.grid_cols) for d in ref.values())
+        assert len(layouts) >= 6 and penalties > 0
+
+    def test_stranded_pairs(self):
+        stranded = checked = 0
+        for layout, comm, seed in _ls_layouts():
+            shape = ArrayShape(layout.array_r, layout.array_c)
+            mappings = [baseline_mapping(kind, comm.n, shape, seed=seed)
+                        for kind in ("snake", "random")]
+            mappings.append(establish_mapping(comm, shape, trials=2, seed=seed, layout=layout))
+            for mapping in mappings:
+                ref = _reference_ls_unroutable_pairs(mapping.positions, comm, layout)
+                assert _ls_unroutable_pairs(mapping.positions, comm, layout) == ref
+                assert stranded_pairs(mapping, comm, layout) == ref
+                stranded += bool(ref)
+                checked += 1
+        assert checked > stranded > 10
+
+    def test_repair_mapping(self, monkeypatch):
+        cases = [(layout, comm, establish_mapping(comm, ArrayShape(layout.array_r, layout.array_c),
+                                                  trials=2, seed=seed, layout=layout))
+                 for layout, comm, seed in _ls_layouts() if layout.grid_rows <= 5]
+        ours = [repair_mapping(m, comm, layout) for layout, comm, m in cases]
+        monkeypatch.setattr(placement, "_ls_unroutable_pairs", _reference_ls_unroutable_pairs)
+        ref = [repair_mapping(m, comm, layout) for layout, comm, m in cases]
+        assert ours == ref
+        assert sum(a != m for a, (_l, _c, m) in zip(ours, cases)) > 0

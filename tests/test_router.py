@@ -212,6 +212,113 @@ class TestResourceIds:
             occ.commit_route(path, 0)
 
 
+def _reference_graph(layout, data):
+    """``(adj, cap, open, east, south, terminals)`` of ``Fabric(layout,
+    data)`` built step by step from tile coordinates, with a tuple test
+    against the data tiles per step; ``terminals`` maps every tile a route
+    may attach to (array cells for double defect, grid tiles for lattice
+    surgery) to its terminal ids."""
+    dd = layout.model is DD
+    data = frozenset() if dd else data
+    rows, cols = ((layout.array_r + 1, layout.array_c + 1) if dd
+                  else (layout.grid_rows, layout.grid_cols))
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    nodes = rows * cols
+    bw_h, bw_v = layout.bw_h, layout.bw_v
+    if dd:
+        cap = [max(bw_h[i], bw_v[j]) for i, j in tiles]
+        cap += [bw_h[i] if j < cols - 1 else 0 for i, j in tiles]
+        cap += [bw_v[j] if i < rows - 1 else 0 for i, j in tiles]
+    else:
+        cap = [1] * nodes
+    cap.append(1 << 30)
+    adj = []
+    for n, (r, c) in enumerate(tiles):
+        out = []
+        for dr, dc in ((-1, 0), (0, 1), (1, 0), (0, -1)):
+            nr, nc = r + dr, c + dc
+            if not (0 <= nr < rows and 0 <= nc < cols) or (nr, nc) in data:
+                continue
+            if dd:
+                end = n if dr + dc > 0 else nr * cols + nc  # the north or west end
+                out.append((nr * cols + nc, end + (nodes if dr == 0 else 2 * nodes)))
+            else:
+                out.append((nr * cols + nc, len(cap) - 1))
+        adj.append(tuple(out))
+    free = sum(1 << n for n in range(nodes) if cap[n] > 0 and tiles[n] not in data)
+    east = sum(1 << n for n in range(nodes) if n % cols < cols - 1 and (not dd or cap[nodes + n] > 0))
+    south = sum(1 << n for n in range(nodes - cols) if not dd or cap[2 * nodes + n] > 0)
+    if dd:
+        terminals = {(r, c): (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+                     for r in range(rows - 1) for c in range(cols - 1)}
+    else:
+        terminals = {t: tuple(sorted(m for m, _ in adj[n])) for n, t in enumerate(tiles)}
+    return adj, cap, free, east, south, terminals
+
+
+class TestFabricBuild:
+    """``Fabric`` built by row and column arithmetic on node ids is the
+    fabric of the step-by-step build, field by field, on both models."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        rng = random.Random(seed)
+        model = rng.choice((DD, LS))
+        if rng.random() < 0.5:
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            layout = (uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3)) if model is DD
+                      else uniform_ls_layout(rows, cols, gap=rng.randint(0, 2)))
+        else:
+            n, d = rng.randint(1, 30), rng.choice((2, 3))
+            m1, m2 = config_dims(rng.choice(("min", "4x", "sufficient")), n, d, model,
+                                 pm=rng.randint(1, max(1, n // 2)))
+            layout = derive_layout(ChipSpec(model, m1, m2 + rng.choice((0, 7, 15)), d), n)
+        cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+        data = frozenset(rng.sample(cells, rng.choice((0, len(cells), rng.randint(0, len(cells))))))
+        fabric = Fabric(layout, data)
+        adj, cap, free, east, south, terminals = _reference_graph(layout, data)
+        assert fabric.adj == adj and fabric.cap == cap
+        assert (fabric.open, fabric.east, fabric.south) == (free, east, south)
+        for tile, ids in terminals.items():
+            assert fabric.terminals(tile) == ids
+            assert fabric.terminal_mask(tile) == router._mask(ids)
+
+
+class TestBatchCommitIds:
+    """The batch router leaves on its fabric the ids its search recorded for
+    each route it returns; commits read them, and book what commits of the
+    ids derived from the route's nodes book."""
+
+    def _batches(self):
+        yield from itertools.islice(_ls_sweep_batches(), 300)
+        rng = random.Random(77)
+        for _ in range(150):
+            g = rng.randint(3, 6)
+            bandwidth = rng.randint(1, 3)
+            tiles = rng.sample([(r, c) for r in range(g) for c in range(g)], 2 * chip_capacity(bandwidth))
+            yield uniform_dd_layout(g, g, bandwidth), frozenset(), list(zip(tiles[::2], tiles[1::2]))
+        # ring repair fails on this batch in every order; a restart routes it
+        yield uniform_dd_layout(3, 3, 1), frozenset(), [((2, 1), (0, 2)), ((0, 1), (2, 2)), ((1, 2), (1, 1))]
+
+    def test_commits_by_the_search_ids(self, ring_repairs):
+        batches = 0
+        for layout, data, pairs in self._batches():
+            batches += 1
+            occ, ref = CycleOccupancy(layout, data), CycleOccupancy(layout, data)
+            fabric = occ.fabric
+            paths = route_batch_guaranteed(layout, pairs, data, fabric=fabric)
+            assert len(fabric.routed) == len(paths)
+            for path in paths:
+                held, ids = fabric.routed[id(path)]
+                assert held is path and ids == [fabric.res_id(r) for r in path.resources()]
+                occ.commit_route(path, 0)
+                ref.commit_route(path, 0)  # ``ref.fabric`` holds no ids: derived from the nodes
+            assert not ref.fabric.routed
+            assert occ.usage(0) == ref.usage(0) and occ.full(0) == ref.full(0)
+        assert len(ring_repairs) > batches  # restarts included
+
+
 @pytest.fixture
 def ring_repairs(monkeypatch):
     """Records each ``_ring_repair`` call: one per batch, plus one per restart."""
@@ -635,7 +742,7 @@ def _mask_queries(seed: int) -> Counter:
         path = find_path(occ, cycle, a, b, duration)
         assert path == route
         if path is not None:
-            found, ids = occ._found
+            found, ids = occ.fabric.routed[id(path)]
             assert found is path and ids == [fabric.res_id(r) for r in path.resources()]
             if rng.random() < 0.7:
                 occ.commit_route(path, cycle, duration)
