@@ -5,9 +5,10 @@ Supported subset: one ``qreg``, optional ``creg``/``barrier``/``measure``/
 statements, and ``gate`` definitions whose bodies are inlined when applied so
 that nested ``cx`` gates are recovered.  As in OpenQASM 2, a body applies only
 gates defined before its own gate: one that applies its own gate, or a gate
-defined after it on two or more operands, is a parse error.  ``include``
-lines are tolerated and skipped; included files are never read.  Anything
-else is a parse error with a line number.
+defined after it on two or more operands, is a parse error, and so is a
+second definition of a name.  ``include`` lines are tolerated and skipped;
+included files are never read.  Anything else is a parse error with a line
+number.
 
 A top-level ``cx``/``CX`` between two indexed qubits of the declared register,
 both in range and distinct, takes a direct path: one regex match, no operand
@@ -79,7 +80,7 @@ class _Parser:
     def __init__(self):
         self.reg: str | None = None
         self.n = 0
-        self.defs: dict[str, list[_GateDef]] = {}  # every definition of a name, in order
+        self.defs: dict[str, _GateDef] = {}
         self.n_defs = 0
         self.pairs: list[tuple[int, int]] = []
 
@@ -115,8 +116,9 @@ class _Parser:
             raise QasmError(f"gate {name} body never closed", line)
         plist = [p.strip() for p in params[1:-1].split(",")] if params else []
         alist = [a.strip() for a in args.split(",") if a.strip()]
-        gdef = _GateDef(name, [p for p in plist if p], alist, body, self.n_defs)
-        self.defs.setdefault(name, []).append(gdef)
+        if name in self.defs:
+            raise QasmError(f"gate {name} is already defined", line)
+        self.defs[name] = _GateDef(name, [p for p in plist if p], alist, body, self.n_defs)
         self.n_defs += 1
 
     def _top_statement(self, line: int, stmt: str) -> None:
@@ -158,11 +160,9 @@ class _Parser:
                 raise CircuitError(f"line {line}: cx with equal operands q[{c}]")
             self.pairs.append((c, t))
             return
-        # the latest definition of ``name``; in the body of ``within``, the
-        # latest made before it
-        before = self.n_defs if within is None else within.seq
-        gdef = next((d for d in reversed(self.defs.get(name, ())) if d.seq < before), None)
-        if gdef is not None:
+        # in the body of ``within``, only a definition made before it
+        gdef = self.defs.get(name)
+        if gdef is not None and (within is None or gdef.seq < within.seq):
             if len(operands) != len(gdef.args):
                 raise QasmError(
                     f"gate {name} expects {len(gdef.args)} operands, got {len(operands)}", line

@@ -44,54 +44,57 @@ and two tiles share a free terminal when ``starts & goals`` is not 0.
 Where ``bfs`` takes the first start of a list, the search takes the lowest
 set bit of a mask: the same node, because ``Fabric.terminals`` is ascending
 on every tile of both models.  So the lattice-surgery single-tile route is
-the lowest bit of ``starts & goals``.  Two exits need no search, and both
-return what the search would: a query with no free start misses with an
-empty region, and ``find_path``, which needs no region, misses at once when
-no goal is free (lattice-surgery adjacent pairs, routed empty, come first).
-Ring repair searches on in that case, because it reads the ring from the
-region.  When its starts and goals are disjoint, which is every
+the lowest bit of ``starts & goals``.  A query with no free start misses
+at once, with an empty region (lattice-surgery adjacent pairs, routed
+empty, come first).  When starts and goals are disjoint, which is every
 lattice-surgery search past the adjacent and single-tile checks and every
 double-defect one whose tiles share no corner, ``_level_route`` searches one
 whole BFS level at a time, as Lee's maze router does (Lee, 1961), with each
 level held as one integer over node ids, as in bitmap-frontier BFS (Beamer,
-Asanovic and Patterson, 2012).  The next level is ``N(level) & free &
-~seen``, where ``N`` shifts a mask one step each way, guarded by the
-``east`` and ``south`` masks so that no shift wraps from the end of a row
-into the next; the search stops at the first level that meets a goal.  It
-then walks back, keeping ``U_k = level_k & N(U_k+1)``, the nodes of each
-level on some shortest route, from the goals hit; and then forward, from the
-lowest start in ``U_0``, taking at each step the first neighbour in
-``adj`` order that lies in the next ``U`` over a free edge, and recording
-the segment it crosses.  ``spread`` is ``N``; with it, ``grid_masks`` and
-``flood``, lattice-surgery mapping finds hop distances and stranded pairs on
-the free fabric's masks, with no ``Fabric``.
+Asanovic and Patterson, 2012).  It sweeps from the goals: level 0 is
+``goals & free``, and the next level is ``N(level) & free & ~seen``, where
+``N`` shifts a mask one step each way, guarded by the ``east`` and ``south``
+masks so that no shift wraps from the end of a row into the next.  The sweep
+stops at the first level, ``L``, that meets a start.  Then one walk goes
+forward from the lowest start met, at each step to the first neighbour in
+``adj`` order in the next level down over a free edge, and records the
+segment it crosses; a segment of capacity 0 is never set in ``full``, so
+the walk reads the capacity too.  ``spread`` is ``N``; with it,
+``grid_masks`` and ``flood``, lattice-surgery mapping finds hop distances
+and stranded pairs on the free fabric's masks, with no ``Fabric``.
 
-This is the route ``bfs`` returns.  Take the node of level ``k`` that comes
-first in BFS queue order among those adjacent to ``U_k+1`` (adjacent means
-over a free edge throughout).  No node queued before it is adjacent to
-``U_k+1``: not of level ``k``, by its choice, and not of an earlier level,
-which would have put that neighbour in a level before ``k+1``.  So it
-discovers every one of its ``U_k+1`` neighbours, in ``adj`` order, and they
-come first in the queue order of ``U_k+1``.  By induction
-from the starts, the forward walk visits the first node of each ``U`` in
-queue order, each discovered by the one before; the last is the first goal
-``bfs`` meets, and the walk is its parent chain.  The argument holds for any
-neighbour order, so the shuffled ``adj`` of a restart is served too.  On a
-miss the search returns the region ``bfs`` reaches, as a mask, and
-``_saturated_frontier`` reads the ring behind it from that mask with the
-same shifts: the full segments that leave it and the full nodes beyond its
-free edges.  Double-defect tiles that share a corner keep ``bfs``'s rooted
-loop: there a start that is also a goal is an end only when met from
-another start, which whole levels cannot tell.  Nearly every such query
-ends one hop from a start, and that answer is read on the masks first.
-The rooted loop takes its starts off the queue first, in ascending order,
-tries each start's neighbours in ``adj`` order, and accepts a free goal
-over a free segment before it looks at ``parent``; so the first start, in
-ascending order, with a free goal one free segment away, and its first
-such neighbour in ``adj`` order, give the route it returns, ``[start,
-goal]`` with the ids ``[start, goal, segment]``.  A segment of capacity 0
-is never set in ``full``, so the check reads the capacity as well.  Only
-when no start has a goal one hop away does the rooted loop run.
+This is the route ``bfs`` returns.  Let ``F_k`` be the nodes ``k`` free
+hops from the nearest start (the levels of ``bfs``), ``B_j`` those ``j``
+from the nearest goal (the sweep's).  No start is nearer a goal than ``L``,
+so the nodes at step ``k`` of a shortest route are ``U_k = F_k & B_L-k``.  A
+node of ``B_L-k-1`` next to one of ``U_k`` over a free edge is at most
+``k+1`` hops from a start, and at least ``k+1`` as no route is shorter than
+``L``: the walk's choices are the ``U_k+1`` neighbours of its node.  No node
+that ``bfs`` queues before the first node of ``U_k`` is adjacent to
+``U_k+1``: not of level ``k``, whose such nodes are all in ``U_k``, and not
+of an earlier level, which would have put that neighbour in a level before
+``k+1``.  So the first node of ``U_k`` discovers every one of its ``U_k+1``
+neighbours, in ``adj`` order, and they come first in the queue order of
+``U_k+1``.  ``bfs`` queues the starts in ascending order, so by induction
+the walk visits the first node of each ``U`` in queue order, each
+discovered by the one before; the last is the first goal ``bfs`` meets, and
+the walk is its parent chain, for any neighbour order (a restart shuffles
+``adj``).  A miss returns no region, and ``find_path`` needs none.  Ring
+repair's query floods from the starts over the free nodes and edges: with no
+goal met, that is the region ``bfs`` reaches.  ``_saturated_frontier`` reads
+the ring behind it from that mask with the same shifts: the full segments
+that leave it and the full nodes beyond its free edges.  Double-defect tiles
+that share a corner keep ``bfs``'s rooted loop: there a start that is also a
+goal is an end only when met from another start, which whole levels cannot
+tell.  Nearly every such query ends one hop from a start, and that answer is
+read on the masks first.  The rooted loop takes its starts off the queue
+first, in ascending order, tries each start's neighbours in ``adj`` order,
+and accepts a free goal over a free segment before it looks at ``parent``;
+so the first start, in ascending order, with a free goal one free segment
+away, and its first such neighbour in ``adj`` order, give the route it
+returns, ``[start, goal]`` with the ids ``[start, goal, segment]``; the
+check reads the capacity, as the walk does.  Only when no start has a goal
+one hop away does the rooted loop run.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
@@ -434,54 +437,40 @@ def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
 
 
 def _level_route(fabric: Fabric, full: int, starts: int, goals: int
-                 ) -> tuple[list[int] | None, list[int] | None, int]:
+                 ) -> tuple[list[int], list[int]] | None:
     """The route ``bfs`` finds from the nodes of the bitmask ``starts``, in
     ascending order, to those of ``goals``, with the resources of the
-    bitmask ``full`` as walls, searched one whole BFS level at a time (see
-    the module docstring).  ``starts`` must be free and disjoint from
-    ``goals``.  Returns ``(path, segments, region)``: the node ids from a
-    start to the goal and the ids of the segments between them, or None and
-    None on a miss; and on a miss the bitmask of the nodes ``bfs`` reaches,
-    else 0."""
-    nodes, cols, adj = fabric.nodes, fabric.cols, fabric.adj
-    east = fabric.east & ~(full >> nodes)
-    south = fabric.south & ~(full >> 2 * nodes)
+    bitmask ``full`` as walls, searched one whole BFS level at a time from
+    the goals (see the module docstring).  ``starts`` must be free and
+    disjoint from ``goals``.  Returns ``(path, segments)``: the node ids from
+    a start to the goal and the ids of the segments between them; None on a
+    miss."""
+    cols, adj, cap = fabric.cols, fabric.adj, fabric.cap
+    east = fabric.east & ~(full >> fabric.nodes)
+    south = fabric.south & ~(full >> 2 * fabric.nodes)
     free = fabric.open & ~full
-    frontier = starts
-    unseen = free & ~frontier
-    goal = goals & unseen
-    levels = [frontier]
-    while True:
-        frontier = (((frontier & east) << 1) | ((frontier >> 1) & east)
-                    | ((frontier & south) << cols) | ((frontier >> cols) & south)) & unseen
-        if not frontier:
-            return None, None, free & ~unseen
-        hit = frontier & goal
-        if hit:
-            break
-        unseen ^= frontier
-        levels.append(frontier)
-    # back from the goals hit: the nodes of each level on a shortest route
-    on_route = [hit]
-    for level in reversed(levels):
-        hit = (((hit & east) << 1) | ((hit >> 1) & east)
-               | ((hit & south) << cols) | ((hit >> cols) & south)) & level
-        on_route.append(hit)
-    on_route.reverse()
-    # forward in BFS discovery order: the lowest start on a shortest route,
-    # then at each step the first neighbour on one over a free edge
-    first = on_route[0]
-    node = (first & -first).bit_length() - 1
+    level = goals & free
+    unseen = free ^ level
+    levels = []
+    while not level & starts:
+        if not level:
+            return None
+        levels.append(level)
+        level = (((level & east) << 1) | ((level >> 1) & east)
+                 | ((level & south) << cols) | ((level >> cols) & south)) & unseen
+        unseen ^= level
+    met = level & starts  # then forward, one level nearer the goals each step
+    node = (met & -met).bit_length() - 1
     path = [node]
     segments = []
-    for step in on_route[1:]:
+    for level in reversed(levels):
         for nxt, seg in adj[node]:
-            if step >> nxt & 1 and not full >> seg & 1:
+            if level >> nxt & 1 and cap[seg] and not full >> seg & 1:
                 break
         node = nxt
         path.append(node)
         segments.append(seg)
-    return path, segments, 0
+    return path, segments
 
 
 def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:
@@ -505,15 +494,13 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
     ``resources()`` in that order, or None and None on a miss; and on a
     miss the bitmask of the nodes the search reached, else 0.  A miss with
     no free source reaches nothing.  With ``region`` False the caller needs
-    no region, and a query with no free goal misses without a search."""
+    no region, and a miss of the level search returns 0 without a flood."""
     model = fabric.model
     ls = model is ChipModel.LATTICE_SURGERY
     if ls and _adjacent(src, dst):
         return RoutePath(model, ()), [], 0
     free = fabric.open & ~full
     goals = fabric.terminal_mask(dst) & free
-    if not goals and not region:
-        return None, None, 0
     starts = fabric.terminal_mask(src) & free
     if not starts:
         return None, None, 0
@@ -545,9 +532,14 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
             return None, None, _mask(parent)
         route = fabric.route(trace_back(parent, end))
         return route, fabric.resource_ids(route), 0
-    path, segments, reached = _level_route(fabric, full, starts, goals)
-    if path is None:
-        return None, None, reached
+    found = _level_route(fabric, full, starts, goals)
+    if found is None:
+        if not region:
+            return None, None, 0
+        n = fabric.nodes
+        east, south = fabric.east & ~(full >> n), fabric.south & ~(full >> 2 * n)
+        return None, None, flood(starts, free, east, south, fabric.cols)
+    path, segments = found
     route = fabric.route(path)
     if not ls:
         path += segments

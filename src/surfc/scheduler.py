@@ -720,10 +720,14 @@ def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:
             if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) != 1:
                 v.append(f"gate {action.gate}: empty route between non-adjacent tiles")
             return
-        chain = [ta, *nodes, tb]
-        for x, y in zip(chain, chain[1:]):
-            if abs(x[0] - y[0]) + abs(x[1] - y[1]) != 1:
-                v.append(f"gate {action.gate}: route chain broken between {x} and {y}")
+        x0, x1 = ta
+        for y0, y1 in nodes:
+            if abs(x0 - y0) + abs(x1 - y1) != 1:
+                v.append(f"gate {action.gate}: route chain broken between "
+                         f"{(x0, x1)} and {(y0, y1)}")
+            x0, x1 = y0, y1
+        if abs(x0 - tb[0]) + abs(x1 - tb[1]) != 1:
+            v.append(f"gate {action.gate}: route chain broken between {(x0, x1)} and {tb}")
         return
     if len(nodes) < 2:
         v.append(f"gate {action.gate}: corridor route must hold at least one segment")

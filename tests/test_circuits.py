@@ -112,10 +112,20 @@ class TestParseQasm:
     def test_body_sees_the_definitions_before_its_gate(self):
         lines = ["qreg q[2];", "gate g0 a, b { cx a, b; }"]
         lines += [f"gate g{i} a, b {{ g{i - 1} b, a; }}" for i in range(1, 600)]
-        lines += ["g599 q[0], q[1];", "gate g0 a, b { cx b, a; }", "g1 q[0], q[1];"]
-        # 599 operand swaps; then g1 still applies the g0 it was defined
-        # over, not the one redefined after it
+        lines += ["g599 q[0], q[1];", "g1 q[0], q[1];"]
+        # 599 operand swaps, then 1
         assert [g.qubits for g in parse_qasm("\n".join(lines)).gates] == [(1, 0), (1, 0)]
+        # a name defined again, after its use, is an error on its own line
+        lines.insert(-1, "gate g0 a, b { cx b, a; }")
+        with pytest.raises(QasmError, match="gate g0 is already defined") as err:
+            parse_qasm("\n".join(lines))
+        assert err.value.line == 603
+
+    def test_second_definition_rejected(self):
+        prog = "qreg q[2];\ngate g a,b { cx a,b; } gate g a,b { cx b,a; } g q[0],q[1];\n"
+        with pytest.raises(QasmError, match="line 2: gate g is already defined") as err:
+            parse_qasm(prog)
+        assert err.value.line == 2
 
 
 class _GeneralParser(qasm._Parser):

@@ -507,18 +507,24 @@ def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
 
 def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
     """Asserts that ``_level_route`` on the masks of free ``starts`` and of
-    ``goals`` disjoint from them returns the path and the region of plain
-    ``bfs`` from ``starts`` in ascending order, and the segments on that
-    path."""
-    path, segments, region = router._level_route(
-        fabric, _full_mask(fabric, usage), router._mask(starts), router._mask(goals))
+    ``goals`` disjoint from them returns the path of plain ``bfs`` from
+    ``starts`` in ascending order, and the segments on that path; and on a
+    miss None, where ``flood`` from the starts over the free-edge masks, as
+    ``_bfs_route`` calls it, gives the region ``bfs`` reaches."""
+    full = _full_mask(fabric, usage)
+    found = router._level_route(fabric, full, router._mask(starts), router._mask(goals))
     parent, end = bfs(fabric, sorted(starts), usage, goals)
     if end is None:
-        assert path is None is segments and region == sum(1 << n for n in parent)
-    else:
-        assert path == list(trace_back(parent, end)) and region == 0
-        assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
-                            for n, nxt in zip(path, path[1:])]
+        nodes = fabric.nodes
+        region = router.flood(router._mask(starts), fabric.open & ~full,
+                              fabric.east & ~(full >> nodes), fabric.south & ~(full >> 2 * nodes),
+                              fabric.cols)
+        assert found is None and region == sum(1 << n for n in parent)
+        return None
+    path, segments = found
+    assert path == list(trace_back(parent, end))
+    assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
+                        for n, nxt in zip(path, path[1:])]
     return path
 
 
@@ -609,6 +615,21 @@ class TestLevelSearch:
         assert path is None
         assert [fabric.tiles[n] for n in router._bits(region)] == [(i, j) for i in range(3) for j in range(5)]
 
+    def test_only_a_region_miss_floods(self, monkeypatch):
+        # a saturated junction row walls the source off from the goal's free
+        # corners: ``find_path`` misses without the region, ring repair's
+        # query floods it from the starts once
+        flooded = []
+        real = router.flood
+        monkeypatch.setattr(router, "flood", lambda *args: flooded.append(args) or real(*args))
+        occ = CycleOccupancy(uniform_dd_layout(4, 4))
+        occ.commit_route(RoutePath(DD, tuple((3, j) for j in range(5))), 0)
+        assert find_path(occ, 0, (0, 0), (3, 3)) is None and not flooded
+        path, region = _same_as_reference(occ.fabric, occ.usage(0), (0, 0), (3, 3))
+        assert path is None and len(flooded) == 1
+        assert [occ.fabric.tiles[n] for n in router._bits(region)] == [
+            (i, j) for i in range(3) for j in range(5)]
+
     def test_forward_walk_skips_a_full_edge(self):
         # (0, 2) is on a shortest route, reached from the second start, and
         # comes first in the first start's neighbour order, but the segment
@@ -623,7 +644,7 @@ class TestLevelSearch:
     def test_empty_starts_and_full_goals(self):
         fabric = Fabric(uniform_dd_layout(3, 3))
         usage = [0] * fabric.size
-        assert router._level_route(fabric, 0, 0, fabric.terminal_mask((2, 2))) == (None, None, 0)
+        assert router._level_route(fabric, 0, 0, fabric.terminal_mask((2, 2))) is None
         # every corner of the goal tile full: the search explores the rest
         for n in fabric.terminals((2, 2)):
             usage[n] = fabric.cap[n]
@@ -859,6 +880,59 @@ class TestSharedCornerHop:
         fabric = Fabric(uniform_dd_layout(1, 2))
         route, _ = _same_as_reference(fabric, [0] * fabric.size, (0, 0), (0, 1))
         assert route.nodes == ((0, 0), (0, 1))
+
+
+def _zero_lane_queries(seed: int) -> Counter:
+    """Queries between DD tiles that share no corner, on fabrics with some
+    channels of capacity 0, shuffled neighbour orders and random usage, each
+    checked against ``_reference_route`` (route, ids and region); no route
+    holds a resource of capacity 0.  Returns the count of hits and misses."""
+    rng = random.Random(seed)
+    rows, cols = rng.choice([(r, c) for r in range(1, 7) for c in range(1, 7) if r * c >= 2])
+    fabric = Fabric(uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 2)))
+    zero_rows = set(rng.sample(range(rows + 1), rng.randint(1, 2)))
+    zero_cols = set(rng.sample(range(cols + 1), rng.randint(0, 2)))
+    fabric = _shuffled(_with_zero_lines(fabric, zero_rows, zero_cols), rng)
+    cap = fabric.cap
+    density = rng.choice((0.0, 0.1, 0.25))
+    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    kinds = Counter()
+    for _ in range(30):
+        a, b = rng.sample(tiles, 2)
+        if abs(a[0] - b[0]) <= 1 and abs(a[1] - b[1]) <= 1:
+            continue  # a shared corner: ``_shared_corner_queries``
+        route, _ = _same_as_reference(fabric, usage, a, b)
+        if route is not None:
+            assert all(cap[i] > 0 for i in fabric.resource_ids(route))
+        kinds["hit" if route else "miss"] += 1
+    return kinds
+
+
+class TestZeroLaneWalk:
+    """Between DD tiles that share no corner, the level search's walk never
+    crosses a segment of capacity 0, whatever the neighbour order."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        _zero_lane_queries(seed)
+
+    def test_every_kind_of_outcome(self):
+        kinds = sum((_zero_lane_queries(seed) for seed in range(40)), Counter())
+        assert set(kinds) == {"hit", "miss"} and min(kinds.values()) >= 10, kinds
+
+    def test_lane_less_column_is_never_crossed(self):
+        # junction (1, 2) lies on a shortest route from (1, 1) and tries its
+        # south neighbour (2, 2), also on one, before its east one; with no
+        # lane along junction column 2 the walk goes east
+        fabric = _with_zero_lines(Fabric(uniform_dd_layout(3, 4)), set(), {2})
+        node = 1 * fabric.cols + 2
+        fabric.adj = list(fabric.adj)
+        north, east, south, west = fabric.adj[node]
+        fabric.adj[node] = (north, south, east, west)
+        route, _ = _same_as_reference(fabric, [0] * fabric.size, (0, 0), (2, 3))
+        assert route.nodes == ((1, 1), (1, 2), (1, 3), (2, 3))
 
 
 def _node_walk_frontier(fabric: Fabric, usage: list[int], src, region: int) -> set[int]:

@@ -799,6 +799,22 @@ class TestValidateAgainstTupleReplay:
     def test_same_violations(self, seed):
         _validate_cases(seed)
 
+    def test_chain_links_checked_in_order(self):
+        # the first and the last link of the chain broken, then a middle one too
+        ta, tb = (0, 0), (0, 6)
+        for nodes, broken in [
+            (((1, 1), (1, 2), (1, 3), (1, 4), (1, 5)), [((0, 0), (1, 1)), ((1, 5), (0, 6))]),
+            (((1, 1), (1, 2), (1, 4), (1, 5)),
+             [((0, 0), (1, 1)), ((1, 2), (1, 4)), ((1, 5), (0, 6))]),
+            (((0, 1), (0, 2), (0, 3), (0, 4), (0, 5)), []),
+        ]:
+            action = Action(ActionKind.BELL, gate=7, route=RoutePath(LS, nodes))
+            got, expected = [], []
+            scheduler._check_route(got, action, ta, tb, LS)
+            _reference_check_route(expected, action, ta, tb, LS)
+            assert got == expected == [f"gate 7: route chain broken between {x} and {y}"
+                                       for x, y in broken]
+
     def test_keys_name_the_tuple_resources(self):
         for rows, cols in ((1, 1), (1, 4), (3, 2), (4, 5)):
             grid, node_key, edge_key = scheduler._junction_keys(rows, cols)
