@@ -13,22 +13,27 @@ the same masks, by flood fill of the free fabric's components.
 
 Both searches keep tables so that each candidate is judged in O(1):
 
-* bisection keeps the Kernighan-Lin gain of every member (external minus
-  internal weight across the split), computed once per split; a swap of
-  ``x`` and ``y`` pays off when ``gain[x] + gain[y] - 2*w_xy > 0``, and a
-  move flips the mover's gain and shifts each member neighbour's by ``2*w``;
-* swap descent indexes the cells, holds one dense distance matrix, and keeps
-  per qubit a cost row: field ``k`` is q's share of ``f`` were it on cell
-  ``k`` with every other qubit fixed.  A row is one Python int with ``B``
-  bits per cell, and so is each cell's packed distance row; a relocation
-  from cell ``a`` to ``b`` adds ``w * (packed[b] - packed[a])`` to each
-  neighbour's row, one integer add per neighbour instead of a rewrite of
-  every cell.  The packed add is exact: whatever the placement, a field is
-  a sum of non-negative terms no larger than the qubit's weighted degree
-  times the largest distance, and ``B`` is one bit more than that product
-  needs, so no field borrows from or carries into the next.  A move into a
-  free cell compares two fields of one row, a swap four fields plus the
-  pair's own term.
+* bisection keeps each member's side and Kernighan-Lin gain (external minus
+  internal weight across the split, computed once per split) in lists that
+  are indexed by qubit and shared down the recursion; a hole ``-(k+1)``
+  reads an entry past the qubits, which stays 0.  A swap of ``x`` and ``y``
+  pays off when ``gain[x] + gain[y] - 2*w_xy > 0``, and a move flips the
+  mover's gain and shifts each member neighbour's by ``2*w``;
+* swap descent keeps per qubit a cost row: field ``k`` is q's share of ``f``
+  were it on cell ``k`` with every other qubit fixed.  A row is one Python
+  int with ``B`` bits per cell, as is each cell's packed distance row, so a
+  move from cell ``a`` to ``b`` adds ``w * (packed[b] - packed[a])`` to each
+  neighbour's row.  The add is exact: a field is a sum of non-negative terms
+  no larger than the qubit's weighted degree times the largest distance,
+  which ``B`` holds with a bit to spare, so no field borrows or carries.
+  ``B`` is rounded up to 16, 32 or 64, which keeps that and lets
+  ``memoryview.cast`` read a row's fields into a list in C; ``B``, the
+  packed rows and the doubled pair weights are built once per
+  ``establish_mapping`` call.  A relocation marks the list copies of its
+  neighbours' rows stale; a stale copy is read by shifts once, then rebuilt.
+  A row depends only on where the other qubits are, so q's copy survives
+  q's moves and its swaps with non-neighbours.  A move into a free cell
+  compares two fields of one row, a swap four fields plus the pair's term.
 
 Cut types: grow the communication sub-graph layer by layer over the ASAP
 layering while it stays bipartite (``bipartite_prefix``) and color that
@@ -39,6 +44,7 @@ later.
 from __future__ import annotations
 
 import random
+import sys
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -191,9 +197,10 @@ def _cost(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> int:
 
 
 def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.Random,
-            out: dict[int, Tile]) -> None:
-    """Assign ``qubits`` (padded with negative hole ids) to ``cells`` by
-    recursive min-cut bisection; splits follow the longer grid dimension."""
+            out: dict[int, Tile], side: list[int], gain: list[int]) -> None:
+    """Assign ``qubits`` (``0..n-1`` and hole ids ``-1, -2, ...``) to ``cells``
+    by recursive min-cut bisection along the longer grid dimension; the top
+    call passes ``side`` all -1 and ``gain`` all 0, as long as ``qubits``."""
     if len(cells) == 1:
         if qubits and qubits[0] >= 0:
             out[qubits[0]] = cells[0]
@@ -211,15 +218,16 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
     pool = qubits[:]
     rng.shuffle(pool)
     part_a, part_b = pool[: len(cells_a)], pool[len(cells_a):]
-    side = {q: 0 for q in part_a if q >= 0}
-    side.update({q: 1 for q in part_b if q >= 0})
+    for i, v in enumerate(pool):
+        side[v] = int(i >= len(part_a))  # a hole's entry is never read
     adj = comm.adjacency
     weights = comm.weights
-    # gain[v]: external minus internal weight over members (holes stay 0);
+    # gain[v]: external minus internal weight over members (side 0 or 1);
     # positive means v wants to move
-    gain = dict.fromkeys(pool, 0)
-    for v, s in side.items():
-        gain[v] = sum(w if side[u] != s else -w for u, w in adj[v] if u in side)
+    for v in pool:
+        if v >= 0:
+            s = side[v]
+            gain[v] = sum(w if side[u] != s else -w for u, w in adj[v] if side[u] >= 0)
 
     def move(v: int) -> None:
         if v < 0:
@@ -227,86 +235,108 @@ def _bisect(qubits: list[int], cells: list[Tile], comm: CommGraph, rng: random.R
         s = side[v] = 1 - side[v]
         gain[v] = -gain[v]
         for u, w in adj[v]:
-            if u in side:
+            if side[u] >= 0:
                 gain[u] += -2 * w if side[u] == s else 2 * w
 
     improved = True
     while improved:
         improved = False
-        for i in range(len(part_a)):
-            for j in range(len(part_b)):
-                x, y = part_a[i], part_b[j]
+        for i, x in enumerate(part_a):
+            gx = gain[x]
+            for j, y in enumerate(part_b):
                 # holes have no weight to anyone, and no pair weighs below 0
-                g = gain[x] + gain[y]
+                g = gx + gain[y]
                 if g > 0 and g > 2 * weights.get((x, y) if x < y else (y, x), 0):
                     part_a[i], part_b[j] = y, x
                     move(x)
                     move(y)
+                    x, gx = y, gain[y]
                     improved = True
-    _bisect(part_a, cells_a, comm, rng, out)
-    _bisect(part_b, cells_b, comm, rng, out)
+    for v in pool:
+        side[v] = -1
+    _bisect(part_a, cells_a, comm, rng, out, side, gain)
+    _bisect(part_b, cells_b, comm, rng, out, side, gain)
 
 
-def _swap_descent(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel) -> None:
-    """First-improvement pairwise swaps (including moves into the free cells
-    of ``cm``) until a local minimum of the communication cost."""
+def _descent_tables(comm: CommGraph, cm: _CostModel) -> tuple[int, list[int], list[list[int]]]:
+    """Swap descent's field width, packed distance rows and ``w2[q][p] = 2*w_qp``."""
+    top = max((sum(w for _u, w in row) for row in comm.adjacency), default=0)
+    need = (top * max(map(max, cm.matrix), default=0)).bit_length() + 1
+    if need > 64:
+        raise InfeasibleError(f"weighted degree {top} needs {need}-bit cost fields, more than 64")
+    width = 16 if need <= 16 else 32 if need <= 32 else 64
+    packed = [sum(d << (width * j) for j, d in enumerate(row)) for row in cm.matrix]
+    w2 = [[0] * comm.n for _ in range(comm.n)]
+    for (a, b), w in comm.weights.items():
+        w2[a][b] = w2[b][a] = 2 * w
+    return width, packed, w2
+
+
+def _swap_descent(assign: dict[int, Tile], comm: CommGraph, cm: _CostModel,
+                  tables: tuple[int, list[int], list[list[int]]] | None = None) -> int:
+    """First-improvement pairwise swaps (including moves into free cells) of
+    all ``comm.n`` qubits of ``assign`` until a local minimum of the cost,
+    which it returns; ``tables`` (``_descent_tables``) are built if not given."""
+    width, packed, w2 = _descent_tables(comm, cm) if tables is None else tables
     dist = cm.matrix
-    adj = comm.adjacency
-    pos = {q: cm.index[cell] for q, cell in assign.items()}
-    free = set(range(len(cm.cells))) - set(pos.values())
-    # a row field never exceeds its qubit's weighted degree times the largest
-    # distance, so fields of ``width`` bits (one spare) hold the rows of every
-    # placement the descent passes through, and packed adds stay field-wise
-    top = max((sum(w for _u, w in adj[q]) for q in assign), default=0)
-    width = (top * max(map(max, dist), default=0)).bit_length() + 1
+    adj, n = comm.adjacency, comm.n
     mask = (1 << width) - 1
-    # packed[k]: distance row of cell k, field j at bit width*j
-    packed = [sum(d << (width * j) for j, d in enumerate(row)) for row in dist]
+    nbytes, fmt = width // 8 * len(dist), {16: "H", 32: "I", 64: "Q"}[width]
+
+    def fields(row: int) -> list[int]:  # native big-endian fields come out last field first
+        out = memoryview(row.to_bytes(nbytes, sys.byteorder)).cast(fmt).tolist()
+        return out if sys.byteorder == "little" else out[::-1]
+
+    pos = [cm.index[assign[q]] for q in range(n)]
+    free = set(range(len(cm.cells))) - set(pos)
     # cost[q], field k: q's share of the cost were it on cell k, all others fixed
-    cost = {q: sum(w * packed[pos[u]] for u, w in adj[q]) for q in assign}
+    cost = [sum(w * packed[pos[u]] for u, w in adj[q]) for q in range(n)]
+    copy, stale = [fields(row) for row in cost], [0] * n  # stale 1: outdated, 2: read once
 
     def relocate(q: int, k: int) -> None:
         shift = packed[k] - packed[pos[q]]
         pos[q] = k
         for u, w in adj[q]:
             cost[u] += w * shift
+            stale[u] = 1
 
-    qubits = sorted(assign)
+    def fresh(q: int) -> list[int]:
+        if stale[q]:
+            copy[q], stale[q] = fields(cost[q]), 0
+        return copy[q]
+
     improved = True
     while improved:
         improved = False
-        for q in qubits:
-            row_q = cost[q]
+        for q in range(n):
+            row_q = fresh(q)
             # move into an empty cell (q's own row stays put when q moves)
             for k in sorted(free):
                 kq = pos[q]
-                if (row_q >> width * k) & mask < (row_q >> width * kq) & mask:
+                if row_q[k] < row_q[kq]:
                     free.remove(k)
                     free.add(kq)
                     relocate(q, k)
                     improved = True
             # swap with another qubit
             kq = pos[q]
-            at_q = width * kq
-            here = (row_q >> at_q) & mask
-            w_q = dict(adj[q])
-            for p in qubits:
-                if p <= q:
-                    continue
+            here, at_q, dist_q, w2_q = row_q[kq], width * kq, dist[kq], w2[q]
+            for p in range(q + 1, n):
                 kp = pos[p]
-                row_p = cost[p]
-                at_p = width * kp
-                if (((row_q >> at_p) & mask) + ((row_p >> at_q) & mask)
-                        + 2 * w_q.get(p, 0) * dist[kq][kp]
-                        < here + ((row_p >> at_p) & mask)):
+                if stale[p] == 1:
+                    stale[p], row = 2, cost[p]
+                    p_here, p_there = (row >> width * kp) & mask, (row >> at_q) & mask
+                else:
+                    row_p = fresh(p) if stale[p] else copy[p]
+                    p_here, p_there = row_p[kp], row_p[kq]
+                if row_q[kp] + p_there + w2_q[p] * dist_q[kp] < here + p_here:
                     relocate(q, kp)
                     relocate(p, kq)
-                    kq, at_q = kp, at_p
-                    row_q = cost[q]
-                    here = (row_q >> at_q) & mask
+                    row_q = fresh(q)  # rebuilt only if p is q's neighbour
+                    kq, here, at_q, dist_q = kp, row_q[kp], width * kp, dist[kp]
                     improved = True
-    for q, k in pos.items():
-        assign[q] = cm.cells[k]
+    assign.update((q, cm.cells[k]) for q, k in enumerate(pos))
+    return sum((row >> width * k) & mask for row, k in zip(cost, pos)) // 2
 
 
 def _bfs_linearization(comm: CommGraph) -> list[int]:
@@ -358,6 +388,7 @@ def establish_mapping(
     if shape.rows * shape.cols < n:
         raise InfeasibleError(f"shape {shape} cannot hold {n} qubits")
     cm = _CostModel(shape, layout)
+    tables = _descent_tables(comm, cm)
     cells = shape.cells
     best: dict[int, Tile] | None = None
     best_cost = None
@@ -370,9 +401,8 @@ def establish_mapping(
         else:
             rng = random.Random((seed << 16) + t)
             pool = list(range(n)) + [-(k + 1) for k in range(len(cells) - n)]
-            _bisect(pool, cells, comm, rng, assign)
-        _swap_descent(assign, comm, cm)
-        cost = _cost(assign, comm, cm)
+            _bisect(pool, cells, comm, rng, assign, [-1] * len(pool), [0] * len(pool))
+        cost = _swap_descent(assign, comm, cm, tables)
         if best_cost is None or cost < best_cost:
             best, best_cost = dict(assign), cost
     assert best is not None

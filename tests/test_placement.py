@@ -28,8 +28,10 @@ from surfc.placement import (
     ArrayShape,
     CutType,
     TileMapping,
+    _bisect,
     _cost,
     _CostModel,
+    _descent_tables,
     _ls_cell_distances,
     _ls_unroutable_pairs,
     _swap_descent,
@@ -283,6 +285,39 @@ def _weighted_instances(draw):
     return CommGraph(n, weights), ArrayShape(rows, cols), dict(enumerate(cells[:n]))
 
 
+@st.composite
+def _sparse_weighted_instances(draw):
+    """20 to 40 qubits with few pairs on shapes up to 7x7, so that most rows
+    are read as candidates between the relocations of their neighbours."""
+    n = draw(st.integers(20, 40))
+    rows = draw(st.integers(-(-n // 7), 7))
+    cols = draw(st.integers(-(-n // rows), 7))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: ab[0] < ab[1])
+    weights = draw(st.dictionaries(pairs, st.integers(1, 1000), min_size=n // 2, max_size=2 * n))
+    cells = draw(st.permutations(ArrayShape(rows, cols).cells))
+    return CommGraph(n, weights), ArrayShape(rows, cols), dict(enumerate(cells[:n]))
+
+
+def _same_as_list_rows(model, inst, gap):
+    """Swap descent from ``inst`` ends where ``_list_row_descent`` does and
+    returns the cost of that assignment."""
+    comm, shape, assign = inst
+    layout = uniform_ls_layout(shape.rows, shape.cols, gap=gap) if model is LS else None
+    cm = _CostModel(shape, layout)
+    ours, ref = dict(assign), dict(assign)
+    cost = _swap_descent(ours, comm, cm)
+    _list_row_descent(ref, comm, cm)
+    assert ours == ref
+    assert cost == _cost(ours, comm, cm)
+
+
+# multiplicities that force 32-bit and 64-bit cost fields
+_WIDE_32 = (CommGraph(3, {(0, 1): 40_000, (1, 2): 3}), ArrayShape(2, 2),
+            {0: (0, 0), 1: (1, 1), 2: (0, 1)})
+_WIDE_64 = (CommGraph(4, {(0, 2): 2**40, (1, 3): 5, (2, 3): 1}), ArrayShape(2, 3),
+            {0: (0, 0), 1: (1, 0), 2: (1, 2), 3: (0, 1)})
+
+
 class TestSwapDescentAgainstListRows:
     @pytest.mark.parametrize("model", [DD, LS])
     @given(inst=_weighted_instances(), gap=st.integers(0, 1))
@@ -290,15 +325,114 @@ class TestSwapDescentAgainstListRows:
     @example(inst=(CommGraph(1, {}), ArrayShape(2, 3), {0: (1, 2)}), gap=0)
     @example(inst=(CommGraph(4, {(0, 3): 1000, (1, 2): 999, (0, 1): 1}), ArrayShape(2, 3),
                    {0: (0, 0), 1: (1, 2), 2: (0, 1), 3: (1, 1)}), gap=0)
+    @example(inst=_WIDE_32, gap=0)
+    @example(inst=_WIDE_64, gap=1)
     @settings(max_examples=150, deadline=None, derandomize=True)
     def test_same_assignment(self, model, inst, gap):
-        comm, shape, assign = inst
-        layout = uniform_ls_layout(shape.rows, shape.cols, gap=gap) if model is LS else None
-        cm = _CostModel(shape, layout)
-        ours, ref = dict(assign), dict(assign)
-        _swap_descent(ours, comm, cm)
-        _list_row_descent(ref, comm, cm)
-        assert ours == ref
+        _same_as_list_rows(model, inst, gap)
+
+    @pytest.mark.parametrize("model", [DD, LS])
+    @given(inst=_sparse_weighted_instances(), gap=st.integers(0, 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_same_assignment_sparse(self, model, inst, gap):
+        _same_as_list_rows(model, inst, gap)
+
+    @pytest.mark.parametrize("model", [DD, LS])
+    @pytest.mark.parametrize("inst, width", [(_WIDE_32, 32), (_WIDE_64, 64)])
+    def test_wide_examples_force_their_width(self, model, inst, width):
+        comm, shape, _assign = inst
+        layout = uniform_ls_layout(shape.rows, shape.cols) if model is LS else None
+        assert _descent_tables(comm, _CostModel(shape, layout))[0] == width
+
+    def test_fields_wider_than_64_bits_rejected(self):
+        comm = CommGraph(2, {(0, 1): 2**62})
+        shape = ArrayShape(1, 3)  # distance 2: the fields would need 65 bits
+        with pytest.raises(InfeasibleError, match="weighted degree"):
+            _swap_descent({0: (0, 0), 1: (0, 2)}, comm, _CostModel(shape, None))
+        with pytest.raises(InfeasibleError, match="weighted degree"):
+            establish_mapping(comm, shape, trials=2)
+
+
+def _dict_bisect(qubits, cells, comm, rng, out):
+    """Reference bisection on dicts: the side and gain tables of each split
+    hold its members only, built afresh for every split."""
+    if len(cells) == 1:
+        if qubits and qubits[0] >= 0:
+            out[qubits[0]] = cells[0]
+        return
+    rows = {r for r, _ in cells}
+    cols = {c for _, c in cells}
+    if len(rows) >= len(cols):
+        mid = (min(rows) + max(rows)) // 2
+        cells_a = [t for t in cells if t[0] <= mid]
+        cells_b = [t for t in cells if t[0] > mid]
+    else:
+        mid = (min(cols) + max(cols)) // 2
+        cells_a = [t for t in cells if t[1] <= mid]
+        cells_b = [t for t in cells if t[1] > mid]
+    pool = qubits[:]
+    rng.shuffle(pool)
+    part_a, part_b = pool[: len(cells_a)], pool[len(cells_a):]
+    side = {q: 0 for q in part_a if q >= 0}
+    side.update({q: 1 for q in part_b if q >= 0})
+    adj = comm.adjacency
+    weights = comm.weights
+    gain = dict.fromkeys(pool, 0)
+    for v, s in side.items():
+        gain[v] = sum(w if side[u] != s else -w for u, w in adj[v] if u in side)
+
+    def move(v):
+        if v < 0:
+            return
+        s = side[v] = 1 - side[v]
+        gain[v] = -gain[v]
+        for u, w in adj[v]:
+            if u in side:
+                gain[u] += -2 * w if side[u] == s else 2 * w
+
+    improved = True
+    while improved:
+        improved = False
+        for i in range(len(part_a)):
+            for j in range(len(part_b)):
+                x, y = part_a[i], part_b[j]
+                g = gain[x] + gain[y]
+                if g > 0 and g > 2 * weights.get((x, y) if x < y else (y, x), 0):
+                    part_a[i], part_b[j] = y, x
+                    move(x)
+                    move(y)
+                    improved = True
+    _dict_bisect(part_a, cells_a, comm, rng, out)
+    _dict_bisect(part_b, cells_b, comm, rng, out)
+
+
+@st.composite
+def _bisect_instances(draw):
+    """A communication graph with multiplicities up to 1000 on a shape with
+    at least as many cells as qubits: holes, one-cell and one-row shapes
+    included."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 7))
+    n = draw(st.integers(1, rows * cols))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda ab: ab[0] < ab[1])
+    weights = draw(st.dictionaries(pairs, st.integers(1, 1000), max_size=3 * n)) if n > 1 else {}
+    return CommGraph(n, weights), ArrayShape(rows, cols)
+
+
+class TestBisectAgainstDicts:
+    @given(inst=_bisect_instances(), seed=st.integers(0, 2**32 - 1))
+    @example(inst=(CommGraph(1, {}), ArrayShape(1, 1)), seed=0)
+    @example(inst=(CommGraph(2, {(0, 1): 1000}), ArrayShape(1, 7)), seed=1)
+    @example(inst=(CommGraph(3, {(0, 1): 1, (1, 2): 1000}), ArrayShape(2, 4)), seed=2)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_out(self, inst, seed):
+        comm, shape = inst
+        cells = shape.cells
+        pool = list(range(comm.n)) + [-(k + 1) for k in range(len(cells) - comm.n)]
+        ours, ref = {}, {}
+        _bisect(pool[:], cells, comm, random.Random(seed), ours, [-1] * len(pool), [0] * len(pool))
+        _dict_bisect(pool[:], cells, comm, random.Random(seed), ref)
+        assert list(ours.items()) == list(ref.items())
 
 
 class TestMappingCost:
