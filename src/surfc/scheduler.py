@@ -134,6 +134,8 @@ def m_value(
     pressure: many ready gates over little total bandwidth makes lanes
     precious.  Scaling theta further by the qubit count was ablation-tested
     and consistently wastes cycles, so pressure is demand over supply alone.
+    This is the definition that the scheduler's one-pass ``_m_values`` must
+    match value for value, and the tests' reference for it.
     """
     credit = min(3, idle_cycles)
     m_t = (4 - credit) - 3
@@ -148,6 +150,26 @@ def m_value(
     return MValueInputs(m_t=m_t, m_s=m_s, theta=theta)
 
 
+_FLIPPED = {CutType.X: CutType.Z, CutType.Z: CutType.X}
+
+
+def _m_values(children: list[int], controls: list[int], targets: list[int],
+              cut: dict[int, CutType], a: int, b: int, idle_a: int, idle_b: int,
+              ready_others: int, total_bandwidth: int) -> tuple[float, float]:
+    """``m_value(...).value`` for operands ``a`` and ``b`` in one pass over the
+    gate's ``children``, by ``m_value``'s own expression: the floats are equal."""
+    flip_a, flip_b = _FLIPPED[cut[a]], _FLIPPED[cut[b]]
+    theta = 2.0 * ready_others / max(total_bandwidth, 1)
+    s_a = s_b = -1
+    for child in children:
+        cq, tq = controls[child], targets[child]
+        if cq == a or tq == a:
+            s_a += 1 if cut[tq if cq == a else cq] is flip_a else -1
+        if cq == b or tq == b:
+            s_b += 1 if cut[tq if cq == b else cq] is flip_b else -1
+    return ((4 - min(3, idle_a)) - 3) + theta * s_a, ((4 - min(3, idle_b)) - 3) + theta * s_b
+
+
 class _State:
     """Mutable bookkeeping for one limited-resources scheduling job.
 
@@ -155,7 +177,10 @@ class _State:
     gate is filed in ``arrivals`` under the cycle after its parents' last
     completion, and joins the ready list when the scheduler reaches that
     cycle.  Each qubit's operand tile and current cut are kept per qubit; the
-    cut changes as flips land."""
+    cut changes as flips land.  A flip is filed in ``flips`` under the cycle it
+    lands and popped when the scheduler reaches that cycle; a tile is held
+    through its modification, so no two of its flips land in one cycle.  A
+    flip backdated by the full three cycles lands at once, unfiled."""
 
     def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping,
                  dag: GateDag):
@@ -169,34 +194,33 @@ class _State:
         self.qubit_at = {cell: q for q, cell in mapping.positions.items()}
         cuts = mapping.cuts
         self.cut: dict[int, CutType] = {q: cuts[q] for q in mapping.positions} if cuts else {}
-        self.pending_flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
+        self.flips: dict[int, list[tuple[int, CutType]]] = {}  # cycle -> (qubit, new cut)
         self.last_busy: dict[Tile, int] = {}
         self.indeg = [len(self.dag.parents[v]) for v in range(circuit.g)]
         self.earliest = [0] * circuit.g
         self.arrivals: dict[int, list[int]] = {0: [v for v in range(circuit.g) if not self.indeg[v]]}
         self.started = [False] * circuit.g
+        self.controls = [gate.control for gate in circuit.gates]
+        self.targets = [gate.target for gate in circuit.gates]
         self.done = 0
-        # the three phase records of each (tile, new cut) modification; frozen
-        # and compared by value, so one set serves every modification alike
-        self.modify_records: dict[tuple[Tile, CutType], tuple[Action, Action, Action]] = {}
+        # the three phase records of each (tile, new cut is X) modification;
+        # frozen and compared by value, so one set serves every modification
+        self.modify_records: dict[tuple[Tile, bool], tuple[Action, Action, Action]] = {}
 
-    def add_action(self, t: int, action: Action) -> None:
-        while len(self.cycles) <= t:
-            self.cycles.append([])
-        self.cycles[t].append(action)
+    def add_phases(self, start: int, actions: tuple[Action, ...]) -> None:
+        cycles, end = self.cycles, start + len(actions)
+        while len(cycles) < end:
+            cycles.append([])
+        for k, action in enumerate(actions):
+            cycles[start + k].append(action)
 
     def hold_tile(self, tile: Tile, start: int, duration: int) -> None:
         self.occ.commit_tile(tile, start, duration)
         self.last_busy[tile] = max(self.last_busy.get(tile, -1), start + duration - 1)
 
-    def idle_cycles(self, tile: Tile, t: int) -> int:
-        return t - self.last_busy.get(tile, -1) - 1
-
     def apply_flips(self, t: int) -> None:
-        for eff, tile, cut in list(self.pending_flips):
-            if eff <= t:
-                self.cut[self.qubit_at[tile]] = cut
-                self.pending_flips.remove((eff, tile, cut))
+        for q, cut in self.flips.pop(t, ()):
+            self.cut[q] = cut
 
     def complete(self, gate: int, tc: int) -> None:
         self.started[gate] = True
@@ -241,7 +265,10 @@ def schedule_limited(
     phase records of a cut modification are built once per (tile, new cut)
     and reused by every later modification alike: actions are frozen and
     compare by value, so the schedule and its JSON are those of fresh
-    records.
+    records.  A modification's flip is filed under the cycle it lands, and
+    one backdated by the full three cycles lands at once.  The ``mvalue``
+    rule scores both operands in one pass over the gate's children, read
+    from the operand lists (``_m_values``); each value equals ``m_value``'s.
     """
     if strategy not in LIMITED:
         raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
@@ -257,9 +284,7 @@ def schedule_limited(
     prio = [(-st.dag.depth_to_sink[v], -desc[v], v) for v in range(g)]
     order = None if program_order else prio.__getitem__
     # each gate's operand qubits and tiles, read once
-    gates = circuit.gates
-    controls = [gate.control for gate in gates]
-    targets = [gate.target for gate in gates]
+    controls, targets = st.controls, st.targets
     op_tile = st.op_tile
     pairs = [(op_tile[c], op_tile[q]) for c, q in zip(controls, targets)]
     ls = model is ChipModel.LATTICE_SURGERY
@@ -326,8 +351,7 @@ def schedule_limited(
 
 def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
                   ready_count: int, samecut: str) -> bool:
-    gate = st.circuit.gates[v]
-    idle_a, idle_b = st.idle_cycles(ca, t), st.idle_cycles(cb, t)
+    idle_a, idle_b = t - st.last_busy.get(ca, -1) - 1, t - st.last_busy.get(cb, -1) - 1
     if samecut == "channel":
         choice = "modify"
     elif samecut == "time":
@@ -335,15 +359,12 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
         best_idle = max(idle_a, idle_b)
         choice = "modify" if (3 - min(3, best_idle)) + 1 <= 2 else "direct"
     else:
-        mv_a = m_value(st.circuit, st.dag, st.cut, v, gate.control,
-                       idle_a, ready_count - 1, st.total_bandwidth)
-        mv_b = m_value(st.circuit, st.dag, st.cut, v, gate.target,
-                       idle_b, ready_count - 1, st.total_bandwidth)
-        best = min(mv_a.value, mv_b.value)
-        choice = "modify" if best < 0 else "direct"
+        va, vb = _m_values(st.dag.children[v], st.controls, st.targets, st.cut, st.controls[v],
+                           st.targets[v], idle_a, idle_b, ready_count - 1, st.total_bandwidth)
+        choice = "modify" if va < 0 or vb < 0 else "direct"
     if choice == "modify":
         if samecut == "mvalue":
-            pick_a = mv_a.value <= mv_b.value
+            pick_a = va <= vb
         else:
             pick_a = idle_a >= idle_b
         tile, idle = (ca, idle_a) if pick_a else (cb, idle_b)
@@ -354,8 +375,7 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
     st.occ.commit_route(path, t, 3)
     st.hold_tile(ca, t, 3)
     st.hold_tile(cb, t, 3)
-    for phase in (1, 2, 3):
-        st.add_action(t + phase - 1, Action(ActionKind.DIRECT, gate=v, route=path, phase=phase))
+    st.add_phases(t, tuple(Action(ActionKind.DIRECT, gate=v, route=path, phase=p) for p in (1, 2, 3)))
     st.complete(v, t + 2)
     return True
 
@@ -364,16 +384,19 @@ def _commit_modify(st: _State, t: int, tile: Tile, idle: int) -> bool:
     """Start (possibly backdated) cut modification; the waiting gate braids
     once the flip lands.  Returns True: the modification itself is progress."""
     start = t - min(3, max(0, idle))
-    new_cut = st.cut[st.qubit_at[tile]].flipped
+    q = st.qubit_at[tile]
+    new_cut = _FLIPPED[st.cut[q]]
     st.hold_tile(tile, start, 3)
-    records = st.modify_records.get((tile, new_cut))
+    key = (tile, new_cut is CutType.X)
+    records = st.modify_records.get(key)
     if records is None:
-        records = st.modify_records[tile, new_cut] = tuple(
+        records = st.modify_records[key] = tuple(
             Action(ActionKind.MODIFY, tile=tile, new_cut=new_cut, phase=phase) for phase in (1, 2, 3))
-    for k, action in enumerate(records):
-        st.add_action(start + k, action)
-    st.pending_flips.append((start + 3, tile, new_cut))
-    st.apply_flips(t)  # a fully backdated modify is already effective
+    st.add_phases(start, records)
+    if start + 3 <= t:  # fully backdated: already effective
+        st.cut[q] = new_cut
+    else:
+        st.flips.setdefault(start + 3, []).append((q, new_cut))
     return True
 
 

@@ -5,8 +5,8 @@ this digest unchanged."""
 import hashlib
 import json
 
-from surfc import router
-from surfc.chip import ChipModel
+from surfc import router, scheduler
+from surfc.chip import ChipModel, dims_for_avg_bandwidth
 from surfc.errors import SurfcError
 from surfc.harness import SCHEDULERS, RunConfig, run_full
 
@@ -43,3 +43,29 @@ def test_schedule_digest(monkeypatch):
     # the grid covers the 3-cycle direct route and the batch router's ring repair
     assert compiled == 153 and direct > 0 and rings
     assert digest.hexdigest() == GOLDEN_SCHEDULE_DIGEST
+
+
+# every limited strategy on a deep100-size compile: the golden grid stops at
+# n=12, so only this puts the same-cut path and backdated flips under congestion
+GOLDEN_DEEP100_LIMITED_DIGEST = "f828dc15c3101306b314c07a19533b64d9e4f4131399dbed280780ce1433121e"
+
+
+def test_deep100_limited_digest(monkeypatch):
+    side, _ = dims_for_avg_bandwidth(100, 3, ChipModel.DOUBLE_DEFECT, 1)
+    commit_modify = scheduler._commit_modify
+    backdated = []  # per modification: whether it reaches back the full three cycles
+
+    def counted(st, t, tile, idle):
+        backdated.append(idle >= 3)
+        return commit_modify(st, t, tile, idle)
+
+    monkeypatch.setattr(scheduler, "_commit_modify", counted)
+    digest = hashlib.sha256()
+    for strategy in scheduler.LIMITED:
+        config = RunConfig(random_params=(100, 100, 20), model=ChipModel.DOUBLE_DEFECT,
+                           chip=f"{side}x{side}", d=3, scheduler=strategy, mapping="snake", seed=1)
+        _report, schedule = run_full(config)
+        digest.update(json.dumps(schedule.to_json_dict()).encode())
+    # flips that land at once and flips filed for a later cycle both occur
+    assert backdated.count(True) and backdated.count(False)
+    assert digest.hexdigest() == GOLDEN_DEEP100_LIMITED_DIGEST

@@ -4,7 +4,7 @@ from collections import Counter
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import check_schedule, random_tiny_circuit, uniform_dd_layout, uniform_ls_layout
@@ -153,6 +153,45 @@ class TestMValue:
         mv = self._inputs(idle=0, ready_others=0, total_bw=10,
                           pairs=((0, 1), (0, 2)), cuts=cuts)
         assert mv.m_s == 0  # -1 baseline +1 for the child turning same-cut
+
+
+_PAIRS = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda p: p[0] != p[1]),
+                  min_size=1, max_size=8)
+
+
+class TestMValuesOnePass:
+    """The limited scheduler's one-pass ``_m_values`` against ``m_value``, its
+    definition: both values bit for bit, and the same modify-or-direct choice
+    and tile."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, gate=st.integers(0, 7), x_cut=st.lists(st.booleans(), min_size=5, max_size=5),
+           idle_a=st.integers(-1, 5), idle_b=st.integers(-1, 5), ready=st.integers(1, 40),
+           total_bw=st.integers(0, 8))
+    # gate 0's children: on neither operand, on one, one child on both, two children
+    @example(pairs=[(0, 1)], gate=0, x_cut=[True] * 5, idle_a=0, idle_b=0, ready=1, total_bw=1)
+    @example(pairs=[(0, 1), (0, 2)], gate=0, x_cut=[True, True, False, True, True],
+             idle_a=0, idle_b=5, ready=7, total_bw=4)
+    @example(pairs=[(0, 1), (1, 0)], gate=0, x_cut=[True] * 5, idle_a=-1, idle_b=2, ready=40, total_bw=0)
+    @example(pairs=[(0, 1), (2, 0), (1, 3)], gate=0, x_cut=[False, False, True, False, True],
+             idle_a=3, idle_b=1, ready=12, total_bw=8)
+    def test_same_values_and_choice(self, pairs, gate, x_cut, idle_a, idle_b, ready, total_bw):
+        c = circuit(5, pairs)
+        v = gate % len(pairs)
+        dag = build_dag(c)
+        cuts = {q: CutType.X if x else CutType.Z for q, x in enumerate(x_cut)}
+        a, b = c.gates[v].control, c.gates[v].target
+        va, vb = scheduler._m_values(dag.children[v], [g.control for g in c.gates],
+                                     [g.target for g in c.gates], cuts, a, b,
+                                     idle_a, idle_b, ready - 1, total_bw)
+        ref_a = m_value(c, dag, cuts, v, a, idle_a, ready - 1, total_bw).value
+        ref_b = m_value(c, dag, cuts, v, b, idle_b, ready - 1, total_bw).value
+        assert [va.hex(), vb.hex()] == [ref_a.hex(), ref_b.hex()]
+
+        def choice(value_a, value_b):  # None: direct; else the tile's qubit to modify
+            return None if min(value_a, value_b) >= 0 else (a if value_a <= value_b else b)
+
+        assert choice(va, vb) == choice(ref_a, ref_b)
 
 
 class TestBaselineSchedulers:
