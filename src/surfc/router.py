@@ -15,16 +15,18 @@ also its resource id; double-defect segment ids are node-aligned after them
 names the last resource, which is never full, as every segment.
 Capacities and per-cycle usage are lists indexed by resource id, so a search
 touches no tuple keys; tiles appear only where a caller hands them in or
-gets a ``RoutePath`` back.  ``CycleOccupancy`` keeps one usage list per
-cycle, and beside it one integer whose bit ``i`` is set while resource ``i``
-is at capacity.  It commits a route by the ids of its resources that the
-search recorded while it built the route (``Fabric.routed`` keeps them for
-the routes ``find_path`` or the batch router last handed out), else by those
+gets a ``RoutePath`` back.  ``CycleOccupancy``, the ledger of the limited
+scheduler (its one user), keeps one usage list per cycle, and beside it one
+integer whose bit ``i`` is set while resource ``i`` is at capacity.  It
+commits a route by the ids of its resources that the search recorded while
+it built the route (``Fabric.routed`` keeps them for the routes
+``find_path`` or the batch router last handed out), else by those
 ``Fabric.resource_ids`` computes from its nodes.  Ring repair commits and
-rips up by the search's ids too.  ``resource_capacities`` gives the capacity
-of a tuple resource of ``RoutePath.resources`` instead; the validator replays
-schedules on those, so the referee shares no code with the fabric, and so
-does the oracle's route packing.
+rips up by the search's ids too, on a usage list of its own, and checks
+there that no resource goes over its capacity.  ``resource_capacities``
+gives the capacity of a tuple resource of ``RoutePath.resources`` instead;
+the validator replays schedules on those, so the referee shares no code
+with the fabric, and so does the oracle's route packing.
 
 ``bfs`` is the breadth-first search over a fabric with a queue and a parent
 dict.  Bandwidth adjusting calls it without usage (nothing is ever full,
@@ -622,6 +624,8 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
         for res in ids:
             usage[res] += 1
             if usage[res] >= cap[res]:
+                assert usage[res] == cap[res], \
+                    f"lane over-commit on {p.resources()[ids.index(res)]}"
                 full |= 1 << res
     return [paths[i] for i in range(len(tile_pairs))]
 
@@ -641,7 +645,7 @@ def route_batch_guaranteed(
     violated precondition (or a routing bug, which the property suite hunts).
     ``fabric``, when given, is ``Fabric(layout, data_tiles)`` built once by
     the caller for many batches; its ``routed`` then holds the routes
-    returned, with their resource ids, for the commits.
+    returned, with their resource ids.
     """
     if len(tile_pairs) > max(layout.capacity, 0):
         raise SchedulingError(

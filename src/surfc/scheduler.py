@@ -39,6 +39,7 @@ from .placement import CutType, TileMapping, coloring_cuts
 from .profiler import LayerSchedule, bipartite_prefix
 from .router import (
     CycleOccupancy,
+    Fabric,
     RoutePath,
     find_path,
     resource_capacities,
@@ -417,37 +418,35 @@ def schedule_sufficient(
 ) -> EncodedSchedule:
     """One batch-routed cycle per layer; double defect additionally remaps cut
     types between maximal bipartite layer prefixes (three cycles per remap).
-    The schedule's mapping carries the cuts of the first prefix."""
+    The schedule's mapping carries the cuts of the first prefix.
+
+    No occupancy ledger is kept, since every cycle holds one batch or one
+    remap phase and nothing else.  Ring repair counts each resource's use
+    against its capacity as it commits a route.  The batch precondition
+    rejects a repeated tile, and a remap names each qubit's tile once.
+    ``validate`` replays both rules on the finished schedule."""
     model = layout.model
     require_capacity(layout, layers.pm)
     if circuit.g == 0:
         return EncodedSchedule([], layout, mapping)
     data = mapping.data_tiles(layout)
-    occ = CycleOccupancy(layout, data)
+    fabric = Fabric(layout, data)
     cycles: list[list[Action]] = []
     op_tile = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
     gate_tiles = [(op_tile[g.control], op_tile[g.target]) for g in circuit.gates]
 
-    def batch(layer_gates, t: int, kind: ActionKind):
+    def batch(layer_gates, kind: ActionKind):
         pairs = [gate_tiles[gid] for gid in layer_gates]
-        paths = route_batch_guaranteed(layout, pairs, data, fabric=occ.fabric)
-        acts = []
-        for gid, path, (ta, tb) in zip(layer_gates, paths, pairs):
-            occ.commit_route(path, t, 1)
-            occ.commit_tile(ta, t, 1)
-            occ.commit_tile(tb, t, 1)
-            acts.append(Action(kind, gate=gid, route=path))
-        return acts
+        paths = route_batch_guaranteed(layout, pairs, data, fabric=fabric)
+        return [Action(kind, gate=gid, route=path) for gid, path in zip(layer_gates, paths)]
 
     if model is ChipModel.LATTICE_SURGERY:
-        for i, layer in enumerate(layers.layers):
-            cycles.append(batch(layer, i, ActionKind.BELL))
-        return EncodedSchedule(cycles, layout, mapping)
+        return EncodedSchedule([batch(layer, ActionKind.BELL) for layer in layers.layers],
+                               layout, mapping)
 
     initial_cuts: dict[int, CutType] | None = None
     tile_cut: dict[Tile, CutType] = {}
     start = 0
-    t = 0
     while start < layers.alpha:
         coloring, end = bipartite_prefix(layers, start, circuit)
         seg_cuts = coloring_cuts(coloring, circuit.n)
@@ -469,13 +468,8 @@ def schedule_sufficient(
                         Action(ActionKind.MODIFY, tile=cell, new_cut=want, phase=phase)
                         for cell, want in flips
                     ])
-                for cell, want in flips:
-                    occ.commit_tile(cell, t, 3)
-                    tile_cut[cell] = want
-                t += 3
-        for i in range(start, end):
-            cycles.append(batch(layers.layers[i], t, ActionKind.BRAID))
-            t += 1
+                tile_cut.update(flips)
+        cycles.extend(batch(layer, ActionKind.BRAID) for layer in layers.layers[start:end])
         start = end
     return EncodedSchedule(cycles, layout, mapping.with_cuts(initial_cuts))
 

@@ -69,3 +69,35 @@ def test_deep100_limited_digest(monkeypatch):
     # flips that land at once and flips filed for a later cycle both occur
     assert backdated.count(True) and backdated.count(False)
     assert digest.hexdigest() == GOLDEN_DEEP100_LIMITED_DIGEST
+
+
+# ReSu at resu49 size on both models: the golden grid stops at n=12, so only
+# this runs the batch router's seeded restarts and double-defect remaps at
+# the size of the benchmark
+GOLDEN_RESU49_DIGEST = "1357dc52462c08ab28a0980396b29af529210192d26bab7772d2eaeab56242e6"
+
+
+def test_resu49_digest(monkeypatch):
+    ring_repair = router._ring_repair
+    failed = []  # per ring repair: whether it failed, so that a restart runs
+
+    def counted(*args, **kwargs):
+        routed = ring_repair(*args, **kwargs)
+        failed.append(routed is None)
+        return routed
+
+    monkeypatch.setattr(router, "_ring_repair", counted)
+    digest = hashlib.sha256()
+    remaps = 0
+    for par in (4, 5):
+        for seed in range(6):
+            for model in (ChipModel.DOUBLE_DEFECT, ChipModel.LATTICE_SURGERY):
+                config = RunConfig(random_params=(49, 50, par), model=model, chip="sufficient", d=3,
+                                   scheduler="resu", mapping="snake", seed=seed)
+                _report, schedule = run_full(config)
+                remaps += sum(1 for acts in schedule.cycles
+                              if acts and acts[0].kind is scheduler.ActionKind.MODIFY
+                              and acts[0].phase == 1)
+                digest.update(json.dumps(schedule.to_json_dict()).encode())
+    assert any(failed) and remaps
+    assert digest.hexdigest() == GOLDEN_RESU49_DIGEST

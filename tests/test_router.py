@@ -387,6 +387,24 @@ class TestRouteBatchGuaranteed:
                 assert node not in seen
                 seen.add(node)
 
+    def test_ring_repair_over_commit_is_internal_error(self, monkeypatch):
+        # ring repair checks each resource's use against its capacity as it
+        # commits: a search handing back the previous gate's route again
+        # puts that route's first tile over its one lane
+        layout = uniform_ls_layout(3, 3, gap=1)
+        tracks_r, tracks_c = layout.row_tracks, layout.col_tracks
+        data = frozenset((tracks_r[i], tracks_c[j]) for i in range(3) for j in range(3))
+        pairs = [((tracks_r[0], tracks_c[0]), (tracks_r[2], tracks_c[2])),
+                 ((tracks_r[0], tracks_c[2]), (tracks_r[2], tracks_c[0]))]
+        fabric = Fabric(layout, data)
+        first = router._bfs_route(fabric, 0, *pairs[0])
+        route = first[0]
+        assert route.nodes
+        monkeypatch.setattr(router, "_bfs_route", lambda *args, **kwargs: first)
+        with pytest.raises(AssertionError,
+                           match=re.escape(f"lane over-commit on {route.resources()[0]}")):
+            router._ring_repair(fabric, pairs, [0, 1])
+
     def test_random_restart_tier(self, ring_repairs):
         # ring repair fails on this batch in every batch order; only the
         # seeded restarts, which shuffle the neighbour order too, route it

@@ -14,6 +14,7 @@ from surfc.chip import ChipLayout, ChipModel
 from surfc.circuits import LogicalCircuit, build_comm_graph, build_dag, circuit
 from surfc.errors import InfeasibleError, SchedulingError, SurfcError
 from surfc.generate import gen_random_circuit
+from surfc.harness import RunConfig, compile_once, load_circuit
 from surfc.placement import (
     ArrayShape,
     CutType,
@@ -310,6 +311,24 @@ class TestScheduleSufficient:
         mapping = baseline_mapping("snake", 8, ArrayShape(3, 3))
         with pytest.raises(InfeasibleError):
             schedule_sufficient(layers, layout, mapping, c)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(4, 16), depth=st.integers(1, 12), data=st.data(),
+           model=st.sampled_from((DD, LS)), mapping=st.sampled_from(("snake", "random")),
+           seed=st.integers(0, 2**16))
+    def test_delta_is_alpha_plus_the_remaps(self, n, depth, data, model, mapping, seed):
+        # lattice surgery routes each layer in one cycle; double defect adds
+        # exactly three cycles per remap block, whose first cycle is phase 1
+        par = data.draw(st.integers(1, n // 2))
+        config = RunConfig(random_params=(n, depth, par), model=model, chip="sufficient",
+                           scheduler="resu", mapping=mapping, seed=seed)
+        c = load_circuit(config)
+        sched, layers = compile_once(config, c)
+        assert validate(sched, c) == []
+        remaps = sum(1 for acts in sched.cycles
+                     if acts[0].kind is ActionKind.MODIFY and acts[0].phase == 1)
+        assert sched.delta == layers.alpha + 3 * remaps
+        assert model is DD or remaps == 0
 
 
 class TestValidate:
