@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections import Counter, defaultdict, deque
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -53,7 +53,7 @@ from .chip import ChipLayout, ChipModel, minimal_perimeter_shape
 from .circuits import CommGraph, GateDag, LogicalCircuit, build_dag
 from .errors import InfeasibleError
 from .profiler import LayerSchedule, bipartite_prefix
-from .router import Fabric, bfs, flood, grid_masks, spread, trace_back
+from .router import flood, grid_masks, spread
 
 Tile = tuple[int, int]
 
@@ -561,6 +561,20 @@ def _one_exchange(comm: CommGraph, seed: int) -> list[int]:
     return side
 
 
+def _route_lines(a: Tile, b: Tile) -> tuple[int | None, int | None]:
+    """The h-line and the v-line that the route from tile ``a`` to tile
+    ``b`` holds on a double-defect fabric with no walls, None where it holds
+    none: the rule of ``adjust_bandwidth``."""
+    (r, c), (R, C) = a, b
+    dr, dc = R - r, C - c
+    sr, sc = r + (dr > 0), c + (dc > 0)
+    if abs(dr) >= 2 and abs(dc) >= 2:  # (sr, gc) or (gr, sc)
+        return (sr, C) if dr > 0 and dc > 0 else (R + (dr < 0), sc)
+    if abs(dr) <= 1 and (abs(dc) >= 2 or dc == 1 and dr <= 0):
+        return sr, None
+    return None, sc
+
+
 def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalCircuit) -> ChipLayout:
     """Re-deal a uniform double-defect layout's channel width by traffic.
 
@@ -573,55 +587,34 @@ def adjust_bandwidth(layout: ChipLayout, mapping: TileMapping, circuit: LogicalC
     ``derive_layout``, on which its schedules come out shorter, so an LS
     layout is rejected.
 
-    A gate's route is the one an early-exit ``bfs`` from the control tile's
-    corners to the target tile's finds, and its lines count once per gate.
-    Each control tile gets one full uncapacitated ``bfs`` tree instead, read
-    for all of its target tiles.  When no start is a goal, the early-exit
-    search returns at the first goal it discovers, with the predecessor that
-    goal has in the full tree; so the route ends at the target corner that
-    the tree discovered first, and the tally is the same.  Tiles that share
-    a corner have a start that is also a goal, which a route may not end on;
-    such a pair keeps its own search."""
+    A gate's route is the one the router's search finds from the control
+    tile's corners to the target tile's on a fabric with no walls, and its
+    lines count once per gate.  That route turns at most once, so its lines
+    follow from the tiles: from ``(r, c)`` to ``(R, C)``, with ``dr, dc =
+    R - r, C - c``, the nearest corners are ``sr, sc = r + (dr > 0), c +
+    (dc > 0)`` of the control tile and ``gr, gc = R + (dr < 0), C + (dc <
+    0)`` of the target tile.  With ``|dr|`` and ``|dc|`` both at least 2 the
+    route holds h-line ``sr`` and v-line ``gc`` when ``dr`` and ``dc`` are
+    both positive, else h-line ``gr`` and v-line ``sc``.  Otherwise it holds
+    h-line ``sr`` alone when ``|dr| <= 1`` and either ``|dc| >= 2`` or
+    ``dc == 1`` with ``dr <= 0``, and v-line ``sc`` alone in every other
+    case (``_route_lines``).  ``TestClosedFormLines`` in the placement tests
+    pins this rule to the router on every pair of tiles of small arrays."""
     if layout.model is not ChipModel.DOUBLE_DEFECT:
         raise InfeasibleError("bandwidth adjusting applies to the double-defect model only")
     if not any(layout.h_widths) and not any(layout.v_widths):
         return layout  # no width to deal: ``deal`` hands out zeros whatever the tally
 
-    targets = defaultdict(list)  # control qubit -> its gates' target qubits
-    for gate in circuit.gates:
-        targets[gate.control].append(gate.target)
     # tally conflict-free shortest routes per channel line, once per route
     h_routes = [0] * (layout.array_r + 1)
     v_routes = [0] * (layout.array_c + 1)
-    fabric = Fabric(layout)
-    tiles = fabric.tiles
-    for control, qubits in targets.items():
-        starts = fabric.terminals(mapping.tile_of(control))
-        tree = None
-        for target, gates in Counter(qubits).items():
-            goals = fabric.terminals(mapping.tile_of(target))
-            if set(starts).isdisjoint(goals):
-                if tree is None:
-                    tree = bfs(fabric, starts)[0]
-                    found = {n: k for k, n in enumerate(tree)}  # discovery index
-                parent = tree
-                goal = min(goals, key=lambda n: found.get(n, len(found)))
-                end = (goal, tree[goal]) if goal in tree else None
-            else:
-                parent, end = bfs(fabric, starts, goals=goals)
-            if end is None:
-                continue
-            path = [tiles[n] for n in trace_back(parent, end)]
-            h_lines, v_lines = set(), set()
-            for (i1, j1), (i2, _) in zip(path, path[1:]):
-                if i1 == i2:
-                    h_lines.add(i1)
-                else:
-                    v_lines.add(j1)
-            for i in h_lines:
-                h_routes[i] += gates
-            for j in v_lines:
-                v_routes[j] += gates
+    tile_of = mapping.tile_of
+    for gate in circuit.gates:
+        h, v = _route_lines(tile_of(gate.control), tile_of(gate.target))
+        if h is not None:
+            h_routes[h] += 1
+        if v is not None:
+            v_routes[v] += 1
 
     def deal(total: int, routes: list[int]) -> tuple[int, ...]:
         widths = [0] * len(routes)

@@ -28,75 +28,77 @@ gives the capacity of a tuple resource of ``RoutePath.resources`` instead;
 the validator replays schedules on those, so the referee shares no code
 with the fabric, and so does the oracle's route packing.
 
-``bfs`` is the breadth-first search over a fabric with a queue and a parent
-dict.  Bandwidth adjusting calls it without usage (nothing is ever full,
-``Fabric.unlimited``): one full tree per control tile, from which it reads
-the route to each target tile, and a per-pair search only where the two
-tiles share a corner.  When no start is a goal, every goal met is an end:
-the search returns at the first one it discovers, and that goal's
-predecessor is the one it has in the full tree from the same starts.  Only
-when a start is also a goal does a search keep the start each node was
-reached from, since a route may not end where it starts.
-
 Route search (``find_path`` and ring repair) runs on the bitmask of full
-resources instead, and on terminal masks: ``Fabric.terminal_mask`` caches
-the terminals of each tile as a bitmask, so a query's starts are
+resources, and on terminal masks: ``Fabric.terminal_mask`` caches the
+terminals of each tile as a bitmask, so a query's starts are
 ``terminal_mask(src) & free`` and its goals ``terminal_mask(dst) & free``,
-and two tiles share a free terminal when ``starts & goals`` is not 0.
-Where ``bfs`` takes the first start of a list, the search takes the lowest
-set bit of a mask: the same node, because ``Fabric.terminals`` is ascending
-on every tile of both models.  So the lattice-surgery single-tile route is
-the lowest bit of ``starts & goals``.  A query with no free start misses
-at once, with an empty region (lattice-surgery adjacent pairs, routed
-empty, come first).  When starts and goals are disjoint, which is every
-lattice-surgery search past the adjacent and single-tile checks and every
-double-defect one whose tiles share no corner, ``_level_route`` searches one
-whole BFS level at a time, as Lee's maze router does (Lee, 1961), with each
-level held as one integer over node ids, as in bitmap-frontier BFS (Beamer,
-Asanovic and Patterson, 2012).  It sweeps from the goals: level 0 is
-``goals & free``, and the next level is ``N(level) & free & ~seen``, where
-``N`` shifts a mask one step each way, guarded by the ``east`` and ``south``
-masks so that no shift wraps from the end of a row into the next.  The sweep
-stops at the first level, ``L``, that meets a start.  Then one walk goes
-forward from the lowest start met, at each step to the first neighbour in
-``adj`` order in the next level down over a free edge, and records the
-segment it crosses; a segment of capacity 0 is never set in ``full``, so
-the walk reads the capacity too.  ``spread`` is ``N``; with it,
-``grid_masks`` and ``flood``, lattice-surgery mapping finds hop distances
-and stranded pairs on the free fabric's masks, with no ``Fabric``.
+and two tiles share a free terminal when ``starts & goals`` is not 0.  Its
+route is the one of the queue search: a breadth-first search with a FIFO
+queue that takes the starts in ascending order, tries each node's
+neighbours in ``adj`` order, and ends at the first goal it meets by at least
+one hop from a start other than itself (the tests keep it as their
+reference).  Where the queue search takes the first start of a list, the
+search takes the lowest set bit of a mask: the same node, because
+``Fabric.terminals`` is ascending on every tile of both models.  So the
+lattice-surgery single-tile route is the lowest bit of ``starts & goals``.
+A query with no free start misses at once, with an empty region
+(lattice-surgery adjacent pairs, routed empty, come first).  When starts and
+goals are disjoint, ``_level_route`` searches one whole BFS level at a time,
+as Lee's maze router does (Lee, 1961), with each level held as one integer
+over node ids, as in bitmap-frontier BFS (Beamer, Asanovic and Patterson,
+2012).  It sweeps from the goals: level 0 is ``goals & free``, and the next
+level is ``N(level) & free & ~seen``, where ``N`` shifts a mask one step
+each way, guarded by the ``east`` and ``south`` masks so that no shift wraps
+from the end of a row into the next.  The sweep stops at the first level,
+``L``, that meets a start.  Then one walk goes forward from the lowest start
+met, at each step to the first neighbour in ``adj`` order in the next level
+down over a free edge, and records the segment it crosses; a segment of
+capacity 0 is never set in ``full``, so the walk reads the capacity too.
+``spread`` is ``N``; with it, ``grid_masks`` and ``flood``, lattice-surgery
+mapping finds hop distances and stranded pairs on the free fabric's masks,
+with no ``Fabric``.
 
-This is the route ``bfs`` returns.  Let ``F_k`` be the nodes ``k`` free
-hops from the nearest start (the levels of ``bfs``), ``B_j`` those ``j``
-from the nearest goal (the sweep's).  No start is nearer a goal than ``L``,
-so the nodes at step ``k`` of a shortest route are ``U_k = F_k & B_L-k``.  A
-node of ``B_L-k-1`` next to one of ``U_k`` over a free edge is at most
-``k+1`` hops from a start, and at least ``k+1`` as no route is shorter than
-``L``: the walk's choices are the ``U_k+1`` neighbours of its node.  No node
-that ``bfs`` queues before the first node of ``U_k`` is adjacent to
-``U_k+1``: not of level ``k``, whose such nodes are all in ``U_k``, and not
-of an earlier level, which would have put that neighbour in a level before
-``k+1``.  So the first node of ``U_k`` discovers every one of its ``U_k+1``
-neighbours, in ``adj`` order, and they come first in the queue order of
-``U_k+1``.  ``bfs`` queues the starts in ascending order, so by induction
-the walk visits the first node of each ``U`` in queue order, each
-discovered by the one before; the last is the first goal ``bfs`` meets, and
-the walk is its parent chain, for any neighbour order (a restart shuffles
-``adj``).  A miss returns no region, and ``find_path`` needs none.  Ring
-repair's query floods from the starts over the free nodes and edges: with no
-goal met, that is the region ``bfs`` reaches.  ``_saturated_frontier`` reads
-the ring behind it from that mask with the same shifts: the full segments
-that leave it and the full nodes beyond its free edges.  Double-defect tiles
-that share a corner keep ``bfs``'s rooted loop: there a start that is also a
-goal is an end only when met from another start, which whole levels cannot
-tell.  Nearly every such query ends one hop from a start, and that answer is
-read on the masks first.  The rooted loop takes its starts off the queue
-first, in ascending order, tries each start's neighbours in ``adj`` order,
-and accepts a free goal over a free segment before it looks at ``parent``;
-so the first start, in ascending order, with a free goal one free segment
-away, and its first such neighbour in ``adj`` order, give the route it
-returns, ``[start, goal]`` with the ids ``[start, goal, segment]``; the
-check reads the capacity, as the walk does.  Only when no start has a goal
-one hop away does the rooted loop run.
+This is the route the queue search returns.  Let ``F_k`` be the nodes ``k``
+free hops from the nearest start (the queue search's levels), ``B_j`` those
+``j`` from the nearest goal (the sweep's).  No start is nearer a goal than
+``L``, so the nodes at step ``k`` of a shortest route are ``U_k = F_k &
+B_L-k``.  A node of ``B_L-k-1`` next to one of ``U_k`` over a free edge is
+at most ``k+1`` hops from a start, and at least ``k+1`` as no route is
+shorter than ``L``: the walk's choices are the ``U_k+1`` neighbours of its
+node.  No node that the queue search queues before the first node of
+``U_k`` is adjacent to ``U_k+1``: not of level ``k``, whose such nodes are
+all in ``U_k``, and not of an earlier level, which would have put that
+neighbour in a level before ``k+1``.  So the first node of ``U_k`` discovers
+every one of its ``U_k+1`` neighbours, in ``adj`` order, and they come first
+in the queue order of ``U_k+1``.  The starts are queued in ascending order,
+so by induction the walk visits the first node of each ``U`` in queue order,
+each discovered by the one before; the last is the first goal the queue
+search meets, and the walk is its parent chain, for any neighbour order (a
+restart shuffles ``adj``).  A miss returns no region, and ``find_path``
+needs none.  Ring repair's query floods from the starts over the free nodes
+and edges: with no goal met, that is the region the queue search reaches.
+``_saturated_frontier`` reads the ring behind it from that mask with the
+same shifts: the full segments that leave it and the full nodes beyond its
+free edges.
+
+Double-defect tiles that share a corner have a start that is also a goal,
+an end only when met from another start.  Nearly every such query ends one
+hop from a start, and that answer is read on the masks first.  The queue
+search takes its starts off the queue first, in ascending order, tries each
+start's neighbours in ``adj`` order, and accepts a free goal over a free
+segment; so the first start with a free goal one free segment away, and its
+first such neighbour, give the route ``[start, goal]`` with the ids
+``[start, goal, segment]``; the check reads the capacity, as the walk does.
+With no goal one hop from a start, no shared corner is an end, so the query
+drops the starts from its goals and runs the level search; a miss floods
+its region as before.  Of diagonal tiles, the shared corner's four
+neighbours are corners of one tile or the other, each a start or a goal one
+hop from it: all four edges are walled, and nothing reaches it.  Of
+edge-adjacent tiles, a shared corner's neighbours are the other shared
+corner, one more corner of each tile, and one node off both tiles.  Only
+that last node can be a usable exit, and it is next to no other start: the
+search reaches it from the corner alone, as the corner's own, and the
+corner, met only from there, is never an end.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
@@ -112,7 +114,6 @@ from __future__ import annotations
 
 import copy
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .chip import ChipLayout, ChipModel
@@ -188,9 +189,6 @@ class Fabric:
         self.cap = cap
         self.size = size = len(cap)
         self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
-        # the usage of an uncapacitated search: nothing is ever full, not
-        # even a 0-lane line; never written
-        self.unlimited = [-_NEVER_FULL] * size
         # neighbours by row and column arithmetic on node ids; a
         # double-defect segment is named by its north or west end
         blocked = {r * cols + c for r, c in self.data}
@@ -257,8 +255,8 @@ class Fabric:
         """Ascending ids of the nodes a route to or from ``tile`` may end
         on: its four corner junctions (double defect) or its free grid
         neighbours (lattice surgery).  The route search relies on this
-        order: it takes the lowest set bit of a terminal mask where ``bfs``
-        would take the first start in this tuple."""
+        order: it takes the lowest set bit of a terminal mask where the
+        queue search would take the first start in this tuple."""
         ids = self._terminals.get(tile)
         if ids is None:
             r, c = tile
@@ -360,11 +358,6 @@ def _mask(ids) -> int:
     return mask
 
 
-def _bits(mask: int) -> list[int]:
-    """Ascending ids of the set bits of ``mask``."""
-    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
-
-
 def grid_masks(rows: int, cols: int) -> tuple[int, int]:
     """``(east, south)`` of a ``rows x cols`` grid of row-major node ids:
     all nodes but the last column's, and all but the last row's."""
@@ -389,61 +382,12 @@ def flood(seed: int, free: int, east: int, south: int, cols: int) -> int:
     return region
 
 
-def bfs(fabric: Fabric, starts, usage: list[int] | None = None, goals=()):
-    """Breadth-first search from the node ids ``starts``, expanding neighbours
-    in ``fabric.adj`` order.
-
-    Returns ``(parent, end)``: ``parent`` maps each reached node to its
-    predecessor (None for a start), in visit order; ``end`` is
-    ``(goal, predecessor)`` for the first node of ``goals`` reached by at
-    least one hop from a start other than itself, else None.  With ``usage``,
-    a segment or node whose use has reached its capacity is a wall."""
-    adj, cap = fabric.adj, fabric.cap
-    if usage is None:
-        usage = fabric.unlimited
-    # no closures below: a generator over ``goals`` would turn it into a
-    # cell variable, slower to read in the loops
-    parent: dict[int, int | None] = dict.fromkeys(starts)
-    queue = deque(starts)
-    if not set(starts).isdisjoint(goals):
-        # each node keeps the start it was reached from: a goal is an end
-        # only when met from another start, as a route may not end where
-        # it starts
-        root = {n: n for n in starts}
-        while queue:
-            node = queue.popleft()
-            origin = root[node]
-            for nxt, seg in adj[node]:
-                if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                    continue
-                if nxt in goals and origin != nxt:
-                    return parent, (nxt, node)
-                if nxt in parent:
-                    continue
-                parent[nxt] = node
-                root[nxt] = origin
-                queue.append(nxt)
-        return parent, None
-    # no start is a goal, so every goal met is an end, no root is kept,
-    # and no goal is ever in ``parent``
-    while queue:
-        node = queue.popleft()
-        for nxt, seg in adj[node]:
-            if nxt in parent or usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                continue
-            if nxt in goals:
-                return parent, (nxt, node)
-            parent[nxt] = node
-            queue.append(nxt)
-    return parent, None
-
-
 def _level_route(fabric: Fabric, full: int, starts: int, goals: int
                  ) -> tuple[list[int], list[int]] | None:
-    """The route ``bfs`` finds from the nodes of the bitmask ``starts``, in
-    ascending order, to those of ``goals``, with the resources of the
-    bitmask ``full`` as walls, searched one whole BFS level at a time from
-    the goals (see the module docstring).  ``starts`` must be free and
+    """The route the queue search finds from the nodes of the bitmask
+    ``starts``, in ascending order, to those of ``goals``, with the
+    resources of the bitmask ``full`` as walls, searched one whole BFS level
+    at a time from the goals (see the module docstring).  ``starts`` must be free and
     disjoint from ``goals``.  Returns ``(path, segments)``: the node ids from
     a start to the goal and the ids of the segments between them; None on a
     miss."""
@@ -475,22 +419,15 @@ def _level_route(fabric: Fabric, full: int, starts: int, goals: int
     return path, segments
 
 
-def trace_back(parent: dict[int, int | None], end: tuple[int, int]) -> tuple[int, ...]:
-    """The node path from a start to ``end``'s goal."""
-    goal, back = end
-    path = [goal]
-    while back is not None:
-        path.append(back)
-        back = parent[back]
-    return tuple(reversed(path))
-
-
 def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = True
                ) -> tuple[RoutePath | None, list[int] | None, int]:
     """Deterministic shortest route that avoids the resources of the bitmask
     ``full``.  Sources are the free terminals of ``src`` in ascending order.
-    A goal that happens to be a source is still only accepted after >= 1
-    hop, so a route always occupies fabric.
+    A goal that is also a source ends a route only when met from another
+    source, so a route always occupies fabric.  Between double-defect tiles
+    that share a corner, that happens one hop from a source or never, so
+    past the one-hop check the sources leave the goals (see the module
+    docstring).
 
     Returns ``(route, ids, region)``: the route and the ids of its
     ``resources()`` in that order, or None and None on a miss; and on a
@@ -512,7 +449,7 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
             # a single free tile adjacent to both operands is a complete chain
             n = (shared & -shared).bit_length() - 1
             return fabric.route((n,)), [n], 0
-        # double-defect tiles that share a corner: the rooted search's first
+        # double-defect tiles that share a corner: the queue search's first
         # level, read on the masks (see the module docstring), answers
         # almost every query; a segment of capacity 0 is never in ``full``
         cap = fabric.cap
@@ -524,16 +461,8 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
                 if goals >> nxt & 1 and cap[seg] > 0 and not full >> seg & 1:
                     return fabric.route((node, nxt)), [node, nxt, seg], 0
             rest ^= low
-        # no goal one hop from a start: the rooted search, on a usage that
-        # puts each full resource at its capacity
-        usage = fabric.idle.copy()
-        for i in _bits(full):
-            usage[i] = fabric.cap[i]
-        parent, end = bfs(fabric, _bits(starts), usage, _bits(goals))
-        if end is None:
-            return None, None, _mask(parent)
-        route = fabric.route(trace_back(parent, end))
-        return route, fabric.resource_ids(route), 0
+        # no goal one hop from a start: no shared corner is an end
+        goals &= ~starts
     found = _level_route(fabric, full, starts, goals)
     if found is None:
         if not region:

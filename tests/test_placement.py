@@ -4,9 +4,10 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import uniform_ls_layout
+from conftest import uniform_dd_layout, uniform_ls_layout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_search import rooted_bfs, trace_back
 
 from surfc.bench import BENCHMARKS, ghz
 from surfc.chip import (
@@ -23,7 +24,8 @@ from surfc.errors import InfeasibleError
 from surfc.generate import gen_3sat_gadget, gen_random_circuit
 from surfc import placement
 from surfc.profiler import para_finding
-from surfc.router import Fabric, bfs, trace_back
+from surfc import router
+from surfc.router import Fabric
 from surfc.placement import (
     ArrayShape,
     CutType,
@@ -34,6 +36,7 @@ from surfc.placement import (
     _descent_tables,
     _ls_cell_distances,
     _ls_unroutable_pairs,
+    _route_lines,
     _swap_descent,
     adjust_bandwidth,
     baseline_cuts,
@@ -709,7 +712,7 @@ def _per_gate_adjust(layout, mapping, circ):
     fabric = Fabric(layout)
     for gate in circ.gates:
         ta, tb = mapping.tile_of(gate.control), mapping.tile_of(gate.target)
-        parent, end = bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))
+        parent, end = rooted_bfs(fabric, fabric.terminals(ta), goals=fabric.terminals(tb))
         if end is None:
             continue
         lines = set()
@@ -774,8 +777,30 @@ class TestAdjustBandwidthAgainstPerGateTally:
         assert adjust_bandwidth(layout, mapping, circ) == _per_gate_adjust(layout, mapping, circ)
 
 
+class TestClosedFormLines:
+    """The lines that ``adjust_bandwidth`` tallies by arithmetic are those of
+    the router's route, searched on a fabric with no walls, for every
+    ordered pair of distinct tiles of every array up to 8x8 and of a tall
+    and a wide one."""
+
+    def test_same_lines_as_the_router(self):
+        shapes = [(r, c) for r in range(1, 9) for c in range(1, 9)] + [(13, 3), (3, 13)]
+        pairs = 0
+        for rows, cols in shapes:
+            fabric = Fabric(uniform_dd_layout(rows, cols))
+            tiles = [(r, c) for r in range(rows) for c in range(cols)]
+            for a, b in itertools.permutations(tiles, 2):
+                route, _, _ = router._bfs_route(fabric, 0, a, b)
+                h = {res[1] for res in route.resources() if res[0] == "h"}
+                v = {res[2] for res in route.resources() if res[0] == "v"}
+                assert _route_lines(a, b) == (min(h, default=None), min(v, default=None)), (a, b)
+                assert len(h) <= 1 and len(v) <= 1, (a, b, route)
+                pairs += 1
+        assert pairs == 40320 + 2 * 39 * 38
+
+
 def _reference_ls_cell_distances(layout):
-    """Route-aware cell distances from one dict ``bfs`` per cell on a
+    """Route-aware cell distances from one ``rooted_bfs`` tree per cell on a
     ``Fabric`` whose data tiles are all the array cells."""
     rt, ct = layout.row_tracks, layout.col_tracks
     cell_tiles = {(i, j): (rt[i], ct[j])
@@ -787,7 +812,7 @@ def _reference_ls_cell_distances(layout):
     for idx, cell in enumerate(cells):
         src = cell_tiles[cell]
         hops = {}
-        for t, back in bfs(fabric, fabric.terminals(src))[0].items():
+        for t, back in rooted_bfs(fabric, fabric.terminals(src))[0].items():
             hops[t] = 1 if back is None else hops[back] + 1
         for other in cells[idx + 1:]:
             dst = cell_tiles[other]
@@ -802,14 +827,14 @@ def _reference_ls_cell_distances(layout):
 
 
 def _reference_ls_unroutable_pairs(assign, comm, layout):
-    """Stranded pairs from free-fabric components labelled by dict ``bfs``
+    """Stranded pairs from free-fabric components labelled by ``rooted_bfs``
     on a ``Fabric`` of this assignment's data tiles."""
     rt, ct = layout.row_tracks, layout.col_tracks
     fabric = Fabric(layout, frozenset((rt[i], ct[j]) for i, j in assign.values()))
     comp = {}
     for node, tile in enumerate(fabric.tiles):
         if tile not in fabric.data and node not in comp:
-            comp.update(dict.fromkeys(bfs(fabric, [node])[0], node))
+            comp.update(dict.fromkeys(rooted_bfs(fabric, [node])[0], node))
 
     def touch(tile):
         return {comp[v] for v in fabric.terminals(tile)}
@@ -849,8 +874,9 @@ def _ls_layouts():
 
 
 class TestLsMaskAnswers:
-    """The level-set answers of lattice-surgery mapping against the dict
-    ``bfs`` on a ``Fabric`` that they replace: cell distances, stranded
+    """The level-set answers of lattice-surgery mapping against
+    ``rooted_bfs`` on a ``Fabric``, which they replace: cell distances,
+    stranded
     pairs, and ``repair_mapping`` through them."""
 
     def test_cell_distances(self):

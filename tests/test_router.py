@@ -4,13 +4,14 @@ import itertools
 import random
 import re
 import sys
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_search import rooted_bfs, trace_back
 
 from surfc import router
 from surfc.chip import ChipLayout, ChipModel, ChipSpec, chip_capacity, config_dims, derive_layout
@@ -21,15 +22,18 @@ from surfc.router import (
     CycleOccupancy,
     Fabric,
     RoutePath,
-    bfs,
     find_path,
     render_cycle,
     route_batch_guaranteed,
-    trace_back,
 )
 
 DD = ChipModel.DOUBLE_DEFECT
 LS = ChipModel.LATTICE_SURGERY
+
+
+def _bits(mask: int) -> list[int]:
+    """Ascending ids of the set bits of ``mask``."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def tile_corners(tile):
@@ -490,8 +494,8 @@ def _full_mask(fabric: Fabric, usage: list[int]) -> int:
 
 
 def _reference_route(fabric: Fabric, usage: list[int], src, dst):
-    """The route search of ``find_path`` and ring repair on plain ``bfs`` with
-    ``usage`` walls: ``(route, region)``, where on a miss ``region`` is the
+    """The route search of ``find_path`` and ring repair on ``rooted_bfs``
+    with ``usage`` walls: ``(route, region)``, where on a miss ``region`` is the
     bitmask of every node the search reached, else 0."""
     model = fabric.model
     if model is LS and router._adjacent(src, dst):
@@ -503,7 +507,7 @@ def _reference_route(fabric: Fabric, usage: list[int], src, dst):
         for n in starts:
             if n in goals:
                 return fabric.route((n,)), 0
-    parent, end = bfs(fabric, starts, usage, goals)
+    parent, end = rooted_bfs(fabric, starts, usage, goals)
     if end is not None:
         return fabric.route(trace_back(parent, end)), 0
     return None, sum(1 << n for n in parent)
@@ -525,13 +529,13 @@ def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
 
 def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
     """Asserts that ``_level_route`` on the masks of free ``starts`` and of
-    ``goals`` disjoint from them returns the path of plain ``bfs`` from
+    ``goals`` disjoint from them returns the path of ``rooted_bfs`` from
     ``starts`` in ascending order, and the segments on that path; and on a
     miss None, where ``flood`` from the starts over the free-edge masks, as
-    ``_bfs_route`` calls it, gives the region ``bfs`` reaches."""
+    ``_bfs_route`` calls it, gives the region ``rooted_bfs`` reaches."""
     full = _full_mask(fabric, usage)
     found = router._level_route(fabric, full, router._mask(starts), router._mask(goals))
-    parent, end = bfs(fabric, sorted(starts), usage, goals)
+    parent, end = rooted_bfs(fabric, sorted(starts), usage, goals)
     if end is None:
         nodes = fabric.nodes
         region = router.flood(router._mask(starts), fabric.open & ~full,
@@ -555,7 +559,7 @@ def _shuffled(fabric: Fabric, rng: random.Random) -> Fabric:
 
 
 class TestLevelSearch:
-    """The level-set search returns the route plain ``bfs`` returns, and on
+    """The level-set search returns the route ``rooted_bfs`` returns, and on
     a miss the region it reached, on every query."""
 
     @given(st.integers(0, 2**32 - 1))
@@ -631,7 +635,7 @@ class TestLevelSearch:
             usage[fabric.res_id(("j", 3, j))] = 1
         path, region = _same_as_reference(fabric, usage, (0, 0), (3, 3))
         assert path is None
-        assert [fabric.tiles[n] for n in router._bits(region)] == [(i, j) for i in range(3) for j in range(5)]
+        assert [fabric.tiles[n] for n in _bits(region)] == [(i, j) for i in range(3) for j in range(5)]
 
     def test_only_a_region_miss_floods(self, monkeypatch):
         # a saturated junction row walls the source off from the goal's free
@@ -645,7 +649,7 @@ class TestLevelSearch:
         assert find_path(occ, 0, (0, 0), (3, 3)) is None and not flooded
         path, region = _same_as_reference(occ.fabric, occ.usage(0), (0, 0), (3, 3))
         assert path is None and len(flooded) == 1
-        assert [occ.fabric.tiles[n] for n in router._bits(region)] == [
+        assert [occ.fabric.tiles[n] for n in _bits(region)] == [
             (i, j) for i in range(3) for j in range(5)]
 
     def test_forward_walk_skips_a_full_edge(self):
@@ -668,7 +672,7 @@ class TestLevelSearch:
             usage[n] = fabric.cap[n]
         assert _same_levels_as_bfs(fabric, usage, fabric.terminals((0, 0)), fabric.terminals((2, 2))) is None
         path, region = _same_as_reference(fabric, usage, (0, 0), (2, 2))
-        assert path is None and len(router._bits(region)) == len(fabric.tiles) - 4
+        assert path is None and len(_bits(region)) == len(fabric.tiles) - 4
         # every corner of the source tile full: no start, an empty region
         usage = [0] * fabric.size
         for n in fabric.terminals((0, 0)):
@@ -762,7 +766,7 @@ def _mask_queries(seed: int) -> Counter:
         route, region = _same_as_reference(fabric, usage, a, b)
         free = fabric.open & ~_full_mask(fabric, usage)
         starts, goals = fabric.terminal_mask(a) & free, fabric.terminal_mask(b) & free
-        shared = len(router._bits(fabric.terminal_mask(a) & fabric.terminal_mask(b)))
+        shared = len(_bits(fabric.terminal_mask(a) & fabric.terminal_mask(b)))
         if model is LS and router._adjacent(a, b):
             kinds["ls adjacent"] += 1
         elif not starts:
@@ -771,7 +775,7 @@ def _mask_queries(seed: int) -> Counter:
             kinds["no free goal"] += 1
             assert region  # ring repair's region: the search ran
         elif model is LS and starts & goals:
-            kinds[f"ls single tile, {len(router._bits(starts & goals))} shared"] += 1
+            kinds[f"ls single tile, {len(_bits(starts & goals))} shared"] += 1
         elif model is DD and shared:
             kinds[f"dd {shared} shared corners"] += 1
         else:
@@ -790,8 +794,8 @@ def _mask_queries(seed: int) -> Counter:
 
 
 class TestMaskQuery:
-    """The query on terminal masks returns the route and region of plain
-    ``bfs`` from the free terminals in ``terminals`` order, through
+    """The query on terminal masks returns the route and region of
+    ``rooted_bfs`` from the free terminals in ``terminals`` order, through
     ``find_path`` and ``_bfs_route``, and the ids it hands to the commit are
     those of the route's resources."""
 
@@ -873,8 +877,8 @@ def _shared_corner_queries(seed: int) -> Counter:
 
 class TestSharedCornerHop:
     """Between DD tiles that share a corner, the one-hop answer read on the
-    masks, and the rooted search behind it, return the route, ids and
-    region of plain ``bfs`` from the free corners in ascending order."""
+    masks, and the level search behind it, return the route, ids and
+    region of ``rooted_bfs`` from the free corners in ascending order."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None, derandomize=True)
@@ -898,6 +902,69 @@ class TestSharedCornerHop:
         fabric = Fabric(uniform_dd_layout(1, 2))
         route, _ = _same_as_reference(fabric, [0] * fabric.size, (0, 0), (0, 1))
         assert route.nodes == ((0, 0), (0, 1))
+
+
+def _remainder_queries(seed: int) -> Counter:
+    """Queries between DD tiles that share a corner, in both orders, on
+    random usage that most of the time also fills every segment, or the
+    node past it, from a corner of one tile to a corner of the other; a
+    quarter of the fabrics have channels of capacity 0 and half have
+    shuffled neighbour orders.  Each query with a free shared corner and no
+    one-hop route, the remainder that the level search answers, is checked
+    against ``_reference_route`` (route, ids and region).  Returns the count
+    of hits and misses of diagonal and of edge-adjacent pairs."""
+    rng = random.Random(seed)
+    rows, cols = rng.choice([(r, c) for r in range(1, 6) for c in range(1, 6) if r * c >= 2])
+    fabric = Fabric(uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 2)))
+    if rng.random() < 0.25:
+        fabric = _with_zero_lines(fabric, set(rng.sample(range(rows + 1), 1)),
+                                  set(rng.sample(range(cols + 1), rng.randint(0, 1))))
+    if rng.random() < 0.5:
+        fabric = _shuffled(fabric, rng)
+    cap = fabric.cap
+    tiles = [(r, c) for r in range(rows) for c in range(cols)]
+    density = rng.choice((0.0, 0.1, 0.25, 0.4))
+    kinds = Counter()
+    for _ in range(12):
+        a = rng.choice(tiles)
+        near = [(a[0] + dr, a[1] + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
+                if (dr, dc) != (0, 0) and (a[0] + dr, a[1] + dc) in tiles]
+        b = rng.choice(near)
+        usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+        shared = set(fabric.terminals(a)) & set(fabric.terminals(b))
+        if rng.random() < 0.8:  # wall every one-hop route
+            for n in fabric.terminals(a):
+                for nxt, seg in fabric.adj[n]:
+                    if nxt in fabric.terminals(b):
+                        wall = nxt if nxt not in shared and rng.random() < 0.3 else seg
+                        usage[wall] = cap[wall]
+        for src, dst in ((a, b), (b, a)):
+            free = fabric.open & ~_full_mask(fabric, usage)
+            route, _ = _same_as_reference(fabric, usage, src, dst)
+            if not fabric.terminal_mask(src) & fabric.terminal_mask(dst) & free:
+                continue  # no free shared corner: a plain level search
+            if route is not None and len(route.nodes) == 2:
+                continue  # the one-hop answer
+            pair = "diagonal" if len(shared) == 1 else "edge"
+            kinds[f"{pair} {'miss' if route is None else 'hit'}"] += 1
+    return kinds
+
+
+class TestSharedCornerRemainder:
+    """Between DD tiles that share a free corner but have no one-hop route,
+    the level search with the starts dropped from the goals returns the
+    route, ids and region of ``rooted_bfs``, whose shared corners are never
+    an end."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        _remainder_queries(seed)
+
+    def test_hits_and_misses_of_both_classes(self):
+        kinds = sum((_remainder_queries(seed) for seed in range(80)), Counter())
+        expected = [f"{pair} {hit}" for pair in ("diagonal", "edge") for hit in ("hit", "miss")]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
 
 
 def _zero_lane_queries(seed: int) -> Counter:
@@ -960,7 +1027,7 @@ def _node_walk_frontier(fabric: Fabric, usage: list[int], src, region: int) -> s
     also holds ids of capacity 0, which no route holds."""
     cap = fabric.cap
     ring = {n for n in fabric.terminals(src) if usage[n] >= cap[n]}
-    for node in router._bits(region):
+    for node in _bits(region):
         for nxt, seg in fabric.adj[node]:
             if usage[seg] >= cap[seg]:
                 ring.add(seg)
@@ -999,7 +1066,7 @@ class TestSaturatedFrontier:
             if route is None:
                 ring = router._saturated_frontier(fabric, full, a, region)
                 walk = _node_walk_frontier(fabric, usage, a, region)
-                assert router._bits(ring) == sorted(i for i in walk if fabric.cap[i] > 0)
+                assert _bits(ring) == sorted(i for i in walk if fabric.cap[i] > 0)
 
 
 class TestFullMasks:
@@ -1145,79 +1212,6 @@ class TestFullMasks:
                 pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(chip_capacity(bandwidth))]
                 route_batch_guaranteed(uniform_dd_layout(g, g, bandwidth=bandwidth), pairs)
         assert len(checked) > 100 and sum(map(bool, ripped)) > 50
-
-
-def _rooted_bfs(fabric: Fabric, starts, usage=None, goals=()):
-    """Reference unbounded search: every node keeps the start it was
-    reached from, and a goal is an end only when met from another start."""
-    adj, cap = fabric.adj, fabric.cap
-    if usage is None:
-        usage = [-(1 << 30)] * fabric.size
-    parent = dict.fromkeys(starts)
-    root = {n: n for n in starts}
-    queue = deque(starts)
-    while queue:
-        node = queue.popleft()
-        origin = root[node]
-        for nxt, seg in adj[node]:
-            if usage[seg] >= cap[seg] or usage[nxt] >= cap[nxt]:
-                continue
-            if nxt in goals and origin != nxt:
-                return parent, (nxt, node)
-            if nxt in parent:
-                continue
-            parent[nxt] = node
-            root[nxt] = origin
-            queue.append(nxt)
-    return parent, None
-
-
-def _unbounded_queries(seed: int) -> Counter:
-    """Random unbounded ``bfs`` queries on one DD or LS fabric, each checked
-    against ``_rooted_bfs``: the same end and the same ``parent`` in the same
-    order.  Returns the count of (hit, a start is a goal) outcomes."""
-    rng = random.Random(seed)
-    model = rng.choice((DD, LS))
-    rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-    if model is DD:
-        fabric = Fabric(uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 3)))
-    else:
-        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
-        cells = [(layout.row_tracks[r], layout.col_tracks[c])
-                 for r in range(rows) for c in range(cols)]
-        fabric = Fabric(layout, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
-    usage = None
-    if rng.random() < 0.7:
-        density = rng.choice((0.1, 0.3, 0.6))
-        usage = [rng.randint(0, cap) if rng.random() < density else 0 for cap in fabric.cap]
-    nodes = range(len(fabric.tiles))
-    outcomes = Counter()
-    for _ in range(6):
-        starts = rng.sample(nodes, rng.randint(0, min(4, len(nodes))))
-        goals = tuple(rng.sample(nodes, rng.randint(0, min(4, len(nodes)))))
-        if starts and rng.random() < 0.3:
-            goals += (rng.choice(starts),)
-        parent, end = bfs(fabric, starts, usage, goals)
-        ref_parent, ref_end = _rooted_bfs(fabric, starts, usage, goals)
-        assert end == ref_end
-        assert list(parent.items()) == list(ref_parent.items())
-        outcomes[end is not None, not set(starts).isdisjoint(goals)] += 1
-    assert fabric.unlimited == [-(1 << 30)] * fabric.size
-    return outcomes
-
-
-class TestUnboundedSearch:
-    """The search without root bookkeeping, used whenever no start is a
-    goal, returns what the rooted search does."""
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_same_as_rooted_search(self, seed):
-        _unbounded_queries(seed)
-
-    def test_queries_hit_and_miss(self):
-        outcomes = sum((_unbounded_queries(seed) for seed in range(100)), Counter())
-        assert min(outcomes[hit, shared] for hit in (False, True) for shared in (False, True)) >= 10
 
 
 class TestRender:
