@@ -3,6 +3,10 @@
 Transforms logical CNOT circuits into cycle-by-cycle encoded schedules on a
 2D-lattice chip, for both the double-defect (braiding) and lattice-surgery
 models, minimizing the cycle count.
+
+The exhaustive reference oracle (``OracleBudget``, ``optimal_cycles``,
+``optimal_pm``, ``routing_feasible``) is not re-exported here: it serves tests
+and ``surfc oracle`` only, so it is imported from ``surfc.oracle``.
 """
 from .chip import (
     ChipLayout,
@@ -25,7 +29,6 @@ from .errors import (
 )
 from .generate import gen_3sat_gadget, gen_random_circuit
 from .harness import RunConfig, RunReport, compare, run, run_full, sweep
-from .oracle import OracleBudget, optimal_cycles, optimal_pm, routing_feasible
 from .placement import (
     ArrayShape,
     CutType,

@@ -29,7 +29,6 @@ from .harness import (
     run_full,
     sweep,
 )
-from .oracle import OracleBudget, optimal_pm
 from .profiler import para_finding
 
 EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, EXIT_INFEASIBLE = 0, 1, 2, 3
@@ -129,11 +128,15 @@ def cmd_schedule(args) -> int:
     config = _config_from_args(args)
     report, schedule = run_full(config)
     payload = {"report": report.to_json_dict(), "schedule": schedule.to_json_dict()}
-    _emit(json.dumps(payload, indent=2), args.out)
+    # no indent: json's C encoder handles only unindented output, and a
+    # schedule has an action per gate and a cell per route step
+    _emit(json.dumps(payload), args.out)
     return EXIT_OK
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import OracleBudget, optimal_pm  # exhaustive search: loaded only here
+
     budget = OracleBudget(max_gates=args.max_gates, max_qubits=args.max_qubits)
     circuit = load_circuit(RunConfig(**_circuit_source(args)))
     value = optimal_pm(build_dag(circuit), budget)

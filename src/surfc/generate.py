@@ -24,6 +24,15 @@ CLAUSE_PAD = 10    # keep-busy padding: clause gadgets fit within 10 cycles
 
 
 def gen_random_circuit(n: int, depth: int, parallelism: int, seed: int) -> LogicalCircuit:
+    """Seeded random circuit of exactly ``depth`` layers of ``parallelism`` gates.
+
+    Each layer keeps one ascending list of its free qubits, all n minus the
+    rails' carried qubits, and every pick pops a ``randrange`` index from it.
+    The list stays the ascending list of qubits not yet used in the layer, so
+    each ``randrange`` sees the same length and picks the same qubit as a list
+    rebuilt per gate would: the ``rng`` call sequence, and with it the circuit
+    of each seed, does not depend on how the list is kept.  A layer costs one
+    O(n) list build plus one pop per pick, not an O(n) rebuild per gate."""
     if depth < 1 or parallelism < 1:
         raise InfeasibleError("depth and parallelism must be >= 1")
     if 2 * parallelism > n:
@@ -33,20 +42,13 @@ def gen_random_circuit(n: int, depth: int, parallelism: int, seed: int) -> Logic
     rng = random.Random(seed)
     pairs: list[tuple[int, int]] = []
     carries: list[int] = []
-    qubits = list(range(n))
     for layer in range(depth):
-        used: set[int] = set(carries)
+        carried = set(carries)
+        free = [q for q in range(n) if q not in carried]
         new_carries: list[int] = []
         for rail in range(parallelism):
-            if layer == 0:
-                free = [q for q in qubits if q not in used]
-                u = free.pop(rng.randrange(len(free)))
-                used.add(u)
-            else:
-                u = carries[rail]
-            free = [q for q in qubits if q not in used and q != u]
-            v = free[rng.randrange(len(free))]
-            used.add(v)
+            u = free.pop(rng.randrange(len(free))) if layer == 0 else carries[rail]
+            v = free.pop(rng.randrange(len(free)))
             pairs.append((u, v) if rng.random() < 0.5 else (v, u))
             new_carries.append(u if rng.random() < 0.5 else v)
         carries = new_carries

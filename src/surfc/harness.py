@@ -4,17 +4,18 @@ A run is parse/generate -> profile -> layout -> map -> (adjust, cuts) ->
 (repair) -> stranded-pair check -> schedule -> validate: ``place`` runs the
 stages before scheduling (``surfc map`` prints its mapping), ``compile_once``
 adds the scheduler call and ``run_full`` validates and wraps the result in a
-``RunReport``, raising on an invalid schedule.  Sweeps fan runs out over a worker pool (rows are
-independent) and emit one CSV row per run, including the compile-time ratio
-against the minimum-viable chip row of the same (label, model, scheduler,
-seed).
+``RunReport``, raising on an invalid schedule.  Sweeps fan runs out over a
+worker pool (rows are independent) and emit one CSV row per run, including
+the compile-time ratio against the minimum-viable chip row of the same
+(label, model, scheduler, seed).  The pool's modules (``concurrent.futures``,
+``multiprocessing``) load only when a sweep asks for ``workers > 1``, so a
+compile never pays their import.
 """
 from __future__ import annotations
 
 import csv
 import io
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import bench
@@ -242,6 +243,8 @@ def sweep(configs: list[RunConfig], workers: int = 1) -> tuple[list[dict], str]:
         raise InfeasibleError(f"worker count {workers} must be >= 1")
     results: list[tuple[RunConfig, RunReport | None, str]] = []
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, configs))
     else:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import surfc
 from surfc.chip import ChipModel
 from surfc.cli import EXIT_INFEASIBLE, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from surfc.harness import RunConfig, run_full
@@ -85,6 +89,18 @@ class TestMapAndSchedule:
         payload = json.loads(out.read_text())
         assert payload["report"]["delta"] == 22
         assert len(payload["schedule"]["cycles"]) == 22
+
+    def test_schedule_prints_the_run_full_payload(self, capsys):
+        assert main(["schedule", "--random", "12,6,4", "--seed", "2", "-d", "2",
+                     "--chip", "4x"]) == EXIT_OK
+        printed = _capture(capsys)
+        report, schedule = run_full(RunConfig(random_params=(12, 6, 4), seed=2, d=2, chip="4x"))
+        expected = json.loads(json.dumps({"report": report.to_json_dict(),
+                                          "schedule": schedule.to_json_dict()}))
+        for payload in (printed, expected):
+            del payload["report"]["compile_seconds"]
+        assert printed == expected
+        assert schedule.delta > 0 and printed["schedule"]["cycles"]
 
     def test_infeasible_exit_code(self, capsys):
         code = main(["schedule", "--bench", "qft_10", "--model", "ls",
@@ -200,3 +216,16 @@ class TestBadInput:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
         assert f"worker count {workers} must be >= 1" in err
+
+
+@pytest.mark.parametrize("module", ["surfc", "surfc.cli"])
+def test_import_loads_only_the_compile_path(module):
+    # the sweep pool and the exhaustive oracle load where they run
+    src = os.path.dirname(os.path.dirname(surfc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = (f"import sys, {module}; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures', 'surfc.oracle') "
+             "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import networkx as nx
@@ -10,7 +11,24 @@ from surfc.oracle import OracleBudget, optimal_pm
 from surfc.profiler import para_finding
 
 
+# sha256 over repr((n, depth, par, seed, pairs)) of each generated circuit,
+# recorded before the generator kept one free list per layer: depth 1 runs
+# only layer 0, par = n // 2 empties the free list, (400, 30, 100) is the
+# scale of the generator's benchmark inputs
+GOLDEN_GENERATOR_DIGEST = "236017ac4ee96c5c6892e28b9884e559a3d96258f39993868ad036aa3c330e53"
+GENERATOR_GRID = [(n, depth, par) for n in (2, 7, 16) for depth in (1, 4)
+                  for par in sorted({1, n // 4 or 1, n // 2})] + [(400, 30, 100), (400, 1, 200)]
+
+
 class TestGenRandomCircuit:
+    def test_generator_digest(self):
+        digest = hashlib.sha256()
+        for n, depth, par in GENERATOR_GRID:
+            for seed in range(4):
+                pairs = [g.qubits for g in gen_random_circuit(n, depth, par, seed).gates]
+                digest.update(repr((n, depth, par, seed, pairs)).encode())
+        assert digest.hexdigest() == GOLDEN_GENERATOR_DIGEST
+
     def test_parallelism_one_is_a_chain(self):
         c = gen_random_circuit(4, 3, 1, seed=7)
         dag = build_dag(c)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -211,6 +213,22 @@ class TestSweep:
             a2.pop("compile_seconds"), b2.pop("compile_seconds")
             a2.pop("time_ratio", None), b2.pop("time_ratio", None)
             assert a2 == b2
+
+    def test_worker_pool_matches_one_worker(self):
+        configs = [
+            RunConfig(random_params=(8, 4, 2), model=DD, chip="min", d=2, seed=1, label="dd"),
+            RunConfig(benchmark="qft_10", model=LS, chip="min", d=2, label="bad", seed=1),
+        ]
+        timing = ("compile_seconds", "time_ratio")
+
+        def untimed(rows):
+            return [{k: v for k, v in row.items() if k not in timing} for row in rows]
+
+        serial, pooled = sweep(configs, workers=1), sweep(configs, workers=2)
+        assert untimed(pooled[0]) == untimed(serial[0])
+        assert [row["valid"] for row in pooled[0]] == [True, False]
+        csv_rows = [untimed(csv.DictReader(io.StringIO(text))) for _rows, text in (serial, pooled)]
+        assert csv_rows[0] == csv_rows[1] and len(csv_rows[0]) == 2
 
     def test_time_ratio_grouping(self):
         base = dict(benchmark="bv_10", model=DD, d=2, label="bv", seed=0)
