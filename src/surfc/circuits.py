@@ -6,18 +6,22 @@ derived structures drive everything downstream:
 * the gate dependency DAG (immediate predecessors only), whose critical-path
   length ``alpha`` lower-bounds any schedule, and
 * the qubit communication graph, whose edge weights count CNOTs per pair.
+
+A gate is a named tuple ``(gid, control, target)``: it unpacks as one and
+compares equal to the plain tuple, so the passes over a circuit read their
+gates with C-level unpacking instead of attribute lookups.
 """
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import CircuitError
 
 
-@dataclass(frozen=True, slots=True)
-class CnotGate:
+class CnotGate(NamedTuple):
     gid: int
     control: int
     target: int
@@ -33,14 +37,15 @@ class LogicalCircuit:
     gates: tuple[CnotGate, ...]
 
     def __post_init__(self):
-        for i, g in enumerate(self.gates):
-            if g.gid != i:
-                raise CircuitError(f"gate ids must be dense 0..g-1, found {g.gid} at {i}")
-            if g.control == g.target:
-                raise CircuitError(f"gate {g.gid}: control equals target ({g.control})")
-            for q in g.qubits:
-                if not 0 <= q < self.n:
-                    raise CircuitError(f"gate {g.gid}: qubit {q} out of range [0, {self.n})")
+        n = self.n
+        for i, (gid, c, t) in enumerate(self.gates):
+            if gid != i:
+                raise CircuitError(f"gate ids must be dense 0..g-1, found {gid} at {i}")
+            if c == t:
+                raise CircuitError(f"gate {gid}: control equals target ({c})")
+            if not (0 <= c < n and 0 <= t < n):
+                q = t if 0 <= c < n else c
+                raise CircuitError(f"gate {gid}: qubit {q} out of range [0, {n})")
 
     @property
     def g(self) -> int:
@@ -96,33 +101,32 @@ def build_dag(circ: LogicalCircuit) -> GateDag:
     g = circ.g
     parents: list[tuple[int, ...]] = [()] * g
     children: list[list[int]] = [[] for _ in range(g)]
-    down = [0] * g
-    last: dict[int, int] = {}
-    last_on = last.get
-    for gate in circ.gates:
-        v, c, t = gate.gid, gate.control, gate.target
-        a, b = last_on(c), last_on(t)
-        if a is None:
-            ps = () if b is None else (b,)
-        elif b is None or a == b:
-            ps = (a,)
-        else:
-            ps = (a, b) if a < b else (b, a)
-        depth = 0
-        for p in ps:
-            children[p].append(v)
-            if down[p] > depth:
-                depth = down[p]
-        parents[v] = ps
-        down[v] = depth + 1  # program order is a topological order
+    down = [1] * g  # program order is a topological order
+    last = [-1] * circ.n  # each qubit's last gate so far, -1 before its first
+    for v, c, t in circ.gates:
+        a, b = last[c], last[t]
         last[c] = last[t] = v
-    up = [0] * g
-    for v in reversed(range(g)):
-        depth = 0
-        for w in children[v]:
-            if up[w] > depth:
-                depth = up[w]
-        up[v] = depth + 1
+        if a < 0:
+            if b >= 0:
+                parents[v] = (b,)
+                children[b].append(v)
+                down[v] = down[b] + 1
+        elif b < 0 or a == b:
+            parents[v] = (a,)
+            children[a].append(v)
+            down[v] = down[a] + 1
+        else:
+            parents[v] = (a, b) if a < b else (b, a)
+            children[a].append(v)
+            children[b].append(v)
+            da, db = down[a], down[b]
+            down[v] = (da if da > db else db) + 1
+    up = [1] * g
+    for v in reversed(range(g)):  # a gate's children all come after it
+        depth = up[v] + 1
+        for p in parents[v]:
+            if up[p] < depth:
+                up[p] = depth
     return GateDag(
         n_gates=g,
         parents=tuple(parents),
@@ -158,11 +162,9 @@ class CommGraph:
 
 
 def build_comm_graph(circ: LogicalCircuit) -> CommGraph:
-    weights: dict[tuple[int, int], int] = {}
-    for gate in circ.gates:
-        key = (min(gate.qubits), max(gate.qubits))
-        weights[key] = weights.get(key, 0) + 1
-    return CommGraph(circ.n, weights)
+    """Weights keyed by ``(min, max)`` pair, in order of each pair's first gate."""
+    pairs = Counter((c, t) if c < t else (t, c) for _, c, t in circ.gates)
+    return CommGraph(circ.n, dict(pairs))
 
 
 def two_coloring(n: int, edges: set[tuple[int, int]]) -> dict[int, int] | None:

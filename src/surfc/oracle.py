@@ -245,9 +245,9 @@ def optimal_cycles(
         for p in dag.parents[v]:
             parents_mask[v] |= 1 << p
     gates_of_qubit: dict[int, list[int]] = {}
-    for v, gate in enumerate(circuit.gates):
-        for q in gate.qubits:
-            gates_of_qubit.setdefault(q, []).append(v)
+    for v, c, t in circuit.gates:
+        gates_of_qubit.setdefault(c, []).append(v)
+        gates_of_qubit.setdefault(t, []).append(v)
 
     full_mask = (1 << g) - 1
     if upper_bound is None:

@@ -17,6 +17,16 @@ entry for it is skipped.  The layer is found by a scan over the window.  The
 cost is O((g + window updates) log g) for the heap plus the length of the
 scanned windows.
 
+A gate whose initial window is one layer is placed before the heap is built,
+and the heap holds only the other gates; the layering is the same.  Such a
+gate's key ``(0, id)`` pops before every other key, and placing it moves no
+window.  ``low`` is the longest path from a source, so each child's ``low``
+already exceeds the gate's layer; ``high`` is ``alpha + 1`` less the longest
+path to a sink, so each parent's ``high`` is already below it.  These gates
+therefore pop first, in id order, with no window changed in between, and
+each lands in its one layer whatever the order.  A circuit whose windows are
+all one layer, as every ``gen_random_circuit`` circuit's are, builds no heap.
+
 Tie-breaking (lowest gate id, then earliest layer) is fixed here so that runs
 are reproducible; any choice yields a valid minimum-length layering.
 
@@ -63,9 +73,17 @@ def para_finding(dag: GateDag) -> LayerSchedule:
     children, parents = dag.children, dag.parents
     low = list(dag.depth_from_source)
     high = [alpha - d + 1 for d in dag.depth_to_sink]
+    if low == high:  # every window is one layer: each gate's layer is fixed
+        return LayerSchedule.of([layer - 1 for layer in low], alpha)
     loads = [0] * (alpha + 1)  # 1-indexed by layer
     done = [False] * g
-    heap = [(high[v] - low[v], v) for v in range(g)]
+    heap = []
+    for v, (lo, hi) in enumerate(zip(low, high)):
+        if lo == hi:  # placed now; placing it moves no window
+            loads[lo] += 1
+            done[v] = True
+        else:
+            heap.append((hi - lo, v))
     heapify(heap)
 
     def raise_low(v: int, floor: int) -> None:
@@ -90,7 +108,7 @@ def para_finding(dag: GateDag) -> LayerSchedule:
             heappush(heap, (ceil - low[v], v))
             stack.extend((p, ceil - 1) for p in parents[v])
 
-    for _ in range(g):
+    for _ in range(len(heap)):
         gate = heappop(heap)[1]
         while done[gate]:
             gate = heappop(heap)[1]
@@ -147,10 +165,11 @@ def bipartite_prefix(
         parity[ra] = pa ^ pb ^ 1  # a and b at opposite parities
         return True
 
+    gates = circuit.gates
     edges: set[tuple[int, int]] = set()
     end = start
     while end < layers.alpha:
-        pairs = [circuit.gates[gid].qubits for gid in layers.layers[end]]
+        pairs = [gates[gid][1:] for gid in layers.layers[end]]
         if not all(join(a, b) for a, b in pairs):
             break
         edges.update((min(a, b), max(a, b)) for a, b in pairs)

@@ -10,17 +10,31 @@ second definition of a name.  ``include`` lines are tolerated and skipped;
 included files are never read.  Anything else is a parse error with a line
 number.
 
-A top-level ``cx``/``CX`` between two indexed qubits of the declared register,
-both in range and distinct, takes a direct path: one regex match, no operand
-splitting.  Whitespace, newlines and comments may sit between its tokens.
-Any other statement, a ``cx`` before the ``qreg`` or with a wrong register,
-an out-of-range index or equal operands included, falls through to the
-general path, so every error keeps its class, message and line number.
+A flat program is an optional ``OPENQASM 2.0;``, any ``include "<file>";``
+lines and one ``qreg``, then only ``cx``/``CX`` statements between two
+indexed qubits of that register, with whitespace and newlines anywhere
+between tokens.  One regex matches the header and one splits the rest at
+every such statement; when nothing but whitespace lies between statements
+and every pair is in range and distinct, the index pairs are the gate list.
+Anything else, a comment, a ``gate`` block, any other statement, a wrong
+register, an index out of range, equal operands or trailing text, sends the
+whole program down the statement loop below, which reads it as if no flat
+path existed.
+
+In the statement loop, a top-level ``cx``/``CX`` between two indexed qubits
+of the declared register, both in range and distinct, takes a direct path:
+one regex match, no operand splitting.  Whitespace, newlines and comments may
+sit between its tokens.  Any other statement, a ``cx`` before the ``qreg`` or
+with a wrong register, an out-of-range index or equal operands included,
+falls through to the general path, so every error keeps its class, message
+and line number.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain, count, repeat
+from operator import eq
 
 from .circuits import CnotGate, LogicalCircuit
 from .errors import CircuitError, QasmError
@@ -36,6 +50,32 @@ _GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(\([^)]*\))?\s*([^{{]*)$")
 _CX_RE = re.compile(rf"^(?:cx|CX)\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
 
 _DROPPED_KEYWORDS = ("barrier", "measure", "reset")
+
+# a flat program's header; the register's name and size are its groups
+_FLAT_HEAD_RE = re.compile(
+    rf'\s*(?:OPENQASM\s+2\.0\s*;\s*)?(?:include\s*"[\w.\-]*"\s*;\s*)*'
+    rf"qreg\s+({_ID})\s*\[\s*(\d+)\s*\]\s*;"
+)
+
+
+def _flat_circuit(text: str) -> LogicalCircuit | None:
+    """The circuit of a flat program, or None when ``text`` is not one."""
+    head = _FLAT_HEAD_RE.match(text)
+    if head is None:
+        return None
+    reg, n = head[1], int(head[2])
+    operand = rf"{reg}\s*\[\s*(\d+)\s*\]"
+    # [gap, control, target, gap, ..., gap]: split, unlike a fullmatch of the
+    # repeated statement, keeps no backtracking frame per statement
+    parts = re.split(rf"(?:cx|CX)\s+{operand}\s*,\s*{operand}\s*;", text[head.end():])
+    if "".join(parts[::3]).strip():
+        return None
+    controls, targets = list(map(int, parts[1::3])), list(map(int, parts[2::3]))
+    if max(chain(controls, targets), default=-1) >= n or any(map(eq, controls, targets)):
+        return None
+    # tuple.__new__ builds each gate in C; calling CnotGate runs its Python __new__
+    gates = map(tuple.__new__, repeat(CnotGate), zip(count(), controls, targets))
+    return LogicalCircuit(n, tuple(gates))
 
 
 @dataclass
@@ -200,4 +240,5 @@ class _Parser:
 
 def parse_qasm(text: str) -> LogicalCircuit:
     """Parse an OpenQASM-2 program, retaining only its cx gates in program order."""
-    return _Parser().parse(text)
+    flat = _flat_circuit(text)
+    return _Parser().parse(text) if flat is None else flat

@@ -143,7 +143,7 @@ def m_value(
     flipped = cuts[qubit].flipped
     m_s = -1
     for child in dag.children[gate]:
-        cq, tq = circuit.gates[child].qubits
+        _, cq, tq = circuit.gates[child]
         if qubit in (cq, tq):
             other = tq if cq == qubit else cq
             m_s += 1 if cuts[other] is flipped else -1

@@ -9,6 +9,7 @@ from surfc import qasm
 from surfc.bench import BENCHMARKS
 from surfc.circuits import (
     CnotGate,
+    CommGraph,
     GateDag,
     LogicalCircuit,
     build_comm_graph,
@@ -191,6 +192,51 @@ def _programs(draw):
     return "OPENQASM 2.0;\n" + "".join(s + sep for s, sep in zip(body, seps))
 
 
+def _benchmark_qasm(n, pairs):
+    """A circuit as the benchmark writes it: a header, then one cx a line."""
+    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{n}];"]
+    lines += [f"cx q[{c}],q[{t}];" for c, t in pairs]
+    return "\n".join(lines) + "\n"
+
+
+# one statement or text each that no flat program holds
+_FLAWS = [
+    "// a comment", "h q[0];", "barrier q[0], q[1];", "creg c[2];", "qreg r[2];",
+    "gate g a, b { cx a, b; }", "cx r[0], q[1];", "cx q[0], r[1];", "cx q[0], q[99];",
+    "cx q[1], q[1];", "cX q[0], q[1];", "cx q[0] q[1];", "OPENQASM 2.0;",
+]
+
+
+@st.composite
+def _flat_programs(draw):
+    """``(text, flawed)``: a header and plain cx statements on the declared
+    register, in range and distinct, with whitespace between tokens; a
+    flawed program also holds one of ``_FLAWS``, a cx before its ``qreg``,
+    or trailing text with no ``;``."""
+    gap = lambda: draw(st.sampled_from(["", " ", "\n", "\t", " \r\n "]))  # noqa: E731
+    space = lambda: draw(st.sampled_from([" ", "\n", "\t", "  "]))  # noqa: E731
+    n = draw(st.integers(0, 6))
+    reg = draw(st.sampled_from(["q", "q1", "cx"]))
+    head = [f"OPENQASM{space()}2.0{gap()};"] if draw(st.booleans()) else []
+    head += [f'include{gap()}"qelib1.inc"{gap()};'] * draw(st.integers(0, 2))
+    head.append(f"qreg{space()}{reg}{gap()}[{gap()}{n}{gap()}]{gap()};")
+    body = []
+    for _ in range(draw(st.integers(0, 8)) if n >= 2 else 0):
+        i, j = draw(st.permutations(range(n)))[:2]
+        body.append(f"{draw(st.sampled_from(['cx', 'CX']))}{space()}{reg}{gap()}[{gap()}{i}"
+                    f"{gap()}]{gap()},{gap()}{reg}{gap()}[{gap()}{j}{gap()}]{gap()};")
+    flaw = draw(st.sampled_from([None] * 6 + ["early cx", "no ;"] + _FLAWS))
+    if flaw == "early cx":
+        head.insert(draw(st.integers(0, len(head) - 1)), f"cx {reg}[0], {reg}[1];")
+    elif flaw == "no ;":
+        body.append(draw(st.sampled_from([f"cx {reg}[0], {reg}[1]", "x", "}"])))
+    elif flaw is not None:
+        body.insert(draw(st.integers(0, len(body))), flaw.replace("q[", f"{reg}["))
+    stmts = head + body
+    seps = [draw(st.sampled_from(["\n", "", " ", "\r\n"])) for _ in stmts]
+    return "".join(s + sep for s, sep in zip(stmts, seps)), flaw is not None
+
+
 class TestDirectCxPath:
     """Plain ``cx q[i], q[j];`` statements skip the general path; every
     program parses as the general path alone parses it."""
@@ -222,6 +268,48 @@ class TestDirectCxPath:
         c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\nCX q[2], q[0];\n")
         assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
 
+    @given(_flat_programs())
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_flat_programs(self, program):
+        text, flawed = program
+        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+        assert (qasm._flat_circuit(text) is None) == flawed
+
+    @pytest.mark.parametrize("text, flat", [
+        ("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\ncx q[1],q[2]", False),  # no ;
+        ("qreg q[3];\ncx q[0],q[1];\ncx q[1],q[2];\n// done\n", False),
+        ("qreg q[3];\ncx q[0],q[1]; // first\ncx q[1],q[2];", False),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\nCX q[2],q[0];\ncx q[0],q[1];', True),
+        ("qreg q[3];\nCX q[2],q[0];\ncX q[0],q[1];", False),
+        ("qreg q[3];\ncx q[0],q[1];\nqreg r[2];\ncx q[1],q[2];", False),
+        ("qreg q[3];\nqreg q[3];\ncx q[0],q[1];", False),
+        ("qreg q[3];\ncx q[0],q[1];\ncx q[2],q[3];", False),
+        ("qreg q[3];\ncx q[0],q[1];\ncx q[2],q[2];", False),
+        ("OPENQASM 2.0;\ncx q[0],q[1];\nqreg q[3];\ncx q[1],q[2];", False),
+        ('OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n', True),  # empty body
+        ("qreg q[0];", True),
+        ('include "a//b.inc";\nqreg q[2];\ncx q[0],q[1];', False),  # a comment in the name
+        ('include "x;y";\nqreg q[2];\ncx q[0],q[1];', False),
+        ("OPENQASM 2.0;\n", False),
+    ])
+    def test_fixed_flat_programs(self, text, flat):
+        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+        assert (qasm._flat_circuit(text) is not None) == flat
+
+    def test_flat_program_needs_no_statement_loop(self, monkeypatch):
+        rng = random.Random(3)
+        pairs = [tuple(rng.sample(range(50), 2)) for _ in range(400)]
+        text = _benchmark_qasm(50, pairs)
+        want = _GeneralParser().parse(text)
+
+        def loop(*args):
+            raise AssertionError("statement loop taken")
+        monkeypatch.setattr(qasm, "_statements", loop)
+        monkeypatch.setattr(qasm._Parser, "_apply", loop)
+        c = parse_qasm(text)
+        assert c == want
+        assert [g.qubits for g in c.gates] == pairs
+
 
 class TestCircuitTypes:
     def test_invariants_enforced(self):
@@ -231,6 +319,39 @@ class TestCircuitTypes:
             LogicalCircuit(2, (CnotGate(0, 0, 3),))
         with pytest.raises(CircuitError):
             LogicalCircuit(2, (CnotGate(5, 0, 1),))
+
+    def test_gate_is_a_tuple(self):
+        gate = CnotGate(3, 1, 2)
+        assert gate == (3, 1, 2) and hash(gate) == hash((3, 1, 2))
+        gid, control, target = gate
+        assert (gid, control, target, gate.qubits) == (3, 1, 2, (1, 2))
+        assert circuit(3, [(1, 2)]).gates == ((0, 1, 2),)
+
+    @given(st.integers(0, 4), st.lists(st.tuples(st.integers(0, 3), st.integers(-1, 5),
+                                                 st.integers(-1, 5)), max_size=4))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_first_error_as_per_gate_checks(self, n, rows):
+        """The one-pass check raises the error that checking each gate's
+        id, then its operands, then each qubit's range raises first."""
+        def per_gate(gates):
+            for i, g in enumerate(gates):
+                if g.gid != i:
+                    raise CircuitError(f"gate ids must be dense 0..g-1, found {g.gid} at {i}")
+                if g.control == g.target:
+                    raise CircuitError(f"gate {g.gid}: control equals target ({g.control})")
+                for q in g.qubits:
+                    if not 0 <= q < n:
+                        raise CircuitError(f"gate {g.gid}: qubit {q} out of range [0, {n})")
+
+        gates = tuple(CnotGate(*row) for row in rows)
+        outcomes = []
+        for check in (lambda: LogicalCircuit(n, gates), lambda: per_gate(gates)):
+            try:
+                check()
+                outcomes.append(None)
+            except CircuitError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestBuildDag:
@@ -318,6 +439,94 @@ class TestBuildDagAgainstSetAndSort:
     def test_fixed_circuits(self, pairs):
         c = circuit(4, pairs)
         assert build_dag(c) == _set_and_sort_dag(c)
+
+
+def _dict_build_dag(circ):
+    """``build_dag`` over dicts: each qubit's last gate in a dict, each
+    gate read by attribute."""
+    g = circ.g
+    parents = [()] * g
+    children = [[] for _ in range(g)]
+    down = [0] * g
+    last = {}
+    for gate in circ.gates:
+        v, c, t = gate.gid, gate.control, gate.target
+        a, b = last.get(c), last.get(t)
+        if a is None:
+            ps = () if b is None else (b,)
+        elif b is None or a == b:
+            ps = (a,)
+        else:
+            ps = (a, b) if a < b else (b, a)
+        depth = 0
+        for p in ps:
+            children[p].append(v)
+            depth = max(depth, down[p])
+        parents[v] = ps
+        down[v] = depth + 1
+        last[c] = last[t] = v
+    up = [0] * g
+    for v in reversed(range(g)):
+        up[v] = 1 + max((up[w] for w in children[v]), default=0)
+    return GateDag(g, tuple(parents), tuple(map(tuple, children)),
+                   max(down, default=0), tuple(down), tuple(up))
+
+
+def _dict_comm_graph(circ):
+    """``build_comm_graph`` over a dict of counts, each pair normalised by
+    ``min`` and ``max``."""
+    weights = {}
+    for gate in circ.gates:
+        key = (min(gate.qubits), max(gate.qubits))
+        weights[key] = weights.get(key, 0) + 1
+    return CommGraph(circ.n, weights)
+
+
+@st.composite
+def _circuits_with_idle_qubits(draw):
+    """Random circuits on a subset of their qubits, so that some qubits
+    carry no gate; a gate often repeats or reverses the pair before it, and
+    then its two qubits share their last gate, its one parent."""
+    n = draw(st.integers(2, 12))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+    pairs = []
+    for _ in range(draw(st.integers(0, 30))):
+        how = draw(st.sampled_from(["new", "new", "same", "reversed"]))
+        if pairs and how == "same":
+            pairs.append(pairs[-1])
+        elif pairs and how == "reversed":
+            pairs.append(pairs[-1][::-1])
+        else:
+            pairs.append(tuple(draw(st.permutations(used))[:2]))
+    return circuit(n, pairs)
+
+
+class TestListsAgainstDicts:
+    """``build_dag`` and ``build_comm_graph`` over lists and a ``Counter``
+    give what their dict-based forms give, down to the order of the weights."""
+
+    @given(_circuits_with_idle_qubits())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_random_circuits(self, c):
+        assert build_dag(c) == _dict_build_dag(c)
+        comm, ref = build_comm_graph(c), _dict_comm_graph(c)
+        assert type(comm.weights) is dict
+        assert list(comm.weights.items()) == list(ref.weights.items())
+
+    def test_fixed_circuits(self):
+        # qubits 1 and 4 idle; gate 1 repeats gate 0 and gate 2 reverses it,
+        # so each has the one parent before it; gates 4 and 5 join two chains
+        c = circuit(6, [(0, 2), (0, 2), (2, 0), (3, 5), (5, 2), (3, 0)])
+        dag = build_dag(c)
+        assert dag.parents == ((), (0,), (1,), (), (2, 3), (2, 3))
+        assert list(build_comm_graph(c).weights.items()) == [((0, 2), 3), ((3, 5), 1),
+                                                             ((2, 5), 1), ((0, 3), 1)]
+        circuits = [c, circuit(3, []), circuit(5, [(4, 3)])]
+        circuits += [make() for make in BENCHMARKS.values()]
+        circuits += [gen_random_circuit(30, 20, 10, seed=seed) for seed in range(3)]
+        for c in circuits:
+            assert build_dag(c) == _dict_build_dag(c)
+            assert list(build_comm_graph(c).weights.items()) == list(_dict_comm_graph(c).weights.items())
 
 
 def _all_masks_descendant_counts(dag: GateDag) -> list[int]:
