@@ -17,15 +17,13 @@ entry for it is skipped.  The layer is found by a scan over the window.  The
 cost is O((g + window updates) log g) for the heap plus the length of the
 scanned windows.
 
-A gate whose initial window is one layer is placed before the heap is built,
-and the heap holds only the other gates; the layering is the same.  Such a
-gate's key ``(0, id)`` pops before every other key, and placing it moves no
-window.  ``low`` is the longest path from a source, so each child's ``low``
-already exceeds the gate's layer; ``high`` is ``alpha + 1`` less the longest
-path to a sink, so each parent's ``high`` is already below it.  These gates
-therefore pop first, in id order, with no window changed in between, and
-each lands in its one layer whatever the order.  A circuit whose windows are
-all one layer, as every ``gen_random_circuit`` circuit's are, builds no heap.
+When every gate's initial window is one layer, as every
+``gen_random_circuit`` circuit's is, the heap would give each gate that one
+layer, so the layering is read off ``low`` and no heap is built.  Every key
+is then ``(0, id)``, and placing a gate moves no window: ``low`` is the
+longest path from a source, so each child's ``low`` already exceeds the
+gate's layer, and ``high`` is ``alpha + 1`` less the longest path to a sink,
+so each parent's ``high`` is already below it.
 
 Tie-breaking (lowest gate id, then earliest layer) is fixed here so that runs
 are reproducible; any choice yields a valid minimum-length layering.
@@ -77,13 +75,7 @@ def para_finding(dag: GateDag) -> LayerSchedule:
         return LayerSchedule.of([layer - 1 for layer in low], alpha)
     loads = [0] * (alpha + 1)  # 1-indexed by layer
     done = [False] * g
-    heap = []
-    for v, (lo, hi) in enumerate(zip(low, high)):
-        if lo == hi:  # placed now; placing it moves no window
-            loads[lo] += 1
-            done[v] = True
-        else:
-            heap.append((hi - lo, v))
+    heap = [(high[v] - low[v], v) for v in range(g)]
     heapify(heap)
 
     def raise_low(v: int, floor: int) -> None:
@@ -108,7 +100,7 @@ def para_finding(dag: GateDag) -> LayerSchedule:
             heappush(heap, (ceil - low[v], v))
             stack.extend((p, ceil - 1) for p in parents[v])
 
-    for _ in range(len(heap)):
+    for _ in range(g):
         gate = heappop(heap)[1]
         while done[gate]:
             gate = heappop(heap)[1]

@@ -13,9 +13,12 @@ number.
 A flat program is an optional ``OPENQASM 2.0;``, any ``include "<file>";``
 lines and one ``qreg``, then only ``cx``/``CX`` statements between two
 indexed qubits of that register, with whitespace and newlines anywhere
-between tokens.  One regex matches the header and one splits the rest at
-every such statement; when nothing but whitespace lies between statements
-and every pair is in range and distinct, the index pairs are the gate list.
+between tokens.  One regex matches the header; one search rejects a
+program in which some ``;`` after the ``qreg`` is followed by anything but
+``cx``/``CX`` or the end, so a mixed program costs one scan, not a split;
+one more regex splits the rest at every cx statement.  When nothing but
+whitespace lies between statements and every pair is in range and distinct,
+the index pairs are the gate list.
 Anything else, a comment, a ``gate`` block, any other statement, a wrong
 register, an index out of range, equal operands or trailing text, sends the
 whole program down the statement loop below, which reads it as if no flat
@@ -56,12 +59,14 @@ _FLAT_HEAD_RE = re.compile(
     rf'\s*(?:OPENQASM\s+2\.0\s*;\s*)?(?:include\s*"[\w.\-]*"\s*;\s*)*'
     rf"qreg\s+({_ID})\s*\[\s*(\d+)\s*\]\s*;"
 )
+# a statement after the qreg that is not a cx: the program is not flat
+_NOT_CX_NEXT_RE = re.compile(r";\s*(?!(?:cx|CX)\s)\S")
 
 
 def _flat_circuit(text: str) -> LogicalCircuit | None:
     """The circuit of a flat program, or None when ``text`` is not one."""
     head = _FLAT_HEAD_RE.match(text)
-    if head is None:
+    if head is None or _NOT_CX_NEXT_RE.search(text, head.end() - 1):
         return None
     reg, n = head[1], int(head[2])
     operand = rf"{reg}\s*\[\s*(\d+)\s*\]"

@@ -267,6 +267,9 @@ class TestDirectCxPath:
         monkeypatch.setattr(qasm._Parser, "_apply", general)
         c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\nCX q[2], q[0];\n")
         assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
+        # a comment makes the program mixed: the statement loop reads it
+        c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\n// c\ncx q[0],q[1];\nCX q[2], q[0];\n")
+        assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
 
     @given(_flat_programs())
     @settings(max_examples=500, deadline=None, derandomize=True)
@@ -411,9 +414,11 @@ def _set_and_sort_dag(circ):
 
 @st.composite
 def _circuits_with_repeats(draw):
-    """Random circuits in which a gate often repeats or reverses the pair
-    before it; one-gate and empty circuits included."""
+    """Random circuits on a subset of their qubits, so that some qubits may
+    carry no gate, in which a gate often repeats or reverses the pair before
+    it; one-gate and empty circuits included."""
     n = draw(st.integers(2, 8))
+    used = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
     pairs = []
     for _ in range(draw(st.integers(0, 30))):
         how = draw(st.sampled_from(["new", "new", "same", "reversed"]))
@@ -422,7 +427,7 @@ def _circuits_with_repeats(draw):
         elif pairs and how == "reversed":
             pairs.append(pairs[-1][::-1])
         else:
-            pairs.append(tuple(draw(st.permutations(range(n)))[:2]))
+            pairs.append(tuple(draw(st.permutations(used))[:2]))
     return circuit(n, pairs)
 
 
@@ -441,37 +446,6 @@ class TestBuildDagAgainstSetAndSort:
         assert build_dag(c) == _set_and_sort_dag(c)
 
 
-def _dict_build_dag(circ):
-    """``build_dag`` over dicts: each qubit's last gate in a dict, each
-    gate read by attribute."""
-    g = circ.g
-    parents = [()] * g
-    children = [[] for _ in range(g)]
-    down = [0] * g
-    last = {}
-    for gate in circ.gates:
-        v, c, t = gate.gid, gate.control, gate.target
-        a, b = last.get(c), last.get(t)
-        if a is None:
-            ps = () if b is None else (b,)
-        elif b is None or a == b:
-            ps = (a,)
-        else:
-            ps = (a, b) if a < b else (b, a)
-        depth = 0
-        for p in ps:
-            children[p].append(v)
-            depth = max(depth, down[p])
-        parents[v] = ps
-        down[v] = depth + 1
-        last[c] = last[t] = v
-    up = [0] * g
-    for v in reversed(range(g)):
-        up[v] = 1 + max((up[w] for w in children[v]), default=0)
-    return GateDag(g, tuple(parents), tuple(map(tuple, children)),
-                   max(down, default=0), tuple(down), tuple(up))
-
-
 def _dict_comm_graph(circ):
     """``build_comm_graph`` over a dict of counts, each pair normalised by
     ``min`` and ``max``."""
@@ -482,33 +456,13 @@ def _dict_comm_graph(circ):
     return CommGraph(circ.n, weights)
 
 
-@st.composite
-def _circuits_with_idle_qubits(draw):
-    """Random circuits on a subset of their qubits, so that some qubits
-    carry no gate; a gate often repeats or reverses the pair before it, and
-    then its two qubits share their last gate, its one parent."""
-    n = draw(st.integers(2, 12))
-    used = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
-    pairs = []
-    for _ in range(draw(st.integers(0, 30))):
-        how = draw(st.sampled_from(["new", "new", "same", "reversed"]))
-        if pairs and how == "same":
-            pairs.append(pairs[-1])
-        elif pairs and how == "reversed":
-            pairs.append(pairs[-1][::-1])
-        else:
-            pairs.append(tuple(draw(st.permutations(used))[:2]))
-    return circuit(n, pairs)
+class TestCommGraphAgainstDict:
+    """``build_comm_graph`` over a ``Counter`` gives what its dict-based
+    form gives, down to the order of the weights."""
 
-
-class TestListsAgainstDicts:
-    """``build_dag`` and ``build_comm_graph`` over lists and a ``Counter``
-    give what their dict-based forms give, down to the order of the weights."""
-
-    @given(_circuits_with_idle_qubits())
+    @given(_circuits_with_repeats())
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_random_circuits(self, c):
-        assert build_dag(c) == _dict_build_dag(c)
         comm, ref = build_comm_graph(c), _dict_comm_graph(c)
         assert type(comm.weights) is dict
         assert list(comm.weights.items()) == list(ref.weights.items())
@@ -517,15 +471,13 @@ class TestListsAgainstDicts:
         # qubits 1 and 4 idle; gate 1 repeats gate 0 and gate 2 reverses it,
         # so each has the one parent before it; gates 4 and 5 join two chains
         c = circuit(6, [(0, 2), (0, 2), (2, 0), (3, 5), (5, 2), (3, 0)])
-        dag = build_dag(c)
-        assert dag.parents == ((), (0,), (1,), (), (2, 3), (2, 3))
+        assert build_dag(c).parents == ((), (0,), (1,), (), (2, 3), (2, 3))
         assert list(build_comm_graph(c).weights.items()) == [((0, 2), 3), ((3, 5), 1),
                                                              ((2, 5), 1), ((0, 3), 1)]
         circuits = [c, circuit(3, []), circuit(5, [(4, 3)])]
         circuits += [make() for make in BENCHMARKS.values()]
         circuits += [gen_random_circuit(30, 20, 10, seed=seed) for seed in range(3)]
         for c in circuits:
-            assert build_dag(c) == _dict_build_dag(c)
             assert list(build_comm_graph(c).weights.items()) == list(_dict_comm_graph(c).weights.items())
 
 

@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_layering import heap_para_finding
 
 from surfc import profiler
 from surfc.bench import BENCHMARKS
@@ -169,24 +168,6 @@ class TestSlackTiebreak:
             slack_tiebreak(set(), {}, {}, [0])
 
 
-class TestAgainstReference:
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=1000, deadline=None, derandomize=True)
-    def test_heap_equals_scan(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(2, 14)
-        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 60))]
-        dag = build_dag(circuit(n, pairs))
-        assert para_finding(dag) == reference_para_finding(dag)
-
-
-def _window_kinds(dag: GateDag) -> tuple[int, int]:
-    """Gates whose initial window [low, high] is one layer, and the others."""
-    one = sum(low == dag.alpha + 1 - up
-              for low, up in zip(dag.depth_from_source, dag.depth_to_sink))
-    return one, dag.n_gates - one
-
-
 def _slack_circuit(seed: int):
     """Random pairs: most circuits mix one-layer windows with wider ones."""
     rng = random.Random(seed)
@@ -201,37 +182,39 @@ def _generated_circuit(seed: int):
     return gen_random_circuit(n, rng.randint(1, 30), rng.randint(1, n // 2), seed)
 
 
-_LAYERING_INPUTS = st.one_of(
-    st.integers(0, 2**32 - 1).map(_slack_circuit),
-    st.integers(0, 2**32 - 1).map(_generated_circuit),
-    st.sampled_from(sorted(BENCHMARKS)).map(lambda name: BENCHMARKS[name]()),
-)
+def _window_kinds(dag: GateDag) -> tuple[int, int]:
+    """Gates whose initial window [low, high] is one layer, and the others."""
+    one = sum(low == dag.alpha + 1 - up
+              for low, up in zip(dag.depth_from_source, dag.depth_to_sink))
+    return one, dag.n_gates - one
 
 
-class TestOneLayerWindowsFirst:
-    """Placing every gate of a one-layer window before the heap is built
-    gives the layering of the heap that holds every gate."""
+class TestAgainstReference:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    def test_heap_equals_scan(self, seed):
+        dag = build_dag(_slack_circuit(seed))
+        assert para_finding(dag) == reference_para_finding(dag)
 
-    @given(_LAYERING_INPUTS)
-    @settings(max_examples=600, deadline=None, derandomize=True)
-    def test_same_as_heap_only(self, c):
+    @given(st.one_of(
+        st.integers(0, 2**32 - 1).map(_generated_circuit),
+        st.sampled_from(sorted(BENCHMARKS)).map(lambda name: BENCHMARKS[name]()),
+    ))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_generated_and_bench_circuits(self, c):
         dag = build_dag(c)
-        got, want = para_finding(dag), heap_para_finding(dag)
-        assert got.layer_of == want.layer_of
-        assert got.pm == want.pm
+        assert para_finding(dag) == reference_para_finding(dag)
 
-    def test_both_kinds_of_gate_occur(self):
+    def test_both_kinds_of_window_occur(self):
+        """The inputs above reach both the heap (a window wider than one
+        layer) and the early return (every window one layer)."""
         slack = [_window_kinds(build_dag(_slack_circuit(seed))) for seed in range(40)]
-        assert sum(one for one, _ in slack) > 0 and sum(wider for _, wider in slack) > 0
         assert sum(one > 0 and wider > 0 for one, wider in slack) >= 10
         for seed in range(40):
             assert _window_kinds(build_dag(_generated_circuit(seed)))[1] == 0
-        kinds = {}
-        for name, make in BENCHMARKS.items():
-            dag = build_dag(make())
-            kinds[name] = _window_kinds(dag)
-            assert para_finding(dag) == heap_para_finding(dag)
+        kinds = {name: _window_kinds(build_dag(make())) for name, make in BENCHMARKS.items()}
         assert kinds["swap_test_n25"][0] > 0 and kinds["swap_test_n25"][1] > 0
+        assert kinds["qft_10"][1] == 0
 
     def test_all_one_layer_builds_no_heap(self, monkeypatch):
         calls = []
@@ -248,7 +231,7 @@ class TestOneLayerWindowsFirst:
             monkeypatch.setattr(profiler, name, spy(name))
         for seed in range(5):
             dag = build_dag(gen_random_circuit(30, 20, 10, seed=seed))
-            assert para_finding(dag) == heap_para_finding(dag)
+            assert para_finding(dag) == reference_para_finding(dag)
         assert calls == []
         para_finding(build_dag(BENCHMARKS["swap_test_n25"]()))  # has wider windows
         assert "heappop" in calls
