@@ -27,7 +27,7 @@ from .errors import (
     SchedulingError,
     SurfcError,
 )
-from .generate import gen_3sat_gadget, gen_random_circuit
+from .generate import gen_random_circuit
 from .harness import RunConfig, RunReport, compare, run, run_full, sweep
 from .placement import (
     ArrayShape,
@@ -45,9 +45,7 @@ from .qasm import parse_qasm
 from .router import CycleOccupancy, RoutePath, find_path, route_batch_guaranteed
 from .scheduler import (
     EncodedSchedule,
-    MValueInputs,
     bipartite_prefix,
-    m_value,
     schedule_limited,
     schedule_sufficient,
     validate,

@@ -1,14 +1,19 @@
 """Minimal OpenQASM 2 reader that keeps only CNOT structure.
 
 Supported subset: one ``qreg``, optional ``creg``/``barrier``/``measure``/
-``reset`` (dropped), single-qubit gate applications (dropped), ``cx``
-statements, and ``gate`` definitions whose bodies are inlined when applied so
-that nested ``cx`` gates are recovered.  As in OpenQASM 2, a body applies only
-gates defined before its own gate: one that applies its own gate, or a gate
-defined after it on two or more operands, is a parse error, and so is a
-second definition of a name.  ``include`` lines are tolerated and skipped;
-included files are never read.  Anything else is a parse error with a line
-number.
+``reset`` (dropped), single-qubit gate applications (dropped once their
+operand is checked), ``cx`` statements, and ``gate`` definitions whose bodies
+are inlined when applied so that nested ``cx`` gates are recovered.  A
+single-qubit gate's operand is checked as a ``cx`` operand is, with the same
+errors: an indexed one must name the declared register, in range; a bare
+name must be the register itself or, in a gate body, one of the gate's
+formals.  As in OpenQASM 2, a body applies only gates defined before its own
+gate: one that applies its own gate, or a gate defined after it on two or
+more operands, is a parse error, and so is a second definition of a name.
+``include`` lines are tolerated and skipped; included files are never read.
+A ``//`` or ``;`` inside a double-quoted name, such as an include's file
+name, neither starts a comment nor ends the statement.  Anything else is a
+parse error with a line number.
 
 A flat program is an optional ``OPENQASM 2.0;``, any ``include "<file>";``
 lines and one ``qreg``, then only ``cx``/``CX`` statements between two
@@ -42,7 +47,10 @@ from operator import eq
 from .circuits import CnotGate, LogicalCircuit
 from .errors import CircuitError, QasmError
 
-_STATEMENT_RE = re.compile(r"[^;{}]*[;{}]")
+# a statement, whose double-quoted names may hold ``;``, ``{`` or ``}``;
+# unrolled, so an unterminated tail costs linear time
+_STATEMENT_RE = re.compile(r'[^;{}"]*(?:"[^"\n]*"[^;{}"]*)*[;{}]')
+_QUOTED_OR_COMMENT_RE = re.compile(r'"[^"]*"|//')
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _QREG_RE = re.compile(rf"^qreg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
@@ -96,6 +104,8 @@ def _strip_comments(text: str) -> str:
     out_lines = []
     for line in text.splitlines():
         idx = line.find("//")
+        if idx > 0 and '"' in line[:idx]:  # the first ``//`` outside quotes
+            idx = next((m.start() for m in _QUOTED_OR_COMMENT_RE.finditer(line) if m[0] == "//"), -1)
         out_lines.append(line if idx < 0 else line[:idx])
     return "\n".join(out_lines)
 
@@ -223,7 +233,10 @@ class _Parser:
             what = "itself" if name == within.name else f"{name}, defined after it"
             raise QasmError(f"gate {within.name} applies {what}", line)
         if len(operands) == 1:
-            return  # single-qubit gate: executed in software / locally, not modeled
+            # single-qubit gate: executed in software / locally, not modeled
+            if operands[0] not in binding and operands[0] != self.reg:
+                self._resolve(line, operands[0], binding)
+            return
         raise QasmError(f"unsupported multi-qubit gate {name!r}", line)
 
     def _resolve(self, line: int, operand: str, binding: dict[str, int]) -> int:

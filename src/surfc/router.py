@@ -17,13 +17,12 @@ Capacities and per-cycle usage are lists indexed by resource id, so a search
 touches no tuple keys; tiles appear only where a caller hands them in or
 gets a ``RoutePath`` back.  ``CycleOccupancy``, the ledger of the limited
 scheduler (its one user), keeps one usage list per cycle, and beside it one
-integer whose bit ``i`` is set while resource ``i`` is at capacity.  It
-commits a route by the ids of its resources that the search recorded while
-it built the route (``Fabric.routed`` keeps them for the routes
-``find_path`` or the batch router last handed out), else by those
-``Fabric.resource_ids`` computes from its nodes.  Ring repair commits and
-rips up by the search's ids too, on a usage list of its own, and checks
-there that no resource goes over its capacity.  ``resource_capacities``
+integer whose bit ``i`` is set while resource ``i`` is at capacity.
+``find_path`` returns a route with the ids of its resources that the search
+recorded while it built the route, and a caller commits the route by exactly
+those ids: nothing derives them again from the route's nodes.  Ring repair
+commits and rips up by the search's ids too, on a usage list of its own, and
+checks there that no resource goes over its capacity.  ``resource_capacities``
 gives the capacity of a tuple resource of ``RoutePath.resources`` instead;
 the validator replays schedules on those, so the referee shares no code
 with the fabric, and so does the oracle's route packing.
@@ -222,34 +221,6 @@ class Fabric:
             self.east, self.south = grid_masks(rows, cols)
         self._terminals: dict[Tile, tuple[int, ...]] = {}
         self._terminal_masks: dict[Tile, int] = {}
-        # the routes of the last search (``find_path`` or a batch) with their
-        # resource ids, by ``id``; an entry holds its route, keeping the id its own
-        self.routed: dict[int, tuple[RoutePath, list[int]]] = {}
-
-    def res_id(self, res: Resource) -> int:
-        kind, i, j = res
-        n = i * self.cols + j
-        if kind == "h":
-            return self.nodes + n
-        if kind == "v":
-            return 2 * self.nodes + n
-        return n
-
-    def resource_ids(self, path: RoutePath) -> list[int]:
-        """The ids of ``path.resources()``, in that order: the node ids, then
-        (double defect) the ids of the segments between them.  Computed from
-        ``path.nodes`` alone."""
-        cols = self.cols
-        nodes = path.nodes
-        ids = [r * cols + c for r, c in nodes]
-        if self.model is ChipModel.DOUBLE_DEFECT:
-            h0, v0 = self.nodes, 2 * self.nodes
-            for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
-                if i1 == i2:
-                    ids.append(h0 + i1 * cols + (j1 if j1 < j2 else j2))
-                else:
-                    ids.append(v0 + (i1 if i1 < i2 else i2) * cols + j1)
-        return ids
 
     def terminals(self, tile: Tile) -> tuple[int, ...]:
         """Ascending ids of the nodes a route to or from ``tile`` may end
@@ -303,11 +274,12 @@ class CycleOccupancy:
         their capacity (those of capacity 0 excepted: no route holds one)."""
         return self._full.get(cycle, 0)
 
-    def commit_route(self, path: RoutePath, cycle: int, duration: int = 1) -> None:
+    def commit_route(self, path: RoutePath, ids: list[int], cycle: int, duration: int = 1) -> None:
+        """Hold the resources ``ids``, those ``find_path`` returned with
+        ``path``, from ``cycle`` for ``duration`` cycles; ``path`` only words
+        the message of an over-commit."""
         fabric = self.fabric
         cap = fabric.cap
-        held = fabric.routed.get(id(path))
-        ids = fabric.resource_ids(path) if held is None else held[1]
         for t in range(cycle, cycle + duration):
             usage = self._usage.get(t)
             if usage is None:
@@ -504,17 +476,16 @@ def find_path(
     tile_a: Tile,
     tile_b: Tile,
     duration: int = 1,
-) -> RoutePath | None:
+) -> tuple[RoutePath, list[int]] | None:
     """Shortest route between two tiles on ``occupancy``'s fabric that stays
-    free for ``duration`` cycles from ``cycle``; None when saturated.
-    Reserves nothing — callers commit explicitly."""
+    free for ``duration`` cycles from ``cycle``, with the ids of its
+    ``resources()`` in that order; None when saturated.  Reserves nothing:
+    callers commit the route by these ids."""
     full = occupancy.full(cycle)
     for t in range(cycle + 1, cycle + duration):
         full |= occupancy.full(t)
     path, ids, _ = _bfs_route(occupancy.fabric, full, tile_a, tile_b, region=False)
-    if path is not None:
-        occupancy.fabric.routed = {id(path): (path, ids)}
-    return path
+    return None if path is None else (path, ids)
 
 
 def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
@@ -573,8 +544,7 @@ def route_batch_guaranteed(
     Under the precondition this never fails; a SchedulingError here indicates a
     violated precondition (or a routing bug, which the property suite hunts).
     ``fabric``, when given, is ``Fabric(layout, data_tiles)`` built once by
-    the caller for many batches; its ``routed`` then holds the routes
-    returned, with their resource ids.
+    the caller for many batches.
     """
     if len(tile_pairs) > max(layout.capacity, 0):
         raise SchedulingError(
@@ -605,27 +575,5 @@ def route_batch_guaranteed(
                 break
         else:
             raise SchedulingError("guaranteed batch routing failed; capacity precondition violated?")
-    fabric.routed = {id(p): (p, ids) for p, ids in routed}
     return [p for p, _ in routed]
 
-
-def render_cycle(layout: ChipLayout, paths: list[RoutePath], labels: list[str] | None = None) -> str:
-    """ASCII sketch of one cycle's routes, for docs and failure triage."""
-    if layout.model is ChipModel.LATTICE_SURGERY:
-        rows, cols = layout.grid_rows, layout.grid_cols
-        grid = [["." for _ in range(cols)] for _ in range(rows)]
-        for k, p in enumerate(paths):
-            mark = labels[k] if labels else chr(ord("a") + k % 26)
-            for r, c in p.nodes:
-                grid[r][c] = mark
-        return "\n".join(" ".join(row) for row in grid)
-    rows, cols = layout.array_r + 1, layout.array_c + 1
-    canvas = [[" " for _ in range(2 * cols - 1)] for _ in range(2 * rows - 1)]
-    for i in range(rows):
-        for j in range(cols):
-            canvas[2 * i][2 * j] = "+"
-    for k, p in enumerate(paths):
-        mark = labels[k] if labels else chr(ord("a") + k % 26)
-        for (i1, j1), (i2, j2) in zip(p.nodes, p.nodes[1:]):
-            canvas[i1 + i2][j1 + j2] = mark
-    return "\n".join("".join(row) for row in canvas)

@@ -103,62 +103,27 @@ class EncodedSchedule:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class MValueInputs:
-    m_t: int
-    m_s: int
-    theta: float
-
-    @property
-    def value(self) -> float:
-        return self.m_t + self.theta * self.m_s
-
-
-def m_value(
-    circuit: LogicalCircuit,
-    dag: GateDag,
-    cuts: dict[int, CutType],
-    gate: int,
-    qubit: int,
-    idle_cycles: int,
-    ready_others: int,
-    total_bandwidth: int,
-    ) -> MValueInputs:
-    """Score modifying ``qubit``'s tile to unblock a same-cut ``gate``.
-
-    m_t: cycle delta of modify-then-braid (4) against direct (3), minus the
-    idle credit — every cycle the tile already sat idle is a cycle the
-    modification could have been running.  m_s: lane-cycle delta; a braid
-    after modification holds one route-cycle against three for direct, so the
-    baseline is -1, nudged by whether children on this qubit would end up
-    same-cut (bad) or opposite-cut (good) after the flip.  theta scales lane
-    pressure: many ready gates over little total bandwidth makes lanes
-    precious.  Scaling theta further by the qubit count was ablation-tested
-    and consistently wastes cycles, so pressure is demand over supply alone.
-    This is the definition that the scheduler's one-pass ``_m_values`` must
-    match value for value, and the tests' reference for it.
-    """
-    credit = min(3, idle_cycles)
-    m_t = (4 - credit) - 3
-    flipped = cuts[qubit].flipped
-    m_s = -1
-    for child in dag.children[gate]:
-        _, cq, tq = circuit.gates[child]
-        if qubit in (cq, tq):
-            other = tq if cq == qubit else cq
-            m_s += 1 if cuts[other] is flipped else -1
-    theta = 2.0 * ready_others / max(total_bandwidth, 1)
-    return MValueInputs(m_t=m_t, m_s=m_s, theta=theta)
-
-
 _FLIPPED = {CutType.X: CutType.Z, CutType.Z: CutType.X}
 
 
 def _m_values(children: list[int], controls: list[int], targets: list[int],
               cut: dict[int, CutType], a: int, b: int, idle_a: int, idle_b: int,
               ready_others: int, total_bandwidth: int) -> tuple[float, float]:
-    """``m_value(...).value`` for operands ``a`` and ``b`` in one pass over the
-    gate's ``children``, by ``m_value``'s own expression: the floats are equal."""
+    """The M-values of modifying the tile of operand ``a`` or of ``b`` to
+    unblock a same-cut gate, in one pass over the gate's ``children``.
+
+    An operand's M-value is ``m_t + theta * m_s``.  m_t: cycle delta of
+    modify-then-braid (4) against direct (3), minus the idle credit: every
+    cycle the tile already sat idle (at most 3) is a cycle the modification
+    could have been running.  m_s: lane-cycle delta; a braid after
+    modification holds one route-cycle against three for direct, so the
+    baseline is -1, nudged by +1 for each child on this qubit that the flip
+    would make same-cut and -1 for each it would make opposite-cut.  theta
+    scales lane pressure, ``2 * ready_others / max(total_bandwidth, 1)``: many
+    ready gates over little total bandwidth make lanes precious.  Scaling
+    theta further by the qubit count was ablation-tested and consistently
+    wastes cycles, so pressure is demand over supply alone.  A negative
+    value favours modifying."""
     flip_a, flip_b = _FLIPPED[cut[a]], _FLIPPED[cut[b]]
     theta = 2.0 * ready_others / max(total_bandwidth, 1)
     s_a = s_b = -1
@@ -269,7 +234,7 @@ def schedule_limited(
     records.  A modification's flip is filed under the cycle it lands, and
     one backdated by the full three cycles lands at once.  The ``mvalue``
     rule scores both operands in one pass over the gate's children, read
-    from the operand lists (``_m_values``); each value equals ``m_value``'s.
+    from the operand lists (``_m_values``).
     """
     if strategy not in LIMITED:
         raise InfeasibleError(f"unknown limited-resource scheduler {strategy!r}")
@@ -319,10 +284,11 @@ def schedule_limited(
                 if _try_same_cut(st, t, v, ta, tb, ready_count, samecut):
                     committed = True
                 continue
-            path = find_path(occ, t, ta, tb)
-            if path is None:
+            found = find_path(occ, t, ta, tb)
+            if found is None:
                 continue
-            occ.commit_route(path, t, 1)
+            path, ids = found
+            occ.commit_route(path, ids, t, 1)
             # one-cycle holds of the two free operand tiles; every earlier
             # hold of a tile free at ``t`` ended before ``t``
             if busy is None:
@@ -370,10 +336,11 @@ def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
             pick_a = idle_a >= idle_b
         tile, idle = (ca, idle_a) if pick_a else (cb, idle_b)
         return _commit_modify(st, t, tile, idle)
-    path = find_path(st.occ, t, ca, cb, duration=3)
-    if path is None:
+    found = find_path(st.occ, t, ca, cb, duration=3)
+    if found is None:
         return False
-    st.occ.commit_route(path, t, 3)
+    path, ids = found
+    st.occ.commit_route(path, ids, t, 3)
     st.hold_tile(ca, t, 3)
     st.hold_tile(cb, t, 3)
     st.add_phases(t, tuple(Action(ActionKind.DIRECT, gate=v, route=path, phase=p) for p in (1, 2, 3)))

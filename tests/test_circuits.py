@@ -129,6 +129,51 @@ class TestParseQasm:
         assert err.value.line == 2
 
 
+class TestOneQubitOperands:
+    """A single-qubit gate is dropped only once its operand is checked, as a
+    ``cx`` operand is; a ``//`` or ``;`` inside a quoted name is no comment
+    and ends no statement."""
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("qreg q[2];\nh q[7];\ncx q[0],q[1];", CircuitError,
+         "line 2: qubit index 7 out of range [0, 2)"),
+        ("qreg q[2];\nh r[0];\ncx q[0],q[1];", QasmError, "line 2: unknown register 'r'"),
+        ("qreg q[2];\nrz(pi) q[0]];\ncx q[0],q[1];", QasmError,
+         "line 2: malformed operand 'q[0]]'"),
+        ("qreg q[2];\nh r;\ncx q[0],q[1];", QasmError,
+         "line 2: whole-register operand 'r' not supported here"),
+        ("qreg q[2];\ngate g a { h b; }\ng q[0];", QasmError,
+         "line 2: whole-register operand 'b' not supported here"),
+        ("qreg q[2];\ngate g a {\n  h q[2];\n}\ng q[0];", CircuitError,
+         "line 3: qubit index 2 out of range [0, 2)"),
+        ('include "x;y;\nqreg q[2];\ncx q[0],q[1];', QasmError,
+         "line 1: unterminated statement: 'include \"x;y;\\nqreg q[2];\\ncx q[0],q[1];'"),
+    ])
+    def test_rejected(self, text, error, message):
+        with pytest.raises(error) as err:
+            parse_qasm(text)
+        assert type(err.value) is error and str(err.value) == message
+
+    @pytest.mark.parametrize("text", [
+        "qreg q[2];\nh q[1];\ncx q[0],q[1];",
+        "qreg q[2];\nh q;\ncx q[0],q[1];",
+        "qreg q[2];\ngate g a { h a; }\ng q[1];\ncx q[0],q[1];",
+        "qreg q[2];\ngate g a, b { h a; cx a, b; rz(pi) b; }\nh q[0];\ng q[0], q[1];",
+        'include "a//b.inc";\nqreg q[2];\ncx q[0],q[1];',
+        'include "x;y";\nqreg q[2];\ncx q[0],q[1];',
+        'include "a//b.inc"; // a "quoted" comment; with a ;\nqreg q[2];\ncx q[0],q[1];',
+    ])
+    def test_accepted(self, text):
+        assert [g.qubits for g in parse_qasm(text).gates] == [(0, 1)]
+
+    def test_unterminated_quote_is_linear(self):
+        # the statement pattern is unrolled: no nested backtracking on a
+        # long tail that never closes its quote or its statement
+        for tail in ('"' + "a" * 20000, '"a" ' * 10000, ('"a" x' * 10000) + '"'):
+            with pytest.raises(QasmError, match="unterminated statement"):
+                parse_qasm("qreg q[2];\ninclude " + tail)
+
+
 class _GeneralParser(qasm._Parser):
     """The parser with every top-level statement on the general path: no
     direct path for plain ``cx`` statements."""

@@ -3,10 +3,11 @@ import random
 
 import networkx as nx
 import pytest
+from sat_gadget import CLAUSE_QUBITS, gen_3sat_gadget
 
 from surfc.circuits import build_comm_graph, build_dag
 from surfc.errors import CircuitError, InfeasibleError
-from surfc.generate import CLAUSE_QUBITS, gen_3sat_gadget, gen_random_circuit
+from surfc.generate import gen_random_circuit
 from surfc.oracle import OracleBudget, optimal_pm
 from surfc.profiler import para_finding
 

@@ -8,6 +8,7 @@ from conftest import uniform_dd_layout, uniform_ls_layout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_search import rooted_bfs, trace_back
+from sat_gadget import gen_3sat_gadget
 
 from surfc.bench import BENCHMARKS, ghz
 from surfc.chip import (
@@ -21,7 +22,7 @@ from surfc.chip import (
 )
 from surfc.circuits import CommGraph, build_comm_graph, build_dag, circuit, two_coloring
 from surfc.errors import InfeasibleError
-from surfc.generate import gen_3sat_gadget, gen_random_circuit
+from surfc.generate import gen_random_circuit
 from surfc import placement
 from surfc.profiler import para_finding
 from surfc import router

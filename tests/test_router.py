@@ -11,7 +11,7 @@ import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_search import rooted_bfs, trace_back
+from reference_search import res_id, resource_ids, rooted_bfs, trace_back
 
 from surfc import router
 from surfc.chip import ChipLayout, ChipModel, ChipSpec, chip_capacity, config_dims, derive_layout
@@ -23,7 +23,6 @@ from surfc.router import (
     Fabric,
     RoutePath,
     find_path,
-    render_cycle,
     route_batch_guaranteed,
 )
 
@@ -36,6 +35,11 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _route(found):
+    """The route of a ``find_path`` result; None on a miss."""
+    return None if found is None else found[0]
+
+
 def tile_corners(tile):
     r, c = tile
     return ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
@@ -45,8 +49,8 @@ class TestFindPath:
     def test_adjacent_tiles_single_segment(self):
         layout = uniform_dd_layout(3, 3)
         occ = CycleOccupancy(layout)
-        path = find_path(occ, 0, (0, 0), (0, 1))
-        assert path is not None and path.length == 1
+        found = find_path(occ, 0, (0, 0), (0, 1))
+        assert found is not None and found[0].length == 1
 
     def test_saturated_corridor_blocks(self):
         # adjacent tiles on a strip admit two seam routes; once both are
@@ -54,9 +58,9 @@ class TestFindPath:
         layout = uniform_dd_layout(1, 2)  # 2x3 junction grid, bandwidth 1
         occ = CycleOccupancy(layout)
         for _ in range(2):
-            path = find_path(occ, 0, (0, 0), (0, 1))
-            assert path is not None
-            occ.commit_route(path, 0, 1)
+            found = find_path(occ, 0, (0, 0), (0, 1))
+            assert found is not None
+            occ.commit_route(*found, 0, 1)
         assert find_path(occ, 0, (0, 0), (0, 1)) is None
 
     def test_three_sequential_routes_on_bandwidth_one(self):
@@ -72,11 +76,11 @@ class TestFindPath:
             occ = CycleOccupancy(layout)
             paths = []
             for k in range(3):
-                path = find_path(occ, 0, tiles[2 * k], tiles[2 * k + 1])
-                if path is None:
+                found = find_path(occ, 0, tiles[2 * k], tiles[2 * k + 1])
+                if found is None:
                     break
-                occ.commit_route(path, 0, 1)
-                paths.append(path)
+                occ.commit_route(*found, 0, 1)
+                paths.append(found[0])
             if len(paths) == 3:
                 successes += 1
         assert successes >= 36  # greedy order loses only rare adversarial draws
@@ -105,7 +109,7 @@ class TestFindPath:
         occ = CycleOccupancy(layout)
         for _ in range(10):
             src, dst = rng.sample([(r, c) for r in range(3) for c in range(3)], 2)
-            path = find_path(occ, 0, src, dst)
+            path, _ = find_path(occ, 0, src, dst)
             assert path.length == all_paths(src, dst)
 
 
@@ -113,36 +117,37 @@ class TestCommit:
     def test_duration_three_frees_later(self):
         layout = uniform_dd_layout(2, 2)
         occ = CycleOccupancy(layout)
-        path = find_path(occ, 0, (0, 0), (1, 1))
-        occ.commit_route(path, 0, 3)
+        path, ids = find_path(occ, 0, (0, 0), (1, 1))
+        occ.commit_route(path, ids, 0, 3)
         # the route holds its lanes through cycle 2, so that cycle detours
         # around it; cycle 3 gets the original route back
-        assert find_path(occ, 2, (0, 0), (1, 1)).nodes == ((1, 0), (2, 0), (2, 1))
-        assert find_path(occ, 3, (0, 0), (1, 1)).nodes == path.nodes == ((0, 1), (1, 1))
+        assert find_path(occ, 2, (0, 0), (1, 1))[0].nodes == ((1, 0), (2, 0), (2, 1))
+        assert find_path(occ, 3, (0, 0), (1, 1))[0].nodes == path.nodes == ((0, 1), (1, 1))
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
-        assert occ.usage(2)[occ.fabric.res_id(res)] == 1
-        assert occ.usage(3)[occ.fabric.res_id(res)] == 0
+        assert occ.usage(2)[res_id(occ.fabric, res)] == 1
+        assert occ.usage(3)[res_id(occ.fabric, res)] == 0
 
     def test_two_lanes_then_segment_blocked(self):
         layout = uniform_dd_layout(1, 2, bandwidth=2)
         occ = CycleOccupancy(layout)
         seam = RoutePath(DD, ((0, 0), (0, 1)))
-        occ.commit_route(seam, 0, 1)
-        occ.commit_route(seam, 0, 1)
+        ids = resource_ids(occ.fabric, seam)
+        occ.commit_route(seam, ids, 0, 1)
+        occ.commit_route(seam, ids, 0, 1)
         # the segment itself is now at its two-lane capacity
         with pytest.raises(AssertionError):
-            occ.commit_route(seam, 0, 1)
+            occ.commit_route(seam, ids, 0, 1)
         # routing between the tiles still succeeds through other channels
         assert find_path(occ, 0, (0, 0), (0, 1)) is not None
 
     def test_double_commit_is_internal_error(self):
         layout = uniform_dd_layout(1, 2)
         occ = CycleOccupancy(layout)
-        path = find_path(occ, 0, (0, 0), (0, 1))
-        occ.commit_route(path, 0, 1)
+        path, ids = find_path(occ, 0, (0, 0), (0, 1))
+        occ.commit_route(path, ids, 0, 1)
         with pytest.raises(AssertionError):
-            occ.commit_route(path, 0, 1)
+            occ.commit_route(path, ids, 0, 1)
 
 
 def _random_paths(seed: int) -> tuple[Fabric, list[RoutePath]]:
@@ -164,10 +169,10 @@ def _random_paths(seed: int) -> tuple[Fabric, list[RoutePath]]:
     occ = CycleOccupancy(layout, frozenset(tiles) if model is LS else frozenset())
     paths = []
     for _ in range(6):
-        path = find_path(occ, 0, *rng.sample(tiles, 2))
-        if path is not None:
-            paths.append(path)
-            occ.commit_route(path, 0)
+        found = find_path(occ, 0, *rng.sample(tiles, 2))
+        if found is not None:
+            paths.append(found[0])
+            occ.commit_route(*found, 0)
     for _ in range(4):
         walk = [(rng.randrange(grid[0]), rng.randrange(grid[1]))]
         for _ in range(rng.randint(0, 8)):
@@ -182,7 +187,7 @@ def _random_paths(seed: int) -> tuple[Fabric, list[RoutePath]]:
 
 
 class TestResourceIds:
-    """``Fabric.resource_ids`` computes from the nodes the ids that
+    """The tests' ``resource_ids`` computes from the nodes the ids that
     ``res_id`` gives the tuple resources of ``RoutePath.resources``."""
 
     @given(st.integers(0, 2**32 - 1))
@@ -190,30 +195,32 @@ class TestResourceIds:
     def test_same_as_tuple_resources(self, seed):
         fabric, paths = _random_paths(seed)
         for path in paths:
-            assert fabric.resource_ids(path) == [fabric.res_id(r) for r in path.resources()]
+            assert resource_ids(fabric, path) == [res_id(fabric, r) for r in path.resources()]
 
     def test_one_hop_and_empty_routes(self):
         fabric = Fabric(uniform_dd_layout(1, 2))
         for nodes in (((0, 1), (1, 1)), ((1, 1), (0, 1)), ((0, 2), (0, 1))):
             path = RoutePath(DD, nodes)
-            assert fabric.resource_ids(path) == [fabric.res_id(r) for r in path.resources()]
-            assert len(fabric.resource_ids(path)) == 3
-        assert Fabric(uniform_ls_layout(1, 2)).resource_ids(RoutePath(LS, ())) == []
+            assert resource_ids(fabric, path) == [res_id(fabric, r) for r in path.resources()]
+            assert len(resource_ids(fabric, path)) == 3
+        assert resource_ids(Fabric(uniform_ls_layout(1, 2)), RoutePath(LS, ())) == []
 
     def test_over_commit_names_the_resource_and_cycle(self):
         occ = CycleOccupancy(uniform_dd_layout(1, 2))
         path = RoutePath(DD, ((0, 0), (0, 1)))
-        occ.commit_route(path, 6)
+        ids = resource_ids(occ.fabric, path)
+        occ.commit_route(path, ids, 6)
         with pytest.raises(AssertionError,
                            match=re.escape("lane over-commit on ('j', 0, 0) at cycle 6")):
-            occ.commit_route(path, 5, 3)
+            occ.commit_route(path, ids, 5, 3)
         # horizontal lines at one lane, vertical ones at two: a horizontal
         # seam's junctions take two routes, its segment one
         occ = CycleOccupancy(replace(uniform_dd_layout(1, 2, bandwidth=2), h_widths=(0, 0)))
-        occ.commit_route(path, 0)
+        ids = resource_ids(occ.fabric, path)
+        occ.commit_route(path, ids, 0)
         with pytest.raises(AssertionError,
                            match=re.escape("lane over-commit on ('h', 0, 0) at cycle 0")):
-            occ.commit_route(path, 0)
+            occ.commit_route(path, ids, 0)
 
 
 def _reference_graph(layout, data):
@@ -290,9 +297,9 @@ class TestFabricBuild:
 
 
 class TestBatchCommitIds:
-    """The batch router leaves on its fabric the ids its search recorded for
-    each route it returns; commits read them, and book what commits of the
-    ids derived from the route's nodes book."""
+    """Ring repair returns each route of a batch with the ids its search
+    recorded: those of the route's resources, whose commit books what a
+    commit of the ids derived from the route's nodes books."""
 
     def _batches(self):
         yield from itertools.islice(_ls_sweep_batches(), 300)
@@ -312,26 +319,27 @@ class TestBatchCommitIds:
             occ, ref = CycleOccupancy(layout, data), CycleOccupancy(layout, data)
             fabric = occ.fabric
             paths = route_batch_guaranteed(layout, pairs, data, fabric=fabric)
-            assert len(fabric.routed) == len(paths)
-            for path in paths:
-                held, ids = fabric.routed[id(path)]
-                assert held is path and ids == [fabric.res_id(r) for r in path.resources()]
-                occ.commit_route(path, 0)
-                ref.commit_route(path, 0)  # ``ref.fabric`` holds no ids: derived from the nodes
-            assert not ref.fabric.routed
+            routed = ring_repairs[-1]  # the repair that routed the batch
+            assert len(routed) == len(paths)
+            for (path, ids), returned in zip(routed, paths):
+                assert path is returned and ids == [res_id(fabric, r) for r in path.resources()]
+                occ.commit_route(path, ids, 0)
+                ref.commit_route(path, resource_ids(fabric, path), 0)
             assert occ.usage(0) == ref.usage(0) and occ.full(0) == ref.full(0)
         assert len(ring_repairs) > batches  # restarts included
 
 
 @pytest.fixture
 def ring_repairs(monkeypatch):
-    """Records each ``_ring_repair`` call: one per batch, plus one per restart."""
+    """Records what each ``_ring_repair`` call returns: one per batch, plus
+    one per restart."""
     calls = []
     repair = router._ring_repair
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return repair(*args, **kwargs)
+        routed = repair(*args, **kwargs)
+        calls.append(routed)
+        return routed
 
     monkeypatch.setattr(router, "_ring_repair", counted)
     return calls
@@ -522,7 +530,7 @@ def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
     route, ids, region = router._bfs_route(fabric, full, src, dst)
     reference = _reference_route(fabric, usage, src, dst)
     assert (route, region) == reference
-    assert ids == (None if route is None else [fabric.res_id(r) for r in route.resources()])
+    assert ids == (None if route is None else [res_id(fabric, r) for r in route.resources()])
     assert router._bfs_route(fabric, full, src, dst, region=False)[:2] == (route, ids)
     return reference
 
@@ -623,7 +631,7 @@ class TestLevelSearch:
         fabric = Fabric(uniform_dd_layout(2, 4))
         usage = [0] * fabric.size
         for i in (0, 1):
-            usage[fabric.res_id(("j", i, 2))] = 1
+            usage[res_id(fabric, ("j", i, 2))] = 1
         path, _ = _same_as_reference(fabric, usage, (0, 0), (0, 3))
         assert path.nodes == ((1, 1), (2, 1), (2, 2), (2, 3), (1, 3))
 
@@ -632,7 +640,7 @@ class TestLevelSearch:
         fabric = Fabric(uniform_dd_layout(4, 4))
         usage = [0] * fabric.size
         for j in range(5):
-            usage[fabric.res_id(("j", 3, j))] = 1
+            usage[res_id(fabric, ("j", 3, j))] = 1
         path, region = _same_as_reference(fabric, usage, (0, 0), (3, 3))
         assert path is None
         assert [fabric.tiles[n] for n in _bits(region)] == [(i, j) for i in range(3) for j in range(5)]
@@ -645,7 +653,8 @@ class TestLevelSearch:
         real = router.flood
         monkeypatch.setattr(router, "flood", lambda *args: flooded.append(args) or real(*args))
         occ = CycleOccupancy(uniform_dd_layout(4, 4))
-        occ.commit_route(RoutePath(DD, tuple((3, j) for j in range(5))), 0)
+        wall = RoutePath(DD, tuple((3, j) for j in range(5)))
+        occ.commit_route(wall, resource_ids(occ.fabric, wall), 0)
         assert find_path(occ, 0, (0, 0), (3, 3)) is None and not flooded
         path, region = _same_as_reference(occ.fabric, occ.usage(0), (0, 0), (3, 3))
         assert path is None and len(flooded) == 1
@@ -658,7 +667,7 @@ class TestLevelSearch:
         # between them is full: the route goes south first
         fabric = Fabric(uniform_dd_layout(3, 3))
         usage = [0] * fabric.size
-        usage[fabric.res_id(("h", 0, 1))] = 1
+        usage[res_id(fabric, ("h", 0, 1))] = 1
         ids = {t: n for n, t in enumerate(fabric.tiles)}
         path = _same_levels_as_bfs(fabric, usage, [ids[0, 1], ids[0, 3]], [ids[1, 2]])
         assert [fabric.tiles[n] for n in path] == [(0, 1), (1, 1), (1, 2)]
@@ -718,7 +727,7 @@ class TestLevelSearch:
         assert path.nodes == ()
         # the single tile taken: the route goes round it, through the row above
         usage = idle.copy()
-        usage[fabric.res_id(("t", tr[0], tc[0] + 1))] = 1
+        usage[res_id(fabric, ("t", tr[0], tc[0] + 1))] = 1
         path, _ = _same_as_reference(fabric, usage, (tr[0], tc[0]), (tr[0], tc[1]))
         assert path.nodes == ((tr[0] - 1, tc[0]), (tr[0] - 1, tc[0] + 1), (tr[0] - 1, tc[1]))
 
@@ -726,11 +735,14 @@ class TestLevelSearch:
 def _mask_queries(seed: int) -> Counter:
     """Queries on one random DD or LS occupancy, checked against
     ``_reference_route``: ``find_path`` over durations 1 and 3, with the ids
-    it hands to the commit, and ``_bfs_route`` with and without a region on
+    it returns for the commit, and ``_bfs_route`` with and without a region on
     the same usage, half the time with every terminal of the source or of
     the target filled.  Operand pairs are random or one step apart, straight
     or diagonal, and a third of the fabrics have shuffled neighbour orders.
-    Returns the count of each kind of query met."""
+    The ids are those ``resource_ids`` derives from the route's nodes, and
+    a commit of them books the usage and full masks that a commit of the
+    derived ids books on a second occupancy.  Returns the count of each kind
+    of query met."""
     rng = random.Random(seed)
     model = rng.choice((DD, LS))
     rows, cols = rng.choice([(r, c) for r in range(1, 6) for c in range(1, 6) if r * c >= 2])
@@ -743,7 +755,7 @@ def _mask_queries(seed: int) -> Counter:
         cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
         data = frozenset(rng.sample(cells, rng.randint(1, len(cells))))
         tiles = [(r, c) for r in range(layout.grid_rows) for c in range(layout.grid_cols)]
-    occ = CycleOccupancy(layout, data)
+    occ, ref = CycleOccupancy(layout, data), CycleOccupancy(layout, data)
     if rng.random() < 1 / 3:
         occ.fabric = _shuffled(occ.fabric, rng)
     fabric, cap = occ.fabric, occ.fabric.cap
@@ -782,13 +794,16 @@ def _mask_queries(seed: int) -> Counter:
             kinds[f"level search {'hit' if route else 'miss'}"] += 1
         if filled is not None:
             continue
-        path = find_path(occ, cycle, a, b, duration)
-        assert path == route
-        if path is not None:
-            found, ids = occ.fabric.routed[id(path)]
-            assert found is path and ids == [fabric.res_id(r) for r in path.resources()]
+        found = find_path(occ, cycle, a, b, duration)
+        assert _route(found) == route
+        if found is not None:
+            path, ids = found
+            assert ids == resource_ids(fabric, path) == [res_id(fabric, r) for r in path.resources()]
             if rng.random() < 0.7:
-                occ.commit_route(path, cycle, duration)
+                occ.commit_route(path, ids, cycle, duration)
+                ref.commit_route(path, resource_ids(fabric, path), cycle, duration)
+                for t in range(cycle, cycle + duration):
+                    assert occ.usage(t) == ref.usage(t) and occ.full(t) == ref.full(t)
                 kinds[f"commit {duration}"] += 1
     return kinds
 
@@ -796,8 +811,8 @@ def _mask_queries(seed: int) -> Counter:
 class TestMaskQuery:
     """The query on terminal masks returns the route and region of
     ``rooted_bfs`` from the free terminals in ``terminals`` order, through
-    ``find_path`` and ``_bfs_route``, and the ids it hands to the commit are
-    those of the route's resources."""
+    ``find_path`` and ``_bfs_route``; the ids ``find_path`` returns for the
+    commit are those of the route's resources, and a commit holds them."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -867,7 +882,7 @@ def _shared_corner_queries(seed: int) -> Counter:
                 case[n] = cap[n]
         route, _ = _same_as_reference(fabric, case, a, b)
         if route is not None:
-            ids = fabric.resource_ids(route)
+            ids = resource_ids(fabric, route)
             assert all(cap[i] > 0 and case[i] < cap[i] for i in ids)
         shared = len(set(fabric.terminals(a)) & set(fabric.terminals(b)))
         hops = "miss" if route is None else "one hop" if len(route.nodes) == 2 else "longer"
@@ -989,7 +1004,7 @@ def _zero_lane_queries(seed: int) -> Counter:
             continue  # a shared corner: ``_shared_corner_queries``
         route, _ = _same_as_reference(fabric, usage, a, b)
         if route is not None:
-            assert all(cap[i] > 0 for i in fabric.resource_ids(route))
+            assert all(cap[i] > 0 for i in resource_ids(fabric, route))
         kinds["hit" if route else "miss"] += 1
     return kinds
 
@@ -1124,9 +1139,9 @@ class TestFullMasks:
             for _ in range(40):
                 a, b = rng.sample(tiles, 2)
                 cycle, duration = rng.randrange(8), rng.choice((1, 3))
-                path = find_path(occ, cycle, a, b, duration)
-                if path is not None:
-                    occ.commit_route(path, cycle, duration)
+                found = find_path(occ, cycle, a, b, duration)
+                if found is not None:
+                    occ.commit_route(*found, cycle, duration)
                 if rng.random() < 0.1:
                     t = rng.randrange(8)
                     occ.release(t)
@@ -1157,10 +1172,10 @@ class TestFullMasks:
                     a, b = rng.sample(tiles, 2)
                     cycle = rng.randrange(5)
                     usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + 3)))]
-                    path = find_path(occ, cycle, a, b, duration=3)
-                    assert path == _reference_route(occ.fabric, usage, a, b)[0]
-                    if path is not None and rng.random() < 0.7:
-                        occ.commit_route(path, cycle, rng.choice((1, 3)))
+                    found = find_path(occ, cycle, a, b, duration=3)
+                    assert _route(found) == _reference_route(occ.fabric, usage, a, b)[0]
+                    if found is not None and rng.random() < 0.7:
+                        occ.commit_route(*found, cycle, rng.choice((1, 3)))
 
     def test_ring_repair_rip_ups(self, monkeypatch):
         # every search of ring repair, rip-ups included, sees the mask of
@@ -1191,7 +1206,7 @@ class TestFullMasks:
             # nodes and ids derived from each route's nodes find them
             walk = _node_walk_frontier(fabric, usage, src, region)
             by_walk = sorted(k for k, (q, _) in paths.items()
-                             if any(r in walk for r in fabric.resource_ids(q)))
+                             if any(r in walk for r in resource_ids(fabric, q)))
             assert by_walk == sorted(k for k, (_, ids) in paths.items() if router._mask(ids) & ring)
             ripped.append(len(by_walk))
             return ring
@@ -1212,6 +1227,28 @@ class TestFullMasks:
                 pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(chip_capacity(bandwidth))]
                 route_batch_guaranteed(uniform_dd_layout(g, g, bandwidth=bandwidth), pairs)
         assert len(checked) > 100 and sum(map(bool, ripped)) > 50
+
+
+def render_cycle(layout: ChipLayout, paths: list[RoutePath], labels: list[str] | None = None) -> str:
+    """ASCII sketch of one cycle's routes, for failure triage."""
+    if layout.model is ChipModel.LATTICE_SURGERY:
+        rows, cols = layout.grid_rows, layout.grid_cols
+        grid = [["." for _ in range(cols)] for _ in range(rows)]
+        for k, p in enumerate(paths):
+            mark = labels[k] if labels else chr(ord("a") + k % 26)
+            for r, c in p.nodes:
+                grid[r][c] = mark
+        return "\n".join(" ".join(row) for row in grid)
+    rows, cols = layout.array_r + 1, layout.array_c + 1
+    canvas = [[" " for _ in range(2 * cols - 1)] for _ in range(2 * rows - 1)]
+    for i in range(rows):
+        for j in range(cols):
+            canvas[2 * i][2 * j] = "+"
+    for k, p in enumerate(paths):
+        mark = labels[k] if labels else chr(ord("a") + k % 26)
+        for (i1, j1), (i2, j2) in zip(p.nodes, p.nodes[1:]):
+            canvas[i1 + i2][j1 + j2] = mark
+    return "\n".join("".join(row) for row in canvas)
 
 
 class TestRender:
@@ -1254,7 +1291,8 @@ def _query_stream(digest) -> tuple[int, int]:
                 for _ in range(60):
                     a, b = rng.sample(tiles, 2)
                     cycle, duration = rng.randrange(6), rng.choice((1, 3))
-                    path = find_path(occ, cycle, a, b, duration)
+                    found = find_path(occ, cycle, a, b, duration)
+                    path = _route(found)
                     digest.update(repr((a, b, cycle, duration,
                                         path and path.nodes)).encode())
                     blocked += path is None
@@ -1262,7 +1300,7 @@ def _query_stream(digest) -> tuple[int, int]:
                     if path is None or any(x in occ.busy.get(t, ()) for t in span for x in (a, b)):
                         continue
                     committed += 1
-                    occ.commit_route(path, cycle, duration)
+                    occ.commit_route(*found, cycle, duration)
                     occ.commit_tile(a, cycle, duration)
                     occ.commit_tile(b, cycle, duration)
     return committed, blocked

@@ -1,7 +1,7 @@
 import math
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +30,6 @@ from surfc.scheduler import (
     ActionKind,
     EncodedSchedule,
     bipartite_prefix,
-    m_value,
     schedule_limited,
     schedule_sufficient,
     validate,
@@ -121,6 +120,34 @@ class TestGatePriority:
 
     def test_diamond_head(self):
         assert self._terms(circuit(4, [(0, 1), (0, 2), (1, 3), (2, 3)])) == (3, 4)
+
+
+@dataclass(frozen=True, slots=True)
+class MValueInputs:
+    m_t: int
+    m_s: int
+    theta: float
+
+    @property
+    def value(self) -> float:
+        return self.m_t + self.theta * self.m_s
+
+
+def m_value(circ, dag, cuts, gate, qubit, idle_cycles, ready_others, total_bandwidth) -> MValueInputs:
+    """The terms of the M-value of modifying ``qubit``'s tile to unblock a
+    same-cut ``gate``, term by term as ``scheduler._m_values`` defines them;
+    the reference that its one-pass values must match bit for bit."""
+    credit = min(3, idle_cycles)
+    m_t = (4 - credit) - 3
+    flipped = cuts[qubit].flipped
+    m_s = -1
+    for child in dag.children[gate]:
+        _, cq, tq = circ.gates[child]
+        if qubit in (cq, tq):
+            other = tq if cq == qubit else cq
+            m_s += 1 if cuts[other] is flipped else -1
+    theta = 2.0 * ready_others / max(total_bandwidth, 1)
+    return MValueInputs(m_t=m_t, m_s=m_s, theta=theta)
 
 
 class TestMValue:
