@@ -1,19 +1,20 @@
 """Minimal OpenQASM 2 reader that keeps only CNOT structure.
 
 Supported subset: one ``qreg``, optional ``creg``/``barrier``/``measure``/
-``reset`` (dropped), single-qubit gate applications (dropped once their
-operand is checked), ``cx`` statements, and ``gate`` definitions whose bodies
-are inlined when applied so that nested ``cx`` gates are recovered.  A
+``reset``/``opaque`` (dropped), single-qubit gate applications (dropped once
+their operand is checked), ``cx`` statements, and ``gate`` definitions whose
+bodies are inlined when applied so that nested ``cx`` gates are recovered.  A
 single-qubit gate's operand is checked as a ``cx`` operand is, with the same
-errors: an indexed one must name the declared register, in range; a bare
-name must be the register itself or, in a gate body, one of the gate's
-formals.  As in OpenQASM 2, a body applies only gates defined before its own
-gate: one that applies its own gate, or a gate defined after it on two or
-more operands, is a parse error, and so is a second definition of a name.
-``include`` lines are tolerated and skipped; included files are never read.
-A ``//`` or ``;`` inside a double-quoted name, such as an include's file
-name, neither starts a comment nor ends the statement.  Anything else is a
-parse error with a line number.
+errors: an indexed one must name the declared register, in range; a bare name
+must be the register itself or, in a gate body, one of the gate's formals.
+Parameters may nest parentheses.  ``if (c==v) <statement>`` is dropped as its
+statement alone is, unless it guards a multi-qubit gate.  As in OpenQASM 2, a
+body applies only gates defined before its own gate: one that applies its own
+gate, or a gate defined after it on two or more operands, is a parse error,
+and so is a second definition of a name.  ``include`` lines are tolerated and
+skipped; included files are never read.  A ``//`` or ``;`` inside a
+double-quoted name, such as an include's file name, neither starts a comment
+nor ends the statement.  Anything else is a parse error with a line number.
 
 A flat program is an optional ``OPENQASM 2.0;``, any ``include "<file>";``
 lines and one ``qreg``, then only ``cx``/``CX`` statements between two
@@ -55,12 +56,15 @@ _ID = r"[A-Za-z_][A-Za-z0-9_]*"
 _QREG_RE = re.compile(rf"^qreg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _CREG_RE = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _OPERAND_RE = re.compile(rf"^({_ID})(?:\s*\[\s*(\d+)\s*\])?$")
-_APPLY_RE = re.compile(rf"^({_ID})\s*(\([^)]*\))?\s*(.*)$", re.S)
+# the last ``)`` closes the parameters, which may nest; operands hold none
+_APPLY_RE = re.compile(rf"^({_ID})\s*(\(.*\))?\s*(.*)$", re.S)
+# an ``if (creg==value)`` condition, before the statement it guards
+_IF_RE = re.compile(r"^if\s*\([^)]*\)\s*")
 _GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(\([^)]*\))?\s*([^{{]*)$")
 # a plain ``cx`` between two indexed qubits; only a valid one takes the direct path
 _CX_RE = re.compile(rf"^(?:cx|CX)\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
 
-_DROPPED_KEYWORDS = ("barrier", "measure", "reset")
+_DROPPED_KEYWORDS = ("barrier", "measure", "reset", "opaque")
 
 # a flat program's header; the register's name and size are its groups
 _FLAT_HEAD_RE = re.compile(
@@ -205,6 +209,9 @@ class _Parser:
         if not m:
             raise QasmError(f"malformed statement: {stmt!r}", line)
         name, _params, operand_text = m.group(1), m.group(2), m.group(3)
+        if name == "if":
+            self._conditional(line, stmt, binding)
+            return
         operands = [o.strip() for o in operand_text.split(",") if o.strip()]
         if name in ("cx", "CX"):
             if len(operands) != 2:
@@ -234,10 +241,26 @@ class _Parser:
             raise QasmError(f"gate {within.name} applies {what}", line)
         if len(operands) == 1:
             # single-qubit gate: executed in software / locally, not modeled
-            if operands[0] not in binding and operands[0] != self.reg:
+            if operands[0] != self.reg:
                 self._resolve(line, operands[0], binding)
             return
         raise QasmError(f"unsupported multi-qubit gate {name!r}", line)
+
+    def _conditional(self, line: int, stmt: str, binding: dict[str, int]) -> None:
+        """Drop ``if (c==v) <statement>`` as its statement alone is dropped: a
+        measure, reset or barrier, or a one-operand gate once its operand is
+        checked.  A guarded gate on more operands, ``cx`` included, is not."""
+        cond = _IF_RE.match(stmt)
+        m = _APPLY_RE.match(stmt[cond.end():]) if cond else None
+        if m is None:
+            raise QasmError(f"malformed statement: {stmt!r}", line)
+        if m[1] in _DROPPED_KEYWORDS:
+            return
+        operands = [o.strip() for o in m[3].split(",") if o.strip()]
+        if len(operands) != 1:
+            raise QasmError("unsupported multi-qubit gate 'if'", line)
+        if operands[0] != self.reg:
+            self._resolve(line, operands[0], binding)
 
     def _resolve(self, line: int, operand: str, binding: dict[str, int]) -> int:
         m = _OPERAND_RE.match(operand)

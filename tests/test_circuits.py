@@ -131,8 +131,9 @@ class TestParseQasm:
 
 class TestOneQubitOperands:
     """A single-qubit gate is dropped only once its operand is checked, as a
-    ``cx`` operand is; a ``//`` or ``;`` inside a quoted name is no comment
-    and ends no statement."""
+    ``cx`` operand is, and so is one that an ``if`` guards; its parameters
+    may nest parentheses; a ``//`` or ``;`` inside a quoted name is no
+    comment and ends no statement."""
 
     @pytest.mark.parametrize("text, error, message", [
         ("qreg q[2];\nh q[7];\ncx q[0],q[1];", CircuitError,
@@ -146,6 +147,13 @@ class TestOneQubitOperands:
          "line 2: whole-register operand 'b' not supported here"),
         ("qreg q[2];\ngate g a {\n  h q[2];\n}\ng q[0];", CircuitError,
          "line 3: qubit index 2 out of range [0, 2)"),
+        ("qreg q[2];\ncreg c[2];\nif (c==1) x q[7];", CircuitError,
+         "line 3: qubit index 7 out of range [0, 2)"),
+        ("qreg q[2];\ncreg c[2];\nif (c==1) rz(-(pi/2)) r[0];", QasmError,
+         "line 3: unknown register 'r'"),
+        ("qreg q[2];\ncreg c[2];\nif (c==1) cx q[0],q[1];", QasmError,
+         "line 3: unsupported multi-qubit gate 'if'"),
+        ("qreg q[2];\nif x q[0];", QasmError, "line 2: malformed statement: 'if x q[0]'"),
         ('include "x;y;\nqreg q[2];\ncx q[0],q[1];', QasmError,
          "line 1: unterminated statement: 'include \"x;y;\\nqreg q[2];\\ncx q[0],q[1];'"),
     ])
@@ -159,6 +167,11 @@ class TestOneQubitOperands:
         "qreg q[2];\nh q;\ncx q[0],q[1];",
         "qreg q[2];\ngate g a { h a; }\ng q[1];\ncx q[0],q[1];",
         "qreg q[2];\ngate g a, b { h a; cx a, b; rz(pi) b; }\nh q[0];\ng q[0], q[1];",
+        "qreg q[2];\nu1(sin(pi)) q[0];\nrz(-(pi/2)) q[1];\nu3(pi/2,cos(0),0) q;\ncx q[0],q[1];",
+        "qreg q[2];\ngate g(t) a, b { rz(-(t/2)) a; cx a, b; u3(pi/2,cos(0),0) b; }\ng(sin(pi)) q[0], q[1];",
+        "qreg q[2];\ncreg c[2];\nif (c==1) x q[0];\nif(c==0) rz(-(pi/2)) q;\ncx q[0],q[1];",
+        "qreg q[2];\ncreg c[2];\ncx q[0],q[1];\nif (c==1) measure q[0] -> c[0];",
+        "qreg q[2];\nopaque g a;\nopaque k(t) a, b;\ncx q[0],q[1];",
         'include "a//b.inc";\nqreg q[2];\ncx q[0],q[1];',
         'include "x;y";\nqreg q[2];\ncx q[0],q[1];',
         'include "a//b.inc"; // a "quoted" comment; with a ;\nqreg q[2];\ncx q[0],q[1];',

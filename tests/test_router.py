@@ -298,8 +298,8 @@ class TestFabricBuild:
 
 class TestBatchCommitIds:
     """Ring repair returns each route of a batch with the ids its search
-    recorded: those of the route's resources, whose commit books what a
-    commit of the ids derived from the route's nodes books."""
+    recorded: those of the route's resources, whose commit books the usage
+    and full mask that the validator's count of the batch's resources gives."""
 
     def _batches(self):
         yield from itertools.islice(_ls_sweep_batches(), 300)
@@ -316,17 +316,33 @@ class TestBatchCommitIds:
         batches = 0
         for layout, data, pairs in self._batches():
             batches += 1
-            occ, ref = CycleOccupancy(layout, data), CycleOccupancy(layout, data)
+            occ = CycleOccupancy(layout, data)
             fabric = occ.fabric
             paths = route_batch_guaranteed(layout, pairs, data, fabric=fabric)
             routed = ring_repairs[-1]  # the repair that routed the batch
             assert len(routed) == len(paths)
+            held = Counter()
             for (path, ids), returned in zip(routed, paths):
                 assert path is returned and ids == [res_id(fabric, r) for r in path.resources()]
                 occ.commit_route(path, ids, 0)
-                ref.commit_route(path, resource_ids(fabric, path), 0)
-            assert occ.usage(0) == ref.usage(0) and occ.full(0) == ref.full(0)
+                held.update(path.resources())
+            capacity = router.resource_capacities(layout)
+            assert (occ.usage(0), occ.full(0)) == _booked(fabric, capacity, held)
         assert len(ring_repairs) > batches  # restarts included
+
+
+def _booked(fabric: Fabric, capacity, held: Counter) -> tuple[list[int], int]:
+    """The usage list and full mask of a cycle that holds the resources
+    counted in ``held``, as ``RoutePath.resources`` tuples: the validator's
+    view of the cycle, with ``capacity`` from ``resource_capacities``, put
+    on ``fabric``'s ids."""
+    usage, full = [0] * fabric.size, 0
+    for res, k in held.items():
+        n = res_id(fabric, res)
+        usage[n] = k
+        if k == capacity(res):
+            full |= 1 << n
+    return usage, full
 
 
 @pytest.fixture
@@ -740,9 +756,9 @@ def _mask_queries(seed: int) -> Counter:
     the target filled.  Operand pairs are random or one step apart, straight
     or diagonal, and a third of the fabrics have shuffled neighbour orders.
     The ids are those ``resource_ids`` derives from the route's nodes, and
-    a commit of them books the usage and full masks that a commit of the
-    derived ids books on a second occupancy.  Returns the count of each kind
-    of query met."""
+    after each commit of them every cycle holds the usage and full mask
+    that the validator's count of the committed routes' resources gives.
+    Returns the count of each kind of query met."""
     rng = random.Random(seed)
     model = rng.choice((DD, LS))
     rows, cols = rng.choice([(r, c) for r in range(1, 6) for c in range(1, 6) if r * c >= 2])
@@ -755,7 +771,9 @@ def _mask_queries(seed: int) -> Counter:
         cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
         data = frozenset(rng.sample(cells, rng.randint(1, len(cells))))
         tiles = [(r, c) for r in range(layout.grid_rows) for c in range(layout.grid_cols)]
-    occ, ref = CycleOccupancy(layout, data), CycleOccupancy(layout, data)
+    occ = CycleOccupancy(layout, data)
+    capacity = router.resource_capacities(layout)
+    held: dict[int, Counter] = {}  # cycle -> resources committed at it
     if rng.random() < 1 / 3:
         occ.fabric = _shuffled(occ.fabric, rng)
     fabric, cap = occ.fabric, occ.fabric.cap
@@ -801,9 +819,10 @@ def _mask_queries(seed: int) -> Counter:
             assert ids == resource_ids(fabric, path) == [res_id(fabric, r) for r in path.resources()]
             if rng.random() < 0.7:
                 occ.commit_route(path, ids, cycle, duration)
-                ref.commit_route(path, resource_ids(fabric, path), cycle, duration)
                 for t in range(cycle, cycle + duration):
-                    assert occ.usage(t) == ref.usage(t) and occ.full(t) == ref.full(t)
+                    held.setdefault(t, Counter()).update(path.resources())
+                for t, counts in held.items():
+                    assert (occ.usage(t), occ.full(t)) == _booked(fabric, capacity, counts)
                 kinds[f"commit {duration}"] += 1
     return kinds
 
