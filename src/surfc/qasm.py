@@ -122,9 +122,10 @@ def _statements(text: str):
     while pos < n:
         m = _STATEMENT_RE.match(text, pos)
         if m is None:
-            rest = text[pos:].strip()
-            if rest:
-                raise QasmError(f"unterminated statement: {rest[:40]!r}", line)
+            rest = text[pos:]
+            if rest.strip():  # at the line of its first non-blank character
+                line += rest.count("\n", 0, len(rest) - len(rest.lstrip()))
+                raise QasmError(f"unterminated statement: {rest.strip()[:40]!r}", line)
             return
         chunk = m.group(0)
         stmt, term = chunk[:-1].strip(), chunk[-1]

@@ -73,12 +73,17 @@ in the queue order of ``U_k+1``.  The starts are queued in ascending order,
 so by induction the walk visits the first node of each ``U`` in queue order,
 each discovered by the one before; the last is the first goal the queue
 search meets, and the walk is its parent chain, for any neighbour order (a
-restart shuffles ``adj``).  A miss returns no region, and ``find_path``
-needs none.  Ring repair's query floods from the starts over the free nodes
-and edges: with no goal met, that is the region the queue search reaches.
-``_saturated_frontier`` reads the ring behind it from that mask with the
-same shifts: the full segments that leave it and the full nodes beyond its
-free edges.
+restart shuffles ``adj``).  A miss returns the nodes its sweep reached, a
+union of components of the free fabric with no start in it.  ``find_path``
+ORs these per ``(cycle, duration)`` (``CycleOccupancy.walled``) and misses
+unsearched when a query's free goals all lie in the union and no free start
+does, or the reverse.  That is exact: within one ``(cycle, duration)`` the
+full mask only grows, so components only split, and no route leaves one.  A
+shared double-defect corner is both a start and a goal: it passes neither
+test.  Ring repair's ``_saturated_frontier`` floods from the starts (with no
+goal met, the region the queue search reaches) and reads the ring behind it
+with the same shifts: the full segments that leave it and the full nodes
+beyond its free edges.
 
 Double-defect tiles that share a corner have a start that is also a goal,
 an end only when met from another start.  Nearly every such query ends one
@@ -89,15 +94,14 @@ segment; so the first start with a free goal one free segment away, and its
 first such neighbour, give the route ``[start, goal]`` with the ids
 ``[start, goal, segment]``; the check reads the capacity, as the walk does.
 With no goal one hop from a start, no shared corner is an end, so the query
-drops the starts from its goals and runs the level search; a miss floods
-its region as before.  Of diagonal tiles, the shared corner's four
-neighbours are corners of one tile or the other, each a start or a goal one
-hop from it: all four edges are walled, and nothing reaches it.  Of
-edge-adjacent tiles, a shared corner's neighbours are the other shared
-corner, one more corner of each tile, and one node off both tiles.  Only
-that last node can be a usable exit, and it is next to no other start: the
-search reaches it from the corner alone, as the corner's own, and the
-corner, met only from there, is never an end.
+drops the starts from its goals and runs the level search.  Of diagonal
+tiles, the shared corner's four neighbours are corners of one tile or the
+other, each a start or a goal one hop from it: all four edges are walled,
+and nothing reaches it.  Of edge-adjacent tiles, a shared corner's
+neighbours are the other shared corner, one more corner of each tile, and
+one node off both tiles.  Only that last node can be a usable exit, and it
+is next to no other start: the search reaches it from the corner alone, as
+the corner's own, and the corner, met only from there, is never an end.
 
 ``route_batch_guaranteed`` realizes the capacity guarantee: any
 ``chip_capacity(b)`` independent gates are simultaneously routable.  Ring
@@ -124,13 +128,18 @@ Resource = tuple  # ('h', i, j) | ('v', i, j) | ('j', i, j) | ('t', r, c)
 _NEVER_FULL = 1 << 30  # capacity of the "no segment" resource
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class RoutePath:
     """A committed route: junction sequence (double defect, >= 2 junctions) or
-    free-tile chain (lattice surgery, possibly empty for adjacent merges)."""
+    free-tile chain (lattice surgery, possibly empty for adjacent merges).  Its
+    ``__init__``, like ``Action``'s, sets each slot by its descriptor, for speed."""
 
     model: ChipModel
     nodes: tuple[Tile, ...]
+
+    def __init__(self, model: ChipModel, nodes: tuple[Tile, ...]) -> None:
+        _set_model(self, model)
+        _set_nodes(self, nodes)
 
     def resources(self) -> list[Resource]:
         nodes = self.nodes
@@ -144,11 +153,8 @@ class RoutePath:
                 out.append(("v", i1 if i1 < i2 else i2, j1))
         return out
 
-    @property
-    def length(self) -> int:
-        if self.model is ChipModel.LATTICE_SURGERY:
-            return len(self.nodes)
-        return max(0, len(self.nodes) - 1)
+
+_set_model, _set_nodes = RoutePath.model.__set__, RoutePath.nodes.__set__
 
 
 class Fabric:
@@ -253,17 +259,17 @@ class Fabric:
 class CycleOccupancy:
     """Per-cycle reservation ledger: one usage list per cycle, indexed by the
     resource ids of ``fabric``, and beside it a bitmask of the resources at
-    capacity; plus the busy tiles of each cycle.  Tiles are array coordinates
-    for double defect, absolute tile coordinates for lattice surgery.
+    capacity.  Tiles are array coordinates for double defect, absolute tile
+    coordinates for lattice surgery.
 
-    ``busy`` maps a cycle to its set of busy tiles; the limited scheduler
-    reads it, and adds a braid's one-cycle holds to it, directly."""
+    ``walled`` maps ``(cycle, duration)`` to the union of the regions that
+    ``find_path``'s level-search misses there reached from their goals."""
 
     def __init__(self, layout: ChipLayout, data_tiles: frozenset[Tile] = frozenset()):
         self.fabric = Fabric(layout, data_tiles)
         self._usage: dict[int, list[int]] = {}
         self._full: dict[int, int] = {}
-        self.busy: dict[int, set[Tile]] = {}
+        self.walled: dict[tuple[int, int], int] = {}
 
     def usage(self, cycle: int) -> list[int]:
         """Resource use at ``cycle``, indexed by resource id; read-only."""
@@ -293,17 +299,12 @@ class CycleOccupancy:
                     full |= 1 << i
             self._full[t] = full
 
-    def commit_tile(self, tile: Tile, cycle: int, duration: int = 1) -> None:
-        for t in range(cycle, cycle + duration):
-            busy = self.busy.setdefault(t, set())
-            assert tile not in busy, f"tile {tile} double-booked at cycle {t}"
-            busy.add(tile)
-
     def release(self, cycle: int) -> None:
-        """Forget ``cycle``; the caller will neither read nor commit it again."""
+        """Forget ``cycle`` and the walled regions of spans that hold it; the
+        caller will neither read nor commit it again."""
         self._usage.pop(cycle, None)
         self._full.pop(cycle, None)
-        self.busy.pop(cycle, None)
+        self.walled = {k: w for k, w in self.walled.items() if not k[0] <= cycle < k[0] + k[1]}
 
 
 def resource_capacities(layout: ChipLayout):
@@ -355,14 +356,14 @@ def flood(seed: int, free: int, east: int, south: int, cols: int) -> int:
 
 
 def _level_route(fabric: Fabric, full: int, starts: int, goals: int
-                 ) -> tuple[list[int], list[int]] | None:
+                 ) -> tuple[list[int] | None, list[int] | None, int]:
     """The route the queue search finds from the nodes of the bitmask
     ``starts``, in ascending order, to those of ``goals``, with the
     resources of the bitmask ``full`` as walls, searched one whole BFS level
     at a time from the goals (see the module docstring).  ``starts`` must be free and
-    disjoint from ``goals``.  Returns ``(path, segments)``: the node ids from
-    a start to the goal and the ids of the segments between them; None on a
-    miss."""
+    disjoint from ``goals``.  Returns ``(path, segments, 0)``: the node ids
+    from a start to the goal and the ids of the segments between them; on a
+    miss ``(None, None, region)``, the bitmask of the nodes the sweep reached."""
     cols, adj, cap = fabric.cols, fabric.adj, fabric.cap
     east = fabric.east & ~(full >> fabric.nodes)
     south = fabric.south & ~(full >> 2 * fabric.nodes)
@@ -372,7 +373,7 @@ def _level_route(fabric: Fabric, full: int, starts: int, goals: int
     levels = []
     while not level & starts:
         if not level:
-            return None
+            return None, None, free ^ unseen
         levels.append(level)
         level = (((level & east) << 1) | ((level >> 1) & east)
                  | ((level & south) << cols) | ((level >> cols) & south)) & unseen
@@ -388,10 +389,10 @@ def _level_route(fabric: Fabric, full: int, starts: int, goals: int
         node = nxt
         path.append(node)
         segments.append(seg)
-    return path, segments
+    return path, segments, 0
 
 
-def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = True
+def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, walled: int = 0
                ) -> tuple[RoutePath | None, list[int] | None, int]:
     """Deterministic shortest route that avoids the resources of the bitmask
     ``full``.  Sources are the free terminals of ``src`` in ascending order.
@@ -399,13 +400,13 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
     source, so a route always occupies fabric.  Between double-defect tiles
     that share a corner, that happens one hop from a source or never, so
     past the one-hop check the sources leave the goals (see the module
-    docstring).
+    docstring).  ``walled`` is ``find_path``'s union of walled regions: a
+    query with its free goals in it and no free source, or the reverse, misses.
 
     Returns ``(route, ids, region)``: the route and the ids of its
     ``resources()`` in that order, or None and None on a miss; and on a
-    miss the bitmask of the nodes the search reached, else 0.  A miss with
-    no free source reaches nothing.  With ``region`` False the caller needs
-    no region, and a miss of the level search returns 0 without a flood."""
+    miss of the level search the bitmask of the nodes its sweep reached
+    from the goals, else 0."""
     model = fabric.model
     ls = model is ChipModel.LATTICE_SURGERY
     if ls and _adjacent(src, dst):
@@ -413,7 +414,8 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
     free = fabric.open & ~full
     goals = fabric.terminal_mask(dst) & free
     starts = fabric.terminal_mask(src) & free
-    if not starts:
+    if not starts or walled and (goals & walled == goals and not starts & walled
+                                 or starts & walled == starts and not goals & walled):
         return None, None, 0
     shared = starts & goals
     if shared:
@@ -435,14 +437,9 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, region: bool = T
             rest ^= low
         # no goal one hop from a start: no shared corner is an end
         goals &= ~starts
-    found = _level_route(fabric, full, starts, goals)
-    if found is None:
-        if not region:
-            return None, None, 0
-        n = fabric.nodes
-        east, south = fabric.east & ~(full >> n), fabric.south & ~(full >> 2 * n)
-        return None, None, flood(starts, free, east, south, fabric.cols)
-    path, segments = found
+    path, segments, region = _level_route(fabric, full, starts, goals)
+    if path is None:
+        return None, None, region
     route = fabric.route(path)
     if not ls:
         path += segments
@@ -453,17 +450,19 @@ def _adjacent(a: Tile, b: Tile) -> bool:
     return abs(a[0] - b[0]) + abs(a[1] - b[1]) == 1
 
 
-def _saturated_frontier(fabric: Fabric, full: int, src: Tile, region: int) -> int:
-    """Bitmask of the full resources on the boundary of the bitmask
-    ``region``, the nodes a failed route search from ``src`` reached, and at
-    the terminals of ``src``: the segments that leave ``region``, and the
-    nodes beyond its free edges.  These form the blocking ring of saturated
-    channels separating the pair."""
+def _saturated_frontier(fabric: Fabric, full: int, src: Tile) -> int:
+    """Bitmask of the full resources on the boundary of the region that a
+    failed route search from ``src`` would reach, flooded here from the free
+    terminals of ``src``, and at those terminals: the segments that leave the
+    region, and the nodes beyond its free edges.  These form the blocking
+    ring of saturated channels separating the pair."""
     nodes, cols = fabric.nodes, fabric.cols
     full_east = full >> nodes & fabric.east  # nodes whose east segment is full
     full_south = full >> 2 * nodes & fabric.south
     east = fabric.east & ~full_east
     south = fabric.south & ~full_south
+    free = fabric.open & ~full
+    region = flood(fabric.terminal_mask(src) & free, free, east, south, cols)
     beyond = spread(region, east, south, cols)
     return ((fabric.terminal_mask(src) | beyond) & full
             | ((region | region >> 1) & full_east) << nodes
@@ -480,12 +479,17 @@ def find_path(
     """Shortest route between two tiles on ``occupancy``'s fabric that stays
     free for ``duration`` cycles from ``cycle``, with the ids of its
     ``resources()`` in that order; None when saturated.  Reserves nothing:
-    callers commit the route by these ids."""
+    callers commit the route by these ids.  A miss adds its sweep's region
+    to ``occupancy.walled`` (see the module docstring)."""
     full = occupancy.full(cycle)
     for t in range(cycle + 1, cycle + duration):
         full |= occupancy.full(t)
-    path, ids, _ = _bfs_route(occupancy.fabric, full, tile_a, tile_b, region=False)
-    return None if path is None else (path, ids)
+    walled = occupancy.walled.get((cycle, duration), 0)
+    path, ids, region = _bfs_route(occupancy.fabric, full, tile_a, tile_b, walled)
+    if path is None:
+        occupancy.walled[cycle, duration] = walled | region
+        return None
+    return path, ids
 
 
 def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
@@ -505,12 +509,12 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
     while pending:
         idx = pending.pop(0)
         a, b = tile_pairs[idx]
-        p, ids, region = _bfs_route(fabric, full, a, b)
+        p, ids, _ = _bfs_route(fabric, full, a, b)
         if p is None:
             repairs += 1
             if repairs > 4 * len(tile_pairs):
                 return None
-            ring = _saturated_frontier(fabric, full, a, region)
+            ring = _saturated_frontier(fabric, full, a)
             ripped = sorted(k for k, (_, held) in paths.items() if _mask(held) & ring)
             if not ripped:
                 return None

@@ -56,7 +56,7 @@ class ActionKind(Enum):
     MODIFY = "modify"   # cut-type change, three cycles, tile-local
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Action:
     kind: ActionKind
     gate: int | None = None
@@ -64,6 +64,15 @@ class Action:
     tile: Tile | None = None
     new_cut: CutType | None = None
     phase: int | None = None  # 1..3 for DIRECT / MODIFY
+
+    def __init__(self, kind: ActionKind, gate: int | None = None, route: RoutePath | None = None,
+                 tile: Tile | None = None, new_cut: CutType | None = None, phase: int | None = None):
+        _set_kind(self, kind)
+        _set_gate(self, gate)
+        _set_route(self, route)
+        _set_tile(self, tile)
+        _set_new_cut(self, new_cut)
+        _set_phase(self, phase)
 
     def to_json_dict(self) -> dict:
         return {
@@ -74,6 +83,10 @@ class Action:
             "cut": self.new_cut.value if self.new_cut is not None else None,
             "phase": self.phase,
         }
+
+
+_set_kind, _set_gate, _set_route, _set_tile, _set_new_cut, _set_phase = (
+    getattr(Action, name).__set__ for name in Action.__slots__)  # in field order
 
 
 @dataclass
@@ -146,13 +159,15 @@ class _State:
     cut changes as flips land.  A flip is filed in ``flips`` under the cycle it
     lands and popped when the scheduler reaches that cycle; a tile is held
     through its modification, so no two of its flips land in one cycle.  A
-    flip backdated by the full three cycles lands at once, unfiled."""
+    flip backdated by the full three cycles lands at once, unfiled.  Every
+    tile hold starts by the current cycle ``t`` and is one interval, so a
+    tile is busy at ``t`` when ``last_busy[tile]``, its last held cycle, is
+    ``>= t``; with no braid at ``t``, some tile is when ``busy_until``, the
+    latest end of a ``hold_tile`` hold, is."""
 
     def __init__(self, circuit: LogicalCircuit, layout: ChipLayout, mapping: TileMapping,
                  dag: GateDag):
-        self.circuit = circuit
         self.total_bandwidth = layout.total_bandwidth  # a sum over every channel line
-        self.mapping = mapping
         self.dag = dag
         self.occ = CycleOccupancy(layout, mapping.data_tiles(layout))
         self.cycles: list[list[Action]] = []
@@ -161,7 +176,8 @@ class _State:
         cuts = mapping.cuts
         self.cut: dict[int, CutType] = {q: cuts[q] for q in mapping.positions} if cuts else {}
         self.flips: dict[int, list[tuple[int, CutType]]] = {}  # cycle -> (qubit, new cut)
-        self.last_busy: dict[Tile, int] = {}
+        self.last_busy: dict[Tile, int] = dict.fromkeys(self.op_tile.values(), -1)
+        self.busy_until = -1
         self.indeg = [len(self.dag.parents[v]) for v in range(circuit.g)]
         self.earliest = [0] * circuit.g
         self.arrivals: dict[int, list[int]] = {0: [v for v in range(circuit.g) if not self.indeg[v]]}
@@ -181,8 +197,9 @@ class _State:
             cycles[start + k].append(action)
 
     def hold_tile(self, tile: Tile, start: int, duration: int) -> None:
-        self.occ.commit_tile(tile, start, duration)
-        self.last_busy[tile] = max(self.last_busy.get(tile, -1), start + duration - 1)
+        assert start > self.last_busy[tile], f"tile {tile} double-booked at cycle {start}"
+        self.last_busy[tile] = end = start + duration - 1
+        self.busy_until = max(self.busy_until, end)
 
     def apply_flips(self, t: int) -> None:
         for q, cut in self.flips.pop(t, ()):
@@ -226,8 +243,8 @@ def schedule_limited(
 
     Each gate's operand qubits and its (control tile, target tile) pair are
     read into lists once, before the cycle loop; the loop tests a ready
-    gate's pair against the cycle's busy tiles (``CycleOccupancy.busy``) and
-    adds a braid's or Bell merge's one-cycle holds there itself.  The three
+    gate's pair against the tile ledger ``last_busy`` and books a braid's or
+    Bell merge's one-cycle holds there itself.  The three
     phase records of a cut modification are built once per (tile, new cut)
     and reused by every later modification alike: actions are frozen and
     compare by value, so the schedule and its JSON are those of fresh
@@ -255,7 +272,6 @@ def schedule_limited(
     pairs = [(op_tile[c], op_tile[q]) for c, q in zip(controls, targets)]
     ls = model is ChipModel.LATTICE_SURGERY
     occ, cut, cycles, last_busy = st.occ, st.cut, st.cycles, st.last_busy
-    busy_at = occ.busy
     ready: list[int] = []
     t = 0
     guard = 0
@@ -271,10 +287,8 @@ def schedule_limited(
         ready_count = len(ready)
         committed = False
         for v in ready:
-            # read per gate: a commit may create the cycle's busy set
-            busy = busy_at.get(t)
             ta, tb = pairs[v]
-            if busy is not None and (ta in busy or tb in busy):
+            if last_busy[ta] >= t or last_busy[tb] >= t:
                 continue
             if ls:
                 kind = ActionKind.BELL
@@ -289,17 +303,12 @@ def schedule_limited(
                 continue
             path, ids = found
             occ.commit_route(path, ids, t, 1)
-            # one-cycle holds of the two free operand tiles; every earlier
-            # hold of a tile free at ``t`` ended before ``t``
-            if busy is None:
-                busy = busy_at[t] = set()
-            busy.add(ta)
-            busy.add(tb)
+            # one-cycle holds of the two operand tiles, free at ``t``
             last_busy[ta] = last_busy[tb] = t
             acts.append(Action(kind, gate=v, route=path))
             st.complete(v, t)
             committed = True
-        if not committed and not busy_at.get(t):
+        if not committed and st.busy_until < t:
             stuck = ready[0] if ready else None
             raise SchedulingError(
                 f"gate {stuck} cannot be routed on this chip "
@@ -318,7 +327,7 @@ def schedule_limited(
 
 def _try_same_cut(st: _State, t: int, v: int, ca: Tile, cb: Tile,
                   ready_count: int, samecut: str) -> bool:
-    idle_a, idle_b = t - st.last_busy.get(ca, -1) - 1, t - st.last_busy.get(cb, -1) - 1
+    idle_a, idle_b = t - st.last_busy[ca] - 1, t - st.last_busy[cb] - 1
     if samecut == "channel":
         choice = "modify"
     elif samecut == "time":

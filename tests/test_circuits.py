@@ -156,6 +156,9 @@ class TestOneQubitOperands:
         ("qreg q[2];\nif x q[0];", QasmError, "line 2: malformed statement: 'if x q[0]'"),
         ('include "x;y;\nqreg q[2];\ncx q[0],q[1];', QasmError,
          "line 1: unterminated statement: 'include \"x;y;\\nqreg q[2];\\ncx q[0],q[1];'"),
+        ("qreg q[2];\n\n\ncx q[0],q[1]", QasmError, "line 4: unterminated statement: 'cx q[0],q[1]'"),
+        ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n\nh q[0]", QasmError,
+         "line 5: unterminated statement: 'h q[0]'"),
     ])
     def test_rejected(self, text, error, message):
         with pytest.raises(error) as err:

@@ -6,6 +6,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from unittest.mock import patch
 
 import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
@@ -50,7 +51,7 @@ class TestFindPath:
         layout = uniform_dd_layout(3, 3)
         occ = CycleOccupancy(layout)
         found = find_path(occ, 0, (0, 0), (0, 1))
-        assert found is not None and found[0].length == 1
+        assert found is not None and len(found[0].nodes) == 2  # one segment
 
     def test_saturated_corridor_blocks(self):
         # adjacent tiles on a strip admit two seam routes; once both are
@@ -110,7 +111,7 @@ class TestFindPath:
         for _ in range(10):
             src, dst = rng.sample([(r, c) for r in range(3) for c in range(3)], 2)
             path, _ = find_path(occ, 0, src, dst)
-            assert path.length == all_paths(src, dst)
+            assert len(path.nodes) - 1 == all_paths(src, dst)
 
 
 class TestCommit:
@@ -365,7 +366,7 @@ class TestRouteBatchGuaranteed:
     def test_single_gate_shortest(self):
         layout = uniform_dd_layout(4, 4)
         [path] = route_batch_guaranteed(layout, [((0, 0), (0, 1))])
-        assert path.length == 1
+        assert len(path.nodes) == 2
 
     def test_adversarial_nested_pairs(self):
         # one pair's tiles inside the bounding box of another; oracle-verified feasible
@@ -519,8 +520,9 @@ def _full_mask(fabric: Fabric, usage: list[int]) -> int:
 
 def _reference_route(fabric: Fabric, usage: list[int], src, dst):
     """The route search of ``find_path`` and ring repair on ``rooted_bfs``
-    with ``usage`` walls: ``(route, region)``, where on a miss ``region`` is the
-    bitmask of every node the search reached, else 0."""
+    with ``usage`` walls: ``(route, region)``, where on a miss with a free
+    start ``region`` is the bitmask of every node that ``rooted_bfs`` reaches
+    from the free goals that are no start, else 0."""
     model = fabric.model
     if model is LS and router._adjacent(src, dst):
         return RoutePath(model, ()), 0
@@ -534,20 +536,19 @@ def _reference_route(fabric: Fabric, usage: list[int], src, dst):
     parent, end = rooted_bfs(fabric, starts, usage, goals)
     if end is not None:
         return fabric.route(trace_back(parent, end)), 0
-    return None, sum(1 << n for n in parent)
+    swept = [n for n in goals if usage[n] < cap[n] and n not in starts] if starts else []
+    return None, sum(1 << n for n in rooted_bfs(fabric, swept, usage)[0])
 
 
 def _same_as_reference(fabric: Fabric, usage: list[int], src, dst):
     """Asserts that ``router._bfs_route`` on the walls of ``usage`` returns
-    the reference route and region, with the ids of the route's resources,
-    and that without a region it returns the same route; returns the
-    reference."""
+    the reference route and region, with the ids of the route's resources;
+    returns the reference."""
     full = _full_mask(fabric, usage)
     route, ids, region = router._bfs_route(fabric, full, src, dst)
     reference = _reference_route(fabric, usage, src, dst)
     assert (route, region) == reference
     assert ids == (None if route is None else [res_id(fabric, r) for r in route.resources()])
-    assert router._bfs_route(fabric, full, src, dst, region=False)[:2] == (route, ids)
     return reference
 
 
@@ -555,19 +556,16 @@ def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
     """Asserts that ``_level_route`` on the masks of free ``starts`` and of
     ``goals`` disjoint from them returns the path of ``rooted_bfs`` from
     ``starts`` in ascending order, and the segments on that path; and on a
-    miss None, where ``flood`` from the starts over the free-edge masks, as
-    ``_bfs_route`` calls it, gives the region ``rooted_bfs`` reaches."""
+    miss None, None and the region ``rooted_bfs`` reaches from the free
+    goals."""
     full = _full_mask(fabric, usage)
-    found = router._level_route(fabric, full, router._mask(starts), router._mask(goals))
+    path, segments, region = router._level_route(fabric, full, router._mask(starts), router._mask(goals))
     parent, end = rooted_bfs(fabric, sorted(starts), usage, goals)
     if end is None:
-        nodes = fabric.nodes
-        region = router.flood(router._mask(starts), fabric.open & ~full,
-                              fabric.east & ~(full >> nodes), fabric.south & ~(full >> 2 * nodes),
-                              fabric.cols)
-        assert found is None and region == sum(1 << n for n in parent)
+        swept = rooted_bfs(fabric, [n for n in sorted(goals) if usage[n] < fabric.cap[n]], usage)[0]
+        assert (path, segments, region) == (None, None, sum(1 << n for n in swept))
         return None
-    path, segments = found
+    assert region == 0
     assert path == list(trace_back(parent, end))
     assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
                         for n, nxt in zip(path, path[1:])]
@@ -652,19 +650,20 @@ class TestLevelSearch:
         assert path.nodes == ((1, 1), (2, 1), (2, 2), (2, 3), (1, 3))
 
     def test_true_miss_returns_the_reachable_region(self):
-        # a saturated junction row walls the top three rows off from the goal
+        # a saturated junction row walls the goal's free corners, on the
+        # bottom row, off from the top three rows
         fabric = Fabric(uniform_dd_layout(4, 4))
         usage = [0] * fabric.size
         for j in range(5):
             usage[res_id(fabric, ("j", 3, j))] = 1
         path, region = _same_as_reference(fabric, usage, (0, 0), (3, 3))
         assert path is None
-        assert [fabric.tiles[n] for n in _bits(region)] == [(i, j) for i in range(3) for j in range(5)]
+        assert [fabric.tiles[n] for n in _bits(region)] == [(4, j) for j in range(5)]
 
-    def test_only_a_region_miss_floods(self, monkeypatch):
+    def test_only_ring_repair_floods(self, monkeypatch):
         # a saturated junction row walls the source off from the goal's free
-        # corners: ``find_path`` misses without the region, ring repair's
-        # query floods it from the starts once
+        # corners: ``find_path`` misses with the region its sweep reached,
+        # and only ring repair's ring floods, from the starts, once
         flooded = []
         real = router.flood
         monkeypatch.setattr(router, "flood", lambda *args: flooded.append(args) or real(*args))
@@ -672,10 +671,9 @@ class TestLevelSearch:
         wall = RoutePath(DD, tuple((3, j) for j in range(5)))
         occ.commit_route(wall, resource_ids(occ.fabric, wall), 0)
         assert find_path(occ, 0, (0, 0), (3, 3)) is None and not flooded
-        path, region = _same_as_reference(occ.fabric, occ.usage(0), (0, 0), (3, 3))
-        assert path is None and len(flooded) == 1
-        assert [occ.fabric.tiles[n] for n in _bits(region)] == [
-            (i, j) for i in range(3) for j in range(5)]
+        assert [occ.fabric.tiles[n] for n in _bits(occ.walled[0, 1])] == [(4, j) for j in range(5)]
+        ring = router._saturated_frontier(occ.fabric, occ.full(0), (0, 0))
+        assert len(flooded) == 1 and ring == sum(1 << res_id(occ.fabric, ("j", 3, j)) for j in range(5))
 
     def test_forward_walk_skips_a_full_edge(self):
         # (0, 2) is on a shortest route, reached from the second start, and
@@ -691,13 +689,13 @@ class TestLevelSearch:
     def test_empty_starts_and_full_goals(self):
         fabric = Fabric(uniform_dd_layout(3, 3))
         usage = [0] * fabric.size
-        assert router._level_route(fabric, 0, 0, fabric.terminal_mask((2, 2))) is None
-        # every corner of the goal tile full: the search explores the rest
+        # no start: the sweep from the goals reaches every node
+        assert router._level_route(fabric, 0, 0, fabric.terminal_mask((2, 2))) == (None, None, fabric.open)
+        # every corner of the goal tile full: nothing to sweep from
         for n in fabric.terminals((2, 2)):
             usage[n] = fabric.cap[n]
         assert _same_levels_as_bfs(fabric, usage, fabric.terminals((0, 0)), fabric.terminals((2, 2))) is None
-        path, region = _same_as_reference(fabric, usage, (0, 0), (2, 2))
-        assert path is None and len(_bits(region)) == len(fabric.tiles) - 4
+        assert _same_as_reference(fabric, usage, (0, 0), (2, 2)) == (None, 0)
         # every corner of the source tile full: no start, an empty region
         usage = [0] * fabric.size
         for n in fabric.terminals((0, 0)):
@@ -751,8 +749,8 @@ class TestLevelSearch:
 def _mask_queries(seed: int) -> Counter:
     """Queries on one random DD or LS occupancy, checked against
     ``_reference_route``: ``find_path`` over durations 1 and 3, with the ids
-    it returns for the commit, and ``_bfs_route`` with and without a region on
-    the same usage, half the time with every terminal of the source or of
+    it returns for the commit, and ``_bfs_route`` with its region on the
+    same usage, half the time with every terminal of the source or of
     the target filled.  Operand pairs are random or one step apart, straight
     or diagonal, and a third of the fabrics have shuffled neighbour orders.
     The ids are those ``resource_ids`` derives from the route's nodes, and
@@ -803,7 +801,7 @@ def _mask_queries(seed: int) -> Counter:
             kinds["no free start"] += 1
         elif not goals:
             kinds["no free goal"] += 1
-            assert region  # ring repair's region: the search ran
+            assert not region  # no goal to sweep from
         elif model is LS and starts & goals:
             kinds[f"ls single tile, {len(_bits(starts & goals))} shared"] += 1
         elif model is DD and shared:
@@ -844,6 +842,85 @@ class TestMaskQuery:
                     "ls single tile, 2 shared", "dd 1 shared corners", "dd 2 shared corners",
                     "level search hit", "level search miss", "commit 1", "commit 3"]
         assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
+
+
+def _walled_queries(seed: int) -> Counter:
+    """A random commit sequence on one DD or LS occupancy in the limited
+    scheduler's order: cycle after cycle, queries of durations 1 and 3 at the
+    current cycle, most hits committed, and each cycle released three cycles
+    later.  Every ``find_path`` answer is checked against ``_reference_route``
+    on the usage of its cycles.  A searched miss adds the region the
+    reference reaches from the goals to the walled union under its key, and
+    that union holds the reference's region of the side it answers for.
+    Returns the count of hits, of misses searched, and of misses
+    that the walled regions answered, by whether the goals or the starts lay
+    in them."""
+    rng = random.Random(seed)
+    model = rng.choice((DD, LS))
+    rows, cols = rng.choice([(r, c) for r in range(2, 7) for c in range(2, 7)])
+    if model is DD:
+        layout = uniform_dd_layout(rows, cols, bandwidth=rng.randint(1, 2))
+        tiles = [(r, c) for r in range(rows) for c in range(cols)]
+        occ = CycleOccupancy(layout)
+    else:
+        layout = uniform_ls_layout(rows, cols, gap=rng.randint(1, 2))
+        tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+        occ = CycleOccupancy(layout, frozenset(tiles))
+    fabric, cap = occ.fabric, occ.fabric.cap
+    level_route = router._level_route
+    kinds = Counter()
+    for cycle in range(10):
+        for _ in range(rng.randint(5, 15)):
+            a, b = rng.sample(tiles, 2)
+            duration = rng.choice((1, 3))
+            usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + duration)))]
+            walled = occ.walled.get((cycle, duration), 0)
+            sweeps = []
+            with patch.object(router, "_level_route",
+                              lambda *args: sweeps.append(args) or level_route(*args)):
+                found = find_path(occ, cycle, a, b, duration)
+            route, region = _reference_route(fabric, usage, a, b)
+            assert _route(found) == route
+            if found is not None:
+                kinds["hit"] += 1
+                if rng.random() < 0.8:
+                    occ.commit_route(*found, cycle, duration)
+                continue
+            goals = [n for n in fabric.terminals(b) if usage[n] < cap[n]]
+            if sweeps:
+                kinds["searched miss"] += 1
+                assert occ.walled.get((cycle, duration), 0) == walled | region
+            elif goals and any(usage[n] < cap[n] for n in fabric.terminals(a)):
+                if walled >> goals[0] & 1:
+                    kinds["goals walled"] += 1
+                    assert region & ~walled == 0
+                else:
+                    kinds["starts walled"] += 1
+                    assert _start_region(fabric, usage, a) & ~walled == 0
+        occ.release(cycle - 3)
+    return kinds
+
+
+class TestWalledRegions:
+    """A miss that the union of earlier misses' regions answers without a
+    search is a miss of the reference search too, on both models and both
+    durations, under commit sequences in the scheduler's order."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_same_as_reference(self, seed):
+        _walled_queries(seed)
+
+    def test_every_kind_of_answer(self):
+        kinds = sum((_walled_queries(seed) for seed in range(40)), Counter())
+        expected = ["hit", "searched miss", "goals walled", "starts walled"]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
+
+    def test_release_drops_the_regions_whose_span_holds_its_cycle(self):
+        occ = CycleOccupancy(uniform_dd_layout(2, 2))
+        occ.walled.update({(0, 1): 1, (0, 3): 2, (1, 1): 4, (2, 3): 8, (3, 1): 16})
+        occ.release(2)
+        assert occ.walled == {(0, 1): 1, (1, 1): 4, (3, 1): 16}
 
 
 def _with_zero_lines(fabric: Fabric, rows: set[int], cols: set[int]) -> Fabric:
@@ -1070,9 +1147,17 @@ def _node_walk_frontier(fabric: Fabric, usage: list[int], src, region: int) -> s
     return ring
 
 
+def _start_region(fabric: Fabric, usage: list[int], src) -> int:
+    """The bitmask of the nodes ``rooted_bfs`` reaches from the free
+    terminals of ``src``: the region a failed queue search explores."""
+    starts = [n for n in fabric.terminals(src) if usage[n] < fabric.cap[n]]
+    return sum(1 << n for n in rooted_bfs(fabric, starts, usage)[0])
+
+
 class TestSaturatedFrontier:
-    """The ring read from the region mask holds the ids of capacity above 0
-    that the node walk finds, so ring repair rips up the same paths."""
+    """The ring read from the mask of the region flooded from the starts
+    holds the ids of capacity above 0 that the node walk over the reference
+    region finds, so ring repair rips up the same paths."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None, derandomize=True)
@@ -1096,10 +1181,9 @@ class TestSaturatedFrontier:
         full = _full_mask(fabric, usage)
         for _ in range(8):
             a, b = rng.sample(tiles, 2)
-            route, _, region = router._bfs_route(fabric, full, a, b)
-            if route is None:
-                ring = router._saturated_frontier(fabric, full, a, region)
-                walk = _node_walk_frontier(fabric, usage, a, region)
+            if router._bfs_route(fabric, full, a, b)[0] is None:
+                ring = router._saturated_frontier(fabric, full, a)
+                walk = _node_walk_frontier(fabric, usage, a, _start_region(fabric, usage, a))
                 assert _bits(ring) == sorted(i for i in walk if fabric.cap[i] > 0)
 
 
@@ -1214,16 +1298,16 @@ class TestFullMasks:
             last_full[:] = [full]
             return search(fabric, full, src, dst)
 
-        def ring(fabric, full, src, region):
+        def ring(fabric, full, src):
             # the usage list and the held paths are ring repair's own
             held = sys._getframe(1).f_locals
             usage, paths = held["usage"], held["paths"]
             assert last_full[0] == full == _full_mask(fabric, usage)
             kept[:] = [usage]
-            ring = frontier(fabric, full, src, region)
-            # the paths on the ring, as the node walk over the region's
-            # nodes and ids derived from each route's nodes find them
-            walk = _node_walk_frontier(fabric, usage, src, region)
+            ring = frontier(fabric, full, src)
+            # the paths on the ring, as the node walk over the reference
+            # region's nodes and ids derived from each route's nodes find them
+            walk = _node_walk_frontier(fabric, usage, src, _start_region(fabric, usage, src))
             by_walk = sorted(k for k, (q, _) in paths.items()
                              if any(r in walk for r in resource_ids(fabric, q)))
             assert by_walk == sorted(k for k, (_, ids) in paths.items() if router._mask(ids) & ring)
@@ -1307,6 +1391,7 @@ def _query_stream(digest) -> tuple[int, int]:
                 data = mapping.data_tiles(layout)
                 tiles = [mapping.abs_tile(layout, q) for q in range(n)]
                 occ = CycleOccupancy(layout, data)
+                busy: dict[int, set] = {}  # cycle -> operand tiles held at it
                 for _ in range(60):
                     a, b = rng.sample(tiles, 2)
                     cycle, duration = rng.randrange(6), rng.choice((1, 3))
@@ -1316,12 +1401,12 @@ def _query_stream(digest) -> tuple[int, int]:
                                         path and path.nodes)).encode())
                     blocked += path is None
                     span = range(cycle, cycle + duration)
-                    if path is None or any(x in occ.busy.get(t, ()) for t in span for x in (a, b)):
+                    if path is None or any(x in busy.get(t, ()) for t in span for x in (a, b)):
                         continue
                     committed += 1
                     occ.commit_route(*found, cycle, duration)
-                    occ.commit_tile(a, cycle, duration)
-                    occ.commit_tile(b, cycle, duration)
+                    for t in span:
+                        busy.setdefault(t, set()).update((a, b))
     return committed, blocked
 
 

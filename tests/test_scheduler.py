@@ -56,6 +56,20 @@ class TestScheduleLimited:
         assert sched.delta == 1
         assert sched.cycles[0][0].kind is ActionKind.BRAID
 
+    def test_hold_tile_refuses_an_overlapping_hold(self):
+        # the tile ledger's double-booking check: a hold starts after the
+        # last cycle of the tile's latest hold
+        c = circuit(2, [(0, 1)])
+        layout, mapping, _ = _dd_setup(c, 1, 2)
+        st = scheduler._State(c, layout, mapping, build_dag(c))
+        tile = st.op_tile[0]
+        st.hold_tile(tile, 2, 3)  # cycles 2-4
+        for start, duration in ((1, 3), (2, 1), (4, 3)):
+            with pytest.raises(AssertionError, match="double-booked"):
+                st.hold_tile(tile, start, duration)
+        st.hold_tile(tile, 5, 1)
+        assert st.last_busy[tile] == st.busy_until == 5
+
     def test_single_cnot_same_cuts_three_cycles(self):
         c = circuit(2, [(0, 1)])
         same = {0: CutType.X, 1: CutType.X}
