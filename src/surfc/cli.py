@@ -86,7 +86,7 @@ def _config_from_args(args) -> RunConfig:
         d=args.distance,
         scheduler=args.scheduler,
         mapping=args.mapping,
-        cuts=args.cuts if args.model == "dd" else "ecmas",
+        cuts=args.cuts,
         trials=args.trials,
         **_circuit_source(args),
     )

@@ -30,13 +30,15 @@ register, an index out of range, equal operands or trailing text, sends the
 whole program down the statement loop below, which reads it as if no flat
 path existed.
 
-In the statement loop, a top-level ``cx``/``CX`` between two indexed qubits
-of the declared register, both in range and distinct, takes a direct path:
-one regex match, no operand splitting.  Whitespace, newlines and comments may
-sit between its tokens.  Any other statement, a ``cx`` before the ``qreg`` or
-with a wrong register, an out-of-range index or equal operands included,
-falls through to the general path, so every error keeps its class, message
-and line number.
+In the statement loop, one method reads every statement: at top level, in a
+gate body, or the statement that ``if (c==v)`` guards.  Only a top-level
+statement may be ``OPENQASM``, ``include``, ``qreg`` or ``creg``; elsewhere
+these names are gates.  A statement whose first word is ``barrier``,
+``measure``, ``reset`` or ``opaque`` is dropped, with no operand check, in a
+gate body as at top level; a guarded one is dropped when its name is one of
+them.  Any other guarded statement must name one operand, which is checked
+as a single-qubit gate's is: a guarded gate is never inlined, and a guarded
+``if`` is read as a gate.
 """
 from __future__ import annotations
 
@@ -61,8 +63,6 @@ _APPLY_RE = re.compile(rf"^({_ID})\s*(\(.*\))?\s*(.*)$", re.S)
 # an ``if (creg==value)`` condition, before the statement it guards
 _IF_RE = re.compile(r"^if\s*\([^)]*\)\s*")
 _GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(\([^)]*\))?\s*([^{{]*)$")
-# a plain ``cx`` between two indexed qubits; only a valid one takes the direct path
-_CX_RE = re.compile(rf"^(?:cx|CX)\s+({_ID})\s*\[\s*(\d+)\s*\]\s*,\s*({_ID})\s*\[\s*(\d+)\s*\]$")
 
 _DROPPED_KEYWORDS = ("barrier", "measure", "reset", "opaque")
 
@@ -152,7 +152,7 @@ class _Parser:
                 continue
             if term == "}":
                 raise QasmError("unmatched '}'", line)
-            self._top_statement(line, stmt)
+            self._statement(line, stmt, {})
         if self.reg is None:
             raise QasmError("no qreg declared")
         gates = tuple(CnotGate(i, c, t) for i, (c, t) in enumerate(self.pairs))
@@ -181,87 +181,64 @@ class _Parser:
         self.defs[name] = _GateDef(name, [p for p in plist if p], alist, body, self.n_defs)
         self.n_defs += 1
 
-    def _top_statement(self, line: int, stmt: str) -> None:
-        m = _CX_RE.match(stmt)
-        if m and m[1] == self.reg == m[3]:
-            c, t = int(m[2]), int(m[4])
-            if c != t and c < self.n and t < self.n:
-                self.pairs.append((c, t))
+    def _statement(self, line: int, stmt: str, binding: dict[str, int],
+                   within: _GateDef | None = None, guard: str | None = None) -> None:
+        """Read a statement at top level, in the body of ``within``, or the one
+        that the ``if`` statement ``guard`` guards."""
+        if within is None and guard is None:
+            if stmt.startswith(("OPENQASM", "include")) or _CREG_RE.match(stmt):
                 return
-        if stmt.startswith("OPENQASM") or stmt.startswith("include"):
-            return
-        m = _QREG_RE.match(stmt)
-        if m:
-            if self.reg is not None:
-                raise QasmError("multiple qreg declarations are not supported", line)
-            self.reg = m.group(1)
-            self.n = int(m.group(2))
-            return
-        if _CREG_RE.match(stmt):
-            return
-        first = stmt.split(None, 1)[0] if stmt else ""
-        if first in _DROPPED_KEYWORDS:
-            return
-        self._apply(line, stmt, {})
-
-    def _apply(self, line: int, stmt: str, binding: dict[str, int],
-               within: _GateDef | None = None) -> None:
+            m = _QREG_RE.match(stmt)
+            if m:
+                if self.reg is not None:
+                    raise QasmError("multiple qreg declarations are not supported", line)
+                self.reg, self.n = m[1], int(m[2])
+                return
         m = _APPLY_RE.match(stmt)
         if not m:
-            raise QasmError(f"malformed statement: {stmt!r}", line)
-        name, _params, operand_text = m.group(1), m.group(2), m.group(3)
-        if name == "if":
-            self._conditional(line, stmt, binding)
+            raise QasmError(f"malformed statement: {guard or stmt!r}", line)
+        name = m[1]
+        if name in _DROPPED_KEYWORDS and (guard or stmt.split(None, 1)[0] == name):
             return
-        operands = [o.strip() for o in operand_text.split(",") if o.strip()]
-        if name in ("cx", "CX"):
-            if len(operands) != 2:
-                raise QasmError(f"cx expects 2 operands, got {len(operands)}", line)
-            c = self._resolve(line, operands[0], binding)
-            t = self._resolve(line, operands[1], binding)
-            if c == t:
-                raise CircuitError(f"line {line}: cx with equal operands q[{c}]")
-            self.pairs.append((c, t))
+        if name == "if" and guard is None:
+            cond = _IF_RE.match(stmt)
+            self._statement(line, stmt[cond.end():] if cond else "", binding, within, stmt)
             return
-        # in the body of ``within``, only a definition made before it
-        gdef = self.defs.get(name)
-        if gdef is not None and (within is None or gdef.seq < within.seq):
-            if len(operands) != len(gdef.args):
-                raise QasmError(
-                    f"gate {name} expects {len(gdef.args)} operands, got {len(operands)}", line
-                )
-            inner = {
-                formal: self._resolve(line, actual, binding)
-                for formal, actual in zip(gdef.args, operands)
-            }
-            for bline, bstmt in gdef.body:
-                self._apply(bline, bstmt, inner, gdef)
-            return
-        if within is not None and (name == within.name or len(operands) > 1 and name in self.defs):
-            what = "itself" if name == within.name else f"{name}, defined after it"
-            raise QasmError(f"gate {within.name} applies {what}", line)
+        operands = [o.strip() for o in m[3].split(",") if o.strip()]
+        # a guarded statement is never a cx or an inlined gate: one operand or an error
+        if guard is None:
+            if name in ("cx", "CX"):
+                if len(operands) != 2:
+                    raise QasmError(f"cx expects 2 operands, got {len(operands)}", line)
+                c = self._resolve(line, operands[0], binding)
+                t = self._resolve(line, operands[1], binding)
+                if c == t:
+                    raise CircuitError(f"line {line}: cx with equal operands q[{c}]")
+                self.pairs.append((c, t))
+                return
+            # in the body of ``within``, only a definition made before it
+            gdef = self.defs.get(name)
+            if gdef is not None and (within is None or gdef.seq < within.seq):
+                if len(operands) != len(gdef.args):
+                    raise QasmError(
+                        f"gate {name} expects {len(gdef.args)} operands, got {len(operands)}", line
+                    )
+                inner = {
+                    formal: self._resolve(line, actual, binding)
+                    for formal, actual in zip(gdef.args, operands)
+                }
+                for bline, bstmt in gdef.body:
+                    self._statement(bline, bstmt, inner, gdef)
+                return
+            if within is not None and (name == within.name or len(operands) > 1 and name in self.defs):
+                what = "itself" if name == within.name else f"{name}, defined after it"
+                raise QasmError(f"gate {within.name} applies {what}", line)
         if len(operands) == 1:
             # single-qubit gate: executed in software / locally, not modeled
             if operands[0] != self.reg:
                 self._resolve(line, operands[0], binding)
             return
-        raise QasmError(f"unsupported multi-qubit gate {name!r}", line)
-
-    def _conditional(self, line: int, stmt: str, binding: dict[str, int]) -> None:
-        """Drop ``if (c==v) <statement>`` as its statement alone is dropped: a
-        measure, reset or barrier, or a one-operand gate once its operand is
-        checked.  A guarded gate on more operands, ``cx`` included, is not."""
-        cond = _IF_RE.match(stmt)
-        m = _APPLY_RE.match(stmt[cond.end():]) if cond else None
-        if m is None:
-            raise QasmError(f"malformed statement: {stmt!r}", line)
-        if m[1] in _DROPPED_KEYWORDS:
-            return
-        operands = [o.strip() for o in m[3].split(",") if o.strip()]
-        if len(operands) != 1:
-            raise QasmError("unsupported multi-qubit gate 'if'", line)
-        if operands[0] != self.reg:
-            self._resolve(line, operands[0], binding)
+        raise QasmError(f"unsupported multi-qubit gate {'if' if guard else name!r}", line)
 
     def _resolve(self, line: int, operand: str, binding: dict[str, int]) -> int:
         m = _OPERAND_RE.match(operand)

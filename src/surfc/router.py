@@ -225,7 +225,6 @@ class Fabric:
         else:
             self.open = (1 << nodes) - 1 & ~_mask(blocked)
             self.east, self.south = grid_masks(rows, cols)
-        self._terminals: dict[Tile, tuple[int, ...]] = {}
         self._terminal_masks: dict[Tile, int] = {}
 
     def terminals(self, tile: Tile) -> tuple[int, ...]:
@@ -234,16 +233,11 @@ class Fabric:
         neighbours (lattice surgery).  The route search relies on this
         order: it takes the lowest set bit of a terminal mask where the
         queue search would take the first start in this tuple."""
-        ids = self._terminals.get(tile)
-        if ids is None:
-            r, c = tile
-            cols = self.cols
-            if self.model is ChipModel.DOUBLE_DEFECT:
-                ids = (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
-            else:
-                ids = tuple(sorted(n for n, _ in self.adj[r * cols + c]))
-            self._terminals[tile] = ids
-        return ids
+        r, c = tile
+        cols = self.cols
+        if self.model is ChipModel.DOUBLE_DEFECT:
+            return (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+        return tuple(sorted(n for n, _ in self.adj[r * cols + c]))
 
     def terminal_mask(self, tile: Tile) -> int:
         """The bitmask of ``terminals(tile)``."""

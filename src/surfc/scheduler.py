@@ -320,8 +320,6 @@ def schedule_limited(
             raise SchedulingError("scheduler failed to converge; suspected livelock")
         occ.release(t - 3)  # a backdated modification reaches back three cycles
         t += 1
-    while st.cycles and not st.cycles[-1]:
-        st.cycles.pop()
     return EncodedSchedule(st.cycles, layout, mapping)
 
 

@@ -133,7 +133,9 @@ class TestOneQubitOperands:
     """A single-qubit gate is dropped only once its operand is checked, as a
     ``cx`` operand is, and so is one that an ``if`` guards; its parameters
     may nest parentheses; a ``//`` or ``;`` inside a quoted name is no
-    comment and ends no statement."""
+    comment and ends no statement.  Block errors and gate applications keep
+    their class, message and line; a dropped keyword in a gate body is
+    dropped as at top level; a gate is told from ``if`` by its name."""
 
     @pytest.mark.parametrize("text, error, message", [
         ("qreg q[2];\nh q[7];\ncx q[0],q[1];", CircuitError,
@@ -159,6 +161,17 @@ class TestOneQubitOperands:
         ("qreg q[2];\n\n\ncx q[0],q[1]", QasmError, "line 4: unterminated statement: 'cx q[0],q[1]'"),
         ("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n\nh q[0]", QasmError,
          "line 5: unterminated statement: 'h q[0]'"),
+        ("qreg q[2];\ncx q[0],q[1];\n}", QasmError, "line 3: unmatched '}'"),
+        ("qreg q[2];\n\ngate 2g a {\n}", QasmError, "line 3: malformed block header: 'gate 2g a'"),
+        ("qreg q[2];\nif (c==1) {\n}", QasmError, "line 2: malformed block header: 'if (c==1)'"),
+        ("qreg q[2];\ngate g a {\n  gate k b {\n}\n}", QasmError,
+         "line 3: nested blocks are not supported"),
+        ("qreg q[2];\ngate g a {\n  h a;\ncx q[0],q[1];", QasmError,
+         "line 2: gate g body never closed"),
+        ("qreg q[2];\ngate g a {\n  h a;\n  h b }\ng q[0];", QasmError,
+         "line 4: whole-register operand 'b' not supported here"),
+        ("qreg q[2];\ngate g a, b { cx a, b; }\ng q[0];", QasmError,
+         "line 3: gate g expects 2 operands, got 1"),
     ])
     def test_rejected(self, text, error, message):
         with pytest.raises(error) as err:
@@ -178,6 +191,10 @@ class TestOneQubitOperands:
         'include "a//b.inc";\nqreg q[2];\ncx q[0],q[1];',
         'include "x;y";\nqreg q[2];\ncx q[0],q[1];',
         'include "a//b.inc"; // a "quoted" comment; with a ;\nqreg q[2];\ncx q[0],q[1];',
+        "qreg q[2];\ngate iffy a { h a; }\niffy q[0];\ncx q[0],q[1];",
+        "qreg q[2];\ngate g a, b { h a }\ng q[0], q[1];\ncx q[0],q[1];",
+        "qreg q[2];\ngate g a, b { barrier a, b; cx a, b; }\ng q[0], q[1];",
+        "qreg q[2];\ngate g a, b { measure a -> c[0]; reset b; cx a, b; }\ng q[0], q[1];",
     ])
     def test_accepted(self, text):
         assert [g.qubits for g in parse_qasm(text).gates] == [(0, 1)]
@@ -190,26 +207,9 @@ class TestOneQubitOperands:
                 parse_qasm("qreg q[2];\ninclude " + tail)
 
 
-class _GeneralParser(qasm._Parser):
-    """The parser with every top-level statement on the general path: no
-    direct path for plain ``cx`` statements."""
-
-    def _top_statement(self, line, stmt):
-        if stmt.startswith("OPENQASM") or stmt.startswith("include"):
-            return
-        m = qasm._QREG_RE.match(stmt)
-        if m:
-            if self.reg is not None:
-                raise QasmError("multiple qreg declarations are not supported", line)
-            self.reg = m.group(1)
-            self.n = int(m.group(2))
-            return
-        if qasm._CREG_RE.match(stmt):
-            return
-        first = stmt.split(None, 1)[0] if stmt else ""
-        if first in qasm._DROPPED_KEYWORDS:
-            return
-        self._apply(line, stmt, {})
+def _statement_loop(text):
+    """The circuit the statement reader alone gives, with no flat path."""
+    return qasm._Parser().parse(text)
 
 
 def _outcome(parse, text):
@@ -298,14 +298,14 @@ def _flat_programs(draw):
     return "".join(s + sep for s, sep in zip(stmts, seps)), flaw is not None
 
 
-class TestDirectCxPath:
-    """Plain ``cx q[i], q[j];`` statements skip the general path; every
-    program parses as the general path alone parses it."""
+class TestFlatReader:
+    """A flat program's gate list comes from one match and one split; every
+    program parses as the statement reader, ``qasm._Parser``, alone parses it."""
 
     @given(_programs())
     @settings(max_examples=400, deadline=None, derandomize=True)
-    def test_same_as_general_path(self, text):
-        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+    def test_same_as_statement_loop(self, text):
+        assert _outcome(parse_qasm, text) == _outcome(_statement_loop, text)
 
     @pytest.mark.parametrize("text", [
         "qreg q[3];\ncx q[0],q[1];\nCX q [ 2 ] ,\n q[0] ;",
@@ -320,23 +320,20 @@ class TestDirectCxPath:
         "qreg q[3];\ngate g a, b { cx a, b; cx b, a; }\ng q[2], q[0];",
     ])
     def test_fixed_programs(self, text):
-        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+        assert _outcome(parse_qasm, text) == _outcome(_statement_loop, text)
 
-    def test_plain_cx_needs_no_general_path(self, monkeypatch):
-        def general(*args):
-            raise AssertionError("general path taken")
-        monkeypatch.setattr(qasm._Parser, "_apply", general)
+    def test_plain_cx_needs_no_statement_reader(self, monkeypatch):
+        def reader(*args):
+            raise AssertionError("statement reader taken")
+        monkeypatch.setattr(qasm._Parser, "_statement", reader)
         c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\ncx q[0],q[1];\nCX q[2], q[0];\n")
-        assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
-        # a comment makes the program mixed: the statement loop reads it
-        c = parse_qasm("OPENQASM 2.0;\nqreg q[3];\n// c\ncx q[0],q[1];\nCX q[2], q[0];\n")
         assert [g.qubits for g in c.gates] == [(0, 1), (2, 0)]
 
     @given(_flat_programs())
     @settings(max_examples=500, deadline=None, derandomize=True)
     def test_flat_programs(self, program):
         text, flawed = program
-        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+        assert _outcome(parse_qasm, text) == _outcome(_statement_loop, text)
         assert (qasm._flat_circuit(text) is None) == flawed
 
     @pytest.mark.parametrize("text, flat", [
@@ -357,19 +354,19 @@ class TestDirectCxPath:
         ("OPENQASM 2.0;\n", False),
     ])
     def test_fixed_flat_programs(self, text, flat):
-        assert _outcome(parse_qasm, text) == _outcome(lambda t: _GeneralParser().parse(t), text)
+        assert _outcome(parse_qasm, text) == _outcome(_statement_loop, text)
         assert (qasm._flat_circuit(text) is not None) == flat
 
     def test_flat_program_needs_no_statement_loop(self, monkeypatch):
         rng = random.Random(3)
         pairs = [tuple(rng.sample(range(50), 2)) for _ in range(400)]
         text = _benchmark_qasm(50, pairs)
-        want = _GeneralParser().parse(text)
+        want = _statement_loop(text)
 
         def loop(*args):
             raise AssertionError("statement loop taken")
         monkeypatch.setattr(qasm, "_statements", loop)
-        monkeypatch.setattr(qasm._Parser, "_apply", loop)
+        monkeypatch.setattr(qasm._Parser, "_statement", loop)
         c = parse_qasm(text)
         assert c == want
         assert [g.qubits for g in c.gates] == pairs

@@ -156,11 +156,16 @@ class TestBadInput:
           "-d", "2"], EXIT_INFEASIBLE, "chip capacity 3 < layering width 4"),
         (["schedule", "--qasm", "{missing}"], EXIT_USAGE, "No such file"),
         (["sweep", "{missing}"], EXIT_USAGE, "No such file"),
+        (["schedule", "--bench", "bv_10", "-d", "2", "--model", "ls", "--chip", "4x", "--cuts",
+          "maxcut"], EXIT_INFEASIBLE, "cut-type options only apply to the double-defect model"),
+        (["map", "--bench", "bv_10", "--model", "ls", "--cuts", "random"], EXIT_INFEASIBLE,
+         "cut-type options only apply to the double-defect model"),
         (["chip", "describe", "-n", "-1"], EXIT_INFEASIBLE, "qubit count -1 must be >= 0"),
         (["chip", "describe", "-n", "4", "--pm", "-2", "--chip", "sufficient"], EXIT_INFEASIBLE,
          "parallelism -2 must be >= 0"),
     ], ids=["random-arity", "chip-format", "map-chip-too-small", "map-resu-capacity",
-         "missing-qasm", "missing-config", "chip-negative-qubits", "chip-negative-pm"])
+         "missing-qasm", "missing-config", "schedule-ls-cuts", "map-ls-cuts",
+         "chip-negative-qubits", "chip-negative-pm"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code

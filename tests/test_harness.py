@@ -42,6 +42,17 @@ class TestRun:
         assert rep.delta == 0
         assert rep.valid
 
+    @pytest.mark.parametrize("scheduler_name", ["ecmas", "resu"])
+    @pytest.mark.parametrize("model", [DD, LS])
+    @pytest.mark.parametrize("text", ["qreg q[0];\n", "qreg q[3];\nh q[0];\n"],
+                             ids=["no-qubits", "gate-free"])
+    def test_no_gates(self, tmp_path, text, model, scheduler_name):
+        path = tmp_path / "no_gates.qasm"
+        path.write_text(text)
+        rep, schedule = run_full(RunConfig(qasm_path=str(path), model=model, chip="min", d=2,
+                                           scheduler=scheduler_name))
+        assert (rep.g, rep.delta, schedule.cycles) == (0, 0, [])
+
     def test_random_source(self):
         rep = run(RunConfig(random_params=(8, 4, 2), model=DD, chip="min", d=2, seed=3))
         assert rep.alpha == 4
@@ -60,6 +71,10 @@ class TestRun:
     def test_config_validation(self):
         with pytest.raises(InfeasibleError):
             RunConfig(benchmark="bv_10", scheduler="magic")
+        with pytest.raises(InfeasibleError, match="unknown mapping kind 'x'"):
+            RunConfig(benchmark="bv_10", mapping="x")
+        with pytest.raises(InfeasibleError, match="unknown cut kind 'x'"):
+            RunConfig(benchmark="bv_10", cuts="x")
         with pytest.raises(InfeasibleError):
             RunConfig(benchmark="bv_10", model=LS, cuts="maxcut")
         with pytest.raises(InfeasibleError):
