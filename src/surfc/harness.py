@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import bench
 from .chip import ChipModel, ChipSpec, check_chip_kind, config_dims, derive_layout
@@ -103,11 +103,7 @@ class RunReport:
         return dict(self.__dict__)
 
 
-CSV_FIELDS = [
-    "label", "n", "alpha", "g", "pm_estimate", "model", "chip", "chip_dims",
-    "bandwidth", "capacity", "delta", "compile_seconds", "valid",
-    "scheduler", "mapping", "cuts", "seed", "time_ratio",
-]
+CSV_FIELDS = [f.name for f in fields(RunReport)] + ["time_ratio"]
 
 
 def load_circuit(config: RunConfig) -> LogicalCircuit:
@@ -323,8 +319,8 @@ def config_from_mapping(data: dict) -> RunConfig:
     """A ``RunConfig`` from config keys: ``d``, ``seed`` and ``trials`` are
     integers (or their text), every other value is read as text."""
     kwargs: dict = {}
-    fields = {"qasm": "qasm_path", "benchmark": "benchmark", "chip": "chip",
-              "scheduler": "scheduler", "mapping": "mapping", "cuts": "cuts", "label": "label"}
+    text_keys = {"qasm": "qasm_path", "benchmark": "benchmark", "chip": "chip",
+                 "scheduler": "scheduler", "mapping": "mapping", "cuts": "cuts", "label": "label"}
     for key, value in data.items():
         if key == "model":
             try:
@@ -338,8 +334,8 @@ def config_from_mapping(data: dict) -> RunConfig:
                 raise InfeasibleError(f"{key} {value!r}: expected an integer") from None
         elif key == "random":
             kwargs["random_params"] = parse_random_params(str(value))
-        elif key in fields:
-            kwargs[fields[key]] = str(value)
+        elif key in text_keys:
+            kwargs[text_keys[key]] = str(value)
         else:
             raise InfeasibleError(f"unknown config key {key!r}")
     return RunConfig(**kwargs)

@@ -14,7 +14,9 @@ gate, or a gate defined after it on two or more operands, is a parse error,
 and so is a second definition of a name.  ``include`` lines are tolerated and
 skipped; included files are never read.  A ``//`` or ``;`` inside a
 double-quoted name, such as an include's file name, neither starts a comment
-nor ends the statement.  Anything else is a parse error with a line number.
+nor ends the statement.  A top-level statement whose first word is ``qreg``
+or ``creg`` is a declaration, and a gate header's parameters and formals are
+identifiers.  Anything else is a parse error with a line number.
 
 A flat program is an optional ``OPENQASM 2.0;``, any ``include "<file>";``
 lines and one ``qreg``, then only ``cx``/``CX`` statements between two
@@ -55,14 +57,17 @@ from .errors import CircuitError, QasmError
 _STATEMENT_RE = re.compile(r'[^;{}"]*(?:"[^"\n]*"[^;{}"]*)*[;{}]')
 _QUOTED_OR_COMMENT_RE = re.compile(r'"[^"]*"|//')
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"
-_QREG_RE = re.compile(rf"^qreg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
-_CREG_RE = re.compile(rf"^creg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
+# a qreg or creg declaration: ``q`` or ``c``, the name and the size
+_REG_RE = re.compile(rf"^([qc])reg\s+({_ID})\s*\[\s*(\d+)\s*\]$")
 _OPERAND_RE = re.compile(rf"^({_ID})(?:\s*\[\s*(\d+)\s*\])?$")
 # the last ``)`` closes the parameters, which may nest; operands hold none
 _APPLY_RE = re.compile(rf"^({_ID})\s*(\(.*\))?\s*(.*)$", re.S)
 # an ``if (creg==value)`` condition, before the statement it guards
 _IF_RE = re.compile(r"^if\s*\([^)]*\)\s*")
-_GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(\([^)]*\))?\s*([^{{]*)$")
+# a gate header: its name, then lists of identifiers, of parameters (checked
+# and dropped) and of formals
+_IDS = rf"(?:{_ID}(?:\s*,\s*{_ID})*)?"
+_GATE_DECL_RE = re.compile(rf"^gate\s+({_ID})\s*(?:\(\s*{_IDS}\s*\))?\s*({_IDS})$")
 
 _DROPPED_KEYWORDS = ("barrier", "measure", "reset", "opaque")
 
@@ -98,7 +103,6 @@ def _flat_circuit(text: str) -> LogicalCircuit | None:
 @dataclass
 class _GateDef:
     name: str
-    params: list[str]
     args: list[str]
     body: list[tuple[int, str]]  # (line, statement text)
     seq: int  # definitions made before this one: all its body may apply
@@ -162,7 +166,7 @@ class _Parser:
         m = _GATE_DECL_RE.match(header)
         if not m:
             raise QasmError(f"malformed block header: {header!r}", line)
-        name, params, args = m.group(1), m.group(2), m.group(3)
+        name = m[1]
         body: list[tuple[int, str]] = []
         for bline, stmt, term in stream:
             if term == "}":
@@ -174,11 +178,9 @@ class _Parser:
             body.append((bline, stmt))
         else:
             raise QasmError(f"gate {name} body never closed", line)
-        plist = [p.strip() for p in params[1:-1].split(",")] if params else []
-        alist = [a.strip() for a in args.split(",") if a.strip()]
         if name in self.defs:
             raise QasmError(f"gate {name} is already defined", line)
-        self.defs[name] = _GateDef(name, [p for p in plist if p], alist, body, self.n_defs)
+        self.defs[name] = _GateDef(name, re.findall(_ID, m[2]), body, self.n_defs)
         self.n_defs += 1
 
     def _statement(self, line: int, stmt: str, binding: dict[str, int],
@@ -186,13 +188,16 @@ class _Parser:
         """Read a statement at top level, in the body of ``within``, or the one
         that the ``if`` statement ``guard`` guards."""
         if within is None and guard is None:
-            if stmt.startswith(("OPENQASM", "include")) or _CREG_RE.match(stmt):
+            if stmt.startswith(("OPENQASM", "include")):
                 return
-            m = _QREG_RE.match(stmt)
-            if m:
-                if self.reg is not None:
-                    raise QasmError("multiple qreg declarations are not supported", line)
-                self.reg, self.n = m[1], int(m[2])
+            if stmt.split(None, 1)[0] in ("qreg", "creg"):
+                m = _REG_RE.match(stmt)
+                if not m:
+                    raise QasmError(f"malformed declaration: {stmt!r}", line)
+                if m[1] == "q":
+                    if self.reg is not None:
+                        raise QasmError("multiple qreg declarations are not supported", line)
+                    self.reg, self.n = m[2], int(m[3])
                 return
         m = _APPLY_RE.match(stmt)
         if not m:

@@ -23,9 +23,9 @@ recorded while it built the route, and a caller commits the route by exactly
 those ids: nothing derives them again from the route's nodes.  Ring repair
 commits and rips up by the search's ids too, on a usage list of its own, and
 checks there that no resource goes over its capacity.  ``resource_capacities``
-gives the capacity of a tuple resource of ``RoutePath.resources`` instead;
-the validator replays schedules on those, so the referee shares no code
-with the fabric, and so does the oracle's route packing.
+gives the capacity of a tuple resource of ``RoutePath.resources`` instead,
+for the validator and the oracle's route packing, which share no code with
+the fabric.
 
 Route search (``find_path`` and ring repair) runs on the bitmask of full
 resources, and on terminal masks: ``Fabric.terminal_mask`` caches the
@@ -38,21 +38,22 @@ neighbours in ``adj`` order, and ends at the first goal it meets by at least
 one hop from a start other than itself (the tests keep it as their
 reference).  Where the queue search takes the first start of a list, the
 search takes the lowest set bit of a mask: the same node, because
-``Fabric.terminals`` is ascending on every tile of both models.  So the
-lattice-surgery single-tile route is the lowest bit of ``starts & goals``.
-A query with no free start misses at once, with an empty region
-(lattice-surgery adjacent pairs, routed empty, come first).  When starts and
-goals are disjoint, ``_level_route`` searches one whole BFS level at a time,
-as Lee's maze router does (Lee, 1961), with each level held as one integer
-over node ids, as in bitmap-frontier BFS (Beamer, Asanovic and Patterson,
-2012).  It sweeps from the goals: level 0 is ``goals & free``, and the next
-level is ``N(level) & free & ~seen``, where ``N`` shifts a mask one step
-each way, guarded by the ``east`` and ``south`` masks so that no shift wraps
-from the end of a row into the next.  The sweep stops at the first level,
-``L``, that meets a start.  Then one walk goes forward from the lowest start
-met, at each step to the first neighbour in ``adj`` order in the next level
-down over a free edge, and records the segment it crosses; a segment of
-capacity 0 is never set in ``full``, so the walk reads the capacity too.
+``Fabric.terminals`` is ascending on every tile of both models.  A query
+with no free start misses at once, with an empty region (lattice-surgery
+adjacent pairs, routed empty, come first).  ``_level_route`` searches one
+whole BFS level at a time, as Lee's maze router does (Lee, 1961), with each
+level held as one integer over node ids, as in bitmap-frontier BFS (Beamer,
+Asanovic and Patterson, 2012).  It sweeps from the goals: level 0 is
+``goals & free``, and the next level is ``N(level) & free & ~seen``, where
+``N`` shifts a mask one step each way, guarded by the ``east`` and ``south``
+masks so that no shift wraps from the end of a row into the next.  The
+sweep stops at the first level, ``L``, that meets a start.  A
+lattice-surgery tile next to both operands is a start and a goal, met at
+level 0: the single-tile route is the lowest bit of ``starts & goals``.
+Then one walk goes forward from the lowest start met, at each step to the
+first neighbour in ``adj`` order in the next level down over a free edge,
+and records the segment it crosses; a segment of capacity 0 is never set in
+``full``, so the walk reads the capacity too.
 ``spread`` is ``N``; with it, ``grid_masks`` and ``flood``, lattice-surgery
 mapping finds hop distances and stranded pairs on the free fabric's masks,
 with no ``Fabric``.
@@ -354,10 +355,12 @@ def _level_route(fabric: Fabric, full: int, starts: int, goals: int
     """The route the queue search finds from the nodes of the bitmask
     ``starts``, in ascending order, to those of ``goals``, with the
     resources of the bitmask ``full`` as walls, searched one whole BFS level
-    at a time from the goals (see the module docstring).  ``starts`` must be free and
-    disjoint from ``goals``.  Returns ``(path, segments, 0)``: the node ids
-    from a start to the goal and the ids of the segments between them; on a
-    miss ``(None, None, region)``, the bitmask of the nodes the sweep reached."""
+    at a time from the goals (see the module docstring).  ``starts`` must be
+    free, and on double defect disjoint from ``goals``; a lattice-surgery
+    start that is a goal is a one-node route.  Returns ``(path, segments,
+    0)``: the node ids from a start to the goal and the ids of the segments
+    between them; on a miss ``(None, None, region)``, the bitmask of the
+    nodes the sweep reached."""
     cols, adj, cap = fabric.cols, fabric.adj, fabric.cap
     east = fabric.east & ~(full >> fabric.nodes)
     south = fabric.south & ~(full >> 2 * fabric.nodes)
@@ -411,12 +414,7 @@ def _bfs_route(fabric: Fabric, full: int, src: Tile, dst: Tile, walled: int = 0
     if not starts or walled and (goals & walled == goals and not starts & walled
                                  or starts & walled == starts and not goals & walled):
         return None, None, 0
-    shared = starts & goals
-    if shared:
-        if ls:
-            # a single free tile adjacent to both operands is a complete chain
-            n = (shared & -shared).bit_length() - 1
-            return fabric.route((n,)), [n], 0
+    if not ls and starts & goals:
         # double-defect tiles that share a corner: the queue search's first
         # level, read on the masks (see the module docstring), answers
         # almost every query; a segment of capacity 0 is never in ``full``

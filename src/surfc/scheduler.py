@@ -20,17 +20,20 @@ Two producers:
   stays bipartite; each prefix runs under a two-coloring of its sub-graph and
   successive prefixes are separated by a three-cycle global cut remap.
 
-``validate`` replays any schedule against the raw rules (completeness,
+``validate`` replays any schedule once against the raw rules (completeness,
 dependency order, per-cycle capacities, multi-cycle contiguity, cut
-bookkeeping) and is run on every schedule the test suite produces.  It
-counts resource use by keys it derives from route coordinates itself, and
-words a message on the tuple resources only in a cycle that may break one.
+bookkeeping) and is run on every schedule the test suite produces.  A
+malformed schedule gives violations, never an exception: a qubit with no
+tile ends the replay, an action of a kind the model does not have or that
+names no gate is skipped, and a route off the fabric holds no resources.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from itertools import product
 
 from .chip import ChipLayout, ChipModel
 from .circuits import GateDag, LogicalCircuit, build_dag
@@ -462,150 +465,117 @@ def validate(
     a ``layout`` other than it, or a ``mapping`` with other tile positions
     (its cuts may differ, as a ``resu`` schedule's do), raises ``SurfcError``.
 
-    The replay counts each cycle's use of the resources of
-    ``RoutePath.resources`` by keys of its own: a lattice-surgery tile is
-    its own key, and a double-defect junction or segment inside the junction
-    grid has an integer key (``_junction_keys``), found from the route's
-    coordinates by lookup, so that a step between two junctions that are not
-    neighbours, or a junction outside the grid, finds none.  A cycle where
-    every route has its keys is within capacity when no key repeats, since
-    a lattice-surgery tile holds one route and every double-defect resource
-    has a bandwidth of at least 1; on double defect, also when no key is
-    used more often than the narrowest channel's bandwidth, or than its own
-    capacity.  Any other cycle is replayed on the tuple resources
-    themselves, which also words its messages.  A double-defect route found
-    whole in the grid, with its ends on its operands' corners, has nothing
-    more to check.  Execution spans and first action kinds are lists indexed
-    by gate id; an id outside ``0..g-1``, as only a malformed schedule
-    carries, is kept in a dict under the id given.
+    Each cycle's use of the resources of ``RoutePath.resources`` is counted
+    once, by keys: a lattice-surgery tile is its own key, and a double-defect
+    junction or segment an integer (``_junction_keys``) looked up from the
+    route's coordinates.  Only a key used more often than the narrowest
+    bandwidth is held against its own capacity; a message names its tuple
+    resource.  A double-defect route found whole in the grid, with its ends
+    on its operands' corners, has nothing more to check.  A malformed
+    schedule gives violations, never an exception:
+
+    * a circuit qubit with no tile ends the replay, one violation per qubit;
+    * an action of a kind its model lacks (double defect has no Bell merge,
+      lattice surgery only those), or a braid, Bell or direct action whose
+      gate is not an ``int`` in ``0..g-1``, is one violation, and skipped;
+    * a route that is missing, of the other model, off the fabric (the
+      junction grid, or the free lattice-surgery tiles, so that no route
+      meets an operand) or with a double-defect step between non-neighbours
+      holds no resources.  ``_check_route`` reports it, and the other faults
+      of each braid or Bell route and each distinct route of a direct gate.
     """
     if layout is not None and layout != schedule.layout:
         raise SurfcError("validate: the layout argument is not the schedule's layout")
     if mapping is not None and mapping.positions != schedule.mapping.positions:
         raise SurfcError("validate: the mapping argument places qubits elsewhere")
     layout, mapping = schedule.layout, schedule.mapping
-    v: list[str] = []
+    tile_of = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
+    v = [f"qubit {q} has no tile" for q in range(circuit.n) if q not in tile_of]
+    if v:
+        return v
     model = schedule.model
     dd = model is ChipModel.DOUBLE_DEFECT
     dag = build_dag(circuit)
     cap = resource_capacities(layout)
-    data_tiles = mapping.data_tiles(layout)
-    gates = circuit.gates
     g = circuit.g
-    gate_ids = range(g)
-    tile_of = {q: mapping.abs_tile(layout, q) for q in mapping.positions}
-
-    def operand_tiles(gid: int) -> tuple[Tile, Tile]:
-        gate = gates[gid]
-        return tile_of[gate.control], tile_of[gate.target]
-
-    try:
-        operand = [(tile_of[gate.control], tile_of[gate.target]) for gate in gates].__getitem__
-    except KeyError:  # an unmapped qubit fails where its gate is met
-        operand = operand_tiles
+    operand = [(tile_of[c], tile_of[t]) for _, c, t in circuit.gates]
     if dd:
         grid, node_key, edge_key = _junction_keys(layout.array_r + 1, layout.array_c + 1)
+        fabric = frozenset(node_key)  # the nodes a route may hold: junctions, or free tiles
         corners = {(r, c): frozenset(((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1)))
                    for r, c in tile_of.values()}
         narrowest = layout.bandwidth  # 1 or more on every double-defect layout
-        key_cap: list[int] = []  # cap of each key, derived when first needed
+    else:
+        fabric = _tiles(layout.grid_rows, layout.grid_cols) - mapping.data_tiles(layout)
+        narrowest = 1
 
-    def route_keys(route: RoutePath) -> list | None:
-        """The keys of ``route.resources()``, or None where the tuple replay
-        must count them."""
+    def route_keys(route: RoutePath | None) -> list:
+        """A double-defect route's keys; none where ``_check_route`` objects."""
+        if route is None or route.model is not model:
+            return []
         nodes = route.nodes
-        if route.model is not model:
-            return None
-        if not dd:
-            return list(nodes)
         try:
-            keys = list(map(node_key.__getitem__, nodes))
-            keys += map(edge_key.__getitem__, zip(nodes, nodes[1:]))
+            return [*map(node_key.__getitem__, nodes), *map(edge_key.__getitem__, zip(nodes, nodes[1:]))]
         except (KeyError, TypeError):
-            return None
-        return keys
+            return []
 
-    # per-gate execution spans (first cycle, last cycle), first action kinds,
-    # and the per-cycle resource/tile usage
-    first = [_NEVER] * g
-    last = [-1] * g
+    # per-gate execution spans (first cycle, last cycle) and first action kinds
+    first, last = [_NEVER] * g, [-1] * g
     first_kind: list[ActionKind | None] = [None] * g
-    other_span: dict = {}
-    other_kind: dict = {}
     modify_at: set[tuple[Tile, int, int]] = set()  # (tile, phase, cycle)
     modify_starts: list[tuple[Tile, int, CutType]] = []  # phase 1: (tile, cycle, cut)
     seen_direct: dict[int, list[tuple[int, int, RoutePath]]] = {}
     braid, bell, direct, modify = ActionKind.BRAID, ActionKind.BELL, ActionKind.DIRECT, ActionKind.MODIFY
+    model_kinds = (braid, direct, modify) if dd else (bell,)
     for t, actions in enumerate(schedule.cycles):
         tiles_this_cycle: list[Tile] = []
         keys: list = []  # the keys of every route held at t
-        exact = True  # every route held at t has its keys
         for a in actions:
             kind, gid = a.kind, a.gate
-            if gid is not None:  # None is not an int: ``in`` would scan the range
-                if gid in gate_ids:
-                    if first_kind[gid] is None:
-                        first_kind[gid] = kind
-                else:
-                    other_kind.setdefault(gid, kind)
-            if kind is braid or kind is bell:
-                if gid in gate_ids:
-                    if last[gid] >= 0:
-                        v.append(f"gate {gid} executed more than once")
-                    first[gid] = last[gid] = t
-                else:
-                    if gid in other_span:
-                        v.append(f"gate {gid} executed more than once")
-                    other_span[gid] = (t, t)
-                route = a.route
-                held = None if route is None else route_keys(route)
-                if held is None:
-                    exact = exact and route is None
-                else:
-                    keys += held
-                ta, tb = operand(gid)
-                tiles_this_cycle += (ta, tb)
-                # a double-defect route whose keys were all found is unbroken
-                # and inside the grid: only its ends are left to check
-                if not (dd and held and len(held) > 1 and route.nodes[0] in corners[ta]
-                        and route.nodes[-1] in corners[tb]):
-                    _check_route(v, a, ta, tb, model)
-            elif kind is direct:
-                route = a.route
-                seen_direct.setdefault(gid, []).append((t, a.phase, route))
-                if route is not None:
-                    held = route_keys(route)
-                    if held is None:
-                        exact = False
-                    else:
-                        keys += held
-                tiles_this_cycle += operand(gid)
-            elif kind is modify:
+            if kind not in model_kinds:
+                v.append(f"cycle {t}: action kind {kind} on a {model.value} chip")
+                continue
+            if kind is modify:
                 modify_at.add((a.tile, a.phase, t))
                 if a.phase == 1:
                     modify_starts.append((a.tile, t, a.new_cut))
                 tiles_this_cycle.append(a.tile)
-        if exact and len(set(keys)) < len(keys):
-            # a repeated key: over capacity on lattice surgery, and on double
-            # defect where its use passes the narrowest bandwidth and its own
-            if dd:
-                used = Counter(keys)
-                if max(used.values()) > narrowest:
-                    if not key_cap:
-                        key_cap += [cap((kind, i, j)) for kind in "jhv" for i, j in grid]
-                    exact = all(n <= key_cap[k] for k, n in used.items())
+                continue
+            if gid.__class__ is not int or not 0 <= gid < g:
+                v.append(f"cycle {t}: {kind.value} action names no gate of the circuit: {gid!r}")
+                continue
+            if first_kind[gid] is None:
+                first_kind[gid] = kind
+            route = a.route
+            ta, tb = operand[gid]
+            tiles_this_cycle += (ta, tb)
+            if kind is direct:
+                seen_direct.setdefault(gid, []).append((t, a.phase, route))
+                route_held = route_keys(route)
             else:
-                exact = False
-        if not exact:
-            routed: list[tuple] = []  # the resources of every route held at t
-            for a in actions:
-                kind = a.kind
-                if (kind is braid or kind is bell or kind is direct) and a.route is not None:
-                    routed += a.route.resources()
-            for res, used in Counter(routed).items():
-                limit = cap(res)
-                if used > limit:
-                    v.append(f"cycle {t}: resource {res} used {used} > capacity {limit}")
+                if last[gid] >= 0:
+                    v.append(f"gate {gid} executed more than once")
+                first[gid] = last[gid] = t
+                if not dd:
+                    route_held = route.nodes if _check_route(v, gid, route, ta, tb, model, fabric) else ()
+                else:
+                    route_held = route_keys(route)
+                    # a route whose keys were all found is unbroken and on
+                    # the fabric: only its ends are left to check
+                    if not (len(route_held) > 1 and route.nodes[0] in corners[ta]
+                            and route.nodes[-1] in corners[tb]):
+                        _check_route(v, gid, route, ta, tb, model, fabric)
+            keys += route_held
+        if len(set(keys)) < len(keys):
+            # a repeated key: over capacity past the narrowest bandwidth and its own
+            used = Counter(keys)
+            if max(used.values()) > narrowest:
+                for k, n in used.items():
+                    if n > narrowest:
+                        res = ("jhv"[k // len(grid)], *grid[k % len(grid)]) if dd else ("t", *k)
+                        limit = cap(res)
+                        if n > limit:
+                            v.append(f"cycle {t}: resource {res} used {n} > capacity {limit}")
         seen_tiles = set(tiles_this_cycle)
         if len(seen_tiles) < len(tiles_this_cycle):
             seen_tiles = set()
@@ -613,37 +583,24 @@ def validate(
                 if tile in seen_tiles:
                     v.append(f"cycle {t}: tile {tile} used by two actions")
                 seen_tiles.add(tile)
-        if not dd:
-            for a in actions:
-                if a.route is not None:
-                    nodes = a.route.nodes
-                    if data_tiles.isdisjoint(nodes) and seen_tiles.isdisjoint(nodes):
-                        continue
-                    for node in nodes:
-                        if node in data_tiles:
-                            v.append(f"cycle {t}: route crosses data tile {node}")
-                        if node in seen_tiles:
-                            v.append(f"cycle {t}: route tile {node} collides with an operand")
 
     # direct gates: three consecutive phases with a pinned route
     for gid, entries in seen_direct.items():
-        entries.sort()
+        entries.sort(key=lambda e: e[:2])
+        routes = dict.fromkeys(route for _, _, route in entries)
+        for route in routes:
+            _check_route(v, gid, route, *operand[gid], model, fabric)
         if [p for _, p, _ in entries] != [1, 2, 3]:
             v.append(f"gate {gid}: direct execution phases are {[p for _, p, _ in entries]}")
             continue
         times = [t for t, _, _ in entries]
         if times[1] != times[0] + 1 or times[2] != times[0] + 2:
             v.append(f"gate {gid}: direct execution not contiguous at {times}")
-        if len({e[2].nodes for e in entries}) != 1:
+        if len(routes) != 1:
             v.append(f"gate {gid}: direct execution changed route between phases")
-        if gid in gate_ids:
-            if last[gid] >= 0:
-                v.append(f"gate {gid} executed more than once")
-            first[gid], last[gid] = times[0], times[2]
-        else:
-            if gid in other_span:
-                v.append(f"gate {gid} executed more than once")
-            other_span[gid] = (times[0], times[2])
+        if last[gid] >= 0:
+            v.append(f"gate {gid} executed more than once")
+        first[gid], last[gid] = times[0], times[2]
 
     # modify actions: each phase-1 start needs phases 2 and 3 right after it
     flips: list[tuple[int, Tile, CutType]] = []  # (effective cycle, tile, cut)
@@ -653,7 +610,7 @@ def validate(
                 v.append(f"tile {tile}: cut modification at {t0} missing phase {ph}")
         flips.append((t0 + 3, tile, cut))
 
-    v += [f"gate {gid} never executed" for gid in gate_ids if last[gid] < 0]
+    v += [f"gate {gid} never executed" for gid in range(g) if last[gid] < 0]
     for u, children in enumerate(dag.children):
         end = last[u]
         if end >= 0:
@@ -668,16 +625,13 @@ def validate(
         tile_cut = {mapping.tile_of(q): initial_cuts[q] for q in mapping.positions}
         flips.sort(key=lambda f: f[0])  # by cycle alone: cut types have no order
         fi = 0
-        timeline = [(first[gid], gid) for gid in gate_ids if last[gid] >= 0]
-        timeline += [(span[0], gid) for gid, span in other_span.items()]
-        timeline.sort()
-        for t, gid in timeline:
+        for t, gid in sorted((first[gid], gid) for gid in range(g) if last[gid] >= 0):
             while fi < len(flips) and flips[fi][0] <= t:
                 _, tile, cut = flips[fi]
                 tile_cut[tile] = cut
                 fi += 1
-            ca, cb = operand(gid)
-            kind = first_kind[gid] if gid in gate_ids else other_kind[gid]
+            ca, cb = operand[gid]
+            kind = first_kind[gid]
             if kind is braid and tile_cut[ca] is tile_cut[cb]:
                 v.append(f"gate {gid}: braid between same-cut tiles at cycle {t}")
             if kind is direct and tile_cut[ca] is not tile_cut[cb]:
@@ -686,6 +640,12 @@ def validate(
 
 
 _NEVER = 1 << 62  # validate's first cycle of a gate never executed
+
+
+@lru_cache(maxsize=8)
+def _tiles(rows: int, cols: int) -> frozenset[Tile]:
+    """Every tile of a ``rows x cols`` grid, cached per shape."""
+    return frozenset(product(range(rows), range(cols)))
 
 
 def _junction_keys(rows: int, cols: int) -> tuple[list[Tile], dict, dict]:
@@ -704,30 +664,40 @@ def _junction_keys(rows: int, cols: int) -> tuple[list[Tile], dict, dict]:
     return grid, dict(zip(grid, range(n))), edge_key
 
 
-def _check_route(v, action, ta: Tile, tb: Tile, model) -> None:
-    nodes = action.route.nodes
+def _check_route(v: list[str], gid: int, route: RoutePath | None, ta: Tile, tb: Tile,
+                 model: ChipModel, fabric: frozenset[Tile]) -> bool:
+    """Append to ``v`` what is wrong with ``route``, gate ``gid``'s route from
+    tile ``ta`` to ``tb`` on a ``model`` chip with the nodes ``fabric``; True
+    when it holds its nodes: it is there, of ``model`` and on ``fabric``."""
+    if route is None or route.model is not model:
+        v.append(f"gate {gid}: no {model.value} route")
+        return False
+    nodes = route.nodes
+    if not fabric.issuperset(nodes):
+        v.append(f"gate {gid}: route node {next(n for n in nodes if n not in fabric)} is off the fabric")
+        return False
     if model is ChipModel.LATTICE_SURGERY:
         if not nodes:
             if abs(ta[0] - tb[0]) + abs(ta[1] - tb[1]) != 1:
-                v.append(f"gate {action.gate}: empty route between non-adjacent tiles")
-            return
+                v.append(f"gate {gid}: empty route between non-adjacent tiles")
+            return True
         x0, x1 = ta
         for y0, y1 in nodes:
             if abs(x0 - y0) + abs(x1 - y1) != 1:
-                v.append(f"gate {action.gate}: route chain broken between "
-                         f"{(x0, x1)} and {(y0, y1)}")
+                v.append(f"gate {gid}: route chain broken between {(x0, x1)} and {(y0, y1)}")
             x0, x1 = y0, y1
         if abs(x0 - tb[0]) + abs(x1 - tb[1]) != 1:
-            v.append(f"gate {action.gate}: route chain broken between {(x0, x1)} and {tb}")
-        return
+            v.append(f"gate {gid}: route chain broken between {(x0, x1)} and {tb}")
+        return True
     if len(nodes) < 2:
-        v.append(f"gate {action.gate}: corridor route must hold at least one segment")
-        return
+        v.append(f"gate {gid}: corridor route must hold at least one segment")
+        return True
     # each end on one of the four corners of its operand tile
     (ra, ca), (rb, cb) = nodes[0], nodes[-1]
     if not (0 <= ra - ta[0] <= 1 and 0 <= ca - ta[1] <= 1
             and 0 <= rb - tb[0] <= 1 and 0 <= cb - tb[1] <= 1):
-        v.append(f"gate {action.gate}: route endpoints not on operand tiles")
+        v.append(f"gate {gid}: route endpoints not on operand tiles")
     for (i1, j1), (i2, j2) in zip(nodes, nodes[1:]):
         if abs(i1 - i2) + abs(j1 - j2) != 1:
-            v.append(f"gate {action.gate}: junction route broken at {(i1, j1)}->{(i2, j2)}")
+            v.append(f"gate {gid}: junction route broken at {(i1, j1)}->{(i2, j2)}")
+    return True

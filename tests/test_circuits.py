@@ -135,7 +135,9 @@ class TestOneQubitOperands:
     may nest parentheses; a ``//`` or ``;`` inside a quoted name is no
     comment and ends no statement.  Block errors and gate applications keep
     their class, message and line; a dropped keyword in a gate body is
-    dropped as at top level; a gate is told from ``if`` by its name."""
+    dropped as at top level; a gate is told from ``if`` by its name.  A gate
+    header lists identifiers only, and a statement that starts with ``qreg``
+    or ``creg`` is a declaration, so a malformed one is an error."""
 
     @pytest.mark.parametrize("text, error, message", [
         ("qreg q[2];\nh q[7];\ncx q[0],q[1];", CircuitError,
@@ -172,6 +174,16 @@ class TestOneQubitOperands:
          "line 4: whole-register operand 'b' not supported here"),
         ("qreg q[2];\ngate g a, b { cx a, b; }\ng q[0];", QasmError,
          "line 3: gate g expects 2 operands, got 1"),
+        ("qreg q[2];\ngate g a, 3 { }\ng q[0], q[1];", QasmError,
+         "line 2: malformed block header: 'gate g a, 3'"),
+        ("qreg q[2];\ngate g(t, 2) a { }\ng(1, 2) q[0];", QasmError,
+         "line 2: malformed block header: 'gate g(t, 2) a'"),
+        ("gate g a, b\n  [x] {\n  cx a, b;\n}", QasmError,
+         "line 1: malformed block header: 'gate g a, b\\n  [x]'"),
+        ("qreg q[2];\nqreg q;\ncx q[0],q[1];", QasmError, "line 2: malformed declaration: 'qreg q'"),
+        ("qreg q[2];\ncreg c;\ncx q[0],q[1];", QasmError, "line 2: malformed declaration: 'creg c'"),
+        ("qreg q[2];\nqreg r[2];\ncx q[0],q[1];", QasmError,
+         "line 2: multiple qreg declarations are not supported"),
     ])
     def test_rejected(self, text, error, message):
         with pytest.raises(error) as err:
@@ -195,6 +207,7 @@ class TestOneQubitOperands:
         "qreg q[2];\ngate g a, b { h a }\ng q[0], q[1];\ncx q[0],q[1];",
         "qreg q[2];\ngate g a, b { barrier a, b; cx a, b; }\ng q[0], q[1];",
         "qreg q[2];\ngate g a, b { measure a -> c[0]; reset b; cx a, b; }\ng q[0], q[1];",
+        "qreg q[2];\ngate g ( t , u ) a ,\n b { cx a, b; }\ng(1, 2) q[0], q[1];",
     ])
     def test_accepted(self, text):
         assert [g.qubits for g in parse_qasm(text).gates] == [(0, 1)]

@@ -372,6 +372,31 @@ class TestScheduleSufficient:
         assert model is DD or remaps == 0
 
 
+def _one_gate(cycles, cut=CutType.Z, positions=None):
+    """``cycles`` as the schedule of one gate, from qubit 0 in cell (0, 0) of
+    a 2x2 double-defect array, with cut X, to qubit 1 in cell (0, 1), with
+    ``cut``; returns the schedule and its circuit."""
+    mapping = TileMapping(ArrayShape(2, 2), positions or {0: (0, 0), 1: (0, 1)},
+                          cuts={0: CutType.X, 1: cut})
+    return EncodedSchedule(cycles, uniform_dd_layout(2, 2), mapping), circuit(2, [(0, 1)])
+
+
+def _one_ls_gate(cycles):
+    """``cycles`` as the schedule of one gate between the data tiles (1, 1)
+    and (1, 3) of a 1x2 lattice-surgery array, 3x5 tiles; returns the
+    schedule and its circuit."""
+    mapping = TileMapping(ArrayShape(1, 2), {0: (0, 0), 1: (0, 1)})
+    return EncodedSchedule(cycles, uniform_ls_layout(1, 2), mapping), circuit(2, [(0, 1)])
+
+
+def _braid(gate=0, route=RoutePath(DD, ((0, 0), (0, 1)))):
+    return [[Action(ActionKind.BRAID, gate=gate, route=route)]]
+
+
+def _direct(route):
+    return [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p)] for p in (1, 2, 3)]
+
+
 class TestValidate:
     def test_producers_pass(self, rng):
         for _ in range(20):
@@ -551,6 +576,49 @@ class TestValidate:
                 assert validate(schedule, c) == (
                     [] if end in corners else ["gate 0: route endpoints not on operand tiles"])
         assert off == 2 * 12
+
+    @pytest.mark.parametrize("schedule, c, expected", [
+        pytest.param(*_one_gate(_braid(gate=1)),
+                     ["cycle 0: braid action names no gate of the circuit: 1",
+                      "gate 0 never executed"], id="gate id past the last"),
+        pytest.param(*_one_gate(_braid(gate=-1)),
+                     ["cycle 0: braid action names no gate of the circuit: -1",
+                      "gate 0 never executed"], id="gate id -1"),
+        pytest.param(*_one_gate(_braid(gate=None)),
+                     ["cycle 0: braid action names no gate of the circuit: None",
+                      "gate 0 never executed"], id="no gate"),
+        pytest.param(*_one_gate(_braid(route=None)), ["gate 0: no dd route"],
+                     id="braid with no route"),
+        pytest.param(*_one_gate(_braid(route=RoutePath(LS, ((0, 0), (0, 1))))),
+                     ["gate 0: no dd route"], id="route of the other model"),
+        pytest.param(*_one_gate(_braid(route=RoutePath(DD, ((0, 1), (0, 2), (0, 3), (0, 2))))),
+                     ["gate 0: route node (0, 3) is off the fabric"], id="junction past the grid"),
+        pytest.param(*_one_gate(_braid(route=RoutePath(DD, ((0, 0), (-1, 0), (-1, 1), (0, 1))))),
+                     ["gate 0: route node (-1, 0) is off the fabric"], id="junction above the grid"),
+        pytest.param(*_one_ls_gate([[Action(ActionKind.BELL, gate=0, route=RoutePath(LS, (
+                         (0, 1), (-1, 1), (-2, 1), (-2, 2), (-2, 3), (-1, 3), (0, 3))))]]),
+                     ["gate 0: route node (-1, 1) is off the fabric"],
+                     id="lattice-surgery tiles above the grid"),
+        pytest.param(*_one_gate(_direct(RoutePath(DD, ((0, 0), (2, 2)))), cut=CutType.X),
+                     ["gate 0: route endpoints not on operand tiles",
+                      "gate 0: junction route broken at (0, 0)->(2, 2)"], id="broken direct route"),
+        pytest.param(*_one_gate(_direct(RoutePath(DD, ())), cut=CutType.X),
+                     ["gate 0: corridor route must hold at least one segment"],
+                     id="empty direct route"),
+        pytest.param(*_one_gate(_direct(None), cut=CutType.X), ["gate 0: no dd route"],
+                     id="direct with no route"),
+        pytest.param(*_one_gate(_braid(), positions={0: (0, 0)}), ["qubit 1 has no tile"],
+                     id="unmapped qubit"),
+        pytest.param(*_one_ls_gate([
+            [Action(ActionKind.BELL, gate=0, route=RoutePath(LS, ((1, 2),)))],
+            *([Action(ActionKind.MODIFY, tile=(0, 2), new_cut=CutType.X, phase=p)] for p in (1, 2, 3))]),
+            [f"cycle {t}: action kind ActionKind.MODIFY on a ls chip" for t in (1, 2, 3)],
+            id="cut modification on lattice surgery"),
+    ])
+    def test_malformed_schedule_is_a_violation(self, schedule, c, expected):
+        # schedules that the replay once raised on or accepted
+        assert validate(schedule, c) == expected
+
 
 class TestDeltaLowerBound:
     def test_delta_at_least_alpha_everywhere(self, rng):
@@ -829,6 +897,14 @@ def _mutations(schedule: EncodedSchedule, rng: random.Random):
         if other:
             yield "direct route changed", edited({(t, k): replace(a, route=other[2].route)})
         yield "direct phase renumbered", edited({(t, k): replace(a, phase=rng.choice((1, 2, 3, 4)))})
+        # the same route in every phase, so that only the route check sees it
+        phases = [(t2, k2, b) for t2, k2, b in located if b.kind is ActionKind.DIRECT and b.gate == a.gate]
+        (i, j), rest = a.route.nodes[0], a.route.nodes[1:]
+        diagonal = (i + 1 if i + 1 < rows else i - 1, j + 1 if j + 1 < cols else j - 1)
+        for kind, route in (("broken direct route", RoutePath(model, ((i, j), diagonal, *rest))),
+                            ("empty direct route", RoutePath(model, ())),
+                            ("direct with no route", None)):
+            yield kind, edited({(t2, k2): replace(b, route=route) for t2, k2, b in phases})
     hit = pick(lambda a: a.kind is ActionKind.MODIFY and a.phase in (2, 3))
     if hit:
         t, k, a = hit
@@ -861,18 +937,64 @@ def _mutations(schedule: EncodedSchedule, rng: random.Random):
             ActionKind.MODIFY, tile=rng.choice(nodes), new_cut=CutType.X, phase=1))])
         other = LS if dd else DD
         yield "route of the other model", edited({(t, k): replace(a, route=RoutePath(other, a.route.nodes))})
+    positions = dict(schedule.mapping.positions)
+    del positions[rng.choice(sorted(positions))]
+    yield "unmapped qubit", EncodedSchedule(cycles, layout, replace(schedule.mapping, positions=positions))
+
+
+def _well_formed(schedule: EncodedSchedule, circ) -> bool:
+    """Every qubit has a tile, every action is of a kind its model has, every
+    braid, Bell or direct action names a gate of ``circ``, and each of their
+    routes is a path on the schedule's fabric: of its model, on its grid and
+    off its lattice-surgery data tiles, and each step between neighbours.  A
+    direct route also passes the reference's route check, which the
+    reference never ran on one."""
+    layout, mapping, model = schedule.layout, schedule.mapping, schedule.model
+    if any(q not in mapping.positions for q in range(circ.n)):
+        return False
+    rows, cols = ((layout.array_r + 1, layout.array_c + 1) if model is DD
+                  else (layout.grid_rows, layout.grid_cols))
+    data = mapping.data_tiles(layout)
+    for acts in schedule.cycles:
+        for a in acts:
+            if (a.kind is ActionKind.BELL) != (model is LS):
+                return False
+            if a.kind is ActionKind.MODIFY:
+                continue
+            if type(a.gate) is not int or not 0 <= a.gate < circ.g:
+                return False
+            route = a.route
+            if route is None or route.model is not model:
+                return False
+            nodes = route.nodes
+            if not all(0 <= i < rows and 0 <= j < cols for i, j in nodes) or not data.isdisjoint(nodes):
+                return False
+            if any(abs(i1 - i2) + abs(j1 - j2) != 1 for (i1, j1), (i2, j2) in zip(nodes, nodes[1:])):
+                return False
+            if a.kind is ActionKind.DIRECT:
+                gate = circ.gates[a.gate]
+                ta, tb = (mapping.abs_tile(layout, q) for q in (gate.control, gate.target))
+                problems = []
+                _reference_check_route(problems, a, ta, tb, model)
+                if problems:
+                    return False
+    return True
 
 
 def _compare(schedule: EncodedSchedule, circ) -> str:
-    """Asserts that ``validate`` gives the reference's violations, or raises
-    the type of exception the reference raises; returns the outcome."""
+    """Asserts that ``validate`` raises nothing; that it reports a violation
+    where the reference raises or the schedule is not well formed; and that
+    it gives the reference's violations otherwise.  Returns the outcome."""
+    got = validate(schedule, circ)
     try:
         want = _reference_validate(schedule, circ)
-    except Exception as exc:  # a malformed schedule the reference cannot replay
-        with pytest.raises(type(exc)):
-            validate(schedule, circ)
-        return "raises"
-    assert validate(schedule, circ) == want
+    except Exception:  # a malformed schedule the reference cannot replay
+        assert got
+        return "reference raises"
+    if not _well_formed(schedule, circ):
+        assert got
+        return "malformed"
+    assert got == want
     return "violations" if want else "valid"
 
 
@@ -891,7 +1013,9 @@ def _validate_cases(seed: int) -> Counter:
 class TestValidateAgainstTupleReplay:
     """``validate`` gives the violation list of the tuple replay it replaced
     (``_reference_validate``) on the schedules of every producer and on
-    malformed copies of them, and raises what it raises."""
+    well-formed copies of them with faults; on a malformed copy, where the
+    reference may raise or miss the fault, it raises nothing and reports a
+    violation."""
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -899,6 +1023,7 @@ class TestValidateAgainstTupleReplay:
         _validate_cases(seed)
 
     def test_chain_links_checked_in_order(self):
+        grid = frozenset((r, c) for r in range(2) for c in range(7))
         # the first and the last link of the chain broken, then a middle one too
         ta, tb = (0, 0), (0, 6)
         for nodes, broken in [
@@ -909,7 +1034,7 @@ class TestValidateAgainstTupleReplay:
         ]:
             action = Action(ActionKind.BELL, gate=7, route=RoutePath(LS, nodes))
             got, expected = [], []
-            scheduler._check_route(got, action, ta, tb, LS)
+            scheduler._check_route(got, 7, action.route, ta, tb, LS, grid)
             _reference_check_route(expected, action, ta, tb, LS)
             assert got == expected == [f"gate 7: route chain broken between {x} and {y}"
                                        for x, y in broken]
@@ -934,6 +1059,6 @@ class TestValidateAgainstTupleReplay:
                     "direct route changed", "direct phase renumbered", "missing modify phase",
                     "modify moved", "overloaded resources", "out-of-grid node", "broken step",
                     "route over a data tile", "tile held on a route", "route of the other model",
-                    "raises", "violations",
-                    "valid"]
+                    "broken direct route", "empty direct route", "direct with no route",
+                    "unmapped qubit", "reference raises", "malformed", "violations", "valid"]
         assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
