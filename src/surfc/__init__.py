@@ -4,9 +4,9 @@ Transforms logical CNOT circuits into cycle-by-cycle encoded schedules on a
 2D-lattice chip, for both the double-defect (braiding) and lattice-surgery
 models, minimizing the cycle count.
 
-The exhaustive reference oracle (``OracleBudget``, ``optimal_cycles``,
-``optimal_pm``, ``routing_feasible``) is not re-exported here: it serves tests
-and ``surfc oracle`` only, so it is imported from ``surfc.oracle``.
+The exhaustive layering-width oracle of ``surfc oracle`` (``OracleBudget``,
+``optimal_pm``) is not re-exported here: it serves that command and the tests
+only, so it is imported from ``surfc.oracle``.
 """
 from .chip import (
     ChipLayout,

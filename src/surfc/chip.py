@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import InfeasibleError
 
@@ -115,6 +116,12 @@ def _round_robin(total: int, order: list[int], size: int) -> list[int]:
     return out
 
 
+def _tracks(widths: tuple[int, ...]) -> tuple[int, ...]:
+    """The tile track of each data line after the channels ``widths``: line
+    ``i`` lies past ``widths[0..i]`` and the ``i`` lines before it."""
+    return tuple(i + s for i, s in enumerate(accumulate(widths)))
+
+
 @dataclass(frozen=True)
 class ChipLayout:
     """Tile-array layout with per-channel widths.
@@ -194,23 +201,11 @@ class ChipLayout:
     @cached_property
     def row_tracks(self) -> tuple[int, ...]:
         """Array row -> absolute tile row (lattice surgery)."""
-        tracks = []
-        pos = 0
-        for i in range(self.array_r):
-            pos += self.h_widths[i]
-            tracks.append(pos)
-            pos += 1
-        return tuple(tracks)
+        return _tracks(self.h_widths[:self.array_r])
 
     @cached_property
     def col_tracks(self) -> tuple[int, ...]:
-        tracks = []
-        pos = 0
-        for j in range(self.array_c):
-            pos += self.v_widths[j]
-            tracks.append(pos)
-            pos += 1
-        return tuple(tracks)
+        return _tracks(self.v_widths[:self.array_c])
 
     def describe(self) -> dict:
         return {

@@ -24,8 +24,8 @@ those ids: nothing derives them again from the route's nodes.  Ring repair
 commits and rips up by the search's ids too, on a usage list of its own, and
 checks there that no resource goes over its capacity.  ``resource_capacities``
 gives the capacity of a tuple resource of ``RoutePath.resources`` instead,
-for the validator and the oracle's route packing, which share no code with
-the fabric.
+for the validator and the tests' exhaustive route packing, which count use
+by those tuples (the packing walks a ``Fabric`` only for its adjacency).
 
 Route search (``find_path`` and ring repair) runs on the bitmask of full
 resources, and on terminal masks: ``Fabric.terminal_mask`` caches the

@@ -476,8 +476,10 @@ def validate(
 
     * a circuit qubit with no tile ends the replay, one violation per qubit;
     * an action of a kind its model lacks (double defect has no Bell merge,
-      lattice surgery only those), or a braid, Bell or direct action whose
-      gate is not an ``int`` in ``0..g-1``, is one violation, and skipped;
+      lattice surgery only those), a direct or modify action whose phase is
+      not 1, 2 or 3, a modify action whose tile holds no qubit, or a braid,
+      Bell or direct action whose gate is not an ``int`` in ``0..g-1``, is
+      one violation, and skipped;
     * a route that is missing, of the other model, off the fabric (the
       junction grid, or the free lattice-surgery tiles, so that no route
       meets an operand) or with a double-defect step between non-neighbours
@@ -535,7 +537,13 @@ def validate(
             if kind not in model_kinds:
                 v.append(f"cycle {t}: action kind {kind} on a {model.value} chip")
                 continue
+            if dd and kind is not braid and a.phase not in (1, 2, 3):
+                v.append(f"cycle {t}: {kind.value} action phase {a.phase!r} is not 1, 2 or 3")
+                continue
             if kind is modify:
+                if a.tile not in corners:
+                    v.append(f"cycle {t}: modify action tile {a.tile!r} holds no qubit")
+                    continue
                 modify_at.add((a.tile, a.phase, t))
                 if a.phase == 1:
                     modify_starts.append((a.tile, t, a.new_cut))

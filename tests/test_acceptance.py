@@ -7,13 +7,14 @@ import time
 import pytest
 
 from conftest import uniform_dd_layout
+from reference_oracle import optimal_cycles
 from surfc.bench import benchmark
 from surfc.chip import ChipModel, chip_capacity, dims_for_avg_bandwidth
 from surfc.circuits import build_dag, build_comm_graph, circuit, two_coloring
 from surfc.errors import SchedulingError
 from surfc.generate import gen_random_circuit
 from surfc.harness import RunConfig, run, run_full
-from surfc.oracle import OracleBudget, optimal_cycles
+from surfc.oracle import OracleBudget
 from surfc.placement import ArrayShape, baseline_mapping
 from surfc.profiler import para_finding
 from surfc.router import resource_capacities, route_batch_guaranteed

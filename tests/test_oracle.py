@@ -2,13 +2,23 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import check_schedule, random_tiny_circuit, uniform_dd_layout, uniform_ls_layout
+from reference_oracle import optimal_cycles, routing_feasible
 from surfc.chip import ChipModel
-from surfc.circuits import build_dag, circuit
+from surfc.circuits import build_comm_graph, build_dag, circuit
 from surfc.errors import BudgetExceededError
-from surfc.oracle import OracleBudget, optimal_cycles, optimal_pm, routing_feasible
-from surfc.placement import ArrayShape, CutType, TileMapping, baseline_mapping, init_cut_types
+from surfc.oracle import OracleBudget, optimal_pm
+from surfc.placement import (
+    ArrayShape,
+    CutType,
+    TileMapping,
+    baseline_mapping,
+    establish_mapping,
+    init_cut_types,
+)
 from surfc.profiler import para_finding
 from surfc.scheduler import LIMITED, schedule_limited, schedule_sufficient
 
@@ -194,3 +204,57 @@ class TestLimitedAgainstOracle:
                 worst[strategy] = max(worst[strategy], sched.delta / opt)
         for strategy, ratio in worst.items():
             assert ratio <= self.WORST_RATIO[(model, strategy)] + 1e-9, (strategy, ratio)
+
+    # the worst ratios the derandomized sweep below meets: 12/8 and 9/7, both
+    # on 3x3 at bandwidth 1
+    SWEEP_WORST_RATIO = {
+        ("dd", "ecmas"): 3 / 2,
+        ("dd", "circuit-order"): 3 / 2,
+        ("dd", "time-first"): 3 / 2,
+        ("dd", "channel-first"): 9 / 7,
+        ("ls", "ecmas"): 1.0,
+        ("ls", "circuit-order"): 1.0,
+        ("ls", "time-first"): 1.0,
+        ("ls", "channel-first"): 1.0,
+    }
+
+    # (model, rows, cols, bandwidth or gap): every array the oracle's budget
+    # admits; lattice surgery only at gap 1 and up to 2x3, where the route
+    # enumeration stays within budget
+    @pytest.mark.parametrize("model, rows, cols, width", [
+        *(("dd", r, c, w) for r, c in ((2, 2), (2, 3), (3, 3)) for w in (1, 2)),
+        ("ls", 2, 2, 1), ("ls", 2, 3, 1)])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_sweep_of_arrays_mappings_and_bandwidths(self, model, rows, cols, width, data):
+        if model == "dd":
+            layout = uniform_dd_layout(rows, cols, bandwidth=width)
+        else:
+            layout = uniform_ls_layout(rows, cols, gap=width)
+        c, mapping = data.draw(_circuit_and_mapping(layout))
+        if model == "dd":
+            mapping = mapping.with_cuts(init_cut_types(c))
+        opt = optimal_cycles(c, layout, mapping)
+        assert opt >= build_dag(c).alpha
+        for strategy in LIMITED:
+            sched = schedule_limited(c, layout, mapping, strategy=strategy)
+            check_schedule(sched, c, layout, mapping)
+            assert opt <= sched.delta, strategy
+            assert sched.delta / opt <= self.SWEEP_WORST_RATIO[(model, strategy)] + 1e-9, strategy
+
+
+@st.composite
+def _circuit_and_mapping(draw, layout):
+    """A circuit of at most 5 qubits and 6 gates, and its snake, random or
+    ``ecmas`` mapping on the array of ``layout``, with no cuts."""
+    shape = ArrayShape(layout.array_r, layout.array_c)
+    n = draw(st.integers(2, min(5, shape.rows * shape.cols)))
+    # a second operand other than the first: b in 0..n-2, moved past a
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)),
+                          min_size=1, max_size=6))
+    c = circuit(n, [(a, b + (b >= a)) for a, b in pairs])
+    kind = draw(st.sampled_from(("snake", "random", "ecmas")))
+    seed = draw(st.integers(0, 3))
+    if kind == "ecmas":
+        return c, establish_mapping(build_comm_graph(c), shape, trials=4, seed=seed, layout=layout)
+    return c, baseline_mapping(kind, n, shape, seed=seed)

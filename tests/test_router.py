@@ -12,12 +12,13 @@ import pytest
 from conftest import uniform_dd_layout, uniform_ls_layout
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_oracle import routing_feasible
 from reference_search import res_id, resource_ids, rooted_bfs, trace_back
 
 from surfc import router
 from surfc.chip import ChipLayout, ChipModel, ChipSpec, chip_capacity, config_dims, derive_layout
 from surfc.errors import SchedulingError
-from surfc.oracle import OracleBudget, routing_feasible
+from surfc.oracle import OracleBudget
 from surfc.placement import ArrayShape, baseline_mapping
 from surfc.router import (
     CycleOccupancy,

@@ -389,12 +389,24 @@ def _one_ls_gate(cycles):
     return EncodedSchedule(cycles, uniform_ls_layout(1, 2), mapping), circuit(2, [(0, 1)])
 
 
-def _braid(gate=0, route=RoutePath(DD, ((0, 0), (0, 1)))):
+_EDGE = RoutePath(DD, ((0, 0), (0, 1)))  # a route between the tiles of ``_one_gate``
+
+
+def _braid(gate=0, route=_EDGE):
     return [[Action(ActionKind.BRAID, gate=gate, route=route)]]
 
 
 def _direct(route):
     return [[Action(ActionKind.DIRECT, gate=0, route=route, phase=p)] for p in (1, 2, 3)]
+
+
+def _modify():
+    return [[Action(ActionKind.MODIFY, tile=(0, 0), new_cut=CutType.Z, phase=p)] for p in (1, 2, 3)]
+
+
+def _with_first(cycles, action):
+    """``cycles`` with ``action`` added to their first cycle."""
+    return [[*cycles[0], action], *cycles[1:]]
 
 
 class TestValidate:
@@ -614,6 +626,12 @@ class TestValidate:
             *([Action(ActionKind.MODIFY, tile=(0, 2), new_cut=CutType.X, phase=p)] for p in (1, 2, 3))]),
             [f"cycle {t}: action kind ActionKind.MODIFY on a ls chip" for t in (1, 2, 3)],
             id="cut modification on lattice surgery"),
+        pytest.param(*_one_gate(_with_first(_direct(_EDGE), Action(
+                         ActionKind.DIRECT, gate=0, route=_EDGE)), cut=CutType.X),
+                     ["cycle 0: direct action phase None is not 1, 2 or 3"], id="direct with no phase"),
+        pytest.param(*_one_gate(_with_first([*_modify(), *_braid()], Action(
+                         ActionKind.MODIFY, new_cut=CutType.Z, phase=1)), cut=CutType.X),
+                     ["cycle 0: modify action tile None holds no qubit"], id="modify with no tile"),
     ])
     def test_malformed_schedule_is_a_violation(self, schedule, c, expected):
         # schedules that the replay once raised on or accepted
@@ -897,6 +915,7 @@ def _mutations(schedule: EncodedSchedule, rng: random.Random):
         if other:
             yield "direct route changed", edited({(t, k): replace(a, route=other[2].route)})
         yield "direct phase renumbered", edited({(t, k): replace(a, phase=rng.choice((1, 2, 3, 4)))})
+        yield "direct phase out of range", edited({}, [(t, replace(a, phase=rng.choice((None, 0, 4))))])
         # the same route in every phase, so that only the route check sees it
         phases = [(t2, k2, b) for t2, k2, b in located if b.kind is ActionKind.DIRECT and b.gate == a.gate]
         (i, j), rest = a.route.nodes[0], a.route.nodes[1:]
@@ -911,6 +930,11 @@ def _mutations(schedule: EncodedSchedule, rng: random.Random):
         yield "missing modify phase", edited({(t, k): None})
         yield "modify moved", edited({(t, k): replace(a, tile=rng.choice(
             [b.tile for _, _, b in located if b.tile is not None]))})
+    hit = pick(lambda a: a.kind is ActionKind.MODIFY and a.phase == 1)
+    if hit:
+        t, k, a = hit
+        nowhere = rng.choice((None, (-1, 0), (rows, cols)))
+        yield "modify of no qubit", edited({}, [(t, replace(a, tile=nowhere))])
     routed = [(t, k, a) for t, k, a in located if a.route is not None and a.route.nodes]
     if routed:
         t, k, a = rng.choice(routed)
@@ -944,22 +968,28 @@ def _mutations(schedule: EncodedSchedule, rng: random.Random):
 
 def _well_formed(schedule: EncodedSchedule, circ) -> bool:
     """Every qubit has a tile, every action is of a kind its model has, every
-    braid, Bell or direct action names a gate of ``circ``, and each of their
-    routes is a path on the schedule's fabric: of its model, on its grid and
-    off its lattice-surgery data tiles, and each step between neighbours.  A
-    direct route also passes the reference's route check, which the
-    reference never ran on one."""
+    direct or modify action is in phase 1, 2 or 3, every modify action is on
+    a qubit's tile, every braid, Bell or direct action names a gate of
+    ``circ``, and each of their routes is a path on the schedule's fabric: of
+    its model, on its grid and off its lattice-surgery data tiles, and each
+    step between neighbours.  A direct route also passes the reference's
+    route check, which the reference never ran on one."""
     layout, mapping, model = schedule.layout, schedule.mapping, schedule.model
     if any(q not in mapping.positions for q in range(circ.n)):
         return False
     rows, cols = ((layout.array_r + 1, layout.array_c + 1) if model is DD
                   else (layout.grid_rows, layout.grid_cols))
     data = mapping.data_tiles(layout)
+    tiles = {mapping.abs_tile(layout, q) for q in mapping.positions}
     for acts in schedule.cycles:
         for a in acts:
             if (a.kind is ActionKind.BELL) != (model is LS):
                 return False
+            if a.kind in (ActionKind.DIRECT, ActionKind.MODIFY) and a.phase not in (1, 2, 3):
+                return False
             if a.kind is ActionKind.MODIFY:
+                if a.tile not in tiles:
+                    return False
                 continue
             if type(a.gate) is not int or not 0 <= a.gate < circ.g:
                 return False
@@ -1056,8 +1086,9 @@ class TestValidateAgainstTupleReplay:
         kinds = sum((_validate_cases(seed) for seed in range(40)), Counter())
         expected = [*LIMITED, "resu", "dropped action", "moved action", "duplicated braid",
                     "gate out of range", "no gate", "no route", "shifted direct phase",
-                    "direct route changed", "direct phase renumbered", "missing modify phase",
-                    "modify moved", "overloaded resources", "out-of-grid node", "broken step",
+                    "direct route changed", "direct phase renumbered", "direct phase out of range",
+                    "missing modify phase", "modify moved", "modify of no qubit",
+                    "overloaded resources", "out-of-grid node", "broken step",
                     "route over a data tile", "tile held on a route", "route of the other model",
                     "broken direct route", "empty direct route", "direct with no route",
                     "unmapped qubit", "reference raises", "malformed", "violations", "valid"]
