@@ -139,7 +139,7 @@ def cmd_oracle(args) -> int:
 
     budget = OracleBudget(max_gates=args.max_gates, max_qubits=args.max_qubits)
     circuit = load_circuit(RunConfig(**_circuit_source(args)))
-    value = optimal_pm(build_dag(circuit), budget)
+    value = optimal_pm(build_dag(circuit), circuit.n, budget)
     _emit(json.dumps({"pm_optimal": value}), getattr(args, "out", None))
     return EXIT_OK
 

@@ -38,10 +38,11 @@ class OracleBudget:
 DEFAULT_BUDGET = OracleBudget()
 
 
-def optimal_pm(dag: GateDag, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    """True circuit parallelism: minimum over all minimum-length layerings of
-    the widest layer, by exhaustive assignment."""
-    budget.check_circuit(dag.n_gates, 0)
+def optimal_pm(dag: GateDag, n: int, budget: OracleBudget = DEFAULT_BUDGET) -> int:
+    """True circuit parallelism of the ``n``-qubit circuit of ``dag``: minimum
+    over all minimum-length layerings of the widest layer, by exhaustive
+    assignment."""
+    budget.check_circuit(dag.n_gates, n)
     g = dag.n_gates
     if g == 0:
         return 0

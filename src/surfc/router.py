@@ -11,21 +11,25 @@ cycle; adjacent operand tiles merge directly with an empty route.
 lattice-surgery data tiles.  Nodes are numbered row-major and a node's id is
 also its resource id; double-defect segment ids are node-aligned after them
 (``Fabric`` gives the layout).  Each node's adjacency is a tuple of
-``(neighbour id, segment id)`` in N, E, S, W order, where lattice surgery
-names the last resource, which is never full, as every segment.
-Capacities and per-cycle usage are lists indexed by resource id, so a search
+``(neighbour id, resource id)`` in N, E, S, W order: the segment crossed on
+double defect, and on lattice surgery, whose routes hold tiles only, the
+tile entered.  Capacities are a list indexed by resource id, so a search
 touches no tuple keys; tiles appear only where a caller hands them in or
 gets a ``RoutePath`` back.  ``CycleOccupancy``, the ledger of the limited
-scheduler (its one user), keeps one usage list per cycle, and beside it one
-integer whose bit ``i`` is set while resource ``i`` is at capacity.
-``find_path`` returns a route with the ids of its resources that the search
-recorded while it built the route, and a caller commits the route by exactly
-those ids: nothing derives them again from the route's nodes.  Ring repair
-commits and rips up by the search's ids too, on a usage list of its own, and
-checks there that no resource goes over its capacity.  ``resource_capacities``
-gives the capacity of a tuple resource of ``RoutePath.resources`` instead,
-for the validator and the tests' exhaustive route packing, which count use
-by those tuples (the packing walks a ``Fabric`` only for its adjacency).
+scheduler (its one user), keeps per cycle one integer whose bit ``i`` is set
+while resource ``i`` is at capacity, and on double defect beside it one
+usage list.  A lattice-surgery tile holds one route, so there the mask is
+the whole ledger.  ``find_path`` returns a route with the ids of its
+resources that the search recorded while it built the route, and a caller
+commits the route by exactly those ids: nothing derives them again from the
+route's nodes.  Ring repair commits and rips up by the search's ids too.  On
+double defect each ledger counts use and checks that no resource goes over
+its capacity.  On lattice surgery a commit asserts that the route's mask,
+built from its ids, meets no held tile and holds none twice, and ORs it in;
+a rip-up ANDs it out.  ``resource_capacities`` gives the capacity of a
+tuple resource of ``RoutePath.resources`` instead, for the validator and the
+tests' exhaustive route packing, which count use by those tuples (the
+packing walks a ``Fabric`` only for its adjacency).
 
 Route search (``find_path`` and ring repair) runs on the bitmask of full
 resources, and on terminal masks: ``Fabric.terminal_mask`` caches the
@@ -46,14 +50,19 @@ level held as one integer over node ids, as in bitmap-frontier BFS (Beamer,
 Asanovic and Patterson, 2012).  It sweeps from the goals: level 0 is
 ``goals & free``, and the next level is ``N(level) & free & ~seen``, where
 ``N`` shifts a mask one step each way, guarded by the ``east`` and ``south``
-masks so that no shift wraps from the end of a row into the next.  The
-sweep stops at the first level, ``L``, that meets a start.  A
-lattice-surgery tile next to both operands is a start and a goal, met at
-level 0: the single-tile route is the lowest bit of ``starts & goals``.
+masks so that no shift wraps from the end of a row into the next.  On
+lattice surgery, where no edge has a capacity of its own, ``east`` is the
+grid's row-end mask and the vertical shifts go unguarded: a node shifted off
+the grid lands outside ``free``.  The sweep stops at the first level, ``L``,
+that meets a start.  A lattice-surgery tile next to both operands is a start
+and a goal, met at level 0: the single-tile route is the lowest bit of
+``starts & goals``.
 Then one walk goes forward from the lowest start met, at each step to the
-first neighbour in ``adj`` order in the next level down over a free edge,
-and records the segment it crosses; a segment of capacity 0 is never set in
-``full``, so the walk reads the capacity too.
+first neighbour in ``adj`` order in the next level down over a free edge.
+On double defect it records the segment it crosses; a segment of capacity 0
+is never set in ``full``, so the walk reads the capacity too.  On lattice
+surgery every edge between free tiles is free: the walk tests the level
+alone and records nothing more.
 ``spread`` is ``N``; with it, ``grid_masks`` and ``flood``, lattice-surgery
 mapping finds hop distances and stranded pairs on the free fabric's masks,
 with no ``Fabric``.
@@ -119,15 +128,13 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from .chip import ChipLayout, ChipModel
 from .errors import SchedulingError
 
 Tile = tuple[int, int]
 Resource = tuple  # ('h', i, j) | ('v', i, j) | ('j', i, j) | ('t', r, c)
-
-_NEVER_FULL = 1 << 30  # capacity of the "no segment" resource
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class RoutePath:
@@ -167,8 +174,8 @@ class Fabric:
     Ids are node-aligned.  Node ``n`` (row-major, ``N`` nodes) is resource
     ``n``; on double defect the segment east of it is ``N + n`` and the one
     south of it ``2N + n``, where a slot with no segment (last column, last
-    row) has capacity 0.  The last id, ``size - 1``, is never full; lattice
-    surgery, whose routes hold tiles only, names it as every edge's segment.
+    row) has capacity 0.  So ``size`` is ``3N`` on double defect and ``N`` on
+    lattice surgery, whose routes hold tiles only.
     ``open``, ``east`` and ``south`` are bitmasks over node ids: the nodes a
     route may use (capacity above 0, no lattice-surgery data tile), and the
     nodes whose east or south edge exists and has capacity above 0."""
@@ -184,48 +191,24 @@ class Fabric:
         self.cols = cols
         self.tiles = tiles = [(r, c) for r in range(rows) for c in range(cols)]
         self.nodes = nodes = rows * cols
-        bw_h, bw_v = layout.bw_h, layout.bw_v
         if dd:
+            bw_h, bw_v = layout.bw_h, layout.bw_v
             cap = [max(bw_h[i], bw_v[j]) for i, j in tiles]
             cap += [bw_h[i] if j < cols - 1 else 0 for i, j in tiles]
             cap += [bw_v[j] if i < rows - 1 else 0 for i, j in tiles]
-        else:
-            cap = [1] * nodes
-        cap.append(_NEVER_FULL)
-        self.cap = cap
-        self.size = size = len(cap)
-        self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
-        # neighbours by row and column arithmetic on node ids; a
-        # double-defect segment is named by its north or west end
-        blocked = {r * cols + c for r, c in self.data}
-        if dd:
-            h_seg, v_seg = range(nodes, 2 * nodes), range(2 * nodes, 3 * nodes)
-        else:
-            h_seg = v_seg = [size - 1] * nodes
-        adj = []
-        n = 0
-        for r in range(rows):
-            north, south = r > 0, r < rows - 1
-            for c in range(cols):
-                out = []
-                if north and n - cols not in blocked:
-                    out.append((n - cols, v_seg[n - cols]))
-                if c < cols - 1 and n + 1 not in blocked:
-                    out.append((n + 1, h_seg[n]))
-                if south and n + cols not in blocked:
-                    out.append((n + cols, v_seg[n]))
-                if c and n - 1 not in blocked:
-                    out.append((n - 1, h_seg[n - 1]))
-                adj.append(tuple(out))
-                n += 1
-        self.adj = adj
-        if dd:
+            self.adj = _corridor_adjacency(rows, cols)
             self.open = _mask(n for n in range(nodes) if cap[n] > 0)
             self.east = _mask(n for n in range(nodes) if cap[nodes + n] > 0)
             self.south = _mask(n for n in range(nodes) if cap[2 * nodes + n] > 0)
         else:
+            cap = [1] * nodes
+            blocked = [r * cols + c for r, c in self.data]
+            self.adj = _tile_adjacency(rows, cols, blocked)
             self.open = (1 << nodes) - 1 & ~_mask(blocked)
             self.east, self.south = grid_masks(rows, cols)
+        self.cap = cap
+        self.size = size = len(cap)
+        self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
         self._terminal_masks: dict[Tile, int] = {}
 
     def terminals(self, tile: Tile) -> tuple[int, ...]:
@@ -252,10 +235,12 @@ class Fabric:
 
 
 class CycleOccupancy:
-    """Per-cycle reservation ledger: one usage list per cycle, indexed by the
-    resource ids of ``fabric``, and beside it a bitmask of the resources at
-    capacity.  Tiles are array coordinates for double defect, absolute tile
-    coordinates for lattice surgery.
+    """Per-cycle reservation ledger: a bitmask per cycle of the resources at
+    capacity, indexed by the resource ids of ``fabric``, and on double
+    defect beside it one usage list per cycle.  A lattice-surgery tile holds
+    one route, so there the mask is the whole ledger.  Tiles are array
+    coordinates for double defect, absolute tile coordinates for lattice
+    surgery.
 
     ``walled`` maps ``(cycle, duration)`` to the union of the regions that
     ``find_path``'s level-search misses there reached from their goals."""
@@ -267,8 +252,13 @@ class CycleOccupancy:
         self.walled: dict[tuple[int, int], int] = {}
 
     def usage(self, cycle: int) -> list[int]:
-        """Resource use at ``cycle``, indexed by resource id; read-only."""
-        return self._usage.get(cycle, self.fabric.idle)
+        """Resource use at ``cycle``, indexed by resource id; read-only.  On
+        lattice surgery a view derived from the full mask."""
+        fabric = self.fabric
+        if fabric.model is ChipModel.LATTICE_SURGERY:
+            full = self._full.get(cycle)
+            return fabric.idle if full is None else [full >> i & 1 for i in range(fabric.size)]
+        return self._usage.get(cycle, fabric.idle)
 
     def full(self, cycle: int) -> int:
         """Bitmask of the resource ids whose use at ``cycle`` has reached
@@ -280,6 +270,10 @@ class CycleOccupancy:
         ``path``, from ``cycle`` for ``duration`` cycles; ``path`` only words
         the message of an over-commit."""
         fabric = self.fabric
+        if fabric.model is ChipModel.LATTICE_SURGERY:
+            for t in range(cycle, cycle + duration):
+                self._full[t] = _add_tiles(self._full.get(t, 0), path, ids, t)
+            return
         cap = fabric.cap
         for t in range(cycle, cycle + duration):
             usage = self._usage.get(t)
@@ -302,6 +296,27 @@ class CycleOccupancy:
         self.walled = {k: w for k, w in self.walled.items() if not k[0] <= cycle < k[0] + k[1]}
 
 
+def _add_tiles(full: int, path: RoutePath, ids: list[int], cycle: int | None = None) -> int:
+    """``full`` with the lattice-surgery tiles ``ids`` of ``path`` added.
+    Asserts that no tile is in ``full`` already or twice in ``ids``, and
+    names the first such tile in route order, the one a count of each
+    tile's use against its capacity of 1 would find, with ``cycle`` when
+    given."""
+    mask = _mask(ids)
+    assert not (full & mask or mask.bit_count() < len(ids)), \
+        f"lane over-commit on {_first_held(path, ids, full)}" + ("" if cycle is None else f" at cycle {cycle}")
+    return full | mask
+
+
+def _first_held(path: RoutePath, ids: list[int], full: int) -> Resource | None:
+    """The resource of ``path`` whose id is the first of ``ids`` that
+    ``full`` or an earlier id holds."""
+    for k, i in enumerate(ids):
+        if full >> i & 1:
+            return path.resources()[k]
+        full |= 1 << i
+
+
 def resource_capacities(layout: ChipLayout):
     bw_h, bw_v = layout.bw_h, layout.bw_v
 
@@ -316,6 +331,52 @@ def resource_capacities(layout: ChipLayout):
         return 1  # lattice-surgery ancilla tile
 
     return cap
+
+
+def _corridor_adjacency(rows: int, cols: int) -> list[tuple[tuple[int, int], ...]]:
+    """The double-defect ``adj`` of a ``rows x cols`` junction grid: each
+    junction's ``(neighbour, segment)`` pairs in N, E, S, W order, a segment
+    named by its north or west end ``m``, ``nodes + m`` if horizontal and
+    ``2 * nodes + m`` if vertical."""
+    nodes = rows * cols
+    adj = []
+    n = 0
+    for r in range(rows):
+        north, south = r > 0, r < rows - 1
+        for c in range(cols):
+            out = []
+            if north:
+                out.append((n - cols, 2 * nodes + n - cols))
+            if c < cols - 1:
+                out.append((n + 1, nodes + n))
+            if south:
+                out.append((n + cols, 2 * nodes + n))
+            if c:
+                out.append((n - 1, nodes + n - 1))
+            adj.append(tuple(out))
+            n += 1
+    return adj
+
+
+def _tile_adjacency(rows: int, cols: int, blocked: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """The lattice-surgery ``adj`` of a ``rows x cols`` tile grid whose tiles
+    ``blocked`` hold data: each tile's entries ``(m, m)`` for the free tiles
+    ``m`` next to it, in N, E, S, W order.  A route holds tiles only, so an
+    entry names the tile it enters as its resource.  One pass over the
+    free-tile bytes gives each tile's entry or None, and the four directions
+    are that list shifted, with the row ends cleared east and west."""
+    nodes = rows * cols
+    free = bytearray(b"\x01") * nodes
+    for n in blocked:
+        free[n] = 0
+    entry = [(m, m) if f else None for m, f in enumerate(free)]
+    north = [None] * cols + entry[:nodes - cols]
+    south = entry[cols:] + [None] * cols
+    east = entry[1:] + [None]
+    east[cols - 1::cols] = [None] * rows
+    west = [None] + entry[:-1]
+    west[::cols] = [None] * rows
+    return list(map(tuple, map(partial(filter, None), zip(north, east, south, west))))
 
 
 def _mask(ids) -> int:
@@ -358,16 +419,37 @@ def _level_route(fabric: Fabric, full: int, starts: int, goals: int
     at a time from the goals (see the module docstring).  ``starts`` must be
     free, and on double defect disjoint from ``goals``; a lattice-surgery
     start that is a goal is a one-node route.  Returns ``(path, segments,
-    0)``: the node ids from a start to the goal and the ids of the segments
-    between them; on a miss ``(None, None, region)``, the bitmask of the
+    0)``: the node ids from a start to the goal and, on double defect, the
+    ids of the segments between them (None on lattice surgery, whose routes
+    hold tiles only); on a miss ``(None, None, region)``, the bitmask of the
     nodes the sweep reached."""
-    cols, adj, cap = fabric.cols, fabric.adj, fabric.cap
-    east = fabric.east & ~(full >> fabric.nodes)
-    south = fabric.south & ~(full >> 2 * fabric.nodes)
+    cols, adj = fabric.cols, fabric.adj
     free = fabric.open & ~full
     level = goals & free
     unseen = free ^ level
     levels = []
+    if fabric.model is ChipModel.LATTICE_SURGERY:
+        # every edge is there: only a row end needs a guard, and a vertical
+        # shift off the grid lands outside ``unseen``
+        east = fabric.east
+        while not level & starts:
+            if not level:
+                return None, None, free ^ unseen
+            levels.append(level)
+            level = ((level & east) << 1 | (level >> 1) & east | level << cols | level >> cols) & unseen
+            unseen ^= level
+        met = level & starts
+        node = (met & -met).bit_length() - 1
+        path = [node]
+        for level in reversed(levels):
+            for node, _ in adj[node]:
+                if level >> node & 1:
+                    break
+            path.append(node)
+        return path, None, 0
+    cap = fabric.cap
+    east = fabric.east & ~(full >> fabric.nodes)
+    south = fabric.south & ~(full >> 2 * fabric.nodes)
     while not level & starts:
         if not level:
             return None, None, free ^ unseen
@@ -491,10 +573,13 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
     sitting on that ring and let the blocked gate route first.  With no
     rip-up this is plain greedy routing.  Returns the routes in batch order,
     each with the ids of its resources, or None when a ring holds no
-    committed path or the rip-ups exceed four per gate."""
+    committed path or the rip-ups exceed four per gate.  Double defect
+    counts each resource's use against its capacity; lattice surgery keeps
+    the mask of held tiles alone."""
+    ls = fabric.model is ChipModel.LATTICE_SURGERY
     cap = fabric.cap
     paths: dict[int, tuple[RoutePath, list[int]]] = {}  # each with its resource ids
-    usage = [0] * fabric.size
+    usage = None if ls else [0] * fabric.size
     full = 0  # the resources whose use has reached their capacity
     pending = list(order)
     repairs = 0
@@ -511,12 +596,19 @@ def _ring_repair(fabric: Fabric, tile_pairs: list[tuple[Tile, Tile]],
             if not ripped:
                 return None
             for k in ripped:
-                for res in paths.pop(k)[1]:
+                held = paths.pop(k)[1]
+                if ls:
+                    full &= ~_mask(held)
+                    continue
+                for res in held:
                     usage[res] -= 1
                     full &= ~(1 << res)
             pending = [idx] + ripped + pending
             continue
         paths[idx] = p, ids
+        if ls:
+            full = _add_tiles(full, p, ids)
+            continue
         for res in ids:
             usage[res] += 1
             if usage[res] >= cap[res]:

@@ -163,9 +163,11 @@ class TestBadInput:
         (["chip", "describe", "-n", "-1"], EXIT_INFEASIBLE, "qubit count -1 must be >= 0"),
         (["chip", "describe", "-n", "4", "--pm", "-2", "--chip", "sufficient"], EXIT_INFEASIBLE,
          "parallelism -2 must be >= 0"),
+        (["oracle", "--random", "6,3,2", "--seed", "1", "--max-qubits", "1", "pm"], EXIT_INFEASIBLE,
+         "instance (g=6, n=6) exceeds oracle budget (g<=8, n<=1)"),
     ], ids=["random-arity", "chip-format", "map-chip-too-small", "map-resu-capacity",
          "missing-qasm", "missing-config", "schedule-ls-cuts", "map-ls-cuts",
-         "chip-negative-qubits", "chip-negative-pm"])
+         "chip-negative-qubits", "chip-negative-pm", "oracle-max-qubits"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code

@@ -61,13 +61,13 @@ class TestGenRandomCircuit:
             c = gen_random_circuit(n, depth, par, seed=trial)
             dag = build_dag(c)
             assert dag.alpha == depth
-            assert optimal_pm(dag, budget) == par
+            assert optimal_pm(dag, c.n, budget) == par
 
     def test_small_oracle_example(self):
         c = gen_random_circuit(6, 2, 3, seed=1)
         dag = build_dag(c)
         assert dag.alpha == 2
-        assert optimal_pm(dag, OracleBudget()) == 3
+        assert optimal_pm(dag, c.n, OracleBudget()) == 3
 
     def test_infeasible_parameters(self):
         with pytest.raises(InfeasibleError):

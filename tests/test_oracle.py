@@ -28,26 +28,26 @@ DD = ChipModel.DOUBLE_DEFECT
 class TestOptimalPm:
     def test_independent_gates(self):
         c = circuit(10, [(2 * i, 2 * i + 1) for i in range(5)])
-        assert optimal_pm(build_dag(c), OracleBudget(max_qubits=10)) == 5
+        assert optimal_pm(build_dag(c), c.n, OracleBudget(max_qubits=10)) == 5
 
     def test_chain(self):
         c = circuit(2, [(0, 1)] * 5)
-        assert optimal_pm(build_dag(c)) == 1
+        assert optimal_pm(build_dag(c), c.n) == 1
 
     def test_two_disjoint_chains_pair_up(self):
         c = circuit(4, [(0, 1)] * 3 + [(2, 3)] * 3)
-        assert optimal_pm(build_dag(c)) == 2
+        assert optimal_pm(build_dag(c), c.n) == 2
 
     def test_budget_refusal(self):
         c = circuit(2, [(0, 1)] * 9)
         with pytest.raises(BudgetExceededError):
-            optimal_pm(build_dag(c), OracleBudget(max_gates=8))
+            optimal_pm(build_dag(c), c.n, OracleBudget(max_gates=8))
 
     def test_never_above_estimate(self, rng):
         for _ in range(30):
             c = random_tiny_circuit(rng, max_n=6, max_g=7)
             dag = build_dag(c)
-            assert optimal_pm(dag) <= para_finding(dag).pm
+            assert optimal_pm(dag, c.n) <= para_finding(dag).pm
 
 
 def _snake_setup(c, rows=2, cols=3):

@@ -119,13 +119,13 @@ class TestParaFinding:
             dag = build_dag(c)
             layers = para_finding(dag)
             _layering_is_valid(layers, dag)
-            assert layers.pm >= optimal_pm(dag, budget)
+            assert layers.pm >= optimal_pm(dag, c.n, budget)
 
     def test_seeded_random_dag_equals_oracle(self):
         c = circuit(8, [(0, 1), (2, 3), (4, 5), (6, 7), (1, 2), (5, 6), (3, 4)])
         dag = build_dag(c)
         layers = para_finding(dag)
-        assert layers.pm == optimal_pm(dag, OracleBudget(max_gates=10, max_qubits=8))
+        assert layers.pm == optimal_pm(dag, c.n, OracleBudget(max_gates=10, max_qubits=8))
 
     def test_empty_dag(self):
         layers = para_finding(build_dag(circuit(2, [])))
@@ -290,7 +290,7 @@ class TestProfilerInvariants:
                 a, b = rng.sample(range(n), 2)
                 pairs.append((a, b))
             dag = build_dag(circuit(n, pairs))
-            assert para_finding(dag).pm >= optimal_pm(dag, budget)
+            assert para_finding(dag).pm >= optimal_pm(dag, n, budget)
 
     def test_generated_circuits_estimate_exact(self):
         for seed in range(25):

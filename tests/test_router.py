@@ -244,7 +244,6 @@ def _reference_graph(layout, data):
         cap += [bw_v[j] if i < rows - 1 else 0 for i, j in tiles]
     else:
         cap = [1] * nodes
-    cap.append(1 << 30)
     adj = []
     for n, (r, c) in enumerate(tiles):
         out = []
@@ -255,8 +254,8 @@ def _reference_graph(layout, data):
             if dd:
                 end = n if dr + dc > 0 else nr * cols + nc  # the north or west end
                 out.append((nr * cols + nc, end + (nodes if dr == 0 else 2 * nodes)))
-            else:
-                out.append((nr * cols + nc, len(cap) - 1))
+            else:  # a route holds tiles only: the tile entered is the resource
+                out.append((nr * cols + nc, nr * cols + nc))
         adj.append(tuple(out))
     free = sum(1 << n for n in range(nodes) if cap[n] > 0 and tiles[n] not in data)
     east = sum(1 << n for n in range(nodes) if n % cols < cols - 1 and (not dd or cap[nodes + n] > 0))
@@ -568,8 +567,11 @@ def _same_levels_as_bfs(fabric: Fabric, usage: list[int], starts, goals):
         return None
     assert region == 0
     assert path == list(trace_back(parent, end))
-    assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
-                        for n, nxt in zip(path, path[1:])]
+    if fabric.model is LS:  # routes hold tiles only
+        assert segments is None
+    else:
+        assert segments == [next(s for m, s in fabric.adj[n] if m == nxt)
+                            for n, nxt in zip(path, path[1:])]
     return path
 
 
@@ -607,7 +609,7 @@ class TestLevelSearch:
             fabric = _shuffled(fabric, rng)
         usage = [0] * fabric.size
         density = rng.choice((0.0, 0.1, 0.25, 0.4))
-        for res in range(fabric.size - 1):
+        for res in range(fabric.size):
             if rng.random() < density:
                 usage[res] = fabric.cap[res]
         width = fabric.cols
@@ -714,7 +716,7 @@ class TestLevelSearch:
             fabric = Fabric(layout)
             if rng.random() < 0.5:
                 fabric = _shuffled(fabric, rng)
-            usage = [fabric.cap[i] if rng.random() < 0.15 else 0 for i in range(fabric.size - 1)] + [0]
+            usage = [fabric.cap[i] if rng.random() < 0.15 else 0 for i in range(fabric.size)]
             free = [n for n in range(len(fabric.tiles)) if usage[n] < fabric.cap[n]]
             picked = rng.sample(free, min(len(free), rng.randint(2, 4)))
             split = rng.randint(1, len(picked) - 1)
@@ -967,7 +969,7 @@ def _shared_corner_queries(seed: int) -> Counter:
     cap = fabric.cap
     tiles = [(r, c) for r in range(rows) for c in range(cols)]
     density = rng.choice((0.0, 0.2, 0.5))
-    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size)]
     for _ in range(12):
         a = rng.choice(tiles)
         near = [(a[0] + dr, a[1] + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
@@ -1042,7 +1044,7 @@ def _remainder_queries(seed: int) -> Counter:
         near = [(a[0] + dr, a[1] + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                 if (dr, dc) != (0, 0) and (a[0] + dr, a[1] + dc) in tiles]
         b = rng.choice(near)
-        usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+        usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size)]
         shared = set(fabric.terminals(a)) & set(fabric.terminals(b))
         if rng.random() < 0.8:  # wall every one-hop route
             for n in fabric.terminals(a):
@@ -1092,7 +1094,7 @@ def _zero_lane_queries(seed: int) -> Counter:
     fabric = _shuffled(_with_zero_lines(fabric, zero_rows, zero_cols), rng)
     cap = fabric.cap
     density = rng.choice((0.0, 0.1, 0.25))
-    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size - 1)] + [0]
+    usage = [cap[i] if rng.random() < density else 0 for i in range(fabric.size)]
     tiles = [(r, c) for r in range(rows) for c in range(cols)]
     kinds = Counter()
     for _ in range(30):
@@ -1178,7 +1180,7 @@ class TestSaturatedFrontier:
         # full resources are ones a route can hold: no lattice-surgery data tile
         density = rng.choice((0.1, 0.25, 0.4, 0.6))
         usage = [fabric.cap[i] if rng.random() < density and (i >= fabric.nodes or fabric.open >> i & 1)
-                 else 0 for i in range(fabric.size - 1)] + [0]
+                 else 0 for i in range(fabric.size)]
         full = _full_mask(fabric, usage)
         for _ in range(8):
             a, b = rng.sample(tiles, 2)
@@ -1209,11 +1211,11 @@ class TestFullMasks:
             fabric = Fabric(layout, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
         cap, n, width = fabric.cap, fabric.nodes, fabric.cols
         ls = fabric.model is LS
-        assert fabric.size == len(cap) == (n + 1 if ls else 3 * n + 1) and cap[-1] > 1 << 20
-        for i in range(n):  # node-aligned segment ids; lattice surgery names the last id
+        assert fabric.size == len(cap) == (n if ls else 3 * n)
+        for i in range(n):  # node-aligned segment ids; lattice surgery names the tile entered
             for nxt, seg in fabric.adj[i]:
                 lo, horizontal = min(i, nxt), abs(i - nxt) == 1
-                assert seg == (fabric.size - 1 if ls else lo + (n if horizontal else 2 * n))
+                assert seg == (nxt if ls else lo + (n if horizontal else 2 * n))
         if not ls:  # a slot with no segment has capacity 0
             assert [cap[n + i] > 0 for i in range(n)] == [i % width < width - 1 for i in range(n)]
             assert [cap[2 * n + i] > 0 for i in range(n)] == [i < n - width for i in range(n)]
@@ -1283,8 +1285,8 @@ class TestFullMasks:
 
     def test_ring_repair_rip_ups(self, monkeypatch):
         # every search of ring repair, rip-ups included, sees the mask of
-        # the usage it keeps: checked at each ring, where the usage list
-        # shows, and at every search after it in the same repair
+        # the resources its held paths use: checked at each ring, where the
+        # held paths show, and at every search after it in the same repair
         ring_repair, search, frontier = router._ring_repair, router._bfs_route, router._saturated_frontier
         kept, last_full, checked, ripped = [], [], [], []
 
@@ -1292,19 +1294,27 @@ class TestFullMasks:
             kept.clear()
             return ring_repair(*args)
 
+        def use(fabric, paths):
+            # the use of each resource: a count of the held paths' ids
+            usage = [0] * fabric.size
+            for _, ids in paths.values():
+                for i in ids:
+                    usage[i] += 1
+            return usage
+
         def searched(fabric, full, src, dst):
             if kept:
-                assert full == _full_mask(fabric, kept[0])
+                assert full == _full_mask(fabric, use(fabric, kept[0]))
                 checked.append(1)
             last_full[:] = [full]
             return search(fabric, full, src, dst)
 
         def ring(fabric, full, src):
-            # the usage list and the held paths are ring repair's own
-            held = sys._getframe(1).f_locals
-            usage, paths = held["usage"], held["paths"]
+            # the held paths are ring repair's own
+            paths = sys._getframe(1).f_locals["paths"]
+            usage = use(fabric, paths)
             assert last_full[0] == full == _full_mask(fabric, usage)
-            kept[:] = [usage]
+            kept[:] = [paths]
             ring = frontier(fabric, full, src)
             # the paths on the ring, as the node walk over the reference
             # region's nodes and ids derived from each route's nodes find them
@@ -1331,6 +1341,131 @@ class TestFullMasks:
                 pairs = [(tiles[2 * i], tiles[2 * i + 1]) for i in range(chip_capacity(bandwidth))]
                 route_batch_guaranteed(uniform_dd_layout(g, g, bandwidth=bandwidth), pairs)
         assert len(checked) > 100 and sum(map(bool, ripped)) > 50
+
+
+def _count_commit(counts: dict[int, Counter], fabric: Fabric, ids: list[int], cycles) -> str | None:
+    """A commit of the lattice-surgery tiles ``ids`` at each of ``cycles``,
+    booked as a count of each tile's use against its capacity of 1, in cycle
+    then route order: the message of the first tile over capacity (the
+    cycle's bookings stop there), or None after booking every tile."""
+    for t in cycles:
+        held = counts.setdefault(t, Counter())
+        for i in ids:
+            held[i] += 1
+            if held[i] > 1:
+                where = "" if t is None else f" at cycle {t}"
+                return f"lane over-commit on {('t', *fabric.tiles[i])}{where}"
+    return None
+
+
+def _counted_mask(held: Counter) -> int:
+    """The bitmask of the tiles that ``held`` counts as used."""
+    return sum(1 << i for i, k in held.items() if k)
+
+
+def _tile_mask_checks(seed: int) -> Counter:
+    """Two lattice-surgery ledgers on random layouts against a count of
+    each tile's use.  ``CycleOccupancy``: routes ``find_path`` finds and
+    random tile lists, some on held tiles or with a tile twice, committed
+    over durations 1 and 3 among releases; after each commit every cycle's
+    full mask and usage view are the counts', and an over-commit raises the
+    counts' message and ends the sequence, its bookings half made.  Ring
+    repair: eight capacity-sized batches; at every search the full mask is
+    the count of the held paths' tiles, rip-ups included, and in the last
+    batch, half the time, one search hands back its route with a held tile
+    put in, whose commit raises the counts' message.  Returns the count of
+    each kind of event."""
+    rng = random.Random(seed)
+    layout = uniform_ls_layout(rng.randint(2, 5), rng.randint(2, 5), gap=rng.randint(1, 2))
+    cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+    data = frozenset(rng.sample(cells, rng.randint(2, len(cells))))
+    occ = CycleOccupancy(layout, data)
+    fabric = occ.fabric
+    free = _bits(fabric.open)
+    kinds = Counter()
+    counts: dict[int, Counter] = {}
+    for _ in range(30):
+        cycle, duration = rng.randrange(4), rng.choice((1, 1, 3))
+        if rng.random() < 0.6:
+            found = find_path(occ, cycle, *rng.sample(sorted(data), 2), duration)
+            if found is None:
+                continue
+            path, ids = found
+        else:
+            ids = [rng.choice(free) for _ in range(rng.randint(0, 4))]
+            path = fabric.route(ids)
+        expected = _count_commit(counts, fabric, ids, range(cycle, cycle + duration))
+        if expected is not None:
+            with pytest.raises(AssertionError) as error:
+                occ.commit_route(path, ids, cycle, duration)
+            assert str(error.value) == expected
+            kinds["occupancy over-commit"] += 1
+            break
+        occ.commit_route(path, ids, cycle, duration)
+        kinds["occupancy commit"] += 1
+        if rng.random() < 0.2:
+            t = rng.randrange(4)
+            occ.release(t)
+            counts.pop(t, None)
+            kinds["release"] += 1
+        for t in range(6):
+            held = counts.get(t, Counter())
+            assert occ.full(t) == _counted_mask(held)
+            assert occ.usage(t) == [held[i] for i in range(fabric.size)]
+
+    # ring repair: capacity-sized batches among every data tile of a 4x4 to
+    # 7x7 array with one-tile channels, where rip-ups are common enough
+    layout = uniform_ls_layout(rng.randint(4, 7), rng.randint(4, 7), gap=1)
+    data = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
+    fabric = Fabric(layout, frozenset(data))
+    repairs, inject, expected, search = [0], [False], [], router._bfs_route
+
+    def searched(fabric, full, src, dst):
+        state = sys._getframe(1).f_locals  # ring repair's held routes and rip-up count
+        held = Counter(i for _, ids in state["paths"].values() for i in ids)
+        assert full == _counted_mask(held)
+        if state["repairs"] > repairs[0]:
+            kinds["rip-up"] += 1
+        repairs[0] = state["repairs"]
+        kinds["batch search"] += 1
+        route, ids, region = search(fabric, full, src, dst)
+        if route is None or not full or not inject[0]:
+            return route, ids, region
+        inject[0] = False
+        k = rng.randrange(len(ids) + 1)
+        ids = ids[:k] + [rng.choice(_bits(full))] + ids[k:]
+        expected.append(_count_commit({None: held}, fabric, ids, (None,)))
+        return fabric.route(ids), ids, region
+
+    with patch.object(router, "_bfs_route", searched):
+        for batch in range(8):
+            inject[0] = batch == 7 and rng.random() < 0.5  # the last batch, half the time
+            tiles = rng.sample(data, 2 * layout.capacity)
+            try:
+                route_batch_guaranteed(layout, list(zip(tiles[::2], tiles[1::2])), fabric.data, fabric=fabric)
+            except AssertionError as error:
+                assert [str(error)] == expected
+                kinds["ring over-commit"] += 1
+            else:
+                assert not expected
+    return kinds
+
+
+class TestTileMasks:
+    """Lattice-surgery tiles hold one route each, so both ledgers keep only
+    full masks: every commit, rip-up and over-commit message is that of a
+    count of each tile's use."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_same_as_tile_counts(self, seed):
+        _tile_mask_checks(seed)
+
+    def test_every_kind_of_event(self):
+        kinds = sum((_tile_mask_checks(seed) for seed in range(40)), Counter())
+        expected = ["occupancy commit", "occupancy over-commit", "release", "batch search",
+                    "rip-up", "ring over-commit"]
+        assert set(kinds) == set(expected) and min(kinds.values()) >= 10, kinds
 
 
 def render_cycle(layout: ChipLayout, paths: list[RoutePath], labels: list[str] | None = None) -> str:

@@ -632,6 +632,9 @@ class TestValidate:
         pytest.param(*_one_gate(_with_first([*_modify(), *_braid()], Action(
                          ActionKind.MODIFY, new_cut=CutType.Z, phase=1)), cut=CutType.X),
                      ["cycle 0: modify action tile None holds no qubit"], id="modify with no tile"),
+        pytest.param(*_one_gate(_with_first([*_modify(), *_braid()], Action(
+                         ActionKind.MODIFY, tile=[0, 0], new_cut=CutType.Z, phase=1)), cut=CutType.X),
+                     ["cycle 0: modify action tile [0, 0] holds no qubit"], id="modify with a list tile"),
     ])
     def test_malformed_schedule_is_a_violation(self, schedule, c, expected):
         # schedules that the replay once raised on or accepted
