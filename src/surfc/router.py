@@ -128,7 +128,6 @@ from __future__ import annotations
 import copy
 import random
 from dataclasses import dataclass
-from functools import partial
 
 from .chip import ChipLayout, ChipModel
 from .errors import SchedulingError
@@ -191,24 +190,51 @@ class Fabric:
         self.cols = cols
         self.tiles = tiles = [(r, c) for r in range(rows) for c in range(cols)]
         self.nodes = nodes = rows * cols
+        bw_h, bw_v = layout.bw_h, layout.bw_v
         if dd:
-            bw_h, bw_v = layout.bw_h, layout.bw_v
             cap = [max(bw_h[i], bw_v[j]) for i, j in tiles]
             cap += [bw_h[i] if j < cols - 1 else 0 for i, j in tiles]
             cap += [bw_v[j] if i < rows - 1 else 0 for i, j in tiles]
-            self.adj = _corridor_adjacency(rows, cols)
+        else:
+            cap = [1] * nodes
+        self.cap = cap
+        self.size = len(cap)
+        # neighbours by row and column arithmetic on node ids; each
+        # direction's entry by the node ``m`` it enters: on double defect
+        # with the segment crossed, named by its north or west end, and on
+        # lattice surgery with ``m`` itself, one tuple that all four of its
+        # neighbours share
+        blocked = {r * cols + c for r, c in self.data}
+        if dd:
+            into_n, into_e, into_s, into_w = (
+                [(m, m + offset) for m in range(nodes)]
+                for offset in (2 * nodes, nodes - 1, 2 * nodes - cols, nodes))
+        else:
+            into_n = into_e = into_s = into_w = [(m, m) for m in range(nodes)]
+        adj = []
+        n = 0
+        for r in range(rows):
+            north, south = r > 0, r < rows - 1
+            for c in range(cols):
+                out = []
+                if north and n - cols not in blocked:
+                    out.append(into_n[n - cols])
+                if c < cols - 1 and n + 1 not in blocked:
+                    out.append(into_e[n + 1])
+                if south and n + cols not in blocked:
+                    out.append(into_s[n + cols])
+                if c and n - 1 not in blocked:
+                    out.append(into_w[n - 1])
+                adj.append(tuple(out))
+                n += 1
+        self.adj = adj
+        if dd:
             self.open = _mask(n for n in range(nodes) if cap[n] > 0)
             self.east = _mask(n for n in range(nodes) if cap[nodes + n] > 0)
             self.south = _mask(n for n in range(nodes) if cap[2 * nodes + n] > 0)
         else:
-            cap = [1] * nodes
-            blocked = [r * cols + c for r, c in self.data]
-            self.adj = _tile_adjacency(rows, cols, blocked)
             self.open = (1 << nodes) - 1 & ~_mask(blocked)
             self.east, self.south = grid_masks(rows, cols)
-        self.cap = cap
-        self.size = size = len(cap)
-        self.idle = [0] * size  # the usage of a cycle nothing has touched; never written
         self._terminal_masks: dict[Tile, int] = {}
 
     def terminals(self, tile: Tile) -> tuple[int, ...]:
@@ -250,15 +276,6 @@ class CycleOccupancy:
         self._usage: dict[int, list[int]] = {}
         self._full: dict[int, int] = {}
         self.walled: dict[tuple[int, int], int] = {}
-
-    def usage(self, cycle: int) -> list[int]:
-        """Resource use at ``cycle``, indexed by resource id; read-only.  On
-        lattice surgery a view derived from the full mask."""
-        fabric = self.fabric
-        if fabric.model is ChipModel.LATTICE_SURGERY:
-            full = self._full.get(cycle)
-            return fabric.idle if full is None else [full >> i & 1 for i in range(fabric.size)]
-        return self._usage.get(cycle, fabric.idle)
 
     def full(self, cycle: int) -> int:
         """Bitmask of the resource ids whose use at ``cycle`` has reached
@@ -331,52 +348,6 @@ def resource_capacities(layout: ChipLayout):
         return 1  # lattice-surgery ancilla tile
 
     return cap
-
-
-def _corridor_adjacency(rows: int, cols: int) -> list[tuple[tuple[int, int], ...]]:
-    """The double-defect ``adj`` of a ``rows x cols`` junction grid: each
-    junction's ``(neighbour, segment)`` pairs in N, E, S, W order, a segment
-    named by its north or west end ``m``, ``nodes + m`` if horizontal and
-    ``2 * nodes + m`` if vertical."""
-    nodes = rows * cols
-    adj = []
-    n = 0
-    for r in range(rows):
-        north, south = r > 0, r < rows - 1
-        for c in range(cols):
-            out = []
-            if north:
-                out.append((n - cols, 2 * nodes + n - cols))
-            if c < cols - 1:
-                out.append((n + 1, nodes + n))
-            if south:
-                out.append((n + cols, 2 * nodes + n))
-            if c:
-                out.append((n - 1, nodes + n - 1))
-            adj.append(tuple(out))
-            n += 1
-    return adj
-
-
-def _tile_adjacency(rows: int, cols: int, blocked: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    """The lattice-surgery ``adj`` of a ``rows x cols`` tile grid whose tiles
-    ``blocked`` hold data: each tile's entries ``(m, m)`` for the free tiles
-    ``m`` next to it, in N, E, S, W order.  A route holds tiles only, so an
-    entry names the tile it enters as its resource.  One pass over the
-    free-tile bytes gives each tile's entry or None, and the four directions
-    are that list shifted, with the row ends cleared east and west."""
-    nodes = rows * cols
-    free = bytearray(b"\x01") * nodes
-    for n in blocked:
-        free[n] = 0
-    entry = [(m, m) if f else None for m, f in enumerate(free)]
-    north = [None] * cols + entry[:nodes - cols]
-    south = entry[cols:] + [None] * cols
-    east = entry[1:] + [None]
-    east[cols - 1::cols] = [None] * rows
-    west = [None] + entry[:-1]
-    west[::cols] = [None] * rows
-    return list(map(tuple, map(partial(filter, None), zip(north, east, south, west))))
 
 
 def _mask(ids) -> int:

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import product
-from operator import sub
 
 from .chip import ChipLayout, ChipModel
 from .circuits import GateDag, LogicalCircuit, build_dag
@@ -467,15 +466,13 @@ def validate(
     (its cuts may differ, as a ``resu`` schedule's do), raises ``SurfcError``.
 
     Each cycle's use of the resources of ``RoutePath.resources`` is counted
-    once, by integer keys looked up from the route's coordinates: a
-    double-defect junction or segment by ``_junction_keys``, a free
-    lattice-surgery tile ``(r, c)`` as ``r * (cols + 1) + c``.  Only a key
-    used more often than the narrowest bandwidth is held against its own
-    capacity; a message names its tuple resource.  A double-defect route
-    found whole in the grid, with its ends on its operands' corners, and a
-    lattice-surgery route whose keys, between its operands', all step by 1
-    or ``cols + 1``, have nothing more to check.  A malformed schedule gives
-    violations, never an exception:
+    once, by keys: a lattice-surgery tile is its own key, and a double-defect
+    junction or segment an integer (``_junction_keys``) looked up from the
+    route's coordinates.  Only a key used more often than the narrowest
+    bandwidth is held against its own capacity; a message names its tuple
+    resource.  A double-defect route found whole in the grid, with its ends
+    on its operands' corners, has nothing more to check.  A malformed
+    schedule gives violations, never an exception:
 
     * a circuit qubit with no tile ends the replay, one violation per qubit;
     * an action of a kind its model lacks (double defect has no Bell merge,
@@ -512,10 +509,6 @@ def validate(
         narrowest = layout.bandwidth  # 1 or more on every double-defect layout
     else:
         fabric = _tiles(layout.grid_rows, layout.grid_cols) - mapping.data_tiles(layout)
-        # keys one column wider than the grid: a step of one tile is a key
-        # step of 1 or ``width``, and no row end wraps into the next row
-        width = layout.grid_cols + 1
-        steps = frozenset((1, -1, width, -width))
         narrowest = 1
 
     def route_keys(route: RoutePath | None) -> list:
@@ -527,19 +520,6 @@ def validate(
             return [*map(node_key.__getitem__, nodes), *map(edge_key.__getitem__, zip(nodes, nodes[1:]))]
         except (KeyError, TypeError):
             return []
-
-    def chain_keys(gid: int, route: RoutePath | None, ta: Tile, tb: Tile) -> list[int]:
-        """A lattice-surgery route's tile keys, read as one-tile steps from
-        ``ta`` to ``tb``; on any fault ``_check_route`` words the violations,
-        and only a route on the fabric holds its tiles."""
-        if route is not None and route.model is model and fabric.issuperset(route.nodes):
-            held = [r * width + c for r, c in route.nodes]
-            chain = [ta[0] * width + ta[1], *held, tb[0] * width + tb[1]]
-            if steps.issuperset(map(sub, chain[1:], chain)):
-                return held
-        if _check_route(v, gid, route, ta, tb, model, fabric):
-            return [r * width + c for r, c in route.nodes]
-        return []
 
     # per-gate execution spans (first cycle, last cycle) and first action kinds
     first, last = [_NEVER] * g, [-1] * g
@@ -589,7 +569,7 @@ def validate(
                     v.append(f"gate {gid} executed more than once")
                 first[gid] = last[gid] = t
                 if not dd:
-                    route_held = chain_keys(gid, route, ta, tb)
+                    route_held = route.nodes if _check_route(v, gid, route, ta, tb, model, fabric) else ()
                 else:
                     route_held = route_keys(route)
                     # a route whose keys were all found is unbroken and on
@@ -604,7 +584,7 @@ def validate(
             if max(used.values()) > narrowest:
                 for k, n in used.items():
                     if n > narrowest:
-                        res = ("jhv"[k // len(grid)], *grid[k % len(grid)]) if dd else ("t", *divmod(k, width))
+                        res = ("jhv"[k // len(grid)], *grid[k % len(grid)]) if dd else ("t", *k)
                         limit = cap(res)
                         if n > limit:
                             v.append(f"cycle {t}: resource {res} used {n} > capacity {limit}")

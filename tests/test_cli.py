@@ -165,9 +165,12 @@ class TestBadInput:
          "parallelism -2 must be >= 0"),
         (["oracle", "--random", "6,3,2", "--seed", "1", "--max-qubits", "1", "pm"], EXIT_INFEASIBLE,
          "instance (g=6, n=6) exceeds oracle budget (g<=8, n<=1)"),
+        (["oracle", "--random", "8,4,1", "--seed", "1", "pm"], EXIT_INFEASIBLE,
+         "instance (g=4, n=8) exceeds oracle budget (g<=8, n<=6)"),
     ], ids=["random-arity", "chip-format", "map-chip-too-small", "map-resu-capacity",
          "missing-qasm", "missing-config", "schedule-ls-cuts", "map-ls-cuts",
-         "chip-negative-qubits", "chip-negative-pm", "oracle-max-qubits"])
+         "chip-negative-qubits", "chip-negative-pm", "oracle-max-qubits",
+         "oracle-default-max-qubits"])
     def test_exit_code_and_message(self, capsys, tmp_path, argv, code, message):
         missing = str(tmp_path / "missing.txt")
         assert main([arg.replace("{missing}", missing) for arg in argv]) == code

@@ -127,8 +127,8 @@ class TestCommit:
         assert find_path(occ, 3, (0, 0), (1, 1))[0].nodes == path.nodes == ((0, 1), (1, 1))
         # the same lane is busy at cycle 2 and free at cycle 3
         res = path.resources()[1]
-        assert occ.usage(2)[res_id(occ.fabric, res)] == 1
-        assert occ.usage(3)[res_id(occ.fabric, res)] == 0
+        assert _usage(occ, 2)[res_id(occ.fabric, res)] == 1
+        assert _usage(occ, 3)[res_id(occ.fabric, res)] == 0
 
     def test_two_lanes_then_segment_blocked(self):
         layout = uniform_dd_layout(1, 2, bandwidth=2)
@@ -328,7 +328,7 @@ class TestBatchCommitIds:
                 occ.commit_route(path, ids, 0)
                 held.update(path.resources())
             capacity = router.resource_capacities(layout)
-            assert (occ.usage(0), occ.full(0)) == _booked(fabric, capacity, held)
+            assert (_usage(occ, 0), occ.full(0)) == _booked(fabric, capacity, held)
         assert len(ring_repairs) > batches  # restarts included
 
 
@@ -344,6 +344,16 @@ def _booked(fabric: Fabric, capacity, held: Counter) -> tuple[list[int], int]:
         if k == capacity(res):
             full |= 1 << n
     return usage, full
+
+
+def _usage(occ: CycleOccupancy, cycle: int) -> list[int]:
+    """The use of each resource id of ``occ`` at ``cycle``: the double-defect
+    usage list, and on lattice surgery, whose tiles hold one route and which
+    keeps no such list, the bits of the full mask."""
+    fabric = occ.fabric
+    if fabric.model is LS:
+        return [occ.full(cycle) >> i & 1 for i in range(fabric.size)]
+    return occ._usage.get(cycle, [0] * fabric.size)
 
 
 @pytest.fixture
@@ -789,7 +799,7 @@ def _mask_queries(seed: int) -> Counter:
                 if (dr, dc) != (0, 0) and (a[0] + dr, a[1] + dc) in tiles]
         b = rng.choice(near if rng.random() < 0.4 else [t for t in tiles if t != a])
         cycle, duration = rng.randrange(4), rng.choice((1, 3))
-        usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + duration)))]
+        usage = [max(col) for col in zip(*(_usage(occ, t) for t in range(cycle, cycle + duration)))]
         filled = rng.choice((None, None, a, b))
         if filled is not None:
             for n in fabric.terminals(filled):
@@ -823,7 +833,7 @@ def _mask_queries(seed: int) -> Counter:
                 for t in range(cycle, cycle + duration):
                     held.setdefault(t, Counter()).update(path.resources())
                 for t, counts in held.items():
-                    assert (occ.usage(t), occ.full(t)) == _booked(fabric, capacity, counts)
+                    assert (_usage(occ, t), occ.full(t)) == _booked(fabric, capacity, counts)
                 kinds[f"commit {duration}"] += 1
     return kinds
 
@@ -876,7 +886,7 @@ def _walled_queries(seed: int) -> Counter:
         for _ in range(rng.randint(5, 15)):
             a, b = rng.sample(tiles, 2)
             duration = rng.choice((1, 3))
-            usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + duration)))]
+            usage = [max(col) for col in zip(*(_usage(occ, t) for t in range(cycle, cycle + duration)))]
             walled = occ.walled.get((cycle, duration), 0)
             sweeps = []
             with patch.object(router, "_level_route",
@@ -1241,7 +1251,6 @@ class TestFullMasks:
                 tiles = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
                 occ = CycleOccupancy(layout, frozenset(tiles))
             fabric = occ.fabric
-            released = set()
             for _ in range(40):
                 a, b = rng.sample(tiles, 2)
                 cycle, duration = rng.randrange(8), rng.choice((1, 3))
@@ -1251,13 +1260,9 @@ class TestFullMasks:
                 if rng.random() < 0.1:
                     t = rng.randrange(8)
                     occ.release(t)
-                    released.add(t)
+                    assert occ.full(t) == 0 and _usage(occ, t) == [0] * fabric.size
             for t in range(12):
-                usage = occ.usage(t)
-                assert occ.full(t) == _full_mask(fabric, usage)
-                if t in released and usage is fabric.idle:
-                    assert occ.full(t) == 0
-            assert fabric.idle == [0] * fabric.size
+                assert occ.full(t) == _full_mask(fabric, _usage(occ, t))
 
     def test_find_path_three_cycles(self):
         # the route of the combined usage of three cycles, as the search
@@ -1277,7 +1282,7 @@ class TestFullMasks:
                 for _ in range(30):
                     a, b = rng.sample(tiles, 2)
                     cycle = rng.randrange(5)
-                    usage = [max(col) for col in zip(*(occ.usage(t) for t in range(cycle, cycle + 3)))]
+                    usage = [max(col) for col in zip(*(_usage(occ, t) for t in range(cycle, cycle + 3)))]
                     found = find_path(occ, cycle, a, b, duration=3)
                     assert _route(found) == _reference_route(occ.fabric, usage, a, b)[0]
                     if found is not None and rng.random() < 0.7:
@@ -1368,13 +1373,13 @@ def _tile_mask_checks(seed: int) -> Counter:
     each tile's use.  ``CycleOccupancy``: routes ``find_path`` finds and
     random tile lists, some on held tiles or with a tile twice, committed
     over durations 1 and 3 among releases; after each commit every cycle's
-    full mask and usage view are the counts', and an over-commit raises the
-    counts' message and ends the sequence, its bookings half made.  Ring
-    repair: eight capacity-sized batches; at every search the full mask is
-    the count of the held paths' tiles, rip-ups included, and in the last
-    batch, half the time, one search hands back its route with a held tile
-    put in, whose commit raises the counts' message.  Returns the count of
-    each kind of event."""
+    full mask is the counts', and an over-commit raises the counts' message
+    and ends the sequence, its bookings half made.  Ring repair: eight
+    capacity-sized batches; at every search the full mask is the count of
+    the held paths' tiles, rip-ups included, and in the last batch, half the
+    time, one search hands back its route with a held tile put in, whose
+    commit raises the counts' message.  Returns the count of each kind of
+    event."""
     rng = random.Random(seed)
     layout = uniform_ls_layout(rng.randint(2, 5), rng.randint(2, 5), gap=rng.randint(1, 2))
     cells = [(r, c) for r in layout.row_tracks for c in layout.col_tracks]
@@ -1411,7 +1416,6 @@ def _tile_mask_checks(seed: int) -> Counter:
         for t in range(6):
             held = counts.get(t, Counter())
             assert occ.full(t) == _counted_mask(held)
-            assert occ.usage(t) == [held[i] for i in range(fabric.size)]
 
     # ring repair: capacity-sized batches among every data tile of a 4x4 to
     # 7x7 array with one-tile channels, where rip-ups are common enough
